@@ -22,7 +22,11 @@ lengths beyond the hard caps, truncated payloads, non-object headers
 and JSON errors all raise :class:`~repro.errors.ProtocolError` (a
 :class:`~repro.errors.ClusterError`), never a builtin.  A peer that
 dies mid-frame surfaces as :class:`~repro.errors.WorkerDiedError`.
-Error *frames* are typed too: a worker maps an exception onto a
+Reads go through one buffered :class:`FrameReader` per connection, so
+a burst of frames costs one ``recv`` and a reader can tell whether
+more frames are already waiting; writers batch the other way, sending
+several encoded frames with one :func:`send_frames`.  Error *frames*
+are typed too: a worker maps an exception onto a
 whitelisted ``repro.errors`` class name which the parent rehydrates,
 so a worker-side ``ShardOverloadError`` sheds on the parent exactly
 like a thread-tier one.
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,50 +153,134 @@ def decode_frame(data: bytes) -> Tuple[Dict[str, object], bytes]:
 # ----------------------------------------------------------------------
 # socket I/O
 # ----------------------------------------------------------------------
-def _recv_exactly(sock, count: int) -> Optional[bytes]:
-    """Exactly *count* bytes from *sock*; None on clean EOF at offset
-    zero; :class:`WorkerDiedError` on EOF mid-read."""
-    chunks = []
-    remaining = count
-    while remaining:
+#: Bytes asked of the socket per ``recv`` by :class:`FrameReader`.
+READ_CHUNK = 64 * 1024
+
+
+class FrameReader:
+    """Buffered frame reads from one socket — the only read path.
+
+    Each ``recv`` asks for up to :data:`READ_CHUNK` bytes, so a burst
+    of small frames costs one syscall instead of three per frame, and
+    :meth:`has_frame` tells a caller — without blocking — whether the
+    next :meth:`recv_frame` can be answered from the buffer alone.  A
+    frame whose remainder exceeds one chunk (a ``sync`` state tail) is
+    read straight into a preallocated buffer of its declared size, so
+    a large tail is copied once, not once per chunk.
+
+    The decoder's contract is unchanged: bad prefixes and headers
+    raise :class:`ProtocolError` (via the module-level
+    :func:`decode_prefix` / :func:`decode_header`), EOF inside a frame
+    raises :class:`WorkerDiedError`, and clean EOF between frames is
+    ``None``.
+    """
+
+    def __init__(self, sock):
+        """Wrap *sock* (any object with ``recv`` and ``recv_into``)."""
+        self._sock = sock
+        self._buf = bytearray()
+        #: Offset of the next unread frame in ``_buf``.
+        self._pos = 0
+        #: ``(header_len, frame size)`` of the frame at ``_pos`` once
+        #: its prefix is buffered and validated.
+        self._next: Optional[Tuple[int, int]] = None
+
+    def has_frame(self) -> bool:
+        """True when :meth:`recv_frame` would return (or raise) without
+        blocking on the socket."""
         try:
-            chunk = sock.recv(min(remaining, 1 << 20))
+            size = self._next_size()
+        except ProtocolError:
+            return True  # recv_frame raises it straight away
+        return size is not None and self._pos + size <= len(self._buf)
+
+    def recv_frame(self) -> Optional[Tuple[Dict[str, object], bytes]]:
+        """The next frame, reading the socket as needed; None on clean
+        EOF between frames."""
+        while True:
+            size = self._next_size()
+            if size is not None:
+                missing = self._pos + size - len(self._buf)
+                if missing <= 0:
+                    header_len, _ = self._next
+                    start = self._pos
+                    self._pos, self._next = start + size, None
+                    return _split_frame(self._buf, start, header_len, size)
+                if missing > READ_CHUNK:
+                    return self._recv_large()
+            if not self._fill():
+                buffered = len(self._buf) - self._pos
+                if buffered:
+                    raise WorkerDiedError(
+                        f"peer closed mid-frame ({buffered} bytes buffered)"
+                    )
+                return None
+
+    def _next_size(self) -> Optional[int]:
+        """Size of the frame at ``_pos`` (None while its prefix is
+        incomplete); the prefix is validated once per frame."""
+        if self._next is None:
+            if len(self._buf) - self._pos < PREFIX_SIZE:
+                return None
+            header_len, tail_len = decode_prefix(
+                bytes(self._buf[self._pos : self._pos + PREFIX_SIZE])
+            )
+            self._next = (header_len, PREFIX_SIZE + header_len + tail_len)
+        return self._next[1]
+
+    def _fill(self) -> bool:
+        """One ``recv`` of up to :data:`READ_CHUNK` bytes; False on EOF."""
+        if self._pos:
+            # Drop consumed frames before growing the buffer, so it
+            # holds at most one chunk plus a partial frame.
+            del self._buf[: self._pos]
+            self._pos = 0
+        try:
+            chunk = self._sock.recv(READ_CHUNK)
         except OSError as exc:
             raise WorkerDiedError(f"connection lost mid-frame: {exc}") from exc
-        if not chunk:
-            if remaining == count and not chunks:
-                return None
-            raise WorkerDiedError(
-                f"peer closed mid-frame ({count - remaining}/{count} bytes)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        self._buf += chunk
+        return bool(chunk)
+
+    def _recv_large(self) -> Tuple[Dict[str, object], bytes]:
+        """Read the rest of the frame at ``_pos`` straight into a buffer
+        of its declared size."""
+        header_len, size = self._next
+        frame = bytearray(size)
+        have = len(self._buf) - self._pos
+        frame[:have] = self._buf[self._pos :]
+        self._buf.clear()
+        self._pos, self._next = 0, None
+        with memoryview(frame) as view:
+            while have < size:
+                try:
+                    got = self._sock.recv_into(view[have:])
+                except OSError as exc:
+                    raise WorkerDiedError(
+                        f"connection lost mid-frame: {exc}"
+                    ) from exc
+                if not got:
+                    raise WorkerDiedError(
+                        f"peer closed mid-frame ({have}/{size} bytes)"
+                    )
+                have += got
+        return _split_frame(frame, 0, header_len, size)
 
 
-def recv_frame(sock) -> Optional[Tuple[Dict[str, object], bytes]]:
-    """Read one frame from *sock*; None on clean EOF between frames."""
-    prefix = _recv_exactly(sock, PREFIX_SIZE)
-    if prefix is None:
-        return None
-    header_len, tail_len = decode_prefix(prefix)
-    body = _recv_exactly(sock, header_len)
-    if body is None:
-        raise WorkerDiedError("peer closed between prefix and header")
-    header = decode_header(body)
-    tail = b""
-    if tail_len:
-        got = _recv_exactly(sock, tail_len)
-        if got is None:
-            raise WorkerDiedError("peer closed between header and tail")
-        tail = got
-    return header, tail
+def _split_frame(
+    buf: bytearray, start: int, header_len: int, size: int
+) -> Tuple[Dict[str, object], bytes]:
+    """Decode the complete frame held in ``buf[start:start + size]``."""
+    body_end = start + PREFIX_SIZE + header_len
+    header = decode_header(bytes(buf[start + PREFIX_SIZE : body_end]))
+    return header, bytes(buf[body_end : start + size])
 
 
-def send_frame(sock, header: Dict[str, object], tail: bytes = b"") -> None:
-    """Write one frame to *sock* (single ``sendall``)."""
+def send_frames(sock, frames: Sequence[bytes]) -> None:
+    """Write already-encoded *frames* to *sock* with one ``sendall``."""
+    data = frames[0] if len(frames) == 1 else b"".join(frames)
     try:
-        sock.sendall(encode_frame(header, tail))
+        sock.sendall(data)
     except OSError as exc:
         raise WorkerDiedError(f"connection lost while sending: {exc}") from exc
 
@@ -315,6 +403,3 @@ def floats_from_tail(fragment: object, tail: bytes) -> np.ndarray:
         )
     return np.frombuffer(tail, dtype=np.float64).copy()
 
-
-#: Signature of the per-kind handlers a serve loop dispatches to.
-Handler = Callable[[Dict[str, object], bytes], Tuple[Dict[str, object], bytes]]

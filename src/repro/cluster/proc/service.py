@@ -506,7 +506,10 @@ class ProcClusterService:
                             ClusterError(f"malformed estimate reply: {bad}")
                         )
                     return
-                if isinstance(exc, ShardDownError):
+                # A dead worker and a missed deadline both charge
+                # health (a wedged worker drifts toward ejection);
+                # neither fails over once the frame is on the wire.
+                if isinstance(exc, (ShardDownError, WorkerTimeoutError)):
                     if self.router.record_failure(handle.worker_id):
                         self.events.emit(
                             "worker_ejected",

@@ -9,6 +9,15 @@ lock), a reader thread resolving per-request futures, and the
 the parent polls the read end, and EOF is a death certificate no
 signal can forge or suppress — SIGKILL included.
 
+Callers encode their frames on their own thread
+(:meth:`WorkerHandle.submit`) and queue the bytes.  The writer
+coalesces: it blocks for one frame, drains everything already queued
+behind it and sends the lot with one ``sendall``, so a burst of
+requests reaches the worker as one write — which the worker, draining
+its socket the same way, serves as one fused batch.  The reader reads
+replies through a buffered :class:`~.protocol.FrameReader`, so a
+drain's worth of replies costs one ``recv``.
+
 :class:`ProcSupervisor` owns the fleet: it sweeps request deadlines,
 sends heartbeat pings (a live-but-wedged worker misses enough pongs
 to be killed and treated as dead), refreshes per-worker counter
@@ -35,7 +44,7 @@ import subprocess
 import sys
 import threading
 import time
-from queue import Queue
+from queue import Empty, Queue
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
@@ -352,10 +361,10 @@ class WorkerHandle:
     # ------------------------------------------------------------------
     def _read_loop(self) -> None:
         """Resolve futures from reply frames until the stream dies."""
-        sock = self.sock
+        reader = protocol.FrameReader(self.sock)
         while True:
             try:
-                frame = protocol.recv_frame(sock)
+                frame = reader.recv_frame()
             except ReproError as exc:
                 self._on_stream_error(exc)
                 return
@@ -398,22 +407,33 @@ class WorkerHandle:
             self._hello.set_exception(exc)
 
     def _write_loop(self) -> None:
-        """The only writer: drain the queue into ``sendall``."""
+        """The only writer: block for one frame, drain every frame
+        already queued behind it, and send them with one ``sendall``.
+        Frames queued before the ``None`` stop sentinel still go out."""
         while True:
-            frame = self._sendq.get()
-            if frame is None:
-                return
-            sock = self.sock
-            if sock is None:
-                return
-            try:
-                sock.sendall(frame)
-            except OSError as exc:
-                self._on_stream_error(
-                    WorkerDiedError(
-                        f"worker {self.worker_id} send failed: {exc}"
+            frames = [self._sendq.get()]
+            while frames[-1] is not None:
+                try:
+                    frames.append(self._sendq.get_nowait())
+                except Empty:
+                    break
+            stop = frames[-1] is None
+            if stop:
+                frames.pop()
+            if frames:
+                sock = self.sock
+                if sock is None:
+                    return
+                try:
+                    protocol.send_frames(sock, frames)
+                except WorkerDiedError as exc:
+                    self._on_stream_error(
+                        WorkerDiedError(
+                            f"worker {self.worker_id} send failed: {exc}"
+                        )
                     )
-                )
+                    return
+            if stop:
                 return
 
 

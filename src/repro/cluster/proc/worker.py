@@ -17,27 +17,37 @@ with three pieces of argv state:
 Boot sequence: build the service → warm-boot from the newest loadable
 ``repro.persist`` checkpoint if a spool directory was given → send a
 ``hello`` frame (carrying pid and warm/cold verdict) → serve frames
-until EOF or a ``shutdown`` frame.  The loop is single-threaded on
-purpose: a worker process is one CPU lane, and in-order replies keep
-the parent's correlation logic trivial.
+until EOF or a ``shutdown`` frame.
+
+The loop is single-threaded on purpose (a worker process is one CPU
+lane) and drains then batches: one blocking read, then every frame
+already buffered, up to the service's ``batch_max``.  Each run of
+consecutive ``estimate`` frames is served by one
+:meth:`~repro.serving.CostService.estimate_batch` — one fused predict
+for the whole run — and every other frame by its handler.  Replies go
+out in request order, all of a drain's in one write.
 
 Every request is answered — with a ``result`` frame, or with a typed
-``error`` frame naming a ``repro.errors`` class.  A framing violation
-from the parent is unrecoverable by definition (the stream is out of
-sync), so the worker replies with a best-effort protocol error and
-exits; the parent's sentinel sees the death and handles it like any
-other crash.
+``error`` frame naming a ``repro.errors`` class.  In an estimate run,
+an error preparing one request (an unknown backend tag, a bad plan)
+fails only that request; an error in the shared predict fails every
+request of the run, as a micro-batcher flush does.  A framing
+violation from the parent is unrecoverable by definition (the stream
+is out of sync), so the worker answers the frames it read before it,
+replies with a best-effort protocol error and exits; the parent's
+sentinel sees the death and handles it like any other crash.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import socket
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -143,19 +153,26 @@ class WorkerRuntime:
             "bundles": self.service.registry.names(),
         }, b""
 
-    def _on_estimate(self, header, tail):
-        """One synchronous estimate through the full serving path."""
-        env = protocol.env_from_wire(header["env"])
-        query = protocol.query_from_wire(header["query"])
-        bundle = header.get("bundle")
-        backend = header.get("backend")
-        value = self.service.estimate(
-            query,
-            env,
-            bundle=str(bundle) if bundle is not None else None,
-            backend=str(backend) if backend is not None else None,
-        )
-        return {"value": value}, b""
+    def serve_estimates(self, headers: List[Dict[str, object]]) -> List[object]:
+        """A run of ``estimate`` frames through one
+        :meth:`~repro.serving.CostService.estimate_batch`; one outcome
+        per frame, in order (an estimate or a typed error — a frame
+        whose payload does not decode fails alone)."""
+        outcomes: List[object] = []
+        requests: List[Tuple[object, ...]] = []
+        slots: List[int] = []
+        for header in headers:
+            try:
+                requests.append(_estimate_request(header))
+            except ReproError as exc:
+                outcomes.append(exc)
+                continue
+            slots.append(len(outcomes))
+            outcomes.append(None)
+        served = self.service.estimate_batch(requests)
+        for slot, outcome in zip(slots, served, strict=True):
+            outcomes[slot] = outcome
+        return outcomes
 
     def _on_estimate_many(self, header, tail):
         """A batched estimate; predictions return as raw float64."""
@@ -232,66 +249,128 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def serve(conn: socket.socket, runtime: WorkerRuntime) -> int:
-    """The frame loop: recv → handle → reply, until EOF/shutdown.
-
-    Returns the process exit code.  ``ReproError`` from a handler
-    becomes a typed error frame and the loop continues; an unexpected
-    exception becomes an error frame too but is considered fatal — the
-    worker's internal state is suspect, so it exits and lets the
-    supervisor decide between revive and eject.
-    """
-    while True:
-        try:
-            frame = protocol.recv_frame(conn)
-        except ReproError:
-            # Out-of-sync stream: unrecoverable by definition.  Tell
-            # the parent (best effort) and die; the sentinel fd turns
-            # this into a normal death for the supervisor.
-            runtime.errors += 1
-            _send_error(conn, 0, ProtocolError("worker lost frame sync"))
-            return 2
-        if frame is None:
-            return 0  # parent closed the connection: clean retirement
-        header, tail = frame
-        request_id = int(header["id"])
-        runtime.requests += 1
-        try:
-            payload, blob = runtime.handle(header, tail)
-        except ReproError as exc:
-            runtime.errors += 1
-            _send_error(conn, request_id, exc)
-            continue
-        except Exception as exc:  # noqa: BLE001 — fatal, reported typed
-            runtime.errors += 1
-            _send_error(
-                conn,
-                request_id,
-                ServingError(f"worker failed unexpectedly: {exc!r}"),
-            )
-            return 3
-        reply = {"id": request_id, "kind": "result", **payload}
-        try:
-            protocol.send_frame(conn, reply, blob)
-        except ReproError:
-            return 0  # parent went away; nothing left to serve
-        if header.get("kind") == "shutdown":
-            return 0
+def _estimate_request(header: Dict[str, object]) -> Tuple[object, ...]:
+    """The ``(query, env, bundle, backend)`` an ``estimate`` frame
+    carries."""
+    bundle = header.get("bundle")
+    backend = header.get("backend")
+    return (
+        protocol.query_from_wire(header["query"]),
+        protocol.env_from_wire(header["env"]),
+        str(bundle) if bundle is not None else None,
+        str(backend) if backend is not None else None,
+    )
 
 
-def _send_error(conn: socket.socket, request_id: int, exc: ReproError) -> None:
-    """Best-effort typed error reply (send failures are moot here)."""
-    try:
-        protocol.send_frame(
-            conn,
-            {
-                "id": request_id,
-                "kind": "error",
-                "error": protocol.error_to_wire(exc),
-            },
+def _reply(request_id: int, outcome: object) -> bytes:
+    """One encoded reply: an ``error`` frame for an exception, else a
+    ``result`` frame for a ``(payload, tail)`` pair or an estimate."""
+    if isinstance(outcome, BaseException):
+        header = {
+            "id": request_id,
+            "kind": "error",
+            "error": protocol.error_to_wire(outcome),
+        }
+        return protocol.encode_frame(header)
+    if isinstance(outcome, tuple):
+        payload, blob = outcome
+        return protocol.encode_frame(
+            {"id": request_id, "kind": "result", **payload}, blob
         )
+    return protocol.encode_frame(
+        {"id": request_id, "kind": "result", "value": outcome}
+    )
+
+
+def serve_batch(
+    runtime: WorkerRuntime, frames: List[Tuple[Dict[str, object], bytes]]
+) -> Tuple[List[bytes], Optional[int]]:
+    """Answer one drain of *frames*, in order.
+
+    Each run of consecutive ``estimate`` frames is one
+    :meth:`WorkerRuntime.serve_estimates` call; every other frame goes
+    to its handler alone.  Returns the encoded replies plus, when the
+    loop must stop, the exit code: 0 after ``shutdown``; 3 after an
+    unexpected exception — the worker's state is suspect, so it exits
+    and lets the supervisor decide between revive and eject (frames
+    after it go unanswered and fail when the parent sees the death).
+    """
+    replies: List[bytes] = []
+    runs = itertools.groupby(frames, key=lambda f: f[0]["kind"] == "estimate")
+    for estimates, group in runs:
+        batches = [list(group)] if estimates else [[f] for f in group]
+        for batch in batches:
+            runtime.requests += len(batch)
+            ids = [int(header["id"]) for header, _tail in batch]
+            try:
+                if estimates:
+                    outcomes = runtime.serve_estimates([h for h, _ in batch])
+                else:
+                    outcomes = [runtime.handle(*batch[0])]
+            except ReproError as exc:
+                outcomes = [exc] * len(batch)
+            except Exception as exc:  # noqa: BLE001 — fatal, reported typed
+                fatal = ServingError(f"worker failed unexpectedly: {exc!r}")
+                runtime.errors += len(batch)
+                replies.extend(_reply(i, fatal) for i in ids)
+                return replies, 3
+            for request_id, outcome in zip(ids, outcomes, strict=True):
+                if isinstance(outcome, BaseException):
+                    runtime.errors += 1
+                replies.append(_reply(request_id, outcome))
+            if batch[-1][0]["kind"] == "shutdown":
+                return replies, 0
+    return replies, None
+
+
+def _drain(
+    reader: protocol.FrameReader, limit: int
+) -> Tuple[List[Tuple[Dict[str, object], bytes]], bool]:
+    """Block for one frame, then take every frame already buffered, up
+    to *limit*.  Returns the frames and whether the stream lost frame
+    sync (a bad frame or EOF mid-frame) after them; no frames and no
+    desync means the parent closed the connection."""
+    frames: List[Tuple[Dict[str, object], bytes]] = []
+    try:
+        frame = reader.recv_frame()
+        while frame is not None:
+            frames.append(frame)
+            if len(frames) >= limit or not reader.has_frame():
+                break
+            frame = reader.recv_frame()
     except ReproError:
-        pass  # connection already gone; the error dies with it
+        return frames, True
+    return frames, False
+
+
+def serve(conn: socket.socket, runtime: WorkerRuntime) -> int:
+    """The frame loop: drain → serve the batch → one reply write, until
+    EOF or shutdown.  Returns the process exit code.
+
+    ``ReproError`` from a handler becomes a typed error frame and the
+    loop continues; an unexpected exception is fatal (see
+    :func:`serve_batch`).  A lost frame sync is unrecoverable by
+    definition: the frames read before it are answered, then a
+    best-effort protocol error, then the worker exits with code 2 and
+    the sentinel fd turns that into a normal death for the supervisor.
+    """
+    reader = protocol.FrameReader(conn)
+    limit = max(1, runtime.service.batch_max)
+    while True:
+        frames, desync = _drain(reader, limit)
+        if not frames and not desync:
+            return 0  # parent closed the connection: clean retirement
+        replies, code = serve_batch(runtime, frames)
+        if code is None and desync:
+            runtime.errors += 1
+            replies.append(_reply(0, ProtocolError("worker lost frame sync")))
+            code = 2
+        try:
+            protocol.send_frames(conn, replies)
+        except ReproError:
+            return 0 if code is None else code  # parent went away
+        if code is not None:
+            return code
 
 
 def main(argv=None) -> int:
@@ -313,16 +392,14 @@ def main(argv=None) -> int:
     conn = socket.socket(fileno=args.conn_fd)
     runtime = WorkerRuntime(config)
     runtime.warm_boot()
-    protocol.send_frame(
-        conn,
-        {
-            "id": 0,
-            "kind": "hello",
-            "pid": os.getpid(),
-            "sentinel_fd": sentinel_fd,
-            "warm": runtime.warm_booted,
-        },
-    )
+    hello = {
+        "id": 0,
+        "kind": "hello",
+        "pid": os.getpid(),
+        "sentinel_fd": sentinel_fd,
+        "warm": runtime.warm_booted,
+    }
+    protocol.send_frames(conn, [protocol.encode_frame(hello)])
     try:
         return serve(conn, runtime)
     finally:

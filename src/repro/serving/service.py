@@ -46,7 +46,7 @@ from ..engine.environment import DatabaseEnvironment
 from ..engine.executor import LabeledPlan
 from ..engine.operators import PlanNode
 from ..engine.optimizer import PlanBuilder
-from ..errors import ServingError
+from ..errors import ReproError, ServingError
 from ..featurization.fingerprint import plan_fingerprint, template_fingerprint
 from ..obs import EventLog, MetricsRegistry
 from ..obs.lockwatch import make_lock
@@ -662,17 +662,69 @@ class CostService:
     ):
         """Featurize and enqueue one async request (*span* is the open
         root span when tracing, else None; it rides with the item)."""
+        deployed, record, prepared = self._admit(query, env, bundle, backend)
+        # The bundle rides along: prepared features are only valid for
+        # the bundle version that encoded them, so a hot-swap must not
+        # re-route in-flight requests onto new masks/weights.
+        return self._batcher_for(deployed.name).submit(
+            (deployed, record, prepared, span)
+        )
+
+    def _admit(
+        self,
+        query: QueryLike,
+        env: DatabaseEnvironment,
+        bundle: Optional[str],
+        backend: Optional[str],
+    ) -> Tuple[EstimatorBundle, LabeledPlan, object]:
+        """The per-request front half of every batched path: route →
+        ensure environment → resolve plan → prepare, then count the
+        request and stream it to adaptation.  Returns the serving
+        bundle, the request's record and its prepared features."""
         deployed = self._ensure_environment(self._route(bundle, backend), env)
         plan, sql_text = self._resolve_plan(query, deployed, env)
         record = self._record_for(plan, env, sql_text)
         prepared = self._prepare(deployed, record, env)
-        batcher = self._batcher_for(deployed.name)
         self.stats.count_requests()
         self._stream_to_adaptation(deployed.name, record)
-        # The bundle rides along: prepared features are only valid for
-        # the bundle version that encoded them, so a hot-swap must not
-        # re-route in-flight requests onto new masks/weights.
-        return batcher.submit((deployed, record, prepared, span))
+        return deployed, record, prepared
+
+    def estimate_batch(
+        self,
+        requests: Sequence[
+            Tuple[QueryLike, DatabaseEnvironment, Optional[str], Optional[str]]
+        ],
+    ) -> List[Union[float, ReproError]]:
+        """Serve independent ``(query, env, bundle, backend)`` requests
+        through one fused predict, with no batching window.
+
+        Each request is prepared exactly as :meth:`estimate_async`
+        prepares it; the prepared ones then share one micro-batcher
+        style flush (grouped by bundle, fused across environments).
+        Returns one outcome per request, in order: its estimate, or the
+        ``repro.errors`` exception that preparing it raised — a bad
+        request fails alone.  An error in the shared predict fails the
+        whole batch and propagates, as it does for a batcher flush.
+        """
+        outcomes: List[Union[float, ReproError]] = []
+        items: List[Tuple[EstimatorBundle, LabeledPlan, object, None]] = []
+        slots: List[int] = []
+        for query, env, bundle, backend in requests:
+            try:
+                deployed, record, prepared = self._admit(
+                    query, env, bundle, backend
+                )
+            except ReproError as exc:
+                outcomes.append(exc)
+                continue
+            slots.append(len(outcomes))
+            outcomes.append(0.0)
+            items.append((deployed, record, prepared, None))
+        if items:
+            values = self._run_batch("estimate_batch", items)
+            for slot, value in zip(slots, values, strict=True):
+                outcomes[slot] = float(value)
+        return outcomes
 
     # ------------------------------------------------------------------
     # durability (repro.persist)

@@ -142,6 +142,30 @@ def test_timeout_charges_health_but_never_fails_over(
         assert tier.supervisor.counters()["timeouts_swept"] >= 1
 
 
+def test_async_timeout_charges_health_but_never_fails_over(
+    cluster_bundle, cluster_envs
+):
+    """The async twin: a deadline swept on a wedged worker fails the
+    future with WorkerTimeoutError and charges the worker's health
+    once — without retrying the request elsewhere."""
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    config = fast_config(request_timeout_s=0.6, heartbeat_miss_limit=120)
+    with ProcClusterService(worker_count=2, config=config) as tier:
+        tier.deploy(bundle)
+        home = tier.worker_of(tier.deployed_names()[0])
+        blocker = tier.worker(home).submit(
+            "delay", {"seconds": 2.5}, timeout_s=60.0
+        )
+        with pytest.raises(WorkerTimeoutError):
+            tier.estimate_async(sql, env).result(timeout=30.0)
+        assert tier.stats.snapshot()["reroutes"] == 0
+        assert tier.router.health()[home].failures == 1
+        blocker.result(timeout=30.0)
+        assert tier.wait_workers(2, timeout_s=20.0)
+        assert tier.estimate_async(sql, env).result(timeout=30.0) > 0
+
+
 # ----------------------------------------------------------------------
 # persistence
 # ----------------------------------------------------------------------

@@ -149,6 +149,158 @@ def test_seeded_random_garbage_is_rejected():
 
 
 # ----------------------------------------------------------------------
+# buffered reads: FrameReader over a chunked stream
+# ----------------------------------------------------------------------
+class ChunkedSocket:
+    """A fake socket that hands out *data* in the given chunks (a recv
+    never crosses a chunk boundary), then reports EOF."""
+
+    def __init__(self, data: bytes, cuts=()):
+        bounds = [0, *sorted(set(cuts)), len(data)]
+        self.chunks = [
+            data[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+        ]
+        self.recv_calls = 0
+        self.recv_into_calls = 0
+
+    def recv(self, size: int) -> bytes:
+        self.recv_calls += 1
+        assert self.recv_calls <= 10_000, "reader keeps reading past EOF"
+        if not self.chunks:
+            return b""
+        head, rest = self.chunks[0][:size], self.chunks[0][size:]
+        if rest:
+            self.chunks[0] = rest
+        else:
+            self.chunks.pop(0)
+        return head
+
+    def recv_into(self, view) -> int:
+        self.recv_into_calls += 1
+        data = self.recv(len(view))
+        view[: len(data)] = data
+        return len(data)
+
+
+def read_all(sock):
+    """Every frame a FrameReader yields before clean EOF."""
+    reader = protocol.FrameReader(sock)
+    frames = []
+    while True:
+        frame = reader.recv_frame()
+        if frame is None:
+            return frames
+        frames.append(frame)
+
+
+def frame_stream():
+    """Three frames, the middle one carrying a binary tail."""
+    frames = [
+        ({"id": 1, "kind": "ping"}, b""),
+        ({"id": 2, "kind": "estimate", "env": {"name": "e"}}, bytes(range(256))),
+        ({"id": 3, "kind": "counters", "pad": "\u00e9" * 5}, b""),
+    ]
+    data = b"".join(protocol.encode_frame(h, t) for h, t in frames)
+    return frames, data
+
+
+def test_reader_yields_identical_frames_at_every_split():
+    expected, data = frame_stream()
+    for cut in range(len(data) + 1):
+        assert read_all(ChunkedSocket(data, [cut])) == expected, cut
+    one_byte = ChunkedSocket(data, range(1, len(data)))
+    assert read_all(one_byte) == expected
+
+
+def test_reader_reads_a_burst_with_one_recv_and_knows_what_is_buffered():
+    expected, data = frame_stream()
+    sock = ChunkedSocket(data)
+    reader = protocol.FrameReader(sock)
+    assert not reader.has_frame()  # nothing read yet; never blocks
+    assert reader.recv_frame() == expected[0]
+    assert sock.recv_calls == 1
+    assert reader.has_frame()
+    assert reader.recv_frame() == expected[1]
+    assert reader.has_frame()
+    assert reader.recv_frame() == expected[2]
+    assert not reader.has_frame()
+    assert sock.recv_calls == 1
+    assert reader.recv_frame() is None
+
+
+def test_reader_sees_a_partial_frame_as_not_buffered():
+    expected, data = frame_stream()
+    first = len(protocol.encode_frame(*expected[0]))
+    reader = protocol.FrameReader(ChunkedSocket(data, [first + 5]))
+    assert reader.recv_frame() == expected[0]
+    assert not reader.has_frame()  # 5 bytes of the next prefix only
+    assert reader.recv_frame() == expected[1]
+
+
+def test_reader_reads_a_large_tail_straight_into_its_buffer():
+    """A frame larger than one read chunk goes through recv_into on a
+    preallocated buffer, at any split, and the stream stays in sync."""
+    big = bytes(random.Random(5).randrange(256) for _ in range(200_000))
+    frames = [
+        ({"id": 1, "kind": "sync"}, big),
+        ({"id": 2, "kind": "ping"}, b""),
+    ]
+    data = b"".join(protocol.encode_frame(h, t) for h, t in frames)
+    assert len(big) > 2 * protocol.READ_CHUNK
+    for cuts in ([], [1], [12], [13], [protocol.READ_CHUNK], [len(data) - 1],
+                 range(4096, len(data), 4096)):
+        sock = ChunkedSocket(data, cuts)
+        assert read_all(sock) == frames
+        assert sock.recv_into_calls >= 1
+
+
+def test_reader_truncation_corpus_is_typed():
+    """Every proper prefix of a valid frame: clean EOF for the empty
+    stream, a typed error for every other cut — at any split."""
+    frame = valid_frame()
+    assert read_all(ChunkedSocket(b"")) == []
+    for cut in range(1, len(frame)):
+        for cuts in ([], range(1, cut)):
+            with pytest.raises((ProtocolError, WorkerDiedError)):
+                read_all(ChunkedSocket(frame[:cut], cuts))
+
+
+def test_reader_byte_flip_corpus_is_typed():
+    """The byte-flip corpus through the reader: a clean decode or a
+    typed error, never a builtin and never a hang."""
+    rng = random.Random(0xC0FFEE)
+    frame = protocol.encode_frame(
+        {"id": 3, "kind": "estimate", "bundle": "b", "values": [1, 2, 3]},
+        b"\x55" * 32,
+    )
+    decoded = rejected = 0
+    for _ in range(500):
+        data = bytearray(frame)
+        for _ in range(rng.randint(1, 8)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        cuts = [rng.randrange(len(data) + 1) for _ in range(3)]
+        try:
+            frames = read_all(ChunkedSocket(bytes(data), cuts))
+        except (ProtocolError, WorkerDiedError):
+            rejected += 1
+        else:
+            decoded += 1
+            assert all(isinstance(header, dict) for header, _ in frames)
+    assert rejected > 0 and decoded + rejected == 500
+
+
+def test_reader_garbage_corpus_is_typed():
+    rng = random.Random(31337)
+    for _ in range(300):
+        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+        try:
+            frames = read_all(ChunkedSocket(blob, [rng.randrange(65)]))
+        except (ProtocolError, WorkerDiedError):
+            continue
+        assert frames == [] and blob == b""
+
+
+# ----------------------------------------------------------------------
 # typed error frames
 # ----------------------------------------------------------------------
 def test_error_codec_round_trips_whitelisted_types():

@@ -38,15 +38,16 @@ from .core import (
 #: Function names that constitute the estimate path.
 HOT_FUNCTIONS = re.compile(
     r"^("
-    r"estimate|estimate_many|estimate_async"
-    r"|_estimate_inner|_estimate_many_inner|_estimate_async_inner"
+    r"estimate|estimate_many|estimate_async|estimate_batch"
+    r"|_estimate_inner|_estimate_many_inner|_estimate_async_inner|_admit"
     r"|_prepare|prepare_one|prepare_many|predict|predict_prepared"
     r"|predict_prepared_batch|prepare_template|prepare_from_template"
     r"|fused_forward|forward_batched|blocked_matmul"
     r"|_resolve_plan|_run_batch|_take_batch|submit|get_or_compute"
     r"|_route|resolve|_resolve_key"
     r"|rpc|_with_failover|_failover_loop"
-    r"|encode_frame|decode_frame|recv_frame|send_frame"
+    r"|encode_frame|decode_frame|recv_frame|has_frame|send_frames"
+    r"|serve_batch|serve_estimates"
     r"|featurize\w*|plan_fingerprint|template_fingerprint"
     r")$"
 )
