@@ -12,48 +12,67 @@ Every message on a worker connection is one **frame**:
 
 The *header* is a UTF-8 JSON object carrying at least an integer
 ``id`` (request/response correlation) and a string ``kind``; the
-*tail* is an opaque binary payload (array blobs, batched prediction
-vectors) so bulk float64 data never round-trips through text — the
-codec split that keeps process-tier predictions bit-identical to the
-in-process tier.
+*tail* is an opaque binary payload, so bulk float64 data never
+round-trips through text — the codec split that keeps process-tier
+predictions bit-identical to the in-process tier.  Three tails exist:
+the ``sync`` state blobs, reply prediction vectors
+(:func:`floats_to_tail`), and the **request blob** every
+plan-carrying frame (``estimate``, ``estimate_many``,
+``record_feedback``) ships its queries and environment in:
+
+.. code-block:: text
+
+    +-----------+--------------------------------+----------------------+
+    | json_len  | JSON [env, [query, ...]]       | float64 block        |
+    +-----------+--------------------------------+----------------------+
+      u32 LE      SQL text, or a plan as a         6 per plan node, LE,
+                  pre-order list of positional     in node order
+                  node entries
+
+A request's header then carries only its routing fields (``bundle``,
+``backend``).  The parent builds the blob once per request
+(:func:`encode_request`), before routing, so a failover resends the
+same bytes; the worker decodes it with :func:`decode_request`.
 
 The decoder is deliberately paranoid: bad magic, an unknown version,
-lengths beyond the hard caps, truncated payloads, non-object headers
-and JSON errors all raise :class:`~repro.errors.ProtocolError` (a
-:class:`~repro.errors.ClusterError`), never a builtin.  A peer that
-dies mid-frame surfaces as :class:`~repro.errors.WorkerDiedError`.
-Reads go through one buffered :class:`FrameReader` per connection, so
-a burst of frames costs one ``recv`` and a reader can tell whether
-more frames are already waiting; writers batch the other way, sending
-several encoded frames with one :func:`send_frames`.  Error *frames*
-are typed too: a worker maps an exception onto a
-whitelisted ``repro.errors`` class name which the parent rehydrates,
-so a worker-side ``ShardOverloadError`` sheds on the parent exactly
-like a thread-tier one.
+lengths beyond the hard caps, truncated payloads, non-object headers,
+JSON errors and malformed request blobs all raise
+:class:`~repro.errors.ProtocolError` (a
+:class:`~repro.errors.ClusterError`), never a builtin; so does a
+header or request that cannot be encoded.  A peer that dies mid-frame
+surfaces as :class:`~repro.errors.WorkerDiedError`.  Reads go through
+one buffered :class:`FrameReader` per connection, so a burst of frames
+costs one ``recv`` and a reader can tell whether more frames are
+already waiting; writers batch the other way, sending several encoded
+frames with one :func:`send_frames`.  Error *frames* are typed too: a
+worker maps an exception onto a whitelisted ``repro.errors`` class
+name which the parent rehydrates, so a worker-side
+``ShardOverloadError`` sheds on the parent exactly like a thread-tier
+one.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ... import errors
+from ...catalog.statistics import Predicate
 from ...engine.environment import DatabaseEnvironment
 from ...engine.hardware import PROFILES, HardwareProfile
 from ...engine.knobs import KnobConfiguration
-from ...engine.operators import PlanNode
+from ...engine.operators import OperatorType, PlanNode
 from ...errors import ProtocolError, ReproError, WorkerDiedError
-from ...persist import plan_from_state, plan_to_state
 from ...sql.ast import SelectQuery
 
 #: First two bytes of every frame.
 MAGIC = b"QF"
 
 #: Wire format version; bumped on any incompatible layout change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Fixed-size frame prefix: magic, version, pad, header len, tail len.
 _PREFIX = struct.Struct(">2sBBII")
@@ -81,8 +100,12 @@ ERROR_TYPES: Dict[str, type] = {
 # frame encode / decode
 # ----------------------------------------------------------------------
 def encode_frame(header: Dict[str, object], tail: bytes = b"") -> bytes:
-    """One wire frame for *header* (+ optional binary *tail*)."""
-    body = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    """One wire frame for *header* (+ optional binary *tail*); a
+    header that cannot be encoded raises :class:`ProtocolError`."""
+    try:
+        body = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"cannot encode frame header: {exc}") from exc
     if len(body) > MAX_HEADER_BYTES:
         raise ProtocolError(
             f"frame header is {len(body)} bytes, cap {MAX_HEADER_BYTES}"
@@ -165,8 +188,9 @@ class FrameReader:
     :meth:`has_frame` tells a caller — without blocking — whether the
     next :meth:`recv_frame` can be answered from the buffer alone.  A
     frame whose remainder exceeds one chunk (a ``sync`` state tail) is
-    read straight into a preallocated buffer of its declared size, so
-    a large tail is copied once, not once per chunk.
+    read with ``recv_into`` into a buffer that doubles as bytes arrive:
+    a large tail is not copied once per chunk, and a corrupt declared
+    length costs at most one chunk more than twice what the peer sent.
 
     The decoder's contract is unchanged: bad prefixes and headers
     raise :class:`ProtocolError` (via the module-level
@@ -243,27 +267,34 @@ class FrameReader:
         return bool(chunk)
 
     def _recv_large(self) -> Tuple[Dict[str, object], bytes]:
-        """Read the rest of the frame at ``_pos`` straight into a buffer
-        of its declared size."""
+        """Read the rest of the frame at ``_pos`` with ``recv_into``.
+
+        The buffer doubles as bytes arrive rather than being sized from
+        the declared length up front, so a corrupt or hostile length
+        costs memory in proportion to the bytes actually received,
+        while copying stays amortized linear in the frame size.
+        """
         header_len, size = self._next
-        frame = bytearray(size)
-        have = len(self._buf) - self._pos
-        frame[:have] = self._buf[self._pos :]
+        frame = self._buf[self._pos :]
         self._buf.clear()
         self._pos, self._next = 0, None
-        with memoryview(frame) as view:
-            while have < size:
-                try:
-                    got = self._sock.recv_into(view[have:])
-                except OSError as exc:
-                    raise WorkerDiedError(
-                        f"connection lost mid-frame: {exc}"
-                    ) from exc
-                if not got:
-                    raise WorkerDiedError(
-                        f"peer closed mid-frame ({have}/{size} bytes)"
-                    )
-                have += got
+        have = len(frame)
+        while have < size:
+            if have == len(frame):
+                grown = min(size, max(2 * have, have + READ_CHUNK))
+                frame.extend(bytes(grown - have))
+            try:
+                with memoryview(frame) as view, view[have:] as spare:
+                    got = self._sock.recv_into(spare)
+            except OSError as exc:
+                raise WorkerDiedError(
+                    f"connection lost mid-frame: {exc}"
+                ) from exc
+            if not got:
+                raise WorkerDiedError(
+                    f"peer closed mid-frame ({have}/{size} bytes)"
+                )
+            have += got
         return _split_frame(frame, 0, header_len, size)
 
 
@@ -305,7 +336,7 @@ def error_from_wire(payload: object) -> ReproError:
 
 
 # ----------------------------------------------------------------------
-# value codecs (environments, queries, float vectors)
+# value codecs (environments, float vectors)
 # ----------------------------------------------------------------------
 def env_to_wire(env: DatabaseEnvironment) -> Dict[str, object]:
     """A :class:`DatabaseEnvironment` as plain JSON data.
@@ -347,7 +378,9 @@ def env_from_wire(state: object) -> DatabaseEnvironment:
             memory_gb=float(hw_state["memory_gb"]),
             disk=str(hw_state.get("disk", "ssd")),
         )
-        hardware = PROFILES.get(hardware.name, hardware)
+        named = PROFILES.get(hardware.name)
+        if named == hardware:
+            hardware = named
         return DatabaseEnvironment(
             knobs=knobs, hardware=hardware, name=str(state["name"])
         )
@@ -355,32 +388,6 @@ def env_from_wire(state: object) -> DatabaseEnvironment:
         raise
     except Exception as exc:  # malformed wire data stays a typed error
         raise ProtocolError(f"invalid environment payload: {exc}") from exc
-
-
-def query_to_wire(query: object) -> Dict[str, object]:
-    """A request query as plain data: SQL text stays text (the worker
-    re-parses, paying the full serving path), plan trees ship through
-    the persist plan codec."""
-    if isinstance(query, str):
-        return {"sql": query}
-    if isinstance(query, SelectQuery):
-        return {"sql": query.sql()}
-    if isinstance(query, PlanNode):
-        return {"plan": plan_to_state(query)}
-    raise ProtocolError(
-        f"cannot ship {type(query).__name__} across the worker boundary; "
-        "pass SQL text, a SelectQuery or a PlanNode"
-    )
-
-
-def query_from_wire(state: object) -> object:
-    """Inverse of :func:`query_to_wire`."""
-    if isinstance(state, dict):
-        if "sql" in state:
-            return str(state["sql"])
-        if "plan" in state:
-            return plan_from_state(dict(state["plan"]))
-    raise ProtocolError(f"invalid query payload {state!r}")
 
 
 def floats_to_tail(values: np.ndarray) -> Tuple[Dict[str, object], bytes]:
@@ -403,3 +410,212 @@ def floats_from_tail(fragment: object, tail: bytes) -> np.ndarray:
         )
     return np.frombuffer(tail, dtype=np.float64).copy()
 
+
+# ----------------------------------------------------------------------
+# request blobs (the tail of every plan-carrying frame)
+# ----------------------------------------------------------------------
+#: Length prefix of a request blob's JSON part.
+_BLOB_PREFIX = struct.Struct("<I")
+
+#: Float fields of one plan node, in the order the float block holds
+#: them.
+NODE_FLOATS = (
+    "est_rows",
+    "est_startup_cost",
+    "est_total_cost",
+    "true_rows",
+    "actual_ms",
+    "actual_total_ms",
+)
+
+
+def _plan_to_blob(plan: PlanNode, floats: List[float]) -> List[list]:
+    """*plan*'s nodes in pre-order as positional entries; each node's
+    :data:`NODE_FLOATS` fields are appended to *floats*, in that order.
+    Predicate literals stay in the JSON part (a float literal's
+    ``repr`` round-trips exactly)."""
+    entries: List[list] = []
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        entries.append(
+            [
+                node.op.value,
+                node.table,
+                node.index,
+                len(node.children),
+                [[p.table, p.column, p.op, p.value] for p in node.predicates],
+                node.sort_keys,
+                node.join_columns,
+                node.group_keys,
+                node.limit_count,
+                node.est_width,
+            ]
+        )
+        floats += (
+            node.est_rows,
+            node.est_startup_cost,
+            node.est_total_cost,
+            node.true_rows,
+            node.actual_ms,
+            node.actual_total_ms,
+        )
+        stack.extend(reversed(node.children))
+    return entries
+
+
+def encode_request(queries: Sequence[object], env: DatabaseEnvironment) -> bytes:
+    """One request blob carrying *queries* and *env*.
+
+    Layout: a little-endian u32 length, then that many bytes of JSON
+    ``[env, [query, ...]]`` where a query is its SQL text (a
+    :class:`SelectQuery` ships as its SQL) or a plan as a pre-order
+    list of positional node entries, then one little-endian float64
+    per :data:`NODE_FLOATS` field of every plan node, in node order —
+    floats cross bit-exactly, with no text round trip.  Anything that
+    cannot be shipped raises :class:`ProtocolError`.
+    """
+    floats: List[float] = []
+    shipped: List[object] = []
+    for query in queries:
+        if isinstance(query, str):
+            shipped.append(query)
+        elif isinstance(query, SelectQuery):
+            shipped.append(query.sql())
+        elif isinstance(query, PlanNode):
+            shipped.append(_plan_to_blob(query, floats))
+        else:
+            raise ProtocolError(
+                f"cannot ship {type(query).__name__} across the worker "
+                "boundary; pass SQL text, a SelectQuery or a PlanNode"
+            )
+    try:
+        body = json.dumps(
+            [env_to_wire(env), shipped], separators=(",", ":")
+        ).encode("utf-8")
+        block = struct.pack(f"<{len(floats)}d", *floats)
+    except (TypeError, ValueError, AttributeError, struct.error) as exc:
+        raise ProtocolError(f"cannot encode request: {exc}") from exc
+    return _BLOB_PREFIX.pack(len(body)) + body + block
+
+
+#: Marks an exhausted iterator (any JSON value, ``null`` too, is data).
+_END = object()
+
+#: Operator types by their wire (``.value``) name.
+_OPERATORS = {op.value: op for op in OperatorType}
+
+
+def _strings(values: object) -> Tuple[str, ...]:
+    """*values* as a tuple of strings (anything else is malformed)."""
+    if type(values) is not list:
+        raise ProtocolError(f"expected a list of strings, got {values!r}")
+    for value in values:
+        if type(value) is not str:
+            raise ProtocolError(f"expected a string, got {value!r}")
+    return tuple(values)
+
+
+def _plan_from_blob(entries, floats) -> PlanNode:
+    """The plan whose pre-order entries *entries* yields, taking
+    :data:`NODE_FLOATS` floats per node from *floats* (both
+    iterators)."""
+    entry = next(entries)
+    if type(entry) is not list:
+        raise ProtocolError(
+            f"plan node entry is a {type(entry).__name__}, not a list"
+        )
+    (
+        op, table, index, child_count, predicates,
+        sort_keys, join_columns, group_keys, limit_count, est_width,
+    ) = entry
+    if not (
+        (table is None or type(table) is str)
+        and (index is None or type(index) is str)
+        and type(child_count) is int
+        and child_count >= 0
+        and type(predicates) is list
+        and all(type(p) is list for p in predicates)
+        and (limit_count is None or type(limit_count) is int)
+        and type(est_width) is int
+    ):
+        raise ProtocolError("malformed plan node entry")
+    est_rows, startup, total, true_rows, actual, actual_total = (
+        next(floats), next(floats), next(floats),
+        next(floats), next(floats), next(floats),
+    )
+    node = PlanNode(
+        op=_OPERATORS[op],
+        table=table,
+        index=index,
+        predicates=[
+            Predicate(
+                table=str(p_table),
+                column=str(p_column),
+                op=str(p_op),
+                # BETWEEN/IN values are tuples in live predicates.
+                value=tuple(value) if type(value) is list else value,
+            )
+            for p_table, p_column, p_op, value in predicates
+        ],
+        sort_keys=_strings(sort_keys),
+        join_columns=_strings(join_columns),
+        group_keys=_strings(group_keys),
+        limit_count=limit_count,
+        est_rows=est_rows,
+        est_width=est_width,
+        est_startup_cost=startup,
+        est_total_cost=total,
+        children=[_plan_from_blob(entries, floats) for _ in range(child_count)],
+    )
+    node.true_rows, node.actual_ms, node.actual_total_ms = (
+        true_rows, actual, actual_total
+    )
+    return node
+
+
+def decode_request(blob: bytes) -> Tuple[List[object], DatabaseEnvironment]:
+    """Inverse of :func:`encode_request`: ``(queries, env)``.
+
+    Every malformed blob — truncated, mis-sized, bad JSON, a plan that
+    does not validate — raises :class:`ProtocolError`.
+    """
+    try:
+        if len(blob) < _BLOB_PREFIX.size:
+            raise ProtocolError(f"request blob is {len(blob)} bytes")
+        (length,) = _BLOB_PREFIX.unpack_from(blob)
+        end = _BLOB_PREFIX.size + length
+        if end > len(blob) or (len(blob) - end) % 8:
+            raise ProtocolError(
+                f"request blob declares {length} JSON bytes, holds "
+                f"{len(blob) - _BLOB_PREFIX.size}"
+            )
+        env_state, shipped = json.loads(
+            blob[_BLOB_PREFIX.size : end].decode("utf-8")
+        )
+        values = struct.unpack_from(f"<{(len(blob) - end) // 8}d", blob, end)
+        floats = iter(values)
+        if type(shipped) is not list:
+            raise ProtocolError(
+                f"request queries are a {type(shipped).__name__}, not a list"
+            )
+        queries: List[object] = []
+        for query in shipped:
+            if type(query) is str:
+                queries.append(query)
+                continue
+            if type(query) is not list:
+                raise ProtocolError(
+                    f"request query is a {type(query).__name__}"
+                )
+            entries = iter(query)
+            queries.append(_plan_from_blob(entries, floats))
+            if next(entries, _END) is not _END:
+                raise ProtocolError("plan entries outlive their tree")
+        if next(floats, _END) is not _END:
+            raise ProtocolError("request blob carries surplus floats")
+        return queries, env_from_wire(env_state)
+    except ProtocolError:
+        raise
+    except Exception as exc:  # malformed wire data stays a typed error
+        raise ProtocolError(f"invalid request blob: {exc}") from exc

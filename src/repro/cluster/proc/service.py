@@ -24,7 +24,11 @@ over; request-shaped :class:`~repro.errors.ReproError` propagates;
 overload sheds without failover; a worker that answers nothing within
 the deadline raises :class:`~repro.errors.WorkerTimeoutError` without
 failover (it may merely be slow — the supervisor's heartbeat, not the
-request path, decides whether it lives).
+request path, decides whether it lives).  A request's queries and
+environment are encoded once, into a :func:`~.protocol.encode_request`
+blob, *before* routing: a failover resends the same bytes, and a
+request the codec cannot encode fails with a typed
+:class:`~repro.errors.ProtocolError` without touching any worker.
 """
 
 from __future__ import annotations
@@ -424,15 +428,11 @@ class ProcClusterService:
         a typed :class:`~repro.errors.UnknownBackendError` (request-
         shaped: no health charge, no failover)."""
         key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {
-            "bundle": name,
-            "backend": backend,
-            "query": protocol.query_to_wire(query),
-            "env": protocol.env_to_wire(env),
-        }
+        payload = {"bundle": name, "backend": backend}
+        blob = protocol.encode_request([query], env)
 
         def _call(handle: WorkerHandle, admission) -> float:
-            header, _tail = handle.rpc("estimate", payload)
+            header, _tail = handle.rpc("estimate", payload, blob)
             return float(header["value"])
 
         return self._with_failover(key, _call)
@@ -449,16 +449,11 @@ class ProcClusterService:
         """Batched estimates, routed as one unit to the tenant's
         worker; predictions cross back as raw float64 (bit-exact)."""
         key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {
-            "bundle": name,
-            "backend": backend,
-            "queries": [protocol.query_to_wire(q) for q in queries],
-            "env": protocol.env_to_wire(env),
-            "batch_size": batch_size,
-        }
+        payload = {"bundle": name, "backend": backend, "batch_size": batch_size}
+        blob = protocol.encode_request(queries, env)
 
         def _call(handle: WorkerHandle, admission) -> np.ndarray:
-            header, tail = handle.rpc("estimate_many", payload)
+            header, tail = handle.rpc("estimate_many", payload, blob)
             return protocol.floats_from_tail(header.get("values"), tail)
 
         return self._with_failover(key, _call)
@@ -479,15 +474,11 @@ class ProcClusterService:
         the reply (or the deadline sweeper, or a death) resolves it.
         """
         key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {
-            "bundle": name,
-            "backend": backend,
-            "query": protocol.query_to_wire(query),
-            "env": protocol.env_to_wire(env),
-        }
+        payload = {"bundle": name, "backend": backend}
+        blob = protocol.encode_request([query], env)
 
         def _submit(handle: WorkerHandle, admission) -> Future:
-            inner = handle.submit("estimate", payload)
+            inner = handle.submit("estimate", payload, blob)
             outer: Future = Future()
 
             def _resolve(done: Future) -> None:
@@ -536,16 +527,11 @@ class ProcClusterService:
         loop (worker-local, exactly like the thread tier's per-shard
         loops)."""
         key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {
-            "bundle": name,
-            "backend": backend,
-            "query": protocol.query_to_wire(query),
-            "env": protocol.env_to_wire(env),
-            "actual_ms": actual_ms,
-        }
+        payload = {"bundle": name, "backend": backend, "actual_ms": actual_ms}
+        blob = protocol.encode_request([query], env)
 
         def _call(handle: WorkerHandle, admission) -> None:
-            handle.rpc("record_feedback", payload)
+            handle.rpc("record_feedback", payload, blob)
 
         self._with_failover(key, _call)
 

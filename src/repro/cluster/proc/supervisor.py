@@ -35,6 +35,7 @@ state machine per worker::
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import selectors
@@ -51,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ...errors import (
-    ClusterError,
     ProtocolError,
     ReproError,
     WorkerDiedError,
@@ -130,7 +130,7 @@ class WorkerHandle:
         self.generation = -1
         self._pending: Dict[int, _Pending] = {}
         self._lock = make_lock("cluster.proc.handle")
-        self._next_id = 0
+        self._ids = itertools.count(1)
         self._sendq: "Queue[Optional[bytes]]" = Queue()
         self._reader: Optional[threading.Thread] = None
         self._writer: Optional[threading.Thread] = None
@@ -278,7 +278,9 @@ class WorkerHandle:
         timeout_s: Optional[float] = None,
     ) -> Future:
         """Queue one request frame; the returned future resolves to
-        ``(header, tail)`` or raises the typed error."""
+        ``(header, tail)`` or raises the typed error.  A frame that
+        cannot be encoded raises :class:`~repro.errors.ProtocolError`
+        here, before anything is queued."""
         if self.state != "up":
             raise WorkerDiedError(
                 f"worker {self.worker_id} is {self.state}, not serving"
@@ -286,20 +288,17 @@ class WorkerHandle:
         timeout = (
             self.config.request_timeout_s if timeout_s is None else timeout_s
         )
+        request_id = next(self._ids)
+        # Encode before registering: a frame that cannot be encoded
+        # raises ProtocolError and leaves no pending entry behind.
+        frame = protocol.encode_frame(
+            {"id": request_id, "kind": kind, **payload}, tail
+        )
         future: Future = Future()
         with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
             self._pending[request_id] = _Pending(
                 future, time.monotonic() + timeout, kind
             )
-        header = {"id": request_id, "kind": kind, **payload}
-        try:
-            frame = protocol.encode_frame(header, tail)
-        except ReproError:
-            with self._lock:
-                self._pending.pop(request_id, None)
-            raise
         self._sendq.put(frame)
         return future
 

@@ -25,7 +25,9 @@ already buffered, up to the service's ``batch_max``.  Each run of
 consecutive ``estimate`` frames is served by one
 :meth:`~repro.serving.CostService.estimate_batch` — one fused predict
 for the whole run — and every other frame by its handler.  Replies go
-out in request order, all of a drain's in one write.
+out in request order, all of a drain's in one write.  A plan-carrying
+frame's tail is a :func:`~.protocol.encode_request` blob, decoded by
+:func:`~.protocol.decode_request`.
 
 Every request is answered — with a ``result`` frame, or with a typed
 ``error`` frame naming a ``repro.errors`` class.  In an estimate run,
@@ -153,7 +155,9 @@ class WorkerRuntime:
             "bundles": self.service.registry.names(),
         }, b""
 
-    def serve_estimates(self, headers: List[Dict[str, object]]) -> List[object]:
+    def serve_estimates(
+        self, frames: List[Tuple[Dict[str, object], bytes]]
+    ) -> List[object]:
         """A run of ``estimate`` frames through one
         :meth:`~repro.serving.CostService.estimate_batch`; one outcome
         per frame, in order (an estimate or a typed error — a frame
@@ -161,9 +165,13 @@ class WorkerRuntime:
         outcomes: List[object] = []
         requests: List[Tuple[object, ...]] = []
         slots: List[int] = []
-        for header in headers:
+        for header, tail in frames:
             try:
-                requests.append(_estimate_request(header))
+                query, env = _single_request(tail)
+                requests.append(
+                    (query, env, _optional(header, "bundle"),
+                     _optional(header, "backend"))
+                )
             except ReproError as exc:
                 outcomes.append(exc)
                 continue
@@ -176,33 +184,27 @@ class WorkerRuntime:
 
     def _on_estimate_many(self, header, tail):
         """A batched estimate; predictions return as raw float64."""
-        env = protocol.env_from_wire(header["env"])
-        queries = [protocol.query_from_wire(q) for q in header["queries"]]
-        bundle = header.get("bundle")
-        backend = header.get("backend")
+        queries, env = protocol.decode_request(tail)
         values = self.service.estimate_many(
             queries,
             env,
-            bundle=str(bundle) if bundle is not None else None,
+            bundle=_optional(header, "bundle"),
             batch_size=int(header.get("batch_size", 64)),
-            backend=str(backend) if backend is not None else None,
+            backend=_optional(header, "backend"),
         )
         fragment, blob = protocol.floats_to_tail(np.asarray(values))
         return {"values": fragment}, blob
 
     def _on_record_feedback(self, header, tail):
         """Stream one feedback record into the adaptation loop."""
-        env = protocol.env_from_wire(header["env"])
-        query = protocol.query_from_wire(header["query"])
-        bundle = header.get("bundle")
-        backend = header.get("backend")
+        query, env = _single_request(tail)
         actual = header.get("actual_ms")
         self.service.record_feedback(
             query,
             env,
             actual_ms=float(actual) if actual is not None else None,
-            bundle=str(bundle) if bundle is not None else None,
-            backend=str(backend) if backend is not None else None,
+            bundle=_optional(header, "bundle"),
+            backend=_optional(header, "backend"),
         )
         return {"value": "recorded"}, b""
 
@@ -249,17 +251,21 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def _estimate_request(header: Dict[str, object]) -> Tuple[object, ...]:
-    """The ``(query, env, bundle, backend)`` an ``estimate`` frame
-    carries."""
-    bundle = header.get("bundle")
-    backend = header.get("backend")
-    return (
-        protocol.query_from_wire(header["query"]),
-        protocol.env_from_wire(header["env"]),
-        str(bundle) if bundle is not None else None,
-        str(backend) if backend is not None else None,
-    )
+def _single_request(blob: bytes) -> Tuple[object, object]:
+    """The ``(query, env)`` a single-query request blob carries."""
+    queries, env = protocol.decode_request(blob)
+    if len(queries) != 1:
+        raise ProtocolError(
+            f"request blob carries {len(queries)} queries, expected 1"
+        )
+    return queries[0], env
+
+
+def _optional(header: Dict[str, object], key: str) -> Optional[str]:
+    """A routing field of *header* (``bundle``/``backend``) as text, or
+    None when absent."""
+    value = header.get(key)
+    return str(value) if value is not None else None
 
 
 def _reply(request_id: int, outcome: object) -> bytes:
@@ -304,7 +310,7 @@ def serve_batch(
             ids = [int(header["id"]) for header, _tail in batch]
             try:
                 if estimates:
-                    outcomes = runtime.serve_estimates([h for h, _ in batch])
+                    outcomes = runtime.serve_estimates(batch)
                 else:
                     outcomes = [runtime.handle(*batch[0])]
             except ReproError as exc:

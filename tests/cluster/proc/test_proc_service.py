@@ -3,19 +3,25 @@ observability folding, persistence."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from repro.cluster.proc import ProcClusterService
+from repro.engine.environment import DatabaseEnvironment, random_environments
+from repro.engine.hardware import PROFILES
 from repro.errors import (
     ClusterError,
     ParseError,
+    ProtocolError,
     ServingError,
     ShardOverloadError,
     WorkerTimeoutError,
 )
+from repro.serving import CostService, SnapshotStore
 
 from .conftest import fast_config
 
@@ -55,6 +61,66 @@ def test_request_errors_cross_the_wire_typed_without_health_damage(
     health = proc_service.router.health()
     assert all(state.alive for state in health.values())
     assert all(state.failures == 0 for state in health.values())
+
+
+def test_unencodable_request_fails_typed_before_routing(
+    proc_service, cluster_bundle, cluster_envs
+):
+    """A request the wire codec cannot encode (a numpy integer in a
+    predicate) raises ProtocolError before any worker is picked: no
+    health charge, no reroute, nothing left pending."""
+    _, labeled = cluster_bundle
+    env = cluster_envs[0]
+    plan = copy.deepcopy(labeled[0].plan)
+    node = next(n for n in plan.walk() if n.predicates)
+    node.predicates[0] = dataclasses.replace(
+        node.predicates[0], value=np.int64(7)
+    )
+    before = proc_service.stats.snapshot()
+    for call in (
+        lambda: proc_service.estimate(plan, env),
+        lambda: proc_service.estimate_async(plan, env),
+        lambda: proc_service.estimate_many([plan], env),
+        lambda: proc_service.record_feedback(plan, env, actual_ms=1.0),
+    ):
+        with pytest.raises(ProtocolError):
+            call()
+    handle = next(iter(proc_service.supervisor.handles.values()))
+    with pytest.raises(ProtocolError):
+        handle.submit("estimate", {"bundle": np.int64(1)})
+    after = proc_service.stats.snapshot()
+    assert after == before
+    health = proc_service.router.health()
+    assert all(s.alive and s.failures == 0 for s in health.values())
+    for handle in proc_service.supervisor.handles.values():
+        with handle._lock:
+            kinds = [entry.kind for entry in handle._pending.values()]
+        assert set(kinds) <= {"ping", "counters"}  # supervision traffic
+
+
+def test_custom_hardware_under_a_profile_name_matches_the_thread_tier(
+    cluster_bundle,
+):
+    """An environment whose hardware reuses a stock profile's name with
+    other fields is fitted and served with its own fields in a worker,
+    exactly as in-process."""
+    bundle, labeled = cluster_bundle
+    hardware = dataclasses.replace(
+        PROFILES["h1_r7_7735hs"], seq_ms_per_page=0.5, rand_ms_per_page=2.0
+    )
+    env = DatabaseEnvironment(
+        knobs=random_environments(1, seed=99)[0].knobs,
+        hardware=hardware,
+        name="custom-hardware",
+    )
+    plans = [record.plan for record in labeled[:6]]
+    with ProcClusterService(worker_count=1, config=fast_config()) as tier:
+        tier.deploy(bundle)
+        served = tier.estimate_many(plans, env)
+    with CostService(snapshot_store=SnapshotStore()) as single:
+        single.deploy(bundle)
+        expected = single.estimate_many(plans, env)
+    np.testing.assert_array_equal(served, expected)
 
 
 def test_counters_fold_worker_sections(proc_service, cluster_bundle,

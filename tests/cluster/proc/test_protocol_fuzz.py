@@ -9,15 +9,23 @@ randomness is seeded so a failing case replays exactly.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.catalog.statistics import Predicate
 from repro.cluster.proc import protocol
 from repro.cluster.proc.supervisor import WorkerHandle
-from repro.engine.environment import random_environments
+from repro.cluster.proc.worker import WorkerRuntime
+from repro.engine.environment import DatabaseEnvironment, random_environments
+from repro.engine.hardware import PROFILES
+from repro.engine.operators import OperatorType, PlanNode
 from repro.errors import (
     ClusterError,
     ParseError,
@@ -26,7 +34,11 @@ from repro.errors import (
     WorkerDiedError,
     WorkerTimeoutError,
 )
+from repro.featurization.fingerprint import plan_fingerprint
 from repro.persist import plan_to_state
+from repro.serving import CostService, SnapshotStore
+from repro.sql import parse_sql
+from repro.workload.collect import collect_labeled_plans
 
 from .conftest import fast_config
 
@@ -73,12 +85,17 @@ def test_trailing_residue_is_rejected():
 
 def test_prefix_attacks():
     """Bad magic, foreign versions, and impossible declared lengths."""
-    def prefix(magic=b"QF", version=1, header_len=2, tail_len=0):
+    def prefix(
+        magic=b"QF", version=protocol.PROTOCOL_VERSION, header_len=2,
+        tail_len=0,
+    ):
         return struct.pack(">2sBBII", magic, version, 0, header_len, tail_len)
 
+    protocol.decode_prefix(prefix())  # the baseline prefix is valid
     for bad in (
         prefix(magic=b"ZZ"),
         prefix(version=0),
+        prefix(version=1),  # the JSON-plan wire format
         prefix(version=protocol.PROTOCOL_VERSION + 1),
         prefix(header_len=0),
         prefix(header_len=protocol.MAX_HEADER_BYTES + 1),
@@ -239,7 +256,7 @@ def test_reader_sees_a_partial_frame_as_not_buffered():
 
 def test_reader_reads_a_large_tail_straight_into_its_buffer():
     """A frame larger than one read chunk goes through recv_into on a
-    preallocated buffer, at any split, and the stream stays in sync."""
+    growing buffer, at any split, and the stream stays in sync."""
     big = bytes(random.Random(5).randrange(256) for _ in range(200_000))
     frames = [
         ({"id": 1, "kind": "sync"}, big),
@@ -348,19 +365,61 @@ def test_env_codec_round_trip_and_rejection():
             protocol.env_from_wire(bad)
 
 
-def test_query_codec_round_trip_and_rejection(cluster_bundle):
-    assert protocol.query_from_wire(
-        protocol.query_to_wire("SELECT 1")
-    ) == "SELECT 1"
+def test_env_codec_keeps_custom_hardware_under_a_profile_name():
+    """A profile sharing a stock profile's name but not its fields
+    keeps its own fields; an exact match reuses the stock object."""
+    stock = PROFILES["h1_r7_7735hs"]
+    custom = dataclasses.replace(stock, seq_ms_per_page=0.5)
+    knobs = random_environments(1, seed=11)[0].knobs
+    for hardware in (custom, stock):
+        env = DatabaseEnvironment(knobs=knobs, hardware=hardware)
+        back = protocol.env_from_wire(protocol.env_to_wire(env))
+        assert back == env and back.hardware == hardware
+    env = DatabaseEnvironment(knobs=knobs, hardware=dataclasses.replace(stock))
+    assert protocol.env_from_wire(protocol.env_to_wire(env)).hardware is stock
+
+
+def test_query_codec_round_trip_and_rejection(cluster_bundle, sysbench):
+    """SQL text, a SelectQuery and a plan ship in one request blob;
+    anything else is refused at encode time with a typed error."""
     _, labeled = cluster_bundle
+    env = random_environments(1, seed=11)[0]
     plan = labeled[0].plan
-    back = protocol.query_from_wire(protocol.query_to_wire(plan))
-    assert plan_to_state(back) == plan_to_state(plan)
-    with pytest.raises(ProtocolError):
-        protocol.query_to_wire(12345)
-    for bad in (None, "raw", {"neither": 1}, []):
+    parsed = parse_sql(labeled[1].query_sql, sysbench.catalog)
+    queries, back_env = protocol.decode_request(
+        protocol.encode_request(["SELECT 1", parsed, plan], env)
+    )
+    assert queries[:2] == ["SELECT 1", parsed.sql()]
+    assert plan_to_state(queries[2]) == plan_to_state(plan)
+    assert back_env == env
+    for bad in (12345, labeled[0], None):
         with pytest.raises(ProtocolError):
-            protocol.query_from_wire(bad)
+            protocol.encode_request([bad], env)
+    with pytest.raises(ProtocolError):
+        protocol.encode_request(["SELECT 1"], "not an environment")
+    env_json = json.dumps(protocol.env_to_wire(env))
+    scan = '["Seq Scan","t",null,0,[],[],[],[],null,8]'
+    string_predicate = '["Seq Scan","t",null,0,["abcd"],[],[],[],null,8]'
+    malformed = [  # (JSON part, float64 count)
+        ("[]", 0),
+        (f'[{env_json},"abc"]', 0),  # queries as a string, not a list
+        (f'[{env_json},{{"SELECT 1":0}}]', 0),  # queries as an object
+        (f'[{env_json},[{{"op":0}}]]', 0),  # a plan as an object
+        (f'[{env_json},[[["Seq Scan",null]]]]', 6),  # a node entry too short
+        (f'[{env_json},[["0123456789"]]]', 6),  # a node entry as a string
+        (f"[{env_json},[[{string_predicate}]]]", 6),  # a string predicate
+        (f"[{env_json},[[{scan},null]]]", 6),  # an entry past the tree
+    ]
+    assert protocol.decode_request(
+        struct.pack("<I", len(f"[{env_json},[[{scan}]]]"))
+        + f"[{env_json},[[{scan}]]]".encode() + b"\x00" * 48
+    )[0][0].table == "t"  # the well-formed twin of the cases above
+    for bad in [b"", b"\x00" * 3, b"\xff" * 8] + [
+        struct.pack("<I", len(text)) + text.encode() + b"\x00" * (8 * count)
+        for text, count in malformed
+    ]:
+        with pytest.raises(ProtocolError):
+            protocol.decode_request(bad)
 
 
 def test_floats_codec_is_bit_exact_and_validated():
@@ -378,6 +437,229 @@ def test_floats_codec_is_bit_exact_and_validated():
     ):
         with pytest.raises(ProtocolError):
             protocol.floats_from_tail(bad_fragment, bad_tail)
+
+
+# ----------------------------------------------------------------------
+# request blobs
+# ----------------------------------------------------------------------
+def float_bits(plan):
+    """Every float field of every node of *plan*, as raw bytes."""
+    return [
+        struct.pack("<d", getattr(node, name))
+        for node in plan.walk()
+        for name in protocol.NODE_FLOATS
+    ]
+
+
+def structure(plan):
+    """``plan_to_state`` of *plan* without its float fields (NaN never
+    compares equal, so floats are checked by bits instead)."""
+    def strip(state):
+        kept = {
+            key: value for key, value in state.items()
+            if key not in protocol.NODE_FLOATS
+        }
+        kept["children"] = [strip(child) for child in state["children"]]
+        return kept
+
+    return strip(plan_to_state(plan))
+
+
+def edge_plan():
+    """A plan whose values hit the codec's edge cases: tuple IN and
+    BETWEEN values, None table/index/limit, and -0.0, subnormal and
+    NaN (with a payload) floats."""
+    payload_nan = struct.unpack("<d", b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0]
+    scan = PlanNode(
+        op=OperatorType.INDEX_SCAN,
+        table="lineitem",
+        index="lineitem_pkey",
+        predicates=[
+            Predicate("lineitem", "l_quantity", "between", (1, 24.5)),
+            Predicate("lineitem", "l_shipmode", "in", ("MAIL", "SHIP")),
+            Predicate("lineitem", "l_comment", "like", "%ab\u00e9%"),
+            Predicate("lineitem", "l_tax", "=", None),
+        ],
+        est_rows=-0.0,
+        est_width=17,
+        est_startup_cost=5e-324,
+        est_total_cost=float("nan"),
+    )
+    scan.true_rows = payload_nan
+    scan.actual_ms = float("inf")
+    scan.actual_total_ms = -1.5e-310
+    other = PlanNode(op=OperatorType.SEQ_SCAN, table="orders", est_rows=3.0)
+    join = PlanNode(
+        op=OperatorType.HASH_JOIN,
+        children=[scan, other],
+        join_columns=("l_orderkey", "o_orderkey"),
+    )
+    agg = PlanNode(
+        op=OperatorType.AGGREGATE, children=[join], group_keys=("l_tax",)
+    )
+    return PlanNode(
+        op=OperatorType.LIMIT,
+        children=[PlanNode(
+            op=OperatorType.SORT, children=[agg], sort_keys=("l_tax",)
+        )],
+        limit_count=10,
+    )
+
+
+def test_request_blob_round_trips_every_tpch_template_plan(tpch):
+    env = random_environments(1, seed=11)[0]
+    names = {name for name, _text in tpch.template_texts}
+    plans = collect_labeled_plans(tpch, [env], len(names), seed=2)
+    assert {record.template for record in plans} == names
+    for record in plans:
+        (back,), back_env = protocol.decode_request(
+            protocol.encode_request([record.plan], env)
+        )
+        assert plan_to_state(back) == plan_to_state(record.plan)
+        assert plan_fingerprint(back) == plan_fingerprint(record.plan)
+        assert back_env == env
+    queries, _ = protocol.decode_request(
+        protocol.encode_request([r.plan for r in plans], env)
+    )
+    assert [plan_to_state(q) for q in queries] == [
+        plan_to_state(r.plan) for r in plans
+    ]
+
+
+def test_request_blob_edge_values_are_bit_exact():
+    plan = edge_plan()
+    env = random_environments(1, seed=11)[0]
+    (back,), _ = protocol.decode_request(protocol.encode_request([plan], env))
+    assert float_bits(back) == float_bits(plan)
+    assert structure(back) == structure(plan)
+    assert plan_fingerprint(back) == plan_fingerprint(plan)
+    predicates = next(n for n in back.walk() if n.predicates).predicates
+    assert predicates[0].value == (1, 24.5)
+    assert predicates[1].value == ("MAIL", "SHIP")
+    assert predicates[3].value is None
+    assert back.limit_count == 10 and back.table is None and back.index is None
+
+
+def edge_blob():
+    env = random_environments(1, seed=11)[0]
+    return protocol.encode_request(["SELECT 1", edge_plan()], env)
+
+
+def test_request_blob_every_truncation_is_a_typed_error():
+    blob = edge_blob()
+    for cut in range(len(blob)):
+        with pytest.raises(ProtocolError):
+            protocol.decode_request(blob[:cut])
+    with pytest.raises(ProtocolError):
+        protocol.decode_request(blob + b"\x00" * 8)  # a surplus float
+
+
+def test_request_blob_byte_flips_and_garbage_are_typed():
+    """Byte flips either land somewhere inert (a float's bits, a
+    letter of a name) and decode, or raise ProtocolError; random
+    garbage always raises it."""
+    rng = random.Random(0xB10B)
+    blob = edge_blob()
+    decoded = rejected = 0
+    for _ in range(500):
+        data = bytearray(blob)
+        for _ in range(rng.randint(1, 8)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        try:
+            protocol.decode_request(bytes(data))
+        except ProtocolError:
+            rejected += 1
+        else:
+            decoded += 1
+    assert rejected > 0 and decoded + rejected == 500
+    rng = random.Random(31337)
+    for _ in range(300):
+        garbage = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
+        with pytest.raises(ProtocolError):
+            protocol.decode_request(garbage)
+
+
+def test_unencodable_values_raise_protocol_error_not_type_error(
+    cluster_bundle,
+):
+    """A numpy scalar JSON cannot encode is a typed error, in a frame
+    header and in a request blob alike."""
+    _, labeled = cluster_bundle
+    env = random_environments(1, seed=11)[0]
+    with pytest.raises(ProtocolError):
+        protocol.encode_frame({"id": 1, "kind": "ping", "n": np.int64(7)})
+    plan = copy.deepcopy(labeled[0].plan)
+    node = next(n for n in plan.walk() if n.predicates)
+    node.predicates[0] = dataclasses.replace(
+        node.predicates[0], value=np.int64(7)
+    )
+    with pytest.raises(ProtocolError):
+        protocol.encode_request([plan], env)
+
+
+def test_worker_decodes_plans_one_bit_apart_to_their_own_estimates(
+    cluster_bundle, cluster_envs
+):
+    """Two plans one bit apart in one cost decode to their own plans in
+    a worker, and its estimates equal the in-process ones."""
+    bundle, labeled = cluster_bundle
+    env = cluster_envs[0]
+    plan = labeled[0].plan
+    twin = copy.deepcopy(plan)
+    twin.est_total_cost = float(np.nextafter(plan.est_total_cost, np.inf))
+    sequence = [plan, twin, plan]
+    blobs = [protocol.encode_request([p], env) for p in sequence]
+    assert blobs[0] != blobs[1] and blobs[0] == blobs[2]
+    for blob, sent in zip(blobs, sequence):
+        (back,), _ = protocol.decode_request(blob)
+        assert float_bits(back) == float_bits(sent)
+    runtime = WorkerRuntime({})
+    try:
+        runtime.service.deploy(bundle)
+        outcomes = runtime.serve_estimates(
+            [({"id": i, "kind": "estimate"}, b) for i, b in enumerate(blobs)]
+        )
+    finally:
+        runtime.close()
+    with CostService(snapshot_store=SnapshotStore()) as single:
+        single.deploy(bundle)
+        expected = single.estimate_batch(
+            [(p, env, None, None) for p in sequence]
+        )
+    assert outcomes == expected
+
+
+def test_worker_refuses_a_multi_query_blob_on_a_single_query_frame(
+    cluster_bundle, cluster_envs
+):
+    bundle, labeled = cluster_bundle
+    blob = protocol.encode_request(
+        [labeled[0].plan, labeled[1].plan], cluster_envs[0]
+    )
+    runtime = WorkerRuntime({})
+    try:
+        runtime.service.deploy(bundle)
+        [outcome] = runtime.serve_estimates([({"id": 1, "kind": "estimate"}, blob)])
+    finally:
+        runtime.close()
+    assert isinstance(outcome, ProtocolError)
+
+
+def test_reader_never_trusts_a_declared_length():
+    """A prefix declaring a 200 MiB tail, then EOF: a typed death, and
+    memory in proportion to the bytes that arrived, not the claim."""
+    prefix = struct.pack(
+        ">2sBBII", protocol.MAGIC, protocol.PROTOCOL_VERSION, 0,
+        2, 200 * 1024 * 1024,
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkerDiedError):
+            read_all(ChunkedSocket(prefix + b"{}" + b"x" * 1000))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 * 1024
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,8 @@ HOT_FUNCTIONS = re.compile(
     r"|_route|resolve|_resolve_key"
     r"|rpc|_with_failover|_failover_loop"
     r"|encode_frame|decode_frame|recv_frame|has_frame|send_frames"
+    r"|encode_request|decode_request|_plan_to_blob|_plan_from_blob"
+    r"|_single_request"
     r"|serve_batch|serve_estimates"
     r"|featurize\w*|plan_fingerprint|template_fingerprint"
     r")$"
