@@ -1145,20 +1145,17 @@ def _proc_scaling(params: Dict[str, object], seed: int) -> Dict[str, object]:
     errors_total = 0
     issued_total = 0
     last_result = None
+    config = ProcConfig(
+        request_timeout_s=60.0,
+        boot_timeout_s=120.0,
+        sync_timeout_s=120.0,
+        heartbeat_interval_s=1.0,
+        heartbeat_miss_limit=60,
+    )
     for count in worker_counts:
         best = 0.0
         for attempt in range(max(1, repeats)):
-            # A fresh config per tier: the service merges its knob dict.
-            tier = ProcClusterService(
-                worker_count=count,
-                config=ProcConfig(
-                    request_timeout_s=60.0,
-                    boot_timeout_s=120.0,
-                    sync_timeout_s=120.0,
-                    heartbeat_interval_s=1.0,
-                    heartbeat_miss_limit=60,
-                ),
-            )
+            tier = ProcClusterService(worker_count=count, config=config)
             try:
                 for name in names:
                     tier.deploy(setup["bundle"], name=name)

@@ -9,6 +9,10 @@ its API:
 - :class:`AdmissionController` — bounded per-shard in-flight depth
   with load shedding and a shed counter, so overload degrades
   predictably instead of collapsing a replica;
+- :class:`ReplicaTier` — the routing/failover core both facades below
+  inherit (routing counters, admission, the failover loop, the one
+  failure-classification table, the ``cluster`` metrics section); a
+  tier adds only its replica lookup and its ``"shard"``/``"worker"`` kind;
 - :class:`ClusterService` — the facade: N independent ``CostService``
   replicas (own registry, caches, batcher, adaptation loop) behind
   the same ``estimate`` / ``estimate_many`` / ``estimate_async`` /
@@ -28,7 +32,8 @@ lifecycle and ``docs/SERVING.md`` for operational guarantees.
 from .admission import AdmissionController
 from .proc import ProcClusterService, ProcConfig
 from .router import ShardHealth, ShardRouter, rendezvous_score
-from .service import ClusterService, ClusterShard, ClusterStats
+from .service import ClusterService, ClusterShard
+from .tier import ClusterStats, ReplicaTier
 
 __all__ = [
     "AdmissionController",
@@ -37,6 +42,7 @@ __all__ = [
     "ClusterStats",
     "ProcClusterService",
     "ProcConfig",
+    "ReplicaTier",
     "ShardHealth",
     "ShardRouter",
     "rendezvous_score",

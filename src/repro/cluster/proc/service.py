@@ -16,13 +16,14 @@ frame.  Because the persist codec is byte-exact for float64 weights,
 a worker's predictions are **bit-identical** to an in-process service
 holding the same bundles — asserted by the equivalence tests.
 
-Request routing mirrors the thread tier exactly — rendezvous-hashed
-tenant affinity, per-worker admission gates, and the same failure
-classification: a dead worker (:class:`~repro.errors.WorkerDiedError`,
-a :class:`~repro.errors.ShardDownError`) charges health and fails
-over; request-shaped :class:`~repro.errors.ReproError` propagates;
-overload sheds without failover; a worker that answers nothing within
-the deadline raises :class:`~repro.errors.WorkerTimeoutError` without
+Request routing *is* the thread tier's: both tiers inherit
+:class:`~repro.cluster.tier.ReplicaTier` — rendezvous-hashed tenant
+affinity, per-worker admission gates, and one failure classification:
+a dead worker (:class:`~repro.errors.WorkerDiedError`, a
+:class:`~repro.errors.ShardDownError`) charges health and fails over;
+request-shaped :class:`~repro.errors.ReproError` propagates; overload
+sheds without failover; a worker that answers nothing within the
+deadline raises :class:`~repro.errors.WorkerTimeoutError` without
 failover (it may merely be slow — the supervisor's heartbeat, not the
 request path, decides whether it lives).  A request's queries and
 environment are encoded once, into a :func:`~.protocol.encode_request`
@@ -35,32 +36,27 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...errors import (
-    ClusterError,
-    ReproError,
-    ShardDownError,
-    ShardOverloadError,
-    WorkerTimeoutError,
-)
+from ...errors import ClusterError, ReproError, ShardDownError
 from ...obs import EventLog, MetricsRegistry
-from ...obs.lockwatch import make_lock
-from ...obs.trace import Tracer, current_tracer
+from ...obs.trace import Tracer
 from ...persist import BlobStore, encode_state, service_state, write_retained
 from ...serving import CostService, EstimatorBundle
 from ..admission import AdmissionController
-from ..router import ShardRouter
-from ..service import ClusterStats
+from ..tier import ReplicaTier
 from . import protocol
 from .shm import BlobSegment, cleanup_orphans, pack_blobs
 from .supervisor import ProcConfig, ProcSupervisor, WorkerHandle
 
 
-class ProcClusterService:
+class ProcClusterService(ReplicaTier):
     """N worker *processes* behind the single-service API."""
+
+    replica_kind = "worker"
 
     def __init__(
         self,
@@ -84,24 +80,19 @@ class ProcClusterService:
         *checkpoint_spool* (a directory) enables the persist spool:
         every deploy/restore writes a retained checkpoint there and
         revived workers warm-boot from it before their first sync.
+        The caller's *config* is never mutated: the tier works on a
+        copy with the knobs and the spool merged in.
         """
-        if worker_ids is None:
-            if worker_count < 1:
-                raise ClusterError(
-                    f"worker_count must be >= 1, got {worker_count}"
-                )
-            worker_ids = [f"worker-{i}" for i in range(worker_count)]
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None else EventLog()
-        self.tracer = tracer if tracer is not None else current_tracer()
-        self.config = config or ProcConfig()
-        if service_kwargs:
-            merged = dict(self.config.service)
-            merged.update(service_kwargs)
-            self.config.service = merged
+        super().__init__(
+            worker_count, worker_ids, failure_threshold, metrics, tracer, events
+        )
+        config = config or ProcConfig()
         self._spool = str(checkpoint_spool) if checkpoint_spool else None
-        if self._spool and not self.config.checkpoint_dir:
-            self.config.checkpoint_dir = self._spool
+        self.config = replace(
+            config,
+            service={**config.service, **service_kwargs},
+            checkpoint_dir=config.checkpoint_dir or self._spool,
+        )
         #: The hidden state-authority service (never serves requests).
         self.template = CostService(
             metrics=MetricsRegistry(),
@@ -118,16 +109,10 @@ class ProcClusterService:
                 )
             },
         )
-        self.router = ShardRouter(
-            worker_ids, failure_threshold=failure_threshold
-        )
-        self.stats = ClusterStats(self.router.shard_ids())
-        self._admission: Dict[str, AdmissionController] = {
+        self._admission = {
             worker_id: AdmissionController(max_inflight_per_worker)
             for worker_id in self.router.shard_ids()
         }
-        self._lock = make_lock("cluster.proc.service")
-        self._deployed: List[str] = []
         self._generation = 0
         self._segment: Optional[BlobSegment] = None
         self._current_sync: Optional[Tuple[Dict[str, object], bytes]] = None
@@ -154,64 +139,23 @@ class ProcClusterService:
             self.close()
             raise
         self.supervisor.start()
-        self._register_collectors()
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def _register_collectors(self) -> None:
-        """Register the tier's sections into :attr:`metrics`:
-        ``cluster`` (routing/health/admission, thread-tier shaped),
-        ``workers`` (each worker's last pulled counter snapshot folded
-        into the parent registry), ``supervisor`` (deaths, revives,
-        ejections), ``events`` and — when tracing — ``tracer``."""
-        register = self.metrics.register_collector
-        register("cluster", self._cluster_section)
-        register(
-            "workers",
-            lambda: {
+        # ``workers`` folds each worker's last pulled counter snapshot
+        # into the parent registry; ``supervisor`` counts deaths,
+        # revives and ejections.
+        self._register_collectors(
+            workers=lambda: {
                 worker_id: handle.cached_counters
-                for worker_id, handle in sorted(
-                    self.supervisor.handles.items()
-                )
+                for worker_id, handle in sorted(self.supervisor.handles.items())
             },
-        )
-        register("supervisor", self.supervisor.counters)
-        register("events", self.events.counters)
-        register(
-            "tracer",
-            lambda: None if self.tracer is None else self.tracer.counters(),
+            supervisor=self.supervisor.counters,
         )
 
-    def _cluster_section(self) -> Dict[str, object]:
-        """The ``cluster`` collector (same shape as the thread tier,
-        so :func:`~repro.eval.reporting.render_cluster_report` and the
-        bench counters-delta tooling work unchanged)."""
-        health = self.router.health()
-        routing = self.stats.snapshot()
-        routed: Dict[str, int] = routing["routed"]
-        per_shard: Dict[str, object] = {}
-        shed_total = 0
-        for worker_id in sorted(self._admission):
-            admission = self._admission[worker_id].counters()
-            shed_total += int(admission["shed"])
-            handle = self.supervisor.handles.get(worker_id)
-            per_shard[worker_id] = {
-                "admission": admission,
-                "failures": health[worker_id].failures,
-                "ejections": health[worker_id].ejections,
-                "alive": health[worker_id].alive,
-                "routed": routed.get(worker_id, 0),
-                "pid": handle.pid if handle is not None else None,
-                "state": handle.state if handle is not None else "gone",
-            }
+    def _replica_status(self, worker_id: str) -> Dict[str, object]:
+        """The worker's pid and supervisor state (``"gone"``: no handle)."""
+        handle = self.supervisor.handles.get(worker_id)
         return {
-            "routed": routed,
-            "reroutes": routing["reroutes"],
-            "exhausted": routing["exhausted"],
-            "shed": shed_total,
-            "ejections": sum(h.ejections for h in health.values()),
-            "per_shard": per_shard,
+            "pid": handle.pid if handle is not None else None,
+            "state": handle.state if handle is not None else "gone",
         }
 
     # ------------------------------------------------------------------
@@ -291,38 +235,6 @@ class ProcClusterService:
         self.events.emit("bundle_deployed", bundle=key)
         return key
 
-    def deployed_names(self) -> List[str]:
-        """Every deployed bundle name, in deployment order."""
-        with self._lock:
-            return list(self._deployed)
-
-    def _resolve_key(
-        self,
-        bundle: Optional[str],
-        tenant: Optional[str],
-        backend: Optional[str] = None,
-    ) -> Tuple[str, Optional[str]]:
-        """(routing key, bundle name), thread-tier semantics.
-
-        Backend-tagged requests with no explicit bundle defer bundle
-        selection to each worker's in-process
-        :class:`~repro.serving.routing.BackendRouter` (deterministic,
-        so every worker picks the same bundle) and key affinity on the
-        tenant or the backend tag — identical to the thread tier.
-        """
-        if backend is not None and bundle is None:
-            return (tenant or f"backend:{backend}"), None
-        with self._lock:
-            deployed = list(self._deployed)
-        if bundle is None:
-            if len(deployed) != 1:
-                raise ClusterError(
-                    "bundle name required when "
-                    f"{len(deployed)} bundles are deployed"
-                )
-            bundle = deployed[0]
-        return (tenant or bundle), bundle
-
     # ------------------------------------------------------------------
     # routing core
     # ------------------------------------------------------------------
@@ -330,85 +242,13 @@ class ProcClusterService:
         """The worker currently serving *tenant* (health-aware)."""
         return self.router.shard_for(tenant)
 
-    def _with_failover(self, key: str, call, release_on_success: bool = True):
-        """Run ``call(handle, admission)`` on *key*'s worker, failing
-        over down the rendezvous chain under the thread tier's exact
-        classification rules (see the module docstring)."""
-        tracer = self.tracer
-        if tracer is None:
-            return self._failover_loop(key, call, release_on_success, None)
-        with tracer.start_span("route", kind="route") as span:
-            span.annotate(tenant=key, tier="proc")
-            return self._failover_loop(key, call, release_on_success, span)
-
-    def _failover_loop(self, key: str, call, release_on_success: bool, span):
-        """The retry chain of :meth:`_with_failover`."""
-        excluded: Set[str] = set()
-        rerouted = False
-        last_error: Optional[Exception] = None
-        while True:
-            try:
-                worker_id = self.router.shard_for(key, exclude=excluded)
-            except ClusterError:
-                self.stats.count_exhausted()
-                raise ClusterError(
-                    f"request for tenant {key!r} failed on every "
-                    "alive worker"
-                ) from last_error
-            handle = self.supervisor.handles.get(worker_id)
-            admission = self._admission[worker_id]
-            if not admission.try_acquire():
-                self.events.emit(
-                    "admission_shed", worker=worker_id, tenant=key
-                )
-                raise ShardOverloadError(
-                    f"worker {worker_id!r} is at its admission limit "
-                    f"({admission.max_inflight} in flight); request shed"
-                )
-            try:
-                if handle is None or not handle.alive:
-                    raise ShardDownError(
-                        f"worker {worker_id!r} is not serving"
-                    )
-                value = call(handle, admission)
-            except WorkerTimeoutError:
-                # Slow is not dead: charge health (a wedged worker
-                # drifts toward ejection) but never retry elsewhere —
-                # the request may still complete on the worker.
-                admission.release()
-                if self.router.record_failure(worker_id):
-                    self.events.emit(
-                        "worker_ejected", worker=worker_id, reason="health"
-                    )
-                raise
-            except ShardDownError as exc:
-                admission.release()
-                if self.router.record_failure(worker_id):
-                    self.events.emit(
-                        "worker_ejected", worker=worker_id, reason="health"
-                    )
-                last_error = exc
-                excluded.add(worker_id)
-                rerouted = True
-                continue
-            except ReproError:
-                admission.release()
-                raise
-            except Exception as exc:
-                admission.release()
-                last_error = exc
-                excluded.add(worker_id)
-                rerouted = True
-                continue
-            if release_on_success:
-                admission.release()
-                self.router.record_success(worker_id)
-            self.stats.count_routed(worker_id)
-            if rerouted:
-                self.stats.count_reroute()
-            if span is not None:
-                span.annotate(worker=worker_id, rerouted=rerouted)
-            return value
+    def _replica(self, worker_id: str) -> WorkerHandle:
+        """The worker's *current* handle (revives swap in a new one);
+        raises :class:`ShardDownError` when it is not serving."""
+        handle = self.supervisor.handles.get(worker_id)
+        if handle is None or not handle.alive:
+            raise ShardDownError(f"worker {worker_id!r} is not serving")
+        return handle
 
     # ------------------------------------------------------------------
     # public estimation API (CostService-shaped)
@@ -431,7 +271,7 @@ class ProcClusterService:
         payload = {"bundle": name, "backend": backend}
         blob = protocol.encode_request([query], env)
 
-        def _call(handle: WorkerHandle, admission) -> float:
+        def _call(handle: WorkerHandle) -> float:
             header, _tail = handle.rpc("estimate", payload, blob)
             return float(header["value"])
 
@@ -452,7 +292,7 @@ class ProcClusterService:
         payload = {"bundle": name, "backend": backend, "batch_size": batch_size}
         blob = protocol.encode_request(queries, env)
 
-        def _call(handle: WorkerHandle, admission) -> np.ndarray:
+        def _call(handle: WorkerHandle) -> np.ndarray:
             header, tail = handle.rpc("estimate_many", payload, blob)
             return protocol.floats_from_tail(header.get("values"), tail)
 
@@ -477,18 +317,17 @@ class ProcClusterService:
         payload = {"bundle": name, "backend": backend}
         blob = protocol.encode_request([query], env)
 
-        def _submit(handle: WorkerHandle, admission) -> Future:
+        def _submit(handle: WorkerHandle) -> Future:
             inner = handle.submit("estimate", payload, blob)
             outer: Future = Future()
 
             def _resolve(done: Future) -> None:
-                admission.release()
+                exc = self._settle(handle.worker_id, done)
                 if done.cancelled():
                     outer.cancel()
-                    return
-                exc = done.exception()
-                if exc is None:
-                    self.router.record_success(handle.worker_id)
+                elif exc is not None:
+                    outer.set_exception(exc)
+                else:
                     header, _tail = done.result()
                     try:
                         outer.set_result(float(header["value"]))
@@ -496,18 +335,6 @@ class ProcClusterService:
                         outer.set_exception(
                             ClusterError(f"malformed estimate reply: {bad}")
                         )
-                    return
-                # A dead worker and a missed deadline both charge
-                # health (a wedged worker drifts toward ejection);
-                # neither fails over once the frame is on the wire.
-                if isinstance(exc, (ShardDownError, WorkerTimeoutError)):
-                    if self.router.record_failure(handle.worker_id):
-                        self.events.emit(
-                            "worker_ejected",
-                            worker=handle.worker_id,
-                            reason="health",
-                        )
-                outer.set_exception(exc)
 
             inner.add_done_callback(_resolve)
             return outer
@@ -530,7 +357,7 @@ class ProcClusterService:
         payload = {"bundle": name, "backend": backend, "actual_ms": actual_ms}
         blob = protocol.encode_request([query], env)
 
-        def _call(handle: WorkerHandle, admission) -> None:
+        def _call(handle: WorkerHandle) -> None:
             handle.rpc("record_feedback", payload, blob)
 
         self._with_failover(key, _call)
@@ -541,19 +368,12 @@ class ProcClusterService:
     def kill_worker(self, worker_id: str) -> None:
         """SIGKILL a worker's real pid; the supervisor's sentinel will
         certify the death and run revive-vs-eject."""
-        handle = self._handle(worker_id)
+        handle = self.worker(worker_id)
         self.events.emit("worker_killed", worker=worker_id, pid=handle.pid)
         handle.kill()
 
-    def eject(self, worker_id: str) -> None:
-        """Remove a worker from routing immediately (operator
-        decision; the process keeps running until :meth:`close`)."""
-        self.router.eject(worker_id)
-        self.events.emit(
-            "worker_ejected", worker=worker_id, reason="operator"
-        )
-
-    def _handle(self, worker_id: str) -> WorkerHandle:
+    def worker(self, worker_id: str) -> WorkerHandle:
+        """The :class:`WorkerHandle` for *worker_id* (introspection)."""
         handle = self.supervisor.handles.get(worker_id)
         if handle is None:
             raise ClusterError(
@@ -561,10 +381,6 @@ class ProcClusterService:
                 f"(workers: {sorted(self.supervisor.handles)})"
             )
         return handle
-
-    def worker(self, worker_id: str) -> WorkerHandle:
-        """The :class:`WorkerHandle` for *worker_id* (introspection)."""
-        return self._handle(worker_id)
 
     def wait_workers(
         self, count: Optional[int] = None, timeout_s: float = 30.0
@@ -612,9 +428,7 @@ class ProcClusterService:
     def _on_worker_ejected(self, handle: WorkerHandle) -> None:
         """Revive budget exhausted: the worker is gone for good."""
         self.router.eject(handle.worker_id)
-        self.events.emit(
-            "worker_ejected", worker=handle.worker_id, reason="revives"
-        )
+        self._emit_ejected(handle.worker_id, "revives")
 
     # ------------------------------------------------------------------
     # persistence
@@ -647,35 +461,6 @@ class ProcClusterService:
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
-    def counters(self) -> Dict[str, object]:
-        """Machine-readable counter snapshot for the whole tier (the
-        ``workers`` section folds each worker's own counters, pulled
-        over IPC by the supervisor, into this one registry)."""
-        return self.metrics.sections_snapshot()
-
-    def report(self) -> str:
-        """Human-readable per-worker routing/health/admission report."""
-        from ...eval.reporting import render_cluster_report
-
-        cluster = self.metrics.sections_snapshot()["cluster"]
-        rows = [
-            (
-                worker_id,
-                "up" if info["alive"] else "down",
-                info["routed"],
-                info["failures"],
-                info["admission"]["shed"],
-                info["admission"]["peak_inflight"],
-            )
-            for worker_id, info in sorted(cluster["per_shard"].items())
-        ]
-        totals = {
-            "reroutes": cluster["reroutes"],
-            "exhausted": cluster["exhausted"],
-            "ejections": cluster["ejections"],
-        }
-        return render_cluster_report(rows, totals)
-
     def close(self) -> None:
         """Retire the fleet: stop supervision, shut workers down
         (gracefully, then by force), unlink shared segments, close the
@@ -697,11 +482,3 @@ class ProcClusterService:
             self._segment = None
         self.template.close()
         cleanup_orphans()
-
-    def __enter__(self) -> "ProcClusterService":
-        """Context-manager entry (returns self)."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: :meth:`close` the tier."""
-        self.close()

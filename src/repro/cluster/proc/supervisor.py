@@ -81,8 +81,6 @@ class ProcConfig:
     heartbeat_miss_limit: int = 5
     #: Times a dead worker is respawned before permanent ejection.
     max_revives: int = 2
-    #: Per-worker in-flight cap (admission control).
-    max_inflight: int = 64
     #: Monitor loop tick.
     poll_interval_s: float = 0.05
     #: Counter-snapshot refresh cadence (parent metrics folding).

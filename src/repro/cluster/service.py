@@ -30,22 +30,17 @@ code cannot tell one replica from eight.  What they *can* observe:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..errors import (
-    ClusterError,
-    ReproError,
-    ShardDownError,
-    ShardOverloadError,
-)
+from ..errors import ClusterError, ShardDownError
 from ..obs import EventLog, MetricsRegistry
-from ..obs.lockwatch import make_lock
-from ..obs.trace import Tracer, current_tracer
+from ..obs.trace import Tracer
 from ..serving import CostService, EstimatorBundle
 from .admission import AdmissionController
-from .router import ShardRouter
+from .tier import ClusterStats, ReplicaTier
 
 #: Builds one replica; receives the shard id (for naming/logging).
 ServiceFactory = Callable[[str], CostService]
@@ -71,46 +66,10 @@ class ClusterShard:
             raise ShardDownError(f"shard {self.shard_id!r} is down")
 
 
-class ClusterStats:
-    """Cluster-level routing counters (shard-local counts live on the
-    shards' own admission controllers and services)."""
-
-    def __init__(self, shard_ids: Sequence[str]):
-        """Zeroed counters over *shard_ids*."""
-        self._lock = make_lock("cluster.stats")
-        self._routed: Dict[str, int] = {shard_id: 0 for shard_id in shard_ids}
-        self.reroutes = 0
-        self.exhausted = 0
-
-    def count_routed(self, shard_id: str) -> None:
-        """One request routed to *shard_id* (sync: served to
-        completion; async: successfully submitted — its outcome
-        resolves later on the Future)."""
-        with self._lock:
-            self._routed[shard_id] = self._routed.get(shard_id, 0) + 1
-
-    def count_reroute(self) -> None:
-        """One request retried on a different shard after a failure."""
-        with self._lock:
-            self.reroutes += 1
-
-    def count_exhausted(self) -> None:
-        """One request that failed on every alive shard."""
-        with self._lock:
-            self.exhausted += 1
-
-    def snapshot(self) -> Dict[str, object]:
-        """Atomic plain-dict copy of the routing counters."""
-        with self._lock:
-            return {
-                "routed": dict(self._routed),
-                "reroutes": self.reroutes,
-                "exhausted": self.exhausted,
-            }
-
-
-class ClusterService:
+class ClusterService(ReplicaTier):
     """N ``CostService`` replicas behind the single-service API."""
+
+    replica_kind = "shard"
 
     def __init__(
         self,
@@ -142,15 +101,9 @@ class ClusterService:
         replica, so a routing hop span and the shard-side request span
         land in the same trace.
         """
-        if shard_ids is None:
-            if shard_count < 1:
-                raise ClusterError(
-                    f"shard_count must be >= 1, got {shard_count}"
-                )
-            shard_ids = [f"shard-{i}" for i in range(shard_count)]
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None else EventLog()
-        self.tracer = tracer if tracer is not None else current_tracer()
+        super().__init__(
+            shard_count, shard_ids, failure_threshold, metrics, tracer, events
+        )
         base_factory: ServiceFactory = service_factory or (
             lambda shard_id: CostService(**service_kwargs)
         )
@@ -164,72 +117,28 @@ class ClusterService:
                 service.tracer = self.tracer
             return service
 
-        self.router = ShardRouter(shard_ids, failure_threshold=failure_threshold)
         #: Kept for replica replacement: :meth:`restart_shard` builds
         #: the replacement service exactly like the original.
         self._factory = factory
-        self._max_inflight = max_inflight_per_shard
         self._shards: Dict[str, ClusterShard] = {
             shard_id: ClusterShard(
                 shard_id, factory(shard_id), max_inflight_per_shard
             )
             for shard_id in self.router.shard_ids()
         }
-        self.stats = ClusterStats(self.router.shard_ids())
-        self._lock = make_lock("cluster.service")
-        self._deployed: List[str] = []
+        self._admission = {
+            shard_id: shard.admission for shard_id, shard in self._shards.items()
+        }
         #: Last-deployed bundle object per name: a cold replica restart
         #: re-deploys these when no checkpoint (or a dead one) is
         #: available.
         self._bundle_objects: Dict[str, EstimatorBundle] = {}
-        self._register_collectors()
-
-    def _register_collectors(self) -> None:
-        """Register the tier's sections into :attr:`metrics`:
-        ``cluster`` (routing/health/admission), ``shards`` (each
-        replica's full :meth:`~repro.serving.CostService.counters`),
-        ``events`` and — when tracing — ``tracer``."""
-        register = self.metrics.register_collector
-        register("cluster", self._cluster_section)
-        register(
-            "shards",
-            lambda: {
+        self._register_collectors(
+            shards=lambda: {
                 shard_id: shard.service.counters()
                 for shard_id, shard in sorted(self._shards.items())
-            },
-        )
-        register("events", self.events.counters)
-        register(
-            "tracer",
-            lambda: None if self.tracer is None else self.tracer.counters(),
-        )
-
-    def _cluster_section(self) -> Dict[str, object]:
-        """The ``cluster`` collector: routing totals plus per-shard
-        health/admission/liveness (the data :meth:`report` renders)."""
-        health = self.router.health()
-        routing = self.stats.snapshot()
-        routed: Dict[str, int] = routing["routed"]
-        per_shard: Dict[str, object] = {}
-        shed_total = 0
-        for shard_id, shard in sorted(self._shards.items()):
-            admission = shard.admission.counters()
-            shed_total += int(admission["shed"])
-            per_shard[shard_id] = {
-                "admission": admission,
-                "failures": health[shard_id].failures,
-                "ejections": health[shard_id].ejections,
-                "alive": health[shard_id].alive,
-                "routed": routed.get(shard_id, 0),
             }
-        return {
-            "routed": routed,
-            "reroutes": routing["reroutes"],
-            "exhausted": routing["exhausted"],
-            "shed": shed_total,
-            "ejections": sum(h.ejections for h in health.values()),
-            "per_shard": per_shard,
-        }
+        )
 
     # ------------------------------------------------------------------
     # deployment
@@ -260,44 +169,6 @@ class ClusterService:
             )
         return key
 
-    def deployed_names(self) -> List[str]:
-        """Every deployed bundle name, in deployment order."""
-        with self._lock:
-            return list(self._deployed)
-
-    def _resolve_key(
-        self,
-        bundle: Optional[str],
-        tenant: Optional[str],
-        backend: Optional[str] = None,
-    ) -> Tuple[str, Optional[str]]:
-        """(routing key, bundle name) for a request.
-
-        The routing key defaults to the bundle name — tenants are
-        bundles unless the caller says otherwise — and a missing
-        bundle name falls back to the sole deployment, mirroring
-        ``CostService`` semantics.
-
-        A backend-tagged request with no explicit bundle leaves bundle
-        selection to the shard service's
-        :class:`~repro.serving.routing.BackendRouter` (every replica
-        resolves identically) and keys shard affinity on the tenant,
-        falling back to the backend tag itself — so one backend's
-        traffic stays on one warm replica by default.
-        """
-        if backend is not None and bundle is None:
-            return (tenant or f"backend:{backend}"), None
-        with self._lock:
-            deployed = list(self._deployed)
-        if bundle is None:
-            if len(deployed) != 1:
-                raise ClusterError(
-                    "bundle name required when "
-                    f"{len(deployed)} bundles are deployed"
-                )
-            bundle = deployed[0]
-        return (tenant or bundle), bundle
-
     # ------------------------------------------------------------------
     # routing core
     # ------------------------------------------------------------------
@@ -305,123 +176,11 @@ class ClusterService:
         """The shard currently serving *tenant* (health-aware)."""
         return self.router.shard_for(tenant)
 
-    def _with_failover(self, key: str, call, release_on_success: bool = True):
-        """Run ``call(shard)`` on *key*'s shard, failing over down the
-        tenant's rendezvous preference chain.
-
-        ``release_on_success=False`` transfers ownership of the
-        admission slot *and* of success/failure health recording to the
-        successful ``call`` (the async path holds the slot, and judges
-        health, at Future resolution — recording a submission as a
-        success here would reset the failure streak before the
-        previous future's verdict arrived, and a sick replica would
-        never accumulate enough consecutive failures to be ejected).
-        Every failure path still releases and records here.
-
-        Failures are classified, because retrying the wrong ones is
-        worse than not retrying:
-
-        - **Replica failures** (:class:`ShardDownError`) record a
-          health failure — ejecting the shard at the threshold — and
-          retry on the next alive replica: a mid-run crash costs
-          re-routed requests a cache warm-up, not an error.
-        - **Unexpected exceptions** (a ``TypeError`` from a malformed
-          query object, a numpy shape error) also retry on the next
-          replica — cheap, bounded, and it rescues transient
-          replica-local corruption — but do *not* charge shard
-          health: they may be deterministic request poison, and a
-          poison request must never eject replicas (only
-          :class:`ShardDownError`, which the cluster itself raises
-          for a dead replica, is unambiguous evidence).  If every
-          replica fails, the last error is chained into the raised
-          :class:`ClusterError`.
-        - **Request errors** (any :class:`~repro.errors.ReproError`:
-          unparseable SQL is a ``ParseError``, an unknown bundle or
-          missing snapshot a ``ServingError``, a bad plan a
-          ``PlanError`` — the library raises its hierarchy for
-          everything deterministic) propagate untouched.  Replicas are
-          identical, so these would fail the same way everywhere, and
-          a single bad client must not be able to eject healthy
-          replicas three requests at a time.
-        - **Overload** (:class:`ShardOverloadError`) does not fail
-          over: shedding is deliberate degradation, and spilling a
-          saturated tenant onto other tenants' replicas would defeat
-          the isolation the shards exist to provide.
-
-        With a tracer attached, the whole attempt chain runs under one
-        ``route`` span (which, via the shared tracer's thread-local
-        stack, parents the shard service's request span) annotated with
-        the tenant, the serving shard and whether failover rerouted it.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._failover_loop(key, call, release_on_success, None)
-        with tracer.start_span("route", kind="route") as span:
-            span.annotate(tenant=key)
-            return self._failover_loop(key, call, release_on_success, span)
-
-    def _failover_loop(
-        self,
-        key: str,
-        call,
-        release_on_success: bool,
-        span,
-    ):
-        """The retry chain of :meth:`_with_failover` (*span* is the
-        open route span, or None when tracing is off)."""
-        excluded: Set[str] = set()
-        rerouted = False
-        last_error: Optional[Exception] = None
-        while True:
-            try:
-                shard_id = self.router.shard_for(key, exclude=excluded)
-            except ClusterError:
-                self.stats.count_exhausted()
-                raise ClusterError(
-                    f"request for tenant {key!r} failed on every alive shard"
-                ) from last_error
-            shard = self._shards[shard_id]
-            if not shard.admission.try_acquire():
-                self.events.emit("admission_shed", shard=shard_id, tenant=key)
-                raise ShardOverloadError(
-                    f"shard {shard_id!r} is at its admission limit "
-                    f"({shard.admission.max_inflight} in flight); request shed"
-                )
-            try:
-                shard.check_up()
-                value = call(shard)
-            except ShardDownError as exc:
-                shard.admission.release()
-                if self.router.record_failure(shard_id):
-                    self.events.emit(
-                        "shard_ejected", shard=shard_id, reason="health"
-                    )
-                last_error = exc
-                excluded.add(shard_id)
-                rerouted = True
-                continue
-            except ReproError:
-                # A request-shaped failure fails the same way on every
-                # replica; surface it without charging the shard.
-                shard.admission.release()
-                raise
-            except Exception as exc:
-                # Unexpected: retry elsewhere, but no health charge —
-                # this may be request poison, not a sick replica.
-                shard.admission.release()
-                last_error = exc
-                excluded.add(shard_id)
-                rerouted = True
-                continue
-            if release_on_success:
-                shard.admission.release()
-                self.router.record_success(shard_id)
-            self.stats.count_routed(shard_id)
-            if rerouted:
-                self.stats.count_reroute()
-            if span is not None:
-                span.annotate(shard=shard_id, rerouted=rerouted)
-            return value
+    def _replica(self, shard_id: str) -> ClusterShard:
+        """The shard ``call`` receives; raises ShardDownError if killed."""
+        shard = self._shards[shard_id]
+        shard.check_up()
+        return shard
 
     # ------------------------------------------------------------------
     # public estimation API (CostService-shaped)
@@ -477,7 +236,8 @@ class ClusterService:
         """Queue *query* on the tenant shard's micro-batcher; returns a
         Future.  Submission (parse/plan/featurize) fails over like
         :meth:`estimate`; a failure *after* submission resolves the
-        Future with the error and counts against the shard's health.
+        Future with the error, and the shard's health is judged by the
+        same failure table.
 
         The admission slot is held until the Future resolves — that is
         what bounds the batcher queue on the async path, so a flood of
@@ -489,31 +249,7 @@ class ClusterService:
             future = shard.service.estimate_async(
                 query, env, bundle=name, backend=backend
             )
-
-            def _record(done) -> None:
-                # The slot rides with the request through the batcher
-                # queue; releasing here (success, failure or cancel) is
-                # what makes max_inflight bound the async backlog.
-                shard.admission.release()
-                # Same failure classification as _with_failover: only
-                # an unambiguous replica death (ShardDownError) charges
-                # shard health.  A request-shaped error — which the
-                # batcher fans out to every waiter in the batch — or a
-                # cancellation at close() must not eject replicas.
-                if done.cancelled():
-                    return
-                exc = done.exception()
-                if exc is None:
-                    self.router.record_success(shard.shard_id)
-                elif isinstance(exc, ShardDownError):
-                    if self.router.record_failure(shard.shard_id):
-                        self.events.emit(
-                            "shard_ejected",
-                            shard=shard.shard_id,
-                            reason="health",
-                        )
-
-            future.add_done_callback(_record)
+            future.add_done_callback(partial(self._settle, shard.shard_id))
             return future
 
         return self._with_failover(key, _submit, release_on_success=False)
@@ -543,21 +279,15 @@ class ClusterService:
     def kill_shard(self, shard_id: str) -> None:
         """Simulate a replica crash: requests reaching *shard_id* fail
         (and fail over) until the router's threshold ejects it."""
-        self._shard(shard_id).killed = True
+        self.shard(shard_id).killed = True
         self.events.emit("shard_killed", shard=shard_id)
 
     def revive_shard(self, shard_id: str) -> None:
         """Bring a killed/ejected replica back into routing; exactly
         its rendezvous tenants move back to it."""
-        self._shard(shard_id).killed = False
+        self.shard(shard_id).killed = False
         self.router.recover(shard_id)
         self.events.emit("shard_revived", shard=shard_id)
-
-    def eject(self, shard_id: str) -> None:
-        """Remove *shard_id* from routing immediately (no failures
-        needed — an operator or external health probe decision)."""
-        self.router.eject(shard_id)
-        self.events.emit("shard_ejected", shard=shard_id, reason="operator")
 
     def restart_shard(
         self, shard_id: str, checkpoint_dir=None
@@ -574,7 +304,7 @@ class ClusterService:
         boot.  Intended for a killed/ejected replica: in-flight
         requests on a live replica are not drained first.
         """
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         old = shard.service
         fresh = self._factory(shard_id)
         warm = False
@@ -644,7 +374,8 @@ class ClusterService:
                 self._bundle_objects.setdefault(name, bundle)
         return warm
 
-    def _shard(self, shard_id: str) -> ClusterShard:
+    def shard(self, shard_id: str) -> ClusterShard:
+        """The :class:`ClusterShard` for *shard_id* (introspection)."""
         try:
             return self._shards[shard_id]
         except KeyError:
@@ -653,62 +384,13 @@ class ClusterService:
                 f"(shards: {sorted(self._shards)})"
             ) from None
 
-    def shard(self, shard_id: str) -> ClusterShard:
-        """The :class:`ClusterShard` for *shard_id* (introspection)."""
-        return self._shard(shard_id)
-
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
-    def counters(self) -> Dict[str, object]:
-        """Machine-readable counter snapshot for the whole tier.
-
-        A thin view over :attr:`metrics`: ``cluster`` carries
-        routing/admission/health totals, ``shards`` nests each
-        replica's own :meth:`~repro.serving.CostService.counters`
-        snapshot untouched (so existing per-service tooling can point
-        one level down), ``events`` and — when tracing — ``tracer``
-        follow.  The same registry renders the Prometheus exposition.
-        """
-        return self.metrics.sections_snapshot()
-
-    def report(self) -> str:
-        """Human-readable per-shard routing/health/admission report,
-        rendered from the same registry snapshot :meth:`counters`
-        serves."""
-        from ..eval.reporting import render_cluster_report
-
-        cluster = self.metrics.sections_snapshot()["cluster"]
-        rows = [
-            (
-                shard_id,
-                "up" if info["alive"] else "down",
-                info["routed"],
-                info["failures"],
-                info["admission"]["shed"],
-                info["admission"]["peak_inflight"],
-            )
-            for shard_id, info in sorted(cluster["per_shard"].items())
-        ]
-        totals = {
-            "reroutes": cluster["reroutes"],
-            "exhausted": cluster["exhausted"],
-            "ejections": cluster["ejections"],
-        }
-        return render_cluster_report(rows, totals)
-
     def close(self) -> None:
         """Shut down every replica (adaptation loops, micro-batchers)."""
         for shard in self._shards.values():
             shard.service.close()
-
-    def __enter__(self) -> "ClusterService":
-        """Context-manager entry (returns self)."""
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: :meth:`close` the tier."""
-        self.close()
 
 
 __all__ = [

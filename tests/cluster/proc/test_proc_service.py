@@ -13,14 +13,7 @@ import pytest
 from repro.cluster.proc import ProcClusterService
 from repro.engine.environment import DatabaseEnvironment, random_environments
 from repro.engine.hardware import PROFILES
-from repro.errors import (
-    ClusterError,
-    ParseError,
-    ProtocolError,
-    ServingError,
-    ShardOverloadError,
-    WorkerTimeoutError,
-)
+from repro.errors import ClusterError, ProtocolError, WorkerTimeoutError
 from repro.serving import CostService, SnapshotStore
 
 from .conftest import fast_config
@@ -44,23 +37,6 @@ def test_estimate_surface(proc_service, cluster_bundle, cluster_envs):
     assert np.isfinite(
         proc_service.estimate(labeled[0].plan, env, bundle=bundle.name)
     )
-
-
-def test_request_errors_cross_the_wire_typed_without_health_damage(
-    proc_service, cluster_envs
-):
-    """Worker-side request errors rehydrate as the same class on the
-    parent, and — exactly like the thread tier — charge no health."""
-    env = cluster_envs[0]
-    with pytest.raises(ParseError):
-        proc_service.estimate("SELEC oops FORM nowhere", env)
-    with pytest.raises(ServingError):
-        proc_service.estimate("SELECT 1", env, bundle="no-such-bundle")
-    with pytest.raises(ParseError):
-        proc_service.estimate_async("SELEC nope", env).result(timeout=30.0)
-    health = proc_service.router.health()
-    assert all(state.alive for state in health.values())
-    assert all(state.failures == 0 for state in health.values())
 
 
 def test_unencodable_request_fails_typed_before_routing(
@@ -161,28 +137,6 @@ def test_tenant_affinity_is_stable(proc_service):
 # ----------------------------------------------------------------------
 # admission + timeout semantics
 # ----------------------------------------------------------------------
-def test_full_worker_sheds_instead_of_queueing(cluster_bundle, cluster_envs):
-    bundle, labeled = cluster_bundle
-    sql, env = labeled[0].query_sql, cluster_envs[0]
-    with ProcClusterService(
-        worker_count=1, config=fast_config(), max_inflight_per_worker=1
-    ) as tier:
-        tier.deploy(bundle)
-        handle = tier.worker("worker-0")
-        # Wedge the (single-threaded) worker, then take the only slot.
-        blocker = handle.submit("delay", {"seconds": 1.0}, timeout_s=30.0)
-        inflight = tier.estimate_async(sql, env)
-        with pytest.raises(ShardOverloadError):
-            tier.estimate(sql, env)
-        # Shedding is deliberate: no failover, no health damage.
-        assert tier.router.is_alive("worker-0")
-        assert tier.stats.snapshot()["reroutes"] == 0
-        assert tier.counters()["cluster"]["shed"] == 1
-        blocker.result(timeout=30.0)
-        assert inflight.result(timeout=30.0) > 0  # slot released on resolve
-        assert tier.estimate(sql, env) > 0
-
-
 def test_timeout_charges_health_but_never_fails_over(
     cluster_bundle, cluster_envs
 ):
@@ -271,3 +225,21 @@ def test_warm_boot_from_spool(cluster_bundle, cluster_envs, tmp_path):
         assert spawned and spawned[0].data["warm"] is True
         assert second.restore(spool) is True
         assert second.estimate(sql, env) == expected
+
+
+def test_the_callers_config_is_never_mutated(tmp_path):
+    """One ``ProcConfig`` can build many tiers: a tier merges its
+    service knobs and its checkpoint spool into a copy, so the
+    caller's config — and its ``service`` dict — stay as they were."""
+    config = fast_config()
+    knobs = config.service
+    before = dataclasses.asdict(config)
+    spool = str(tmp_path / "spool")
+    with ProcClusterService(
+        worker_count=1, config=config, checkpoint_spool=spool,
+        cache_capacity=64,
+    ) as tier:
+        assert tier.config.service["cache_capacity"] == 64
+        assert tier.config.checkpoint_dir == spool
+    assert dataclasses.asdict(config) == before
+    assert config.service is knobs and knobs == {}

@@ -10,7 +10,6 @@ import pytest
 from repro.cluster import ClusterService
 from repro.errors import (
     ClusterError,
-    ParseError,
     ServingError,
     ShardOverloadError,
 )
@@ -186,24 +185,6 @@ def test_all_shards_down_raises_cluster_error(
     assert cluster.counters()["cluster"]["exhausted"] == 1
 
 
-def test_request_errors_do_not_charge_shard_health(
-    cluster, cluster_bundle, cluster_envs
-):
-    """A bad client request must not eject healthy replicas — neither
-    a ServingError (unknown bundle) nor any other library ReproError
-    (malformed SQL raises ParseError)."""
-    for _ in range(6):  # 2x the failure threshold
-        with pytest.raises(ServingError):
-            cluster.estimate(
-                "SELECT 1", cluster_envs[0], bundle="no-such-bundle"
-            )
-        with pytest.raises(ParseError):
-            cluster.estimate("SELEC oops FORM nowhere", cluster_envs[0])
-    health = cluster.router.health()
-    assert all(state.alive for state in health.values())
-    assert all(state.failures == 0 for state in health.values())
-
-
 def test_async_post_submit_failures_classified_like_sync(
     cluster, cluster_bundle, cluster_envs
 ):
@@ -305,25 +286,6 @@ def test_async_requests_hold_their_admission_slot_until_resolved(
         ).result(timeout=10.0) > 0
 
 
-def test_full_shard_sheds_instead_of_queueing(
-    cluster_bundle, cluster_envs
-):
-    bundle, labeled = cluster_bundle
-    with make_cluster(max_inflight_per_shard=1) as tier:
-        tenant = tier.deploy(bundle)
-        home = tier.shard_of(tenant)
-        # Occupy the single slot from outside, as a stuck request would.
-        assert tier.shard(home).admission.try_acquire()
-        with pytest.raises(ShardOverloadError):
-            tier.estimate(labeled[0].query_sql, cluster_envs[0])
-        # Shedding is deliberate: no failover, no health damage.
-        assert tier.router.is_alive(home)
-        assert tier.counters()["cluster"]["shed"] == 1
-        assert tier.stats.snapshot()["reroutes"] == 0
-        tier.shard(home).admission.release()
-        assert tier.estimate(labeled[0].query_sql, cluster_envs[0]) > 0
-
-
 def test_counters_and_report_shape(cluster, cluster_bundle, cluster_envs):
     _, labeled = cluster_bundle
     cluster.estimate(labeled[0].query_sql, cluster_envs[0])
@@ -343,26 +305,6 @@ def test_counters_and_report_shape(cluster, cluster_bundle, cluster_envs):
 # ----------------------------------------------------------------------
 # backend routing across the tier
 # ----------------------------------------------------------------------
-def test_unknown_backend_is_typed_and_charges_no_health(
-    cluster, cluster_bundle, cluster_envs
-):
-    """An unknown backend tag is a caller bug surfaced by the serving
-    replica's router: typed error back to the caller, zero replica
-    health damage, zero failover — same discipline as an unknown
-    bundle name."""
-    from repro.errors import UnknownBackendError
-
-    _, labeled = cluster_bundle
-    sql = labeled[0].query_sql
-    for _ in range(6):  # 2x the failure threshold
-        with pytest.raises(UnknownBackendError):
-            cluster.estimate(sql, cluster_envs[0], backend="oracle")
-    health = cluster.router.health()
-    assert all(state.alive for state in health.values())
-    assert all(state.failures == 0 for state in health.values())
-    assert cluster.counters()["cluster"]["reroutes"] == 0
-
-
 def test_tagged_estimates_match_untagged_and_count_per_shard(
     cluster, cluster_bundle, cluster_envs
 ):

@@ -45,7 +45,7 @@ HOT_FUNCTIONS = re.compile(
     r"|fused_forward|forward_batched|blocked_matmul"
     r"|_resolve_plan|_run_batch|_take_batch|submit|get_or_compute"
     r"|_route|resolve|_resolve_key"
-    r"|rpc|_with_failover|_failover_loop"
+    r"|rpc|_with_failover|_failover_loop|_replica|_classify|_settle"
     r"|encode_frame|decode_frame|recv_frame|has_frame|send_frames"
     r"|encode_request|decode_request|_plan_to_blob|_plan_from_blob"
     r"|_single_request"
