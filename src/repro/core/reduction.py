@@ -80,17 +80,28 @@ def difference_multipliers(
     Returns (n, d).
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return _multipliers(model, _forward_trace(model, x), reference, output_weights)
+
+
+def _multipliers(
+    model: Sequential,
+    trace_x: List[np.ndarray],
+    reference: np.ndarray,
+    output_weights: Optional[np.ndarray],
+) -> np.ndarray:
+    """:func:`difference_multipliers` given the data's forward trace,
+    which does not depend on the reference."""
     reference = np.asarray(reference, dtype=np.float64).reshape(1, -1)
-    trace_x = _forward_trace(model, x)
-    trace_r = _forward_trace(model, np.repeat(reference, 1, axis=0))
+    trace_r = _forward_trace(model, reference)
+    n = trace_x[0].shape[0]
 
     # Backward sweep, seeded by the output weighting.
     out_dim = trace_x[-1].shape[-1]
     if output_weights is None:
-        multiplier = np.ones((x.shape[0], out_dim))
+        multiplier = np.ones((n, out_dim))
     else:
         weights = np.asarray(output_weights, dtype=np.float64).reshape(1, -1)
-        multiplier = np.repeat(weights, x.shape[0], axis=0)
+        multiplier = np.repeat(weights, n, axis=0)
     for index in range(len(model.modules) - 1, -1, -1):
         layer = model.modules[index]
         pre_x, post_x = trace_x[index], trace_x[index + 1]
@@ -128,11 +139,10 @@ def difference_importance(
         picks = rng.choice(len(data), size=take, replace=False)
         references = data[picks]
     references = np.atleast_2d(references)
+    trace_x = _forward_trace(model, data)
     scores = np.zeros(data.shape[1])
     for ref in references:
-        multiplier = difference_multipliers(
-            model, data, ref, output_weights=output_weights
-        )
+        multiplier = _multipliers(model, trace_x, ref, output_weights)
         contributions = multiplier * (data - ref.reshape(1, -1))
         scores += np.abs(contributions).mean(axis=0)
     return scores / len(references)

@@ -7,7 +7,8 @@ so inference never assembles per-node dicts or stacks Python lists of
 rows.  :func:`fused_forward` merges any number of prepared plans and
 runs one unit forward per ``(height, operator)`` group across the whole
 flush — zero per-item dispatch, which is what lets the MicroBatcher's
-coalescing actually pay off.
+coalescing actually pay off.  Training merges each mini-batch with the
+same :func:`merge_prepared`, so both paths group plans one way.
 
 Bit-identity contract: every matmul goes through
 :meth:`repro.nn.layers.Module.forward_batched` (fixed-block GEMM, see
@@ -156,26 +157,20 @@ def prepared_from_rows(
     return PreparedPlan(levels, ops, feats, nodes, children, n_nodes)
 
 
-def fused_forward(
+def merge_prepared(
     prepared_seq: Sequence[PreparedPlan],
-    units: Mapping[OperatorType, object],
-    data_size: int,
-) -> np.ndarray:
-    """One forward pass over *all* plans in the flush.
+) -> Tuple[List[Tuple[OperatorType, np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """Merge prepared plans' groups across plans by ``(height, operator)``.
 
-    Groups are merged across plans by ``(height, operator)`` and each
-    merged group makes a single :meth:`forward_batched` call; node
-    outputs land in one shared ``(total_nodes + 1, 1 + data_size)``
-    buffer whose final all-zeros row is the target of every absent
-    child slot (so leaf child-data gathers read zeros, exactly like the
-    per-node zero vector the scalar encoder used).  Returns the root
-    log-latency per plan, in input order.
+    Node indices become flush-wide: plan ``i``'s walk index ``j`` is
+    ``offsets[i] + j``.  Returns ``(groups, offsets)``: each group is
+    ``(op, feats, nodes, children)``, sorted by ``(height, operator
+    value)`` so children are always computed before parents, with rows
+    plan-major and in walk order within a plan; absent child slots point
+    at ``offsets[-1]`` (one past the last node).  ``offsets`` has one
+    entry per plan plus the total.  Serving (:func:`fused_forward`) and
+    training (:meth:`repro.models.qppnet.QPPNet.fit`) share this merge.
     """
-    if not prepared_seq:
-        # Empty flush: the contract is an empty *float64* array, same
-        # dtype as the populated path, so downstream concatenation and
-        # the persist codec never see a dtype flip.
-        return np.zeros(0, dtype=np.float64)
     counts = np.array([p.n_nodes for p in prepared_seq], dtype=np.int64)
     offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
     total = int(offsets[-1])
@@ -198,19 +193,48 @@ def fused_forward(
             )
             feat_parts.append(feats)
             node_parts.append(nodes + off)
-            # Absent children (-1) point at the sentinel zeros row.
             child_parts.append(np.where(children >= 0, children + off, total))
-    out = np.zeros((total + 1, 1 + data_size))
-    for _key, (op, feat_parts, node_parts, child_parts) in sorted(
-        merged.items()
-    ):
+    groups = []
+    for _key, (op, feat_parts, node_parts, child_parts) in sorted(merged.items()):
         feats = (
             feat_parts[0]
             if len(feat_parts) == 1
             else np.concatenate(feat_parts, axis=0)
         )
-        nodes = np.concatenate(node_parts)
-        children = np.concatenate(child_parts, axis=0)
+        groups.append(
+            (
+                op,
+                feats,
+                np.concatenate(node_parts),
+                np.concatenate(child_parts, axis=0),
+            )
+        )
+    return groups, offsets
+
+
+def fused_forward(
+    prepared_seq: Sequence[PreparedPlan],
+    units: Mapping[OperatorType, object],
+    data_size: int,
+) -> np.ndarray:
+    """One forward pass over *all* plans in the flush.
+
+    Groups are merged across plans (:func:`merge_prepared`) and each
+    merged group makes a single :meth:`forward_batched` call; node
+    outputs land in one shared ``(total_nodes + 1, 1 + data_size)``
+    buffer whose final all-zeros row is the target of every absent
+    child slot (so leaf child-data gathers read zeros, exactly like the
+    per-node zero vector the scalar encoder used).  Returns the root
+    log-latency per plan, in input order.
+    """
+    if not prepared_seq:
+        # Empty flush: the contract is an empty *float64* array, same
+        # dtype as the populated path, so downstream concatenation and
+        # the persist codec never see a dtype flip.
+        return np.zeros(0, dtype=np.float64)
+    groups, offsets = merge_prepared(prepared_seq)
+    out = np.zeros((int(offsets[-1]) + 1, 1 + data_size))
+    for op, feats, nodes, children in groups:
         child_data = out[children.reshape(-1), 1:].reshape(
             nodes.shape[0], MAX_CHILDREN * data_size
         )

@@ -3,9 +3,15 @@
 One small MLP ("neural unit") per physical operator type.  A unit
 reads the operator's feature vector concatenated with the *data
 vectors* produced by its children's units, and outputs its subtree's
-predicted (log) latency plus a data vector passed to the parent.  The
-per-plan computation graph therefore mirrors the plan tree — the reason
-the nn substrate is a dynamic-graph autodiff.
+predicted (log) latency plus a data vector passed to the parent.
+
+Training and serving share one grouping: each plan is featurized once
+into a :class:`~repro.models.prepared.PreparedPlan`, and a mini-batch
+(or a serving flush) is merged into ``(height, operator)`` groups so
+every unit runs once per group, children's groups before parents'.
+Training builds that as an autodiff graph: per group, one differentiable
+gather of the children's data vectors from earlier groups' outputs, one
+unit forward, and one slice of the group's predictions.
 
 Supervision follows QPPNet: every node's latency output is trained
 against the measured cumulative subtree time (EXPLAIN ANALYZE-style
@@ -28,7 +34,7 @@ from ..engine.executor import LabeledPlan
 from ..engine.operators import OperatorType, PlanNode
 from ..errors import TrainingError
 from ..featurization.encoding import OperatorEncoder, apply_mask
-from ..nn import Adam, Tensor, clip_grad_norm, concat, mlp, stack
+from ..nn import Adam, Tensor, clip_grad_norm, concat, gather_rows, mlp
 from ..nn.layers import Sequential
 from typing import TYPE_CHECKING
 
@@ -40,6 +46,7 @@ from .prepared import (
     MAX_CHILDREN,
     PreparedPlan,
     fused_forward,
+    merge_prepared,
     prepared_from_matrix,
     prepared_from_rows,
 )
@@ -254,89 +261,52 @@ class QPPNet(CostEstimator):
         return model
 
     # ------------------------------------------------------------------
-    # featurization
+    # training
     # ------------------------------------------------------------------
-    def _encode_record(
-        self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"]
-    ) -> Dict[int, np.ndarray]:
-        mapping = snapshot_mapping_for(record, snapshot_set)
-        features: Dict[int, np.ndarray] = {}
-        for node in record.plan.walk():
-            vec = self.encoder.encode_node(node, mapping)
-            if self.zero_mask is not None:
-                vec = vec * self.zero_mask
-            features[id(node)] = apply_mask(vec, self.masks.get(node.op))
-        return features
+    @staticmethod
+    def _node_targets(record: LabeledPlan) -> np.ndarray:
+        """Log-latency target of every node, in walk order.
 
-    # ------------------------------------------------------------------
-    # batched forward over plan trees
-    # ------------------------------------------------------------------
-    def _forward_batch(
-        self,
-        records: Sequence[LabeledPlan],
-        feature_maps: Sequence[Dict[int, np.ndarray]],
-    ) -> Tuple[Tensor, np.ndarray, List[int]]:
-        """Forward all plans, batching nodes by (height, operator).
-
-        Returns (predictions for every node as a 1-D tensor, matching
-        log-target array, indices of each plan's root in that order).
+        Each node is supervised with its cumulative subtree time; the
+        root (walk index 0) with the full query latency, which includes
+        parse/plan overhead as EXPLAIN ANALYZE total runtime would.
         """
-        # Assign heights so children are always computed before parents.
-        node_info: List[Tuple[PlanNode, int, int]] = []  # node, plan idx, height
-        heights: Dict[int, int] = {}
+        targets = np.array(
+            [to_log(node.actual_total_ms) for node in record.plan.walk()]
+        )
+        targets[0] = to_log(record.latency_ms)
+        return targets
 
-        def height_of(node: PlanNode) -> int:
-            h = 1 + max((height_of(c) for c in node.children), default=-1)
-            heights[id(node)] = h
-            return h
+    def _forward_prepared(
+        self, prepared: Sequence[PreparedPlan], targets: Sequence[np.ndarray]
+    ) -> Tuple[Tensor, np.ndarray]:
+        """Differentiable forward over the merged ``(height, operator)``
+        groups of a mini-batch (:func:`~repro.models.prepared.merge_prepared`).
 
-        for plan_index, record in enumerate(records):
-            height_of(record.plan)
-            for node in record.plan.walk():
-                node_info.append((node, plan_index, heights[id(node)]))
-
-        outputs: Dict[int, Tuple[Tensor, int]] = {}  # node id -> (group tensor, row)
+        Each group reads its children's data vectors from earlier
+        groups' outputs with one :func:`~repro.nn.tensor.gather_rows`
+        and runs its unit once.  Returns every node's prediction, group
+        by group, and the matching log targets.
+        """
+        groups, offsets = merge_prepared(prepared)
+        # Which group, and which row of it, computed each batch-wide
+        # node; the final entry stands for absent child slots.
+        group_of = np.full(int(offsets[-1]) + 1, -1, dtype=np.int64)
+        row_of = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
+        outputs: List[Tensor] = []
         predictions: List[Tensor] = []
-        targets: List[float] = []
-        prediction_row: Dict[int, int] = {}
-        max_height = max(h for _, _, h in node_info)
-        for level in range(max_height + 1):
-            groups: Dict[OperatorType, List[Tuple[PlanNode, int]]] = {}
-            for node, plan_index, h in node_info:
-                if h == level:
-                    groups.setdefault(node.op, []).append((node, plan_index))
-            for op, members in groups.items():
-                rows = np.stack(
-                    [feature_maps[pi][id(node)] for node, pi in members]
-                )
-                feats = Tensor(rows)
-                child_blocks: List[Tensor] = []
-                for node, _ in members:
-                    parts: List[Tensor] = []
-                    for slot in range(_MAX_CHILDREN):
-                        if slot < len(node.children):
-                            group_tensor, row = outputs[id(node.children[slot])]
-                            parts.append(group_tensor[row, 1:])
-                        else:
-                            parts.append(Tensor(np.zeros(self.data_size)))
-                    child_blocks.append(concat(parts, axis=0))
-                children = stack(child_blocks, axis=0)
-                unit_out = self.units[op](concat([feats, children], axis=1))
-                for row, (node, plan_index) in enumerate(members):
-                    outputs[id(node)] = (unit_out, row)
-                    prediction_row[id(node)] = len(predictions)
-                    predictions.append(unit_out[row, 0:1])
-                    if node is records[plan_index].plan:
-                        # Root: supervise with the full query latency
-                        # (includes parse/plan overhead, as EXPLAIN
-                        # ANALYZE total runtime would).
-                        targets.append(to_log(records[plan_index].latency_ms))
-                    else:
-                        targets.append(to_log(node.actual_total_ms))
-        root_rows = [prediction_row[id(r.plan)] for r in records]
-        return concat(predictions, axis=0), np.array(targets), root_rows
+        for op, feats, nodes, children in groups:
+            child_data = gather_rows(
+                outputs, group_of[children], row_of[children], 1, self.data_size
+            )
+            unit_out = self.units[op](concat([Tensor(feats), child_data], axis=1))
+            group_of[nodes] = len(outputs)
+            row_of[nodes] = np.arange(len(nodes))
+            outputs.append(unit_out)
+            predictions.append(unit_out[:, 0])
+        order = np.concatenate([nodes for _, _, nodes, _ in groups])
+        return concat(predictions, axis=0), np.concatenate(targets)[order]
 
-    # ------------------------------------------------------------------
     def fit(
         self,
         train: Sequence[LabeledPlan],
@@ -345,7 +315,8 @@ class QPPNet(CostEstimator):
         if not train:
             raise TrainingError("empty training set")
         start = time.perf_counter()
-        feature_maps = [self._encode_record(r, snapshot_set) for r in train]
+        prepared = [self.prepare_one(r, snapshot_set) for r in train]
+        node_targets = [self._node_targets(r) for r in train]
         optimizer = Adam(self.parameters(), lr=self.lr)
         rng = rng_for("qppnet-fit", self.seed)
         history: List[float] = []
@@ -356,9 +327,9 @@ class QPPNet(CostEstimator):
             batches = 0
             for lo in range(0, len(indices), self.batch_size):
                 batch = indices[lo:lo + self.batch_size]
-                records = [train[i] for i in batch]
-                feats = [feature_maps[i] for i in batch]
-                preds, targets, _ = self._forward_batch(records, feats)
+                preds, targets = self._forward_prepared(
+                    [prepared[i] for i in batch], [node_targets[i] for i in batch]
+                )
                 diff = preds - Tensor(targets)
                 loss = (diff * diff).mean()
                 optimizer.zero_grad()
@@ -501,11 +472,16 @@ class QPPNet(CostEstimator):
     ) -> Dict[OperatorType, np.ndarray]:
         """Per-operator matrices of *unit inputs* (features + child data)
         as seen by the trained units — the labelled operator sets D that
-        feature reduction runs on."""
-        feature_maps = [self._encode_record(r, snapshot_set) for r in labeled]
+        feature reduction runs on.  Rows are in post-order over each
+        plan, plans in input order."""
         collected: Dict[OperatorType, List[np.ndarray]] = {}
-        for record, feats in zip(labeled, feature_maps, strict=True):
-            self._collect_unit_inputs(record.plan, feats, collected)
+        for record in labeled:
+            matrix = self._masked_matrix(record, snapshot_set)
+            rows = {
+                id(node): row
+                for node, row in zip(record.plan.walk(), matrix, strict=True)
+            }
+            self._collect_unit_inputs(record.plan, rows, collected)
         return {
             op: np.stack(rows) for op, rows in collected.items() if len(rows) >= 2
         }
@@ -513,17 +489,18 @@ class QPPNet(CostEstimator):
     def _collect_unit_inputs(
         self,
         node: PlanNode,
-        feats: Dict[int, np.ndarray],
+        rows: Dict[int, np.ndarray],
         out: Dict[OperatorType, List[np.ndarray]],
     ) -> np.ndarray:
         child_vectors = []
         for slot in range(_MAX_CHILDREN):
             if slot < len(node.children):
-                child_out = self._collect_unit_inputs(node.children[slot], feats, out)
+                child_out = self._collect_unit_inputs(node.children[slot], rows, out)
                 child_vectors.append(child_out)
             else:
                 child_vectors.append(np.zeros(self.data_size))
-        unit_input = np.concatenate([feats[id(node)], *child_vectors])
+        features = apply_mask(rows[id(node)], self.masks.get(node.op))
+        unit_input = np.concatenate([features, *child_vectors])
         out.setdefault(node.op, []).append(unit_input)
-        result = self.units[node.op](Tensor(unit_input.reshape(1, -1))).numpy()
+        result = self.units[node.op].forward_numpy(unit_input.reshape(1, -1))
         return result[0, 1:]

@@ -5,7 +5,7 @@ dynamic-graph autodiff is required by QPPNet's per-plan structure.
 """
 
 from .batched import BLOCK_ROWS, blocked_matmul
-from .tensor import Tensor, as_tensor, concat, stack
+from .tensor import Tensor, affine, as_tensor, concat, gather_rows, stack
 from .layers import Linear, Module, ReLU, Sequential, Sigmoid, Tanh, mlp
 from .loss import log_mse, mae, mse, numpy_q_error, q_error_loss
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
@@ -14,8 +14,10 @@ __all__ = [
     "BLOCK_ROWS",
     "blocked_matmul",
     "Tensor",
+    "affine",
     "as_tensor",
     "concat",
+    "gather_rows",
     "stack",
     "Linear",
     "Module",

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import init as _init
 from .batched import blocked_matmul
-from .tensor import Tensor
+from .tensor import Tensor, affine
 
 
 class Module:
@@ -94,7 +94,7 @@ class Linear(Module):
         return [self.weight, self.bias]
 
     def forward(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return affine(x, self.weight, self.bias)
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.data + self.bias.data

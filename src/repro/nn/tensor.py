@@ -399,6 +399,73 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` for a 2-D *x*, as one graph node.
+
+    Same forward expression and the same backward arithmetic as the
+    composed matmul and add, minus one node and one closure per call.
+    """
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(x.data.T @ grad)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+
+    return x._make(x.data @ weight.data + bias.data, (x, weight, bias), backward)
+
+
+def gather_rows(
+    sources: Sequence[Tensor],
+    source_index: np.ndarray,
+    row_index: np.ndarray,
+    start: int,
+    width: int,
+) -> Tensor:
+    """Read rows of several 2-D tensors into one ``(n, k * width)`` block.
+
+    *source_index* and *row_index* are ``(n, k)``: slot ``(i, j)`` of the
+    output row ``i`` is ``sources[source_index[i, j]][row_index[i, j],
+    start:start + width]``, or zeros where ``source_index[i, j]`` is
+    negative.  A row may be read more than once; backward scatters each
+    source's share of the gradient into it with ``np.add.at``.
+    """
+    source_index = np.asarray(source_index, dtype=np.int64)
+    row_index = np.asarray(row_index, dtype=np.int64)
+    n, k = source_index.shape
+    flat_source = source_index.reshape(-1)
+    flat_row = row_index.reshape(-1)
+    columns = slice(start, start + width)
+    data = np.zeros((n * k, width))
+    reads = []
+    for index in sorted(i for i in set(flat_source.tolist()) if i >= 0):
+        source = sources[index]
+        positions = np.flatnonzero(flat_source == index)
+        rows = flat_row[positions]
+        data[positions] = source.data[rows, columns]
+        reads.append((source, positions, rows))
+
+    def backward(grad: np.ndarray) -> None:
+        grad = grad.reshape(n * k, width)
+        for source, positions, rows in reads:
+            if source.requires_grad:
+                full = np.zeros_like(source.data)
+                np.add.at(full[:, columns], rows, grad[positions])
+                source._accumulate(full)
+
+    parents = tuple(source for source, _, _ in reads)
+    out = Tensor(
+        data.reshape(n, k * width),
+        requires_grad=any(p.requires_grad for p in parents),
+    )
+    if out.requires_grad:
+        out._backward = backward
+        out._parents = parents
+    return out
+
+
 def as_tensor(value: ArrayLike) -> Tensor:
     """Coerce *value* to a (non-differentiable) Tensor."""
     return value if isinstance(value, Tensor) else Tensor(value)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import QCFE, QCFEConfig
+from repro.engine.environment import random_environments
 from repro.errors import TrainingError
 from repro.models.mscn import MSCN
 from repro.models.qppnet import QPPNet
+from repro.workload.collect import collect_labeled_plans
 
 
 def make_pipeline(tpch, environments, **overrides):
@@ -115,3 +117,40 @@ class TestFitEvaluate:
             int(mask[snapshot_slice].sum()) for mask in result.masks.values()
         )
         assert kept_snapshot > 0
+
+
+#: Difference-propagation masks (kept encoder dims per operator) of
+#: QCFE.fit on the end-to-end benchmark's training inputs; they depend
+#: on every bit of the base model's training and of operator_dataset.
+_TRAIN_WORKLOAD_MASKS = {
+    "Seq Scan": [9, 10, 11, 12, 13, 14, 15, 16, 20, 21, 26, 28, 30, 32, 33, 34,
+                 35, 37, 41, 42, 43, 47, 48, 49, 50, 51, 58, 74, 75, 76, 78, 82,
+                 84, 85],
+    "Aggregate": [17, 19, 22, 30, 31, 35, 37, 39, 42, 43, 44, 48, 49, 50, 53, 59,
+                  60, 74, 75, 76, 77, 80, 82, 84, 85],
+    "Sort": [17, 19, 22, 23, 24, 30, 35, 36, 37, 39, 40, 42, 43, 44, 46, 48, 53,
+             54, 59, 60, 61, 62, 74, 75, 76, 77, 84, 85],
+    "Hash Join": [17, 19, 22, 23, 24, 36, 38, 39, 40, 46, 53, 54, 57, 59, 61, 74,
+                  75, 76, 77, 82, 84, 85],
+    "Limit": [74, 75, 76, 77, 82, 83],
+    "Nested Loop": [23, 36, 38, 46, 57, 61, 74, 75, 76, 82, 84, 85, 86, 87],
+    "Merge Join": [17, 19, 22, 23, 24, 36, 39, 40, 46, 53, 54, 59, 61, 74, 75, 76,
+                   77, 82, 84, 85],
+}
+
+
+class TestTrainWorkloadReduction:
+    def test_masks_and_ratio_pinned(self, tpch):
+        """The tpch-train inputs of benchmarks/e2e (8 environments,
+        320 plans, 8 epochs, template scale 8, FR reduction)."""
+        envs = random_environments(8, seed=5)
+        train = collect_labeled_plans(tpch, envs, 320, seed=11)
+        pipeline = QCFE(tpch, envs, QCFEConfig(
+            model="qppnet", epochs=8, template_scale=8, reduction="diff"))
+        result = pipeline.fit(train)
+        kept = {
+            op.value: np.flatnonzero(mask).tolist()
+            for op, mask in result.masks.items()
+        }
+        assert kept == _TRAIN_WORKLOAD_MASKS
+        assert round(result.reduction_ratio, 4) == 0.7581

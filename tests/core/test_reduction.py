@@ -16,7 +16,7 @@ from repro.core.reduction import (
     reduce_features,
 )
 from repro.errors import FeatureError
-from repro.nn.layers import Linear, ReLU, Sequential
+from repro.nn.layers import Linear, ReLU, Sequential, Tanh
 
 
 def linear_model(weights: np.ndarray) -> Sequential:
@@ -114,6 +114,34 @@ class TestConstantDimensions:
         scores = difference_importance(model, data, n_references=6, seed=1)
         assert scores[constant_dim] == pytest.approx(0.0, abs=1e-9)
         assert scores.max() > 0
+
+
+class TestSharedForwardTrace:
+    """``difference_importance`` traces the data once for all
+    references; scores must equal the per-reference computation."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_scores_equal_per_reference_multipliers(self, weighted):
+        model = Sequential(
+            Linear(6, 16, seed_key=9), ReLU(), Linear(16, 16, seed_key=10),
+            Tanh(), Linear(16, 3, seed_key=11),
+        )
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(40, 6))
+        data[:, 1] = 0.5
+        weights = np.array([1.0, 0.0, 0.0]) if weighted else None
+        references = data[rng.choice(len(data), size=16, replace=False)]
+        expected = np.zeros(data.shape[1])
+        for ref in references:
+            multiplier = difference_multipliers(
+                model, data, ref, output_weights=weights
+            )
+            expected += np.abs(multiplier * (data - ref.reshape(1, -1))).mean(axis=0)
+        expected /= len(references)
+        scores = difference_importance(
+            model, data, references=references, output_weights=weights
+        )
+        assert np.array_equal(scores, expected)
 
 
 class TestKeepMask:

@@ -6,7 +6,33 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, ReLU, Sequential, Sigmoid, Tanh, mlp
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, affine
+
+
+class TestAffine:
+    """``Linear.forward`` is one affine node; values and all three
+    gradients must equal the composed matmul and add bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_matches_composed_ops(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 5))
+        w, b = rng.normal(size=(5, 3)), rng.normal(size=3)
+        upstream = rng.normal(size=(rows, 3))
+        results = []
+        for fused in (True, False):
+            tx, tw, tb = (Tensor(a.copy(), requires_grad=True) for a in (x, w, b))
+            out = affine(tx, tw, tb) if fused else tx @ tw + tb
+            (out * Tensor(upstream)).sum().backward()
+            results.append((out.data, tx.grad, tw.grad, tb.grad))
+        for got, want in zip(*results, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_linear_forward_is_one_node(self):
+        layer = Linear(4, 2)
+        out = layer(Tensor(np.ones((3, 4)), requires_grad=True))
+        assert len(out._parents) == 3
+        np.testing.assert_array_equal(out.data, layer.forward_numpy(np.ones((3, 4))))
 
 
 class TestLinear:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn.tensor import Tensor, as_tensor, concat, stack
+from repro.nn.tensor import Tensor, as_tensor, concat, gather_rows, stack
 
 _EPS = 1e-6
 
@@ -179,6 +179,47 @@ class TestConcatStack:
         a = Tensor(np.ones((1, 2)), requires_grad=True)
         b = Tensor(np.ones((3, 2)), requires_grad=True)
         assert concat([a, b], axis=0).shape == (4, 2)
+
+
+class TestGatherRows:
+    # Two child slots per output row over two sources: absent slots
+    # (-1), reads from both sources, and row 2 of source 0 read twice.
+    SOURCE = np.array([[0, 1], [-1, 0], [1, 1], [0, -1]])
+    ROW = np.array([[2, 0], [0, 2], [2, 0], [1, 0]])
+
+    def test_values_and_absent_slots(self):
+        a = np.arange(20.0).reshape(4, 5)
+        b = -np.arange(15.0).reshape(3, 5)
+        out = gather_rows([Tensor(a), Tensor(b)], self.SOURCE, self.ROW, 1, 3)
+        assert out.shape == (4, 6)
+        np.testing.assert_array_equal(out.data[0], np.r_[a[2, 1:4], b[0, 1:4]])
+        np.testing.assert_array_equal(out.data[1], np.r_[np.zeros(3), a[2, 1:4]])
+        np.testing.assert_array_equal(out.data[3, 3:], np.zeros(3))
+        assert not out.requires_grad
+
+    def test_gradient_matches_numeric(self):
+        x = np.random.default_rng(5).normal(size=(4, 5))
+        weights = np.random.default_rng(6).normal(size=(4, 6))
+
+        def op(t):
+            sources = [t * 1.5, t[1:].tanh()]
+            gathered = gather_rows(sources, self.SOURCE, self.ROW, 1, 3)
+            return gathered * Tensor(weights)
+
+        check_gradient(op, x)
+
+    def test_row_read_twice_accumulates(self):
+        a = Tensor(np.zeros((3, 4)), requires_grad=True)
+        source = np.array([[0, 0], [0, -1]])
+        row = np.array([[1, 1], [1, 0]])
+        gather_rows([a], source, row, 1, 3).sum().backward()
+        expected = np.zeros((3, 4))
+        expected[1, 1:] = 3.0
+        np.testing.assert_array_equal(a.grad, expected)
+
+    def test_all_absent_reads_zeros(self):
+        out = gather_rows([], np.full((2, 2), -1), np.zeros((2, 2)), 1, 4)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 8)))
 
 
 class TestGraphMechanics:
