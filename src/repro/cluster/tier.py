@@ -29,7 +29,7 @@ from ..errors import (
 )
 from ..obs import EventLog, MetricsRegistry
 from ..obs.lockwatch import make_lock
-from ..obs.trace import Tracer, current_tracer
+from ..obs.trace import Tracer, current_tracer, open_span
 from .admission import AdmissionController
 from .router import ShardRouter
 
@@ -269,58 +269,49 @@ class ReplicaTier:
         whether failover rerouted it; the process tier also tags it
         ``tier="proc"``.
         """
-        tracer = self.tracer
-        if tracer is None:
-            return self._failover_loop(key, call, release_on_success, None)
-        with tracer.start_span("route", kind="route") as span:
-            span.annotate(tenant=key)
-            if self.replica_kind == "worker":
-                span.annotate(tier="proc")
-            return self._failover_loop(key, call, release_on_success, span)
-
-    def _failover_loop(self, key: str, call, release_on_success: bool, span):
-        """The retry chain of :meth:`_with_failover` (*span* is the
-        open route span, or None when tracing is off)."""
         kind = self.replica_kind
         excluded: Set[str] = set()
         rerouted = False
         last_error: Optional[Exception] = None
-        while True:
-            try:
-                replica_id = self.router.shard_for(key, exclude=excluded)
-            except ClusterError:
-                self.stats.count_exhausted()
-                raise ClusterError(
-                    f"request for tenant {key!r} failed on every alive {kind}"
-                ) from last_error
-            admission = self._admission[replica_id]
-            if not admission.try_acquire():
-                self.events.emit(
-                    "admission_shed", **{kind: replica_id}, tenant=key
-                )
-                raise ShardOverloadError(
-                    f"{kind} {replica_id!r} is at its admission limit "
-                    f"({admission.max_inflight} in flight); request shed"
-                )
-            try:
-                value = call(self._replica(replica_id))
-            except Exception as exc:
-                admission.release()
-                if not self._classify(replica_id, exc):
-                    raise
-                last_error = exc
-                excluded.add(replica_id)
-                rerouted = True
-                continue
-            if release_on_success:
-                admission.release()
-                self.router.record_success(replica_id)
-            self.stats.count_routed(replica_id)
-            if rerouted:
-                self.stats.count_reroute()
-            if span is not None:
+        with open_span(self.tracer, "route", kind="route") as span:
+            span.annotate(tenant=key)
+            if kind == "worker":
+                span.annotate(tier="proc")
+            while True:
+                try:
+                    replica_id = self.router.shard_for(key, exclude=excluded)
+                except ClusterError:
+                    self.stats.count_exhausted()
+                    raise ClusterError(
+                        f"request for tenant {key!r} failed on every alive {kind}"
+                    ) from last_error
+                admission = self._admission[replica_id]
+                if not admission.try_acquire():
+                    self.events.emit(
+                        "admission_shed", **{kind: replica_id}, tenant=key
+                    )
+                    raise ShardOverloadError(
+                        f"{kind} {replica_id!r} is at its admission limit "
+                        f"({admission.max_inflight} in flight); request shed"
+                    )
+                try:
+                    value = call(self._replica(replica_id))
+                except Exception as exc:
+                    admission.release()
+                    if not self._classify(replica_id, exc):
+                        raise
+                    last_error = exc
+                    excluded.add(replica_id)
+                    rerouted = True
+                    continue
+                if release_on_success:
+                    admission.release()
+                    self.router.record_success(replica_id)
+                self.stats.count_routed(replica_id)
+                if rerouted:
+                    self.stats.count_reroute()
                 span.annotate(**{kind: replica_id}, rerouted=rerouted)
-            return value
+                return value
 
     def _settle(self, replica_id: str, done: Future) -> Optional[BaseException]:
         """Done-callback of a request routed with

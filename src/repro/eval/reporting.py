@@ -28,7 +28,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
 
 
 def render_serving_report(
-    throughput: Sequence[Tuple[str, float, float]],
     stages: Sequence[Tuple[str, int, float, float]],
     caches: Sequence[Tuple[str, int, int, float]],
     adaptation: Sequence[Tuple[str, object]] = (),
@@ -36,25 +35,14 @@ def render_serving_report(
 ) -> str:
     """Serving metrics in the repo's table style.
 
-    ``throughput`` rows are (mode, plans/sec, mean ms/plan); ``stages``
-    rows are (stage, calls, total seconds, mean ms) as produced by
-    :meth:`repro.serving.ServiceStats.stage_rows`; ``caches`` rows are
-    (cache, hits, misses, hit rate); ``adaptation`` rows are
-    (counter, value) as produced by
+    ``stages`` rows are (stage, calls, total seconds, mean ms) as
+    produced by :meth:`repro.serving.ServiceStats.stage_rows`;
+    ``caches`` rows are (cache, hits, misses, hit rate); ``adaptation``
+    rows are (counter, value) as produced by
     :meth:`repro.serving.AdaptationStats.rows`; ``persist`` rows are
     (counter, value) warm-boot/restore counters.
     """
     sections = []
-    if throughput:
-        sections.append(
-            format_table(
-                ["mode", "plans/sec", "mean ms/plan"],
-                [
-                    (mode, f"{rate:.1f}", f"{mean_ms:.3f}")
-                    for mode, rate, mean_ms in throughput
-                ],
-            )
-        )
     if stages:
         sections.append(
             format_table(

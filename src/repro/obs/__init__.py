@@ -15,8 +15,9 @@ adaptation, cluster, persist, bench):
   propagation through the sync, batched and async paths, batch spans
   linked to every coalesced request, cluster routing hops, cache
   hit/miss annotations, head + slow + error sampling, and a top-K
-  slow-query log.  Tracing off is ``tracer is None``: the hot path
-  pays one attribute check and zero allocations.
+  slow-query log.  Tracing off is ``tracer is None``: every site opens
+  its span through :func:`open_span`, which returns the shared no-op
+  :data:`NULL_SPAN`, so the hot path allocates no span.
 - :class:`EventLog` — typed, subscribable structured events (deploys,
   promotions/rollbacks, drift trips, shard ejections/revivals,
   checkpoint writes/restores, admission sheds).
@@ -31,11 +32,13 @@ from .registry import Counter, Gauge, MetricsRegistry
 from .trace import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_SLOW_MS,
+    NULL_SPAN,
     Span,
     SpanContext,
     Tracer,
     current_tracer,
     install_default_tracer,
+    open_span,
     span_tree,
 )
 
@@ -49,10 +52,12 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_SAMPLE_RATE",
     "DEFAULT_SLOW_MS",
+    "NULL_SPAN",
     "Span",
     "SpanContext",
     "Tracer",
     "current_tracer",
     "install_default_tracer",
+    "open_span",
     "span_tree",
 ]

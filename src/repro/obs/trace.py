@@ -29,9 +29,11 @@ ring; independently, a **slow-query log** keeps the top-K roots by
 duration with their full span tree and plan fingerprint.
 
 The *null-tracer fast path*: tracing off means ``tracer is None`` —
-the serving hot path guards every instrumentation site on one
-attribute check and allocates nothing per request (asserted by a
-tier-1 test patching span construction).
+every instrumentation site opens its span through :func:`open_span`,
+which hands back the shared no-op :data:`NULL_SPAN` instead of
+constructing a :class:`Span`, so the serving hot path allocates no
+span per request (asserted by a tier-1 test patching span
+construction) and carries one body for both modes.
 """
 
 from __future__ import annotations
@@ -152,6 +154,47 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.finish(error=exc)
+
+
+class _NullSpan:
+    """The span every instrumentation site gets when tracing is off.
+
+    Stateless and shared (:data:`NULL_SPAN`): entering, annotating and
+    finishing it do nothing, so a stage body is written once as
+    ``with open_span(tracer, "parse"):`` for both modes.  It is
+    deliberately not a :class:`Span` — it has no trace identity to
+    propagate.
+    """
+
+    __slots__ = ()
+
+    def annotate(self, key=None, value=None, **kwargs) -> "_NullSpan":
+        """Discard the annotation; returns self for chaining."""
+        return self
+
+    def finish(self, error: Optional[BaseException] = None) -> None:
+        """Nothing to close."""
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+
+#: The shared no-op span (see :class:`_NullSpan`).
+NULL_SPAN = _NullSpan()
+
+
+def open_span(
+    tracer: Optional["Tracer"], name: str, **kwargs: object
+) -> Union[Span, _NullSpan]:
+    """``tracer.start_span(name, **kwargs)``, or :data:`NULL_SPAN`
+    when *tracer* is None — the one null-tracer guard the hot path
+    needs."""
+    if tracer is None:
+        return NULL_SPAN
+    return tracer.start_span(name, **kwargs)
 
 
 class _TraceState:
@@ -472,10 +515,12 @@ def current_tracer() -> Optional[Tracer]:
 __all__ = [
     "DEFAULT_SAMPLE_RATE",
     "DEFAULT_SLOW_MS",
+    "NULL_SPAN",
     "Span",
     "SpanContext",
     "Tracer",
     "current_tracer",
     "install_default_tracer",
+    "open_span",
     "span_tree",
 ]

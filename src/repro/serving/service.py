@@ -20,15 +20,16 @@ predict — against deployed :class:`EstimatorBundle`\\ s, with:
   (``service.metrics``) — :meth:`counters` is a thin view over it;
 - optional request tracing (:class:`~repro.obs.Tracer`): per-stage
   spans, batch spans linked to coalesced requests, cache hit/miss
-  annotations — tracing off (``tracer is None``) costs one attribute
-  check and zero allocations per request;
+  annotations — each opened with :func:`~repro.obs.trace.open_span`,
+  which returns the no-op ``NULL_SPAN`` when ``tracer is None``;
 - a structured :class:`~repro.obs.EventLog` (``service.events``)
   recording deploys, adaptation promotions/rollbacks, drift trips and
   checkpoint writes/restores.
 
-Estimates are deterministic: the same plan under the same bundle
-version always produces the same number, whether it came through the
-single, batched or async path.
+Every entry point is :meth:`CostService._admit` per request (route →
+parse → plan → featurize) then one fused :meth:`CostService._run_batch`
+predict, so the same plan under the same bundle version always produces
+the same number, whichever entry point served it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from ..errors import ReproError, ServingError
 from ..featurization.fingerprint import plan_fingerprint, template_fingerprint
 from ..obs import EventLog, MetricsRegistry
 from ..obs.lockwatch import make_lock
-from ..obs.trace import Tracer, current_tracer
+from ..obs.trace import NULL_SPAN, Tracer, current_tracer, open_span
 from ..sql.ast import SelectQuery
 from ..sql.parser import parse_sql
 from .adaptation import AdaptationConfig, AdaptationManager
@@ -71,22 +72,22 @@ class ServiceStats:
     """Request counters and per-stage wall time (thread-safe: callers
     and the micro-batcher worker record concurrently).
 
-    Request/batch accounting is unified across the three serving
-    paths:
+    Every entry point shares one request path, so accounting happens
+    at two points:
 
-    - ``requests`` counts **every** served request exactly once, at
-      ingress — each ``estimate()`` call, each query of an
-      ``estimate_many()`` call, each ``estimate_async()`` submission.
-    - ``batched_requests`` counts the **subset** of those requests
-      whose forward pass was a fused multi-item predict — the chunks
-      of ``estimate_many`` and the micro-batcher's flushes.  It is
-      never a disjoint column: ``batched_requests <= requests``.
-    - ``predict_batches`` counts the fused predict *invocations*
-      (one per ``estimate_many`` chunk, one per batcher flush), so
-      mean fused-batch occupancy is
+    - ``requests`` counts **admitted** requests, in ``_admit``: each
+      ``estimate()``, each query of ``estimate_many()``, each
+      ``estimate_async()`` submission, each ``estimate_batch()``
+      request.  One that fails route, parse or plan is raised (or
+      returned, by ``estimate_batch``) and not counted.
+    - ``batched_requests`` counts requests served by a fused predict,
+      in ``_run_batch``.  A sync ``estimate()`` is a batch of one, so
+      it equals ``requests`` once every admitted request is predicted.
+    - ``predict_batches`` counts ``_run_batch`` invocations (one per
+      ``estimate()``, ``estimate_many`` chunk, ``estimate_batch()``
+      call or batcher flush); mean fused-batch occupancy is
       ``batched_requests / predict_batches``.
-    - stage ``predict`` **calls** count items predicted (rows), not
-      invocations; single-path requests contribute 1 each.
+    - stage ``predict`` **calls** count items predicted (rows).
     """
 
     requests: int = 0
@@ -109,16 +110,16 @@ class ServiceStats:
             self.stage_counts[stage] = self.stage_counts.get(stage, 0) + count
 
     def count_requests(self, count: int = 1) -> None:
-        """Count *count* served requests at ingress (every path)."""
+        """Count *count* admitted requests (every path)."""
         with self._lock:
             self.requests += count
 
-    def count_batched(self, count: int, batches: int = 1) -> None:
-        """Mark *count* already-ingressed requests as served by fused
-        predicts (*batches* invocations) — see the class docstring."""
+    def count_batched(self, count: int) -> None:
+        """Mark *count* admitted requests as served by one fused
+        predict invocation — see the class docstring."""
         with self._lock:
             self.batched_requests += count
-            self.predict_batches += batches
+            self.predict_batches += 1
 
     def stage_rows(self) -> List[Tuple[str, int, float, float]]:
         """(stage, count, total seconds, mean ms) rows, stage-ordered."""
@@ -277,9 +278,6 @@ class CostService:
             self.adaptation.watch(deployed)
         return deployed
 
-    def _bundle(self, name: Optional[str]) -> EstimatorBundle:
-        return self.registry.get(name)
-
     def _route(
         self, name: Optional[str], backend: Optional[str]
     ) -> EstimatorBundle:
@@ -292,7 +290,7 @@ class CostService:
         tags, learned-bundle preference, native-cost fallback.
         """
         if backend is None:
-            return self._bundle(name)
+            return self.registry.get(name)
         return self.router.resolve(name, backend)
 
     # ------------------------------------------------------------------
@@ -369,12 +367,9 @@ class CostService:
     ) -> Tuple[PlanNode, str]:
         """Parse/plan as needed; returns (plan, sql text if known).
 
-        With a tracer attached, the parse and plan stages each open a
-        child span under the caller's active request span (thread-local
-        propagation); with no tracer the path is identical to before —
-        no span objects exist to allocate.
+        The parse and plan stages each open a child span under the
+        caller's active request span (thread-local propagation).
         """
-        tracer = self.tracer
         sql_text = ""
         if isinstance(query, str):
             start = time.perf_counter()
@@ -384,19 +379,13 @@ class CostService:
                     f"bundle {bundle.name!r} carries no benchmark catalog; "
                     "cannot parse SQL"
                 )
-            if tracer is None:
+            with open_span(self.tracer, "parse"):
                 query = parse_sql(query, bundle.benchmark.catalog)
-            else:
-                with tracer.start_span("parse"):
-                    query = parse_sql(query, bundle.benchmark.catalog)
             self.stats.record("parse", time.perf_counter() - start)
         if isinstance(query, SelectQuery):
             start = time.perf_counter()
-            if tracer is None:
+            with open_span(self.tracer, "plan"):
                 plan = self._builder_for(bundle, env).build(query)
-            else:
-                with tracer.start_span("plan"):
-                    plan = self._builder_for(bundle, env).build(query)
             self.stats.record("plan", time.perf_counter() - start)
             sql_text = sql_text or query.sql()
             return plan, sql_text
@@ -417,7 +406,7 @@ class CostService:
         key = plan_fingerprint(
             record.plan, bundle.name, bundle.version, bundle.backend, env.name
         )
-        tracer = self.tracer
+        computed = []
 
         # Feature-cache miss path: consult the template memo first —
         # another literal of this statement template may have paid for
@@ -425,6 +414,7 @@ class CostService:
         # template of None ("no template form", the base-estimator
         # default) is itself cached, falling back to full featurization.
         def _compute():
+            computed.append(True)
             tkey = template_fingerprint(
                 record.plan,
                 bundle.name,
@@ -442,30 +432,58 @@ class CostService:
         # Stampede-safe: concurrent misses on one fingerprint encode
         # once, and a legitimate None ("no cacheable form") is cached
         # rather than recomputed on every request.
-        if tracer is None:
+        with open_span(self.tracer, "featurize") as span:
             prepared = self.cache.get_or_compute(key, _compute)
-        else:
-            with tracer.start_span("featurize") as span:
-                computed = []
-
-                def _traced_compute():
-                    computed.append(True)
-                    return _compute()
-
-                prepared = self.cache.get_or_compute(key, _traced_compute)
-                span.annotate(
-                    fingerprint=key,
-                    cache="miss" if computed else "hit",
-                )
+            span.annotate(fingerprint=key, cache="miss" if computed else "hit")
         self.stats.record("featurize", time.perf_counter() - start)
         return prepared
 
-    def _record_for(
-        self, plan: PlanNode, env: DatabaseEnvironment, sql_text: str
-    ) -> LabeledPlan:
-        return LabeledPlan(
+    def _admit(
+        self,
+        query: QueryLike,
+        env: DatabaseEnvironment,
+        bundle: Optional[str],
+        backend: Optional[str],
+    ) -> Tuple[EstimatorBundle, LabeledPlan, object]:
+        """The per-request front half of every entry point: route →
+        ensure environment → resolve plan → prepare, then count the
+        request and stream it to adaptation.  Returns the serving
+        bundle, the request's record and its prepared features — the
+        item :meth:`_run_batch` predicts."""
+        deployed = self._ensure_environment(self._route(bundle, backend), env)
+        plan, sql_text = self._resolve_plan(query, deployed, env)
+        record = LabeledPlan(
             plan=plan, latency_ms=0.0, env_name=env.name, query_sql=sql_text
         )
+        prepared = self._prepare(deployed, record, env)
+        self.stats.count_requests()
+        self._stream_to_adaptation(deployed.name, record)
+        return deployed, record, prepared
+
+    def _run_batch(self, items: Sequence[tuple]) -> np.ndarray:
+        """The per-batch back half of every entry point: predict the
+        admitted *items* (``_admit`` tuples) with one fused
+        ``predict_prepared_batch`` per bundle group, under one
+        ``predict`` span nested in the caller's active span.  The one
+        place predict stats and ``count_batched`` are recorded."""
+        # A batch may straddle a hot-swap: group by the bundle captured
+        # at admission, since each request's prepared features match
+        # only that bundle's masks and snapshot normalisation.
+        groups: Dict[int, Tuple[EstimatorBundle, List[int]]] = {}
+        for index, item in enumerate(items):
+            groups.setdefault(id(item[0]), (item[0], []))[1].append(index)
+        out = np.zeros(len(items))
+        start = time.perf_counter()
+        with open_span(self.tracer, "predict", kind="predict") as span:
+            span.annotate(batch_size=len(items))
+            for bundle, indices in groups.values():
+                out[indices] = bundle.predict_prepared_batch(
+                    [items[i][1] for i in indices],
+                    [items[i][2] for i in indices],
+                )
+        self.stats.record("predict", time.perf_counter() - start, len(items))
+        self.stats.count_batched(len(items))
+        return out
 
     # ------------------------------------------------------------------
     # public estimation API
@@ -483,49 +501,21 @@ class CostService:
         tagged requests route through :attr:`router` (see
         :meth:`_route`) instead of the plain ``bundle`` name lookup.
 
-        With a tracer attached the request runs under a root
-        ``request`` span with ``parse``/``plan``/``featurize``/
-        ``predict`` children; with ``tracer is None`` the path is the
-        pre-tracing code, byte for byte — no span allocation.
+        The request is a fused batch of one (:meth:`estimate_batch`),
+        and its error, if any, is re-raised.  With a tracer attached it
+        runs under a root ``request`` span with ``parse``/``plan``/
+        ``featurize``/``predict`` children.
         """
-        tracer = self.tracer
-        if tracer is None:
-            return self._estimate_inner(query, env, bundle, backend)
-        with tracer.start_span("request") as span:
+        with open_span(self.tracer, "request") as span:
             span.annotate(
                 bundle=bundle or "<default>",
                 env=env.name,
                 backend=backend or "<untagged>",
             )
-            return self._estimate_inner(query, env, bundle, backend)
-
-    def _estimate_inner(
-        self,
-        query: QueryLike,
-        env: DatabaseEnvironment,
-        bundle: Optional[str],
-        backend: Optional[str] = None,
-    ) -> float:
-        """The untraced body of :meth:`estimate` (stage spans, if any,
-        parent onto the caller's active span via the tracer's
-        thread-local stack)."""
-        tracer = self.tracer
-        deployed = self._ensure_environment(self._route(bundle, backend), env)
-        plan, sql_text = self._resolve_plan(query, deployed, env)
-        record = self._record_for(plan, env, sql_text)
-        prepared = self._prepare(deployed, record, env)
-        start = time.perf_counter()
-        if tracer is None:
-            value = float(deployed.predict_prepared([record], [prepared])[0])
-        else:
-            with tracer.start_span("predict", kind="predict"):
-                value = float(
-                    deployed.predict_prepared([record], [prepared])[0]
-                )
-        self.stats.record("predict", time.perf_counter() - start)
-        self.stats.count_requests()
-        self._stream_to_adaptation(deployed.name, record)
-        return value
+            (outcome,) = self.estimate_batch([(query, env, bundle, backend)])
+            if isinstance(outcome, ReproError):
+                raise outcome
+            return outcome
 
     def estimate_many(
         self,
@@ -535,24 +525,17 @@ class CostService:
         batch_size: int = 64,
         backend: Optional[str] = None,
     ) -> np.ndarray:
-        """Batched estimates: featurize each query (through the cache),
-        then predict in chunks of *batch_size* fused forward passes.
+        """Batched estimates: admit every query (through the caches;
+        the first error raises), then predict in chunks of *batch_size*
+        fused forward passes, one ``predict_batches`` each.
 
-        Accounting: every query counts once into ``requests`` *and*
-        once into ``batched_requests`` (they were served by fused
-        predicts); each chunk counts one ``predict_batches``.  With a
-        tracer attached the call runs under one ``estimate_many`` root
-        span with per-query featurize children and one ``predict``
-        child per chunk.
+        With a tracer attached the call runs under one
+        ``estimate_many`` root span with per-query stage children and
+        one ``predict`` child per chunk.
         """
         if batch_size < 1:
             raise ServingError(f"batch_size must be >= 1, got {batch_size}")
-        tracer = self.tracer
-        if tracer is None:
-            return self._estimate_many_inner(
-                queries, env, bundle, batch_size, backend
-            )
-        with tracer.start_span("estimate_many", kind="request") as span:
+        with open_span(self.tracer, "estimate_many", kind="request") as span:
             span.annotate(
                 bundle=bundle or "<default>",
                 env=env.name,
@@ -560,50 +543,13 @@ class CostService:
                 batch_size=batch_size,
                 backend=backend or "<untagged>",
             )
-            return self._estimate_many_inner(
-                queries, env, bundle, batch_size, backend
-            )
-
-    def _estimate_many_inner(
-        self,
-        queries: Sequence[QueryLike],
-        env: DatabaseEnvironment,
-        bundle: Optional[str],
-        batch_size: int,
-        backend: Optional[str] = None,
-    ) -> np.ndarray:
-        """The body of :meth:`estimate_many` (runs under its root span
-        when tracing is on)."""
-        tracer = self.tracer
-        deployed = self._ensure_environment(self._route(bundle, backend), env)
-        records: List[LabeledPlan] = []
-        prepared: List[object] = []
-        for query in queries:
-            plan, sql_text = self._resolve_plan(query, deployed, env)
-            record = self._record_for(plan, env, sql_text)
-            records.append(record)
-            prepared.append(self._prepare(deployed, record, env))
-            self._stream_to_adaptation(deployed.name, record)
-        out = np.zeros(len(records))
-        batches = 0
-        for lo in range(0, len(records), batch_size):
-            hi = min(lo + batch_size, len(records))
-            start = time.perf_counter()
-            if tracer is None:
-                out[lo:hi] = deployed.predict_prepared_batch(
-                    records[lo:hi], prepared[lo:hi]
+            items = [self._admit(query, env, bundle, backend) for query in queries]
+            out = np.zeros(len(items))
+            for lo in range(0, len(items), batch_size):
+                out[lo : lo + batch_size] = self._run_batch(
+                    items[lo : lo + batch_size]
                 )
-            else:
-                with tracer.start_span("predict", kind="predict") as span:
-                    span.annotate(batch_size=hi - lo)
-                    out[lo:hi] = deployed.predict_prepared_batch(
-                        records[lo:hi], prepared[lo:hi]
-                    )
-            self.stats.record("predict", time.perf_counter() - start, hi - lo)
-            batches += 1
-        self.stats.count_requests(len(records))
-        self.stats.count_batched(len(records), batches=batches)
-        return out
+            return out
 
     def estimate_async(
         self,
@@ -617,16 +563,13 @@ class CostService:
         into single batched forward passes.
 
         With a tracer attached, the request's root span stays open
-        across the queue hand-off (its :class:`~repro.obs.SpanContext`
-        rides with the queued item so the flush's batch span can link
-        back) and is finished when the Future resolves — so its
-        duration covers queueing + the shared forward pass, and an
-        errored Future marks the trace errored (always retained).
+        across the queue hand-off (it rides with the queued item so the
+        flush's batch span can link back) and is finished when the
+        Future resolves — so its duration covers queueing + the shared
+        forward pass, and an errored Future marks the trace errored
+        (always retained).
         """
-        tracer = self.tracer
-        if tracer is None:
-            return self._estimate_async_inner(query, env, bundle, None, backend)
-        span = tracer.start_span("request")
+        span = open_span(self.tracer, "request")
         span.annotate(
             bundle=bundle or "<default>",
             env=env.name,
@@ -634,60 +577,31 @@ class CostService:
             backend=backend or "<untagged>",
         )
         try:
-            future = self._estimate_async_inner(query, env, bundle, span, backend)
+            deployed, record, prepared = self._admit(query, env, bundle, backend)
+            # The bundle rides along: prepared features are only valid
+            # for the bundle version that encoded them, so a hot-swap
+            # must not re-route in-flight requests onto new
+            # masks/weights.
+            future = self._batcher_for(deployed.name).submit(
+                (deployed, record, prepared, span)
+            )
         except BaseException as exc:
             span.finish(error=exc)
             raise
-        # The root now outlives this frame: pop it off the caller
-        # thread's stack and close it from the Future instead.
-        tracer.deactivate(span)
+        if span is not NULL_SPAN:
+            # The root now outlives this frame: pop it off the caller
+            # thread's stack and close it from the Future instead.
+            span.tracer.deactivate(span)
 
-        def _finish_root(resolved, span=span):
-            try:
-                error = resolved.exception()
-            except BaseException as exc:  # cancelled futures
-                error = exc
-            span.finish(error=error)
+            def _finish_root(resolved, span=span):
+                try:
+                    error = resolved.exception()
+                except BaseException as exc:  # cancelled futures
+                    error = exc
+                span.finish(error=error)
 
-        future.add_done_callback(_finish_root)
+            future.add_done_callback(_finish_root)
         return future
-
-    def _estimate_async_inner(
-        self,
-        query: QueryLike,
-        env: DatabaseEnvironment,
-        bundle: Optional[str],
-        span,
-        backend: Optional[str] = None,
-    ):
-        """Featurize and enqueue one async request (*span* is the open
-        root span when tracing, else None; it rides with the item)."""
-        deployed, record, prepared = self._admit(query, env, bundle, backend)
-        # The bundle rides along: prepared features are only valid for
-        # the bundle version that encoded them, so a hot-swap must not
-        # re-route in-flight requests onto new masks/weights.
-        return self._batcher_for(deployed.name).submit(
-            (deployed, record, prepared, span)
-        )
-
-    def _admit(
-        self,
-        query: QueryLike,
-        env: DatabaseEnvironment,
-        bundle: Optional[str],
-        backend: Optional[str],
-    ) -> Tuple[EstimatorBundle, LabeledPlan, object]:
-        """The per-request front half of every batched path: route →
-        ensure environment → resolve plan → prepare, then count the
-        request and stream it to adaptation.  Returns the serving
-        bundle, the request's record and its prepared features."""
-        deployed = self._ensure_environment(self._route(bundle, backend), env)
-        plan, sql_text = self._resolve_plan(query, deployed, env)
-        record = self._record_for(plan, env, sql_text)
-        prepared = self._prepare(deployed, record, env)
-        self.stats.count_requests()
-        self._stream_to_adaptation(deployed.name, record)
-        return deployed, record, prepared
 
     def estimate_batch(
         self,
@@ -698,30 +612,28 @@ class CostService:
         """Serve independent ``(query, env, bundle, backend)`` requests
         through one fused predict, with no batching window.
 
-        Each request is prepared exactly as :meth:`estimate_async`
-        prepares it; the prepared ones then share one micro-batcher
-        style flush (grouped by bundle, fused across environments).
-        Returns one outcome per request, in order: its estimate, or the
-        ``repro.errors`` exception that preparing it raised — a bad
+        Each request is admitted exactly as every other entry point
+        admits it; the admitted ones then share one :meth:`_run_batch`
+        (grouped by bundle, fused across environments), whose
+        ``predict`` span nests in the caller's active span.  Returns
+        one outcome per request, in order: its estimate, or the
+        ``repro.errors`` exception that admitting it raised — a bad
         request fails alone.  An error in the shared predict fails the
         whole batch and propagates, as it does for a batcher flush.
         """
         outcomes: List[Union[float, ReproError]] = []
-        items: List[Tuple[EstimatorBundle, LabeledPlan, object, None]] = []
+        items: List[Tuple[EstimatorBundle, LabeledPlan, object]] = []
         slots: List[int] = []
         for query, env, bundle, backend in requests:
             try:
-                deployed, record, prepared = self._admit(
-                    query, env, bundle, backend
-                )
+                items.append(self._admit(query, env, bundle, backend))
             except ReproError as exc:
                 outcomes.append(exc)
                 continue
             slots.append(len(outcomes))
             outcomes.append(0.0)
-            items.append((deployed, record, prepared, None))
         if items:
-            values = self._run_batch("estimate_batch", items)
+            values = self._run_batch(items)
             for slot, value in zip(slots, values, strict=True):
                 outcomes[slot] = float(value)
         return outcomes
@@ -853,7 +765,7 @@ class CostService:
         # lifecycle must not run under the service lock.  On a race the
         # loser's batcher (empty, unpublished) is closed again.
         batcher = MicroBatcher(
-            lambda items: self._run_batch(bundle_name, items),
+            lambda items: self._flush(bundle_name, items),
             max_batch=self.batch_max,
             flush_window_s=self.batch_window_s,
             name=bundle_name,
@@ -864,57 +776,26 @@ class CostService:
             batcher.close()
         return winner
 
-    def _run_batch(self, bundle_name: str, items: List[object]) -> np.ndarray:
-        # One flush == one batch span linking every coalesced request's
-        # root (a flush serves many traces, so it roots its own), and
-        # each request span learns which flush served it.
+    def _flush(self, bundle_name: str, items: List[tuple]) -> np.ndarray:
+        """The micro-batcher's flush callback: one :meth:`_run_batch`.
+
+        With a tracer attached, one flush == one ``batch`` span linking
+        every coalesced request's root (a flush serves many traces, so
+        it roots its own); it is active on the batcher thread, so the
+        ``predict`` span nests under it, and each request's root learns
+        which flush served it.
+        """
         tracer = self.tracer
-        bspan = None
-        if tracer is not None:
-            spans = [item[3] for item in items if item[3] is not None]
-            bspan = tracer.start_batch_span(
-                "batch", [s.context for s in spans]
-            )
+        if tracer is None:
+            return self._run_batch(items)
+        spans = [item[3] for item in items]
+        with tracer.start_batch_span(
+            "batch", [span.context for span in spans], activate=True
+        ) as bspan:
             bspan.annotate(batcher=bundle_name)
             for span in spans:
-                span.annotate(
-                    batch_trace=bspan.trace_id, batch_span=bspan.span_id
-                )
-        try:
-            # A batch may straddle a hot-swap: group by the bundle
-            # captured at submit time, since each request's prepared
-            # features match only that bundle's masks and snapshot
-            # normalisation.
-            groups: Dict[int, Tuple[EstimatorBundle, List[int]]] = {}
-            for index, (bundle, _, _, _) in enumerate(items):
-                groups.setdefault(id(bundle), (bundle, []))[1].append(index)
-            out = np.zeros(len(items))
-            start = time.perf_counter()
-            if bspan is None:
-                for bundle, indices in groups.values():
-                    out[indices] = bundle.predict_prepared_batch(
-                        [items[i][1] for i in indices],
-                        [items[i][2] for i in indices],
-                    )
-            else:
-                with tracer.start_span(
-                    "predict", parent=bspan, activate=False, kind="predict"
-                ) as pspan:
-                    pspan.annotate(batch_size=len(items))
-                    for bundle, indices in groups.values():
-                        out[indices] = bundle.predict_prepared_batch(
-                            [items[i][1] for i in indices],
-                            [items[i][2] for i in indices],
-                        )
-            self.stats.record("predict", time.perf_counter() - start, len(items))
-            self.stats.count_batched(len(items))
-        except BaseException as exc:
-            if bspan is not None:
-                bspan.finish(error=exc)
-            raise
-        if bspan is not None:
-            bspan.finish()
-        return out
+                span.annotate(batch_trace=bspan.trace_id, batch_span=bspan.span_id)
+            return self._run_batch(items)
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -950,7 +831,6 @@ class CostService:
         """Human-readable per-stage latency and cache hit-rate report."""
         from ..eval.reporting import render_serving_report
 
-        throughput: List[Tuple[str, float, float]] = []
         # Coalesced requests (waited on another thread's in-flight
         # compute/fit) count as hits in both columns and rate, so the
         # displayed counts and percentage agree.  All counters come
@@ -964,6 +844,14 @@ class CostService:
                 cache_stats.hit_rate,
             )
         ]
+        # Warm vs cold boots are observable: every restored component
+        # reports how much state a checkpoint handed it.
+        persist_rows: List[Tuple[str, object]] = [
+            (
+                "bundles restored",
+                self.registry.stats_snapshot()["restored_from_checkpoint"],
+            )
+        ]
         if self.snapshot_store is not None:
             stats = self.snapshot_store.stats_snapshot()
             cache_rows.append(
@@ -974,27 +862,13 @@ class CostService:
                     stats.hit_rate,
                 )
             )
+            persist_rows.append(
+                ("snapshots restored", stats.restored_from_checkpoint)
+            )
         adaptation_rows = (
             self.adaptation.stats.rows() if self.adaptation is not None else ()
         )
-        # Warm vs cold boots are observable: every restored component
-        # reports how much state a checkpoint handed it.
-        registry_stats = self.registry.stats_snapshot()
-        persist_rows: List[Tuple[str, object]] = [
-            (
-                "bundles restored",
-                registry_stats["restored_from_checkpoint"],
-            )
-        ]
-        if self.snapshot_store is not None:
-            persist_rows.append(
-                (
-                    "snapshots restored",
-                    self.snapshot_store.stats_snapshot().restored_from_checkpoint,
-                )
-            )
         return render_serving_report(
-            throughput,
             self.stats.stage_rows(),
             cache_rows,
             adaptation=adaptation_rows,

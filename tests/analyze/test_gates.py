@@ -133,6 +133,25 @@ def test_findings_carry_location_and_qualname():
     assert all(f.path.endswith("bad_lock_discipline.py") for f in findings)
 
 
+def test_open_span_is_clean_but_a_bare_start_span_still_flags(tmp_path):
+    """``open_span`` is the guarded allocator; a bare ``start_span`` in
+    the same unguarded hot function is still an allocation."""
+    target = tmp_path / "mod.py"
+    target.write_text(
+        '"""Fixture."""\n'
+        "from repro.obs.trace import open_span\n"
+        "\n"
+        "\n"
+        "def _prepare(plan, tracer):\n"
+        '    """One guarded span, one bare."""\n'
+        '    with open_span(tracer, "featurize"):\n'
+        '        span = tracer.start_span("predict")\n'
+        "    return plan, span\n"
+    )
+    findings, _ = _analyze(target, "hot-path")
+    assert [(f.line, f.qualname) for f in findings] == [(8, "_prepare")]
+
+
 # ----------------------------------------------------------------------
 # suppressions
 # ----------------------------------------------------------------------

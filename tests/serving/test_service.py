@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import QCFE, QCFEConfig
 from repro.engine.environment import random_environments
-from repro.errors import ServingError
+from repro.errors import ReproError, ServingError
 from repro.serving import CostService, EstimatorRegistry, SnapshotStore
 from repro.workload.collect import collect_labeled_plans
 
@@ -171,3 +171,42 @@ def test_stats_snapshots_are_copies(service, trained_bundle, serving_envs):
     assert service.cache.stats_snapshot().requests == cache_before.requests + 1
     assert cache_before is not service.cache.stats
     assert store_before is not service.snapshot_store.stats
+
+
+def test_request_counters_are_conserved_across_entry_points(
+    service, trained_bundle, serving_envs
+):
+    """Every entry point is admit -> one fused predict, so over mixed
+    traffic each admitted request is counted once in ``requests``,
+    ``batched_requests`` and the featurize/predict stages, and every
+    predict invocation counts one ``predict_batches``."""
+    _, labeled = trained_bundle
+    env, other_env = serving_envs
+    sqls = [record.query_sql for record in labeled[:5]]
+
+    service.estimate(sqls[0], env)  # SQL: 1 admitted, 1 predict
+    service.estimate(labeled[1].plan, env)  # plan: 1 admitted, 1 predict
+    with pytest.raises(ReproError):
+        service.estimate("THIS IS NOT SQL !!", env)  # not admitted
+    service.estimate_many(sqls, env, batch_size=2)  # SQL: 5 admitted, 3 predicts
+    futures = [service.estimate_async(sql, other_env) for sql in sqls[:3]]
+    assert all(future.result(timeout=30) > 0 for future in futures)
+    outcomes = service.estimate_batch(
+        [
+            (sqls[1], env, None, None),
+            ("THIS IS NOT SQL !!", env, None, None),
+            (labeled[2].plan, other_env, None, None),
+        ]
+    )  # 1 SQL + 1 plan admitted, 1 predict
+    assert isinstance(outcomes[1], ReproError)
+    assert outcomes[0] > 0 and outcomes[2] > 0
+
+    counters = service.counters()["service"]
+    flushes = service.batcher_stats()["sysbench:qppnet"].batches
+    admitted, admitted_sql = 2 + 5 + 3 + 2, 1 + 5 + 3 + 1
+    assert counters["requests"] == admitted
+    assert counters["batched_requests"] == admitted
+    assert counters["stages"]["featurize"]["calls"] == admitted
+    assert counters["stages"]["predict"]["calls"] == admitted
+    assert counters["predict_batches"] == 1 + 1 + 3 + flushes + 1
+    assert counters["stages"]["parse"]["calls"] == admitted_sql

@@ -1,7 +1,8 @@
 """Rule ``hot-path``: the estimate path stays pure and allocation-free.
 
-The per-request pipeline (``estimate``/``estimate_many`` →
-``_prepare`` → featurize → predict, plus the micro-batcher's flush)
+The per-request pipeline (every ``estimate*`` entry point → ``_admit``
+→ ``_prepare`` → featurize → ``_run_batch`` → predict, plus the
+micro-batcher's ``_flush``)
 is the code FasCo's argument lives or dies on: a lightweight estimator
 only wins at serving time if the serving path itself stays light.
 Three checks inside hot-path functions:
@@ -11,10 +12,13 @@ Three checks inside hot-path functions:
    ``time.perf_counter()``.  Wall-clock *record* fields belong in
    tracing/event code, not here (see rule ``clock-discipline``).
 2. **No span allocation without a null-tracer guard** — a
-   ``start_span``/``Span()`` call in a function that never checks
-   ``tracer is None`` means tracing-off still allocates; the
-   zero-allocation fast path (asserted by a tier-1 test) requires the
-   guard.
+   ``start_span``/``start_batch_span``/``Span()`` call in a function
+   that never checks ``tracer is None`` means tracing-off still
+   allocates; the zero-allocation fast path (asserted by a tier-1
+   test) requires the guard.  :func:`repro.obs.trace.open_span` *is*
+   that guard, factored out (it returns the no-op ``NULL_SPAN`` when
+   ``tracer is None`` and is itself a hot function, so its own guard
+   is checked): calls to it are clean.
 3. **No info-level logging or printing** — per-request logging is a
    syscall and a lock on the handler; the stack's counters and traces
    carry this information for free.
@@ -38,14 +42,14 @@ from .core import (
 #: Function names that constitute the estimate path.
 HOT_FUNCTIONS = re.compile(
     r"^("
-    r"estimate|estimate_many|estimate_async|estimate_batch"
-    r"|_estimate_inner|_estimate_many_inner|_estimate_async_inner|_admit"
-    r"|_prepare|prepare_one|prepare_many|predict|predict_prepared"
+    r"estimate|estimate_many|estimate_async|estimate_batch|_admit"
+    r"|_prepare|prepare_one|predict|predict_prepared"
     r"|predict_prepared_batch|prepare_template|prepare_from_template"
     r"|fused_forward|forward_batched|blocked_matmul"
-    r"|_resolve_plan|_run_batch|_take_batch|submit|get_or_compute"
+    r"|_resolve_plan|_run_batch|_flush|_take_batch|submit|get_or_compute"
+    r"|open_span"
     r"|_route|resolve|_resolve_key"
-    r"|rpc|_with_failover|_failover_loop|_replica|_classify|_settle"
+    r"|rpc|_with_failover|_replica|_classify|_settle"
     r"|encode_frame|decode_frame|recv_frame|has_frame|send_frames"
     r"|encode_request|decode_request|_plan_to_blob|_plan_from_blob"
     r"|_single_request"
@@ -115,7 +119,8 @@ def _check(module: ModuleSource) -> List[Finding]:
                         message=(
                             "span allocation without a 'tracer is None' "
                             "guard — tracing-off must cost zero "
-                            "allocations on the estimate path"
+                            "allocations on the estimate path (open the "
+                            "span with repro.obs.trace.open_span)"
                         ),
                     )
                 )
