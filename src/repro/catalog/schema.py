@@ -89,12 +89,21 @@ TUPLE_OVERHEAD_BYTES = 28  # PG heap tuple header + item pointer
 
 @dataclass
 class Table:
-    """A table description with columns and indexes."""
+    """A table description with columns and indexes.
+
+    A table must not be mutated after construction: ``tuple_width`` and
+    ``pages`` are computed once here, because the planner and the
+    simulator read them for every scan of every plan.
+    """
 
     name: str
     columns: List[Column]
     row_count: int
     indexes: List[Index] = field(default_factory=list)
+    #: Average tuple width in bytes, including heap overhead.
+    tuple_width: int = field(init=False, repr=False, compare=False)
+    #: Heap pages, the basis of sequential-scan cost.
+    pages: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.row_count < 0:
@@ -103,6 +112,9 @@ class Table:
         if len(names) != len(set(names)):
             raise SchemaError(f"table {self.name}: duplicate column names")
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        self.tuple_width = TUPLE_OVERHEAD_BYTES + sum(c.byte_width for c in self.columns)
+        per_page = max(1, PAGE_SIZE_BYTES // max(self.tuple_width, 1))
+        self.pages = max(1, -(-self.row_count // per_page))
 
     def column(self, name: str) -> Column:
         try:
@@ -116,17 +128,6 @@ class Table:
     @property
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
-
-    @property
-    def tuple_width(self) -> int:
-        """Average tuple width in bytes, including heap overhead."""
-        return TUPLE_OVERHEAD_BYTES + sum(c.byte_width for c in self.columns)
-
-    @property
-    def pages(self) -> int:
-        """Heap pages, the basis of sequential-scan cost."""
-        per_page = max(1, PAGE_SIZE_BYTES // max(self.tuple_width, 1))
-        return max(1, -(-self.row_count // per_page))
 
     def indexes_on(self, column: str) -> List[Index]:
         """Indexes whose *leading* column is *column* (usable for it)."""

@@ -32,6 +32,33 @@ TRUE_SELECTIVITY_SIGMA = 0.6
 
 _COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">=", "between", "in", "like"}
 
+#: Entries each selectivity memo keeps.  Planning sees the same
+#: predicates over and over (the data abstract draws 32 literals per
+#: column), but a long-lived statistics object, such as the serving
+#: layer's, can see arbitrary literals; past the cap new keys are
+#: computed and not stored.
+SELECTIVITY_MEMO_MAX = 1 << 16
+
+
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` for a scalar, without numpy's
+    per-call overhead.  NaN stays NaN, as with ``np.clip``: ``max`` and
+    ``min`` keep their first argument when a comparison is false."""
+    return float(min(max(x, lo), hi))
+
+
+def _remember(memo: Dict, key: object, value: float) -> float:
+    """Store *value* under *key* unless the memo is full.
+
+    The memos are read and written without a lock.  Two threads that
+    miss on the same key compute the same float (the selectivities are
+    pure functions of the key and the statistics seed), so whichever
+    write lands last stores an equal value.
+    """
+    if len(memo) < SELECTIVITY_MEMO_MAX:
+        memo[key] = value
+    return value
+
 
 def zipf_frequencies(ndv: int, skew: float, max_terms: int = 4096) -> np.ndarray:
     """Normalised Zipf frequencies for ``ndv`` values with exponent *skew*.
@@ -78,6 +105,12 @@ class Predicate:
     def key(self) -> Tuple:
         return (self.table, self.column, self.op, str(self.value))
 
+    def memo_key(self) -> Tuple:
+        """:meth:`key` plus the value's type and the value itself: the
+        string alone can collide (``1`` and ``"1"``, or a tuple of
+        floats printed alike), and a memo must never do so."""
+        return (*self.key(), type(self.value), self.value)
+
 
 class TableStatistics:
     """Selectivity estimation for one table."""
@@ -85,6 +118,7 @@ class TableStatistics:
     def __init__(self, table: Table, seed_key: object = 0):
         self.table = table
         self._seed_key = seed_key
+        self._true_memo: Dict[Tuple, float] = {}
 
     # ------------------------------------------------------------------
     # estimated (optimizer view)
@@ -114,7 +148,7 @@ class TableStatistics:
         else:  # pragma: no cover - guarded by Predicate
             raise SchemaError(f"unsupported operator {op!r}")
         sel *= 1.0 - col.null_frac
-        return float(np.clip(sel, 1e-9, 1.0))
+        return _clamp(sel, 1e-9, 1.0)
 
     # ------------------------------------------------------------------
     # true (data view)
@@ -125,8 +159,19 @@ class TableStatistics:
         Equality predicates draw their frequency from the Zipf rank the
         literal value deterministically maps to; range predicates apply
         a lognormal perturbation keyed by the predicate, standing in
-        for the skew/correlation real data exhibits.
+        for the skew/correlation real data exhibits.  Memoized per
+        :meth:`Predicate.memo_key`.
         """
+        key = pred.memo_key()
+        try:
+            sel = self._true_memo.get(key)
+        except TypeError:  # an unhashable literal: compute, never store
+            return self._true_selectivity(pred)
+        if sel is None:
+            sel = _remember(self._true_memo, key, self._true_selectivity(pred))
+        return sel
+
+    def _true_selectivity(self, pred: Predicate) -> float:
         col = self.table.column(pred.column)
         est = self.estimated_selectivity(pred)
         if pred.op == "=" and col.skew > 0.0:
@@ -140,7 +185,7 @@ class TableStatistics:
         else:
             z = rng_for("truesel", self._seed_key, *pred.key()).standard_normal()
             sel = est * float(np.exp(TRUE_SELECTIVITY_SIGMA * z))
-        return float(np.clip(sel, 1e-9, 1.0))
+        return _clamp(sel, 1e-9, 1.0)
 
     @staticmethod
     def _as_float(value: object) -> float:
@@ -157,6 +202,7 @@ class CatalogStatistics:
     def __init__(self, catalog: Catalog, seed_key: object = 0):
         self.catalog = catalog
         self._seed_key = seed_key
+        self._true_join_memo: Dict[Tuple, float] = {}
         self._tables: Dict[str, TableStatistics] = {
             name: TableStatistics(tab, seed_key=(seed_key, name))
             for name, tab in catalog.tables.items()
@@ -174,7 +220,7 @@ class CatalogStatistics:
         sel = 1.0
         for pred in preds:
             sel *= self.for_table(pred.table).estimated_selectivity(pred)
-        return float(np.clip(sel, 1e-12, 1.0))
+        return _clamp(sel, 1e-12, 1.0)
 
     def true_conjunction(self, preds: Sequence[Predicate]) -> float:
         """Truth for a conjunction; mild positive correlation between
@@ -190,7 +236,7 @@ class CatalogStatistics:
                 t_sel = t_sel ** (1.0 / (1.0 + 0.5 * repeat))
             by_table[pred.table] = repeat + 1
             sel *= t_sel
-        return float(np.clip(sel, 1e-12, 1.0))
+        return _clamp(sel, 1e-12, 1.0)
 
     # -- joins -----------------------------------------------------------
     def estimated_join_selectivity(
@@ -204,11 +250,18 @@ class CatalogStatistics:
     def true_join_selectivity(
         self, left: Tuple[str, str], right: Tuple[str, str]
     ) -> float:
-        est = self.estimated_join_selectivity(left, right)
-        z = rng_for("truejoin", self._seed_key, left, right).standard_normal()
-        return float(
-            np.clip(est * float(np.exp(TRUE_SELECTIVITY_SIGMA * z)), 1e-12, 1.0)
-        )
+        """Ground-truth join selectivity, memoized per column pair."""
+        key = (left, right)
+        sel = self._true_join_memo.get(key)
+        if sel is None:
+            est = self.estimated_join_selectivity(left, right)
+            z = rng_for("truejoin", self._seed_key, left, right).standard_normal()
+            sel = _remember(
+                self._true_join_memo,
+                key,
+                _clamp(est * float(np.exp(TRUE_SELECTIVITY_SIGMA * z)), 1e-12, 1.0),
+            )
+        return sel
 
 
 class DataAbstract:

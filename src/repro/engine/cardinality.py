@@ -31,17 +31,20 @@ class CardinalityModel:
         self._annotate(root, truth=True)
 
     # ------------------------------------------------------------------
-    def _annotate(self, node: PlanNode, truth: bool) -> float:
+    def estimate_node(self, node: PlanNode) -> None:
+        """Fill ``est_rows`` and ``est_width`` of *node* alone; its
+        children must already carry theirs."""
+        node.est_rows = float(max(self._node_rows(node, False), 0.0))
+        node.est_width = self._node_width(node)
+
+    # ------------------------------------------------------------------
+    def _annotate(self, node: PlanNode, truth: bool) -> None:
         for child in node.children:
             self._annotate(child, truth)
-        rows = self._node_rows(node, truth)
-        rows = float(max(rows, 0.0))
         if truth:
-            node.true_rows = rows
+            node.true_rows = float(max(self._node_rows(node, True), 0.0))
         else:
-            node.est_rows = rows
-            node.est_width = self._node_width(node)
-        return rows
+            self.estimate_node(node)
 
     def _child_rows(self, node: PlanNode, index: int, truth: bool) -> float:
         child = node.children[index]

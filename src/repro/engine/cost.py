@@ -29,6 +29,10 @@ def _log2(value: float) -> float:
     return float(np.log2(max(value, 2.0)))
 
 
+def _est_rows(node: PlanNode) -> float:
+    return node.est_rows
+
+
 def resource_counts(
     node: PlanNode,
     catalog: Catalog,
@@ -122,13 +126,16 @@ class CostModel:
         """
         for child in root.children:
             self.annotate(child)
-        counts = resource_counts(
-            root, self.catalog, lambda n: n.est_rows, self.env
-        )
+        self.annotate_node(root)
+
+    def annotate_node(self, node: PlanNode) -> None:
+        """Fill the costs of *node* alone: its ``est_rows`` and its
+        children's estimates and costs must already be filled."""
+        counts = resource_counts(node, self.catalog, _est_rows, self.env)
         own = combine(counts, self._coefficients)
-        child_total = sum(c.est_total_cost for c in root.children)
-        root.est_total_cost = own + child_total
-        root.est_startup_cost = self._startup_cost(root, own, child_total)
+        child_total = sum(c.est_total_cost for c in node.children)
+        node.est_total_cost = own + child_total
+        node.est_startup_cost = self._startup_cost(node, own, child_total)
 
     def _startup_cost(self, node: PlanNode, own: float, child_total: float) -> float:
         """Blocking operators pay (almost) everything before row one."""

@@ -49,22 +49,21 @@ class PlanBuilder:
         }
         root = self._join_tables(query, scans)
         if query.is_aggregate:
-            root = PlanNode(
+            root = self._new(PlanNode(
                 op=OperatorType.AGGREGATE,
                 children=[root],
                 group_keys=tuple(c.sql() for c in query.group_by),
-            )
+            ))
         if query.order_by:
-            root = PlanNode(
+            root = self._new(PlanNode(
                 op=OperatorType.SORT,
                 children=[root],
                 sort_keys=tuple(o.column.sql() for o in query.order_by),
-            )
+            ))
         if query.limit is not None:
-            root = PlanNode(
+            root = self._new(PlanNode(
                 op=OperatorType.LIMIT, children=[root], limit_count=query.limit
-            )
-        self._annotate(root)
+            ))
         root.validate()
         return root
 
@@ -76,30 +75,33 @@ class PlanBuilder:
         table = self.catalog.table(table_name)
         candidates: List[Tuple[float, PlanNode]] = []
 
-        seq = scan_node(OperatorType.SEQ_SCAN, table_name, predicates)
+        seq = self._new(scan_node(OperatorType.SEQ_SCAN, table_name, predicates))
         penalty = 0.0 if self.env.knobs["enable_seqscan"] else DISABLE_COST
-        candidates.append((self._candidate_cost(seq) + penalty, seq))
+        candidates.append((seq.est_total_cost + penalty, seq))
 
         for pred in predicates:
             for index in table.indexes_on(pred.column):
                 sel = self.stats.for_table(table_name).estimated_selectivity(pred)
                 if sel > _INDEX_SELECTIVITY_CUTOFF:
                     continue
-                idx = scan_node(
+                idx = self._new(scan_node(
                     OperatorType.INDEX_SCAN, table_name, predicates, index=index.name
-                )
+                ))
                 penalty = 0.0 if self.env.knobs["enable_indexscan"] else DISABLE_COST
-                candidates.append((self._candidate_cost(idx) + penalty, idx))
+                candidates.append((idx.est_total_cost + penalty, idx))
         candidates.sort(key=lambda pair: pair[0])
         return candidates[0][1]
 
-    def _candidate_cost(self, node: PlanNode) -> float:
-        self._annotate(node)
-        return node.est_total_cost
+    def _new(self, node: PlanNode) -> PlanNode:
+        """Annotate a node the builder has just made, and return it.
 
-    def _annotate(self, node: PlanNode) -> None:
-        self.cards.annotate_estimates(node)
-        self.cost.annotate(node)
+        Only the new node is annotated: its children were annotated
+        when they were made, and a node's estimates depend only on its
+        own subtree, so candidates that share a subtree share its work.
+        """
+        self.cards.estimate_node(node)
+        self.cost.annotate_node(node)
+        return node
 
     # ------------------------------------------------------------------
     # joins
@@ -134,7 +136,6 @@ class PlanBuilder:
                     components[right_set],
                     None,
                 )
-                self._annotate(candidate)
                 best = (candidate.est_total_cost, left_set, right_set, candidate)
             _, left_set, right_set, joined = best
             del components[left_set]
@@ -159,19 +160,16 @@ class PlanBuilder:
         knobs = self.env.knobs
 
         hash_plan = self._make_join(OperatorType.HASH_JOIN, left, right, cond)
-        self._annotate(hash_plan)
         penalty = 0.0 if knobs["enable_hashjoin"] else DISABLE_COST
         candidates.append((hash_plan.est_total_cost + penalty, hash_plan))
 
         merge_plan = self._make_merge_join(left, right, cond)
-        self._annotate(merge_plan)
         penalty = 0.0 if knobs["enable_mergejoin"] else DISABLE_COST
         if merge_plan.children[0].op is OperatorType.SORT and not knobs["enable_sort"]:
             penalty += DISABLE_COST
         candidates.append((merge_plan.est_total_cost + penalty, merge_plan))
 
         nl_plan = self._make_join(OperatorType.NESTED_LOOP, left, right, cond)
-        self._annotate(nl_plan)
         penalty = 0.0 if knobs["enable_nestloop"] else DISABLE_COST
         candidates.append((nl_plan.est_total_cost + penalty, nl_plan))
 
@@ -198,8 +196,10 @@ class PlanBuilder:
             if outer.est_rows > inner.est_rows:
                 outer, inner = inner, outer
             if self.env.knobs["enable_material"] and inner.children:
-                inner = PlanNode(op=OperatorType.MATERIALIZE, children=[inner])
-        return PlanNode(op=op, children=[outer, inner], join_columns=join_columns)
+                inner = self._new(PlanNode(op=OperatorType.MATERIALIZE, children=[inner]))
+        return self._new(
+            PlanNode(op=op, children=[outer, inner], join_columns=join_columns)
+        )
 
     def _make_merge_join(
         self, left: PlanNode, right: PlanNode, cond: JoinCondition
@@ -211,18 +211,19 @@ class PlanBuilder:
         join_columns = (
             cond.left.table, cond.left.column, cond.right.table, cond.right.column
         )
-        return PlanNode(
+        return self._new(PlanNode(
             op=OperatorType.MERGE_JOIN,
             children=[left_sorted, right_sorted],
             join_columns=join_columns,
-        )
+        ))
 
-    @staticmethod
-    def _ensure_sorted(plan: PlanNode, key: str) -> PlanNode:
+    def _ensure_sorted(self, plan: PlanNode, key: str) -> PlanNode:
         if plan.op is OperatorType.SORT and plan.sort_keys and plan.sort_keys[0] == key:
             return plan
         if plan.op is OperatorType.INDEX_SCAN:
             table, column = key.split(".", 1)
             if plan.table == table and plan.index is not None:
                 return plan  # index output is ordered on its key
-        return PlanNode(op=OperatorType.SORT, children=[plan], sort_keys=(key,))
+        return self._new(
+            PlanNode(op=OperatorType.SORT, children=[plan], sort_keys=(key,))
+        )

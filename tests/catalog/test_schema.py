@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog.imdb import imdb_catalog
 from repro.catalog.schema import (
     PAGE_SIZE_BYTES,
+    TUPLE_OVERHEAD_BYTES,
     Catalog,
     Column,
     ColumnType,
     Index,
     Table,
 )
+from repro.catalog.sysbench import sysbench_catalog
+from repro.catalog.tpch import tpch_catalog
 from repro.errors import SchemaError
 
 
@@ -91,6 +95,14 @@ class TestTable:
 
     def test_pages_at_least_one(self):
         assert make_table(rows=0).pages == 1
+
+    @pytest.mark.parametrize("make", [tpch_catalog, imdb_catalog, sysbench_catalog])
+    def test_memoized_width_and_pages_match_the_formula(self, make):
+        for table in make().tables.values():
+            width = TUPLE_OVERHEAD_BYTES + sum(c.byte_width for c in table.columns)
+            per_page = max(1, PAGE_SIZE_BYTES // max(width, 1))
+            assert table.tuple_width == width, table.name
+            assert table.pages == max(1, -(-table.row_count // per_page)), table.name
 
     def test_indexes_on_leading_column_only(self):
         table = Table(

@@ -8,11 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.catalog.schema import Catalog, Column, ColumnType, Table
+from repro.catalog import statistics
 from repro.catalog.statistics import (
     CatalogStatistics,
     DataAbstract,
     Predicate,
     TableStatistics,
+    _clamp,
     zipf_frequencies,
 )
 from repro.errors import SchemaError
@@ -153,6 +155,74 @@ class TestCatalogStatistics:
         stats = CatalogStatistics(make_catalog())
         with pytest.raises(SchemaError):
             stats.for_table("nope")
+
+
+class TestClamp:
+    @pytest.mark.parametrize(
+        "x",
+        [float("nan"), float("inf"), -float("inf"), 1e-9, 1.0, 0.0, -0.0,
+         -3.5, 0.25, 1.0 + 1e-16, 2.0, 5e-324],
+    )
+    @pytest.mark.parametrize("lo, hi", [(1e-9, 1.0), (1e-12, 1.0)])
+    def test_matches_np_clip(self, x, lo, hi):
+        want = float(np.clip(x, lo, hi))
+        got = _clamp(x, lo, hi)
+        assert type(got) is float
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert got.hex() == want.hex()
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_matches_np_clip_anywhere(self, x):
+        want = float(np.clip(x, 1e-9, 1.0))
+        got = _clamp(x, 1e-9, 1.0)
+        assert (np.isnan(got) and np.isnan(want)) or got.hex() == want.hex()
+
+
+class TestSelectivityMemo:
+    PREDICATES = [
+        Predicate("t", "k", "=", 17),
+        Predicate("t", "k", "<", 400),
+        Predicate("t", "v", "between", (10.0, 20.5)),
+        Predicate("t", "s", "in", ("s_1", "s_2")),
+        Predicate("t", "s", "like", "%s_1"),
+    ]
+
+    def test_memoized_values_equal_fresh_ones(self):
+        warm = TableStatistics(make_catalog(skew=1.1).table("t"), seed_key=3)
+        first = [warm.true_selectivity(p) for p in self.PREDICATES]
+        again = [warm.true_selectivity(p) for p in self.PREDICATES]
+        for pred, a, b in zip(self.PREDICATES, first, again):
+            fresh = TableStatistics(make_catalog(skew=1.1).table("t"), seed_key=3)
+            assert a.hex() == b.hex() == fresh.true_selectivity(pred).hex()
+
+    def test_key_separates_values_that_print_alike(self):
+        as_int, as_str = Predicate("t", "k", "<", 1), Predicate("t", "k", "<", "1")
+        assert as_int.key() == as_str.key()
+        assert as_int.memo_key() != as_str.memo_key()
+
+    def test_unhashable_literal_is_computed_not_stored(self):
+        stats = TableStatistics(make_catalog().table("t"))
+        pred = Predicate("t", "s", "in", ["s_1", "s_2", "s_3"])
+        sel = stats.true_selectivity(pred)
+        assert sel == stats.true_selectivity(pred)
+        assert not stats._true_memo
+
+    def test_memos_stop_growing_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(statistics, "SELECTIVITY_MEMO_MAX", 8)
+        stats = CatalogStatistics(make_catalog(), seed_key=4)
+        table = stats.for_table("t")
+        preds = [Predicate("t", "k", "<", v) for v in range(20)]
+        got = [table.true_selectivity(p) for p in preds]
+        assert len(table._true_memo) == 8
+        fresh = TableStatistics(make_catalog().table("t"), seed_key=(4, "t"))
+        assert got == [fresh.true_selectivity(p) for p in preds]
+        pairs = [(("t", a), ("t", b)) for a in "kvs" for b in "kvs"]
+        joins = [stats.true_join_selectivity(*pair) for pair in pairs]
+        assert len(stats._true_join_memo) == 8
+        fresh_stats = CatalogStatistics(make_catalog(), seed_key=4)
+        assert joins == [fresh_stats.true_join_selectivity(*pair) for pair in pairs]
 
 
 class TestDataAbstract:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 
-from repro.engine.environment import DatabaseEnvironment
+from repro.engine.cardinality import CardinalityModel
+from repro.engine.cost import CostModel
+from repro.engine.environment import DatabaseEnvironment, random_environments
 from repro.engine.hardware import get_profile
 from repro.engine.knobs import default_configuration
 from repro.engine.operators import JOIN_OPERATORS, OperatorType
@@ -159,3 +162,28 @@ class TestDecorators:
         a = build(tpch, sql)
         b = build(tpch, sql)
         assert [n.op for n in a.walk()] == [n.op for n in b.walk()]
+
+
+def _estimates(plan):
+    return [
+        (n.est_rows.hex(), n.est_width, n.est_startup_cost.hex(), n.est_total_cost.hex())
+        for n in plan.walk()
+    ]
+
+
+@pytest.mark.parametrize("name", ["tpch", "joblight", "sysbench"])
+def test_incremental_annotation_equals_a_full_rewalk(name, request):
+    """The builder annotates each node once, when it is made.  A full
+    bottom-up re-walk of the final plan must reproduce every estimate
+    bit for bit."""
+    benchmark = request.getfixturevalue(name)
+    for env in random_environments(4, seed=21):
+        builder = PlanBuilder(benchmark.catalog, benchmark.stats, env)
+        cards = CardinalityModel(benchmark.catalog, benchmark.stats)
+        cost = CostModel(benchmark.catalog, env)
+        for _, query in benchmark.generate_queries(30, seed=2):
+            plan = builder.build(query)
+            incremental = _estimates(plan)
+            cards.annotate_estimates(plan)
+            cost.annotate(plan)
+            assert _estimates(plan) == incremental, query.sql()
