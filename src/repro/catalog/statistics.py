@@ -36,8 +36,10 @@ _COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">=", "between", "in", "like"}
 #: predicates over and over (the data abstract draws 32 literals per
 #: column), but a long-lived statistics object, such as the serving
 #: layer's, can see arbitrary literals; past the cap new keys are
-#: computed and not stored.
-SELECTIVITY_MEMO_MAX = 1 << 16
+#: computed and not stored.  A TPC-H ``QCFE.fit`` stores at most about
+#: 660 entries per table, and an entry costs about 265 bytes, so a
+#: full memo holds about 1 MB.
+SELECTIVITY_MEMO_MAX = 1 << 12
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -53,7 +55,9 @@ def _remember(memo: Dict, key: object, value: float) -> float:
     The memos are read and written without a lock.  Two threads that
     miss on the same key compute the same float (the selectivities are
     pure functions of the key and the statistics seed), so whichever
-    write lands last stores an equal value.
+    write lands last stores an equal value.  The cap is soft for the
+    same reason: threads that pass the size check together can each
+    add one entry past it.
     """
     if len(memo) < SELECTIVITY_MEMO_MAX:
         memo[key] = value

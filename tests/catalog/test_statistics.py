@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.catalog.schema import Catalog, Column, ColumnType, Table
 from repro.catalog import statistics
+from repro.catalog.schema import Catalog, Column, ColumnType, Table
 from repro.catalog.statistics import (
     CatalogStatistics,
     DataAbstract,
@@ -193,7 +196,7 @@ class TestSelectivityMemo:
         warm = TableStatistics(make_catalog(skew=1.1).table("t"), seed_key=3)
         first = [warm.true_selectivity(p) for p in self.PREDICATES]
         again = [warm.true_selectivity(p) for p in self.PREDICATES]
-        for pred, a, b in zip(self.PREDICATES, first, again):
+        for pred, a, b in zip(self.PREDICATES, first, again, strict=True):
             fresh = TableStatistics(make_catalog(skew=1.1).table("t"), seed_key=3)
             assert a.hex() == b.hex() == fresh.true_selectivity(pred).hex()
 
@@ -223,6 +226,37 @@ class TestSelectivityMemo:
         assert len(stats._true_join_memo) == 8
         fresh_stats = CatalogStatistics(make_catalog(), seed_key=4)
         assert joins == [fresh_stats.true_join_selectivity(*pair) for pair in pairs]
+
+    def test_racing_threads_store_equal_values(self, monkeypatch):
+        """More threads than cores share one memo: every answer equals
+        the single-threaded one, and the cap overshoots by at most one
+        entry per racing thread."""
+        monkeypatch.setattr(statistics, "SELECTIVITY_MEMO_MAX", 16)
+        threads_n = 8
+        preds = [Predicate("t", "k", "<", v) for v in range(64)]
+        fresh = TableStatistics(make_catalog().table("t"), seed_key=5)
+        want = [fresh.true_selectivity(p) for p in preds]
+        shared = TableStatistics(make_catalog().table("t"), seed_key=5)
+        results = [None] * threads_n
+
+        def work(slot):
+            order = np.random.default_rng(slot).permutation(len(preds))
+            got = {int(i): shared.true_selectivity(preds[i]) for i in order}
+            results[slot] = [got[i] for i in range(len(preds))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * threads_n
+        assert len(shared._true_memo) <= 16 + threads_n
 
 
 class TestDataAbstract:
