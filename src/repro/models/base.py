@@ -13,6 +13,12 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.snapshot import SnapshotSet
 
+#: Plans per fused forward in ``predict_prepared_batch``: a larger flush
+#: runs as consecutive chunks of this many plans, which bounds the
+#: working buffers.  Chunk boundaries never show in the output bits,
+#: since the fused path is batch-size-invariant.
+PREDICT_CHUNK_PLANS = 512
+
 
 @dataclass
 class TrainStats:

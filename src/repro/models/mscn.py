@@ -29,7 +29,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.snapshot import SnapshotSet
 from ..rng import rng_for
-from .base import CostEstimator, TrainStats, snapshot_mapping_for, warm_start_remap
+from .base import (
+    PREDICT_CHUNK_PLANS,
+    CostEstimator,
+    TrainStats,
+    snapshot_mapping_for,
+    warm_start_remap,
+)
 from .qppnet import from_log, to_log
 
 
@@ -362,9 +368,8 @@ class MSCN(CostEstimator):
             for record, sample in zip(labeled, prepared, strict=True)
         ]
         out = np.zeros(len(labeled))
-        step = 512
-        for lo in range(0, len(labeled), step):
-            chunk = samples[lo:lo + step]
+        for lo in range(0, len(labeled), PREDICT_CHUNK_PLANS):
+            chunk = samples[lo:lo + PREDICT_CHUNK_PLANS]
             values = self._forward_numpy(chunk).reshape(-1)
             out[lo:lo + len(chunk)] = from_log(values)
         return out

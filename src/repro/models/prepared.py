@@ -22,6 +22,8 @@ and the equivalence suite asserts exact equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -170,45 +172,72 @@ def merge_prepared(
     at ``offsets[-1]`` (one past the last node).  ``offsets`` has one
     entry per plan plus the total.  Serving (:func:`fused_forward`) and
     training (:meth:`repro.models.qppnet.QPPNet.fit`) share this merge.
+
+    A single plan's groups are already unique and sorted, so a flush of
+    one skips the merge.  A flush of many sorts its groups into buckets
+    once, then shifts every node and child index of the flush with one
+    ``np.repeat`` of the plans' offsets; each bucket is a slice of the
+    shifted arrays.
     """
+    if len(prepared_seq) == 1:
+        (prepared,) = prepared_seq
+        offsets = np.array([0, prepared.n_nodes], dtype=np.int64)
+        total = offsets[-1]
+        groups = [
+            (
+                op,
+                feats,
+                nodes.astype(np.int64, copy=False),
+                np.where(children >= 0, children, total),
+            )
+            for op, feats, nodes, children in zip(
+                prepared.ops,
+                prepared.feats,
+                prepared.nodes,
+                prepared.children,
+                strict=True,
+            )
+        ]
+        return groups, offsets
     counts = np.array([p.n_nodes for p in prepared_seq], dtype=np.int64)
     offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-    total = int(offsets[-1])
-    merged: Dict[
-        Tuple[int, str],
-        Tuple[OperatorType, List[np.ndarray], List[np.ndarray], List[np.ndarray]],
-    ] = {}
-    for prepared, off in zip(prepared_seq, offsets[:-1], strict=True):
-        for level, op, feats, nodes, children in zip(
-            prepared.levels,
-            prepared.ops,
-            prepared.feats,
-            prepared.nodes,
-            prepared.children,
-            strict=True,
-        ):
-            key = (level, op.value)
-            _, feat_parts, node_parts, child_parts = merged.setdefault(
-                key, (op, [], [], [])
-            )
-            feat_parts.append(feats)
-            node_parts.append(nodes + off)
-            child_parts.append(np.where(children >= 0, children + off, total))
+    if not prepared_seq:
+        return [], offsets
+    # One (height, operator value, plan, group, op) entry per plan
+    # group, sorted bucket-major and plan-major within a bucket: the row
+    # order of the merged groups.  (plan, group) is unique, so the sort
+    # never compares operators.
+    entries = sorted(
+        (level, op.value, plan, group, op)
+        for plan, prepared in enumerate(prepared_seq)
+        for group, (level, op) in enumerate(
+            zip(prepared.levels, prepared.ops, strict=True)
+        )
+    )
+    node_parts = [prepared_seq[plan].nodes[group] for _, _, plan, group, _ in entries]
+    shift = np.repeat(
+        offsets[[entry[2] for entry in entries]],
+        [len(part) for part in node_parts],
+    )
+    nodes = np.concatenate(node_parts) + shift
+    children = np.concatenate(
+        [prepared_seq[plan].children[group] for _, _, plan, group, _ in entries]
+    )
+    children = np.where(children >= 0, children + shift[:, None], offsets[-1])
     groups = []
-    for _key, (op, feat_parts, node_parts, child_parts) in sorted(merged.items()):
+    lo = 0
+    for _key, bucket in groupby(entries, key=itemgetter(0, 1)):
+        feat_parts = []
+        for _, _, plan, group, op in bucket:
+            feat_parts.append(prepared_seq[plan].feats[group])
         feats = (
             feat_parts[0]
             if len(feat_parts) == 1
             else np.concatenate(feat_parts, axis=0)
         )
-        groups.append(
-            (
-                op,
-                feats,
-                np.concatenate(node_parts),
-                np.concatenate(child_parts, axis=0),
-            )
-        )
+        hi = lo + feats.shape[0]
+        groups.append((op, feats, nodes[lo:hi], children[lo:hi]))
+        lo = hi
     return groups, offsets
 
 

@@ -41,7 +41,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.snapshot import SnapshotSet
 from ..rng import rng_for
-from .base import CostEstimator, TrainStats, snapshot_mapping_for, warm_start_remap
+from .base import (
+    PREDICT_CHUNK_PLANS,
+    CostEstimator,
+    TrainStats,
+    snapshot_mapping_for,
+    warm_start_remap,
+)
 from .prepared import (
     MAX_CHILDREN,
     PreparedPlan,
@@ -455,9 +461,8 @@ class QPPNet(CostEstimator):
             for record, value in zip(labeled, prepared, strict=True)
         ]
         out = np.zeros(len(labeled))
-        step = 512
-        for lo in range(0, len(labeled), step):
-            chunk = plans[lo:lo + step]
+        for lo in range(0, len(labeled), PREDICT_CHUNK_PLANS):
+            chunk = plans[lo:lo + PREDICT_CHUNK_PLANS]
             roots = fused_forward(chunk, self.units, self.data_size)
             out[lo:lo + len(chunk)] = from_log(roots)
         return out

@@ -15,6 +15,16 @@ position, not its neighbours, not the batch size — so zero-padding is
 safe and scalar/batched paths agree bit for bit by construction.
 Elementwise activations and the bias add are row-local already and
 need no blocking.
+
+Pad once per network, not once per layer.  A multi-layer forward
+(:meth:`repro.nn.layers.Sequential.forward_batched`) pads its input to
+whole blocks once with :func:`pad_rows`, runs every dense layer on
+that padded block with :func:`block_gemm`, and slices the real rows
+out once at the end.  The invariant that keeps this bit-identical to
+padding before every layer: real rows see the same fixed-shape GEMM
+calls, while the bias add and activations touch the real rows only.
+Padding rows therefore stay zero (``0 @ W`` is zero) and are never
+read back.
 """
 
 from __future__ import annotations
@@ -27,28 +37,41 @@ import numpy as np
 BLOCK_ROWS = 32
 
 
+def pad_rows(x: np.ndarray) -> np.ndarray:
+    """*x* copied into a zeroed float64 block of whole
+    :data:`BLOCK_ROWS`-row blocks (``(0, k)`` stays ``(0, k)``)."""
+    rows = x.shape[0]
+    block = np.zeros((rows + (-rows) % BLOCK_ROWS, x.shape[1]))
+    block[:rows] = x
+    return block
+
+
+def block_gemm(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``block @ weight`` as one ``(BLOCK_ROWS, k) @ (k, m)`` call per
+    block; *block*'s row count must be a multiple of :data:`BLOCK_ROWS`
+    (see :func:`pad_rows`).  The one GEMM loop of the package."""
+    if block.shape[0] == BLOCK_ROWS:
+        # One block, the common small flush: the loop's single call,
+        # minus the output buffer and the slicing.
+        return block @ weight
+    out = np.empty((block.shape[0], weight.shape[1]))
+    for lo in range(0, block.shape[0], BLOCK_ROWS):
+        np.matmul(
+            block[lo:lo + BLOCK_ROWS], weight, out=out[lo:lo + BLOCK_ROWS]
+        )
+    return out
+
+
 def blocked_matmul(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray
 ) -> np.ndarray:
     """``x @ weight + bias`` with batch-size-independent rounding.
 
-    Every GEMM issued has the constant shape ``(BLOCK_ROWS, k) @
-    (k, m)`` (rows are zero-padded up to the block), so row ``i`` of
-    the result is a pure function of ``x[i]`` — see the module
-    docstring.  Used by every inference entry point that must stay
-    bit-identical between the scalar and fused-batch serving paths.
+    Pad → :func:`block_gemm` → slice, so row ``i`` of the result is a
+    pure function of ``x[i]`` — see the module docstring.  Used by
+    every inference entry point that must stay bit-identical between
+    the scalar and fused-batch serving paths.
     """
-    rows = x.shape[0]
-    if rows == 0:
-        return np.zeros((0, weight.shape[1]))
-    x = np.ascontiguousarray(x)
-    pad = (-rows) % BLOCK_ROWS
-    if pad:
-        padded = np.zeros((rows + pad, x.shape[1]), dtype=x.dtype)
-        padded[:rows] = x
-        x = padded
-    out = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64)
-    for lo in range(0, x.shape[0], BLOCK_ROWS):
-        out[lo:lo + BLOCK_ROWS] = x[lo:lo + BLOCK_ROWS] @ weight
+    out = block_gemm(pad_rows(x), weight)[:x.shape[0]]
     out += bias
-    return out[:rows]
+    return out

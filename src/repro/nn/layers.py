@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, List, Sequence
 import numpy as np
 
 from . import init as _init
-from .batched import blocked_matmul
+from .batched import block_gemm, blocked_matmul, pad_rows
 from .tensor import Tensor, affine
 
 
@@ -51,6 +51,19 @@ class Module:
         matmuls) must override.
         """
         return self.forward_numpy(x)
+
+    def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
+        """One layer of a pad-once forward (see :mod:`repro.nn.batched`).
+
+        *block* holds whole :data:`~repro.nn.batched.BLOCK_ROWS`-row
+        blocks whose first *rows* rows are real and the rest zero
+        padding; returns the layer's output in the same layout and may
+        overwrite *block*.  The default suits elementwise layers: it
+        applies :meth:`forward_numpy` to the real rows in place, so the
+        padding stays zero.  Layers that change the width must override.
+        """
+        block[:rows] = self.forward_numpy(block[:rows])
+        return block
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -103,6 +116,13 @@ class Linear(Module):
         """Fixed-block GEMM so the result is batch-size-invariant."""
         return blocked_matmul(x, self.weight.data, self.bias.data)
 
+    def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
+        """The fixed-block GEMM on an already padded block; the bias
+        goes on the real rows only, so padding rows stay zero."""
+        out = block_gemm(block, self.weight.data)
+        out[:rows] += self.bias.data
+        return out
+
     def __repr__(self) -> str:
         return f"Linear({self.in_features} -> {self.out_features})"
 
@@ -115,6 +135,12 @@ class ReLU(Module):
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         return x * (x > 0)
+
+    def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
+        """:meth:`forward_numpy` on the real rows, written in place."""
+        real = block[:rows]
+        np.multiply(real, real > 0, out=real)
+        return block
 
     def __repr__(self) -> str:
         return "ReLU()"
@@ -170,10 +196,17 @@ class Sequential(Module):
         return x
 
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
-        """Chain each layer's batch-size-invariant forward."""
+        """Pad *x* to whole blocks once, run every layer on the padded
+        block, slice the real rows once: bit-identical to chaining each
+        layer's :meth:`forward_batched` (see :mod:`repro.nn.batched`)."""
+        rows = x.shape[0]
+        return self.forward_block(pad_rows(x), rows)[:rows]
+
+    def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
+        """Chain each layer's :meth:`forward_block`."""
         for module in self.modules:
-            x = module.forward_batched(x)
-        return x
+            block = module.forward_block(block, rows)
+        return block
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self.modules)

@@ -237,3 +237,144 @@ def test_mscn_hard_mask_preserves_bit_identity(tpch, tpch_split):
     np.testing.assert_array_equal(
         model.predict_prepared_batch(records, via_template), batch
     )
+
+
+# ----------------------------------------------------------------------
+# merge_prepared against the per-entry merge it replaced
+# ----------------------------------------------------------------------
+def _reference_merge(prepared_seq):
+    """Oracle: the per-entry merge — one dict entry per (height,
+    operator), every plan's indices shifted with its own add and
+    ``np.where``."""
+    counts = np.array([p.n_nodes for p in prepared_seq], dtype=np.int64)
+    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
+    total = int(offsets[-1])
+    merged = {}
+    for prepared, off in zip(prepared_seq, offsets[:-1], strict=True):
+        for level, op, feats, nodes, children in zip(
+            prepared.levels,
+            prepared.ops,
+            prepared.feats,
+            prepared.nodes,
+            prepared.children,
+            strict=True,
+        ):
+            _, feat_parts, node_parts, child_parts = merged.setdefault(
+                (level, op.value), (op, [], [], [])
+            )
+            feat_parts.append(feats)
+            node_parts.append(nodes + off)
+            child_parts.append(np.where(children >= 0, children + off, total))
+    groups = []
+    for _key, (op, feat_parts, node_parts, child_parts) in sorted(merged.items()):
+        feats = (
+            feat_parts[0]
+            if len(feat_parts) == 1
+            else np.concatenate(feat_parts, axis=0)
+        )
+        groups.append(
+            (
+                op,
+                feats,
+                np.concatenate(node_parts),
+                np.concatenate(child_parts, axis=0),
+            )
+        )
+    return groups, offsets
+
+
+def _assert_same_merge(prepared_seq):
+    from repro.models.prepared import merge_prepared
+
+    got, got_offsets = merge_prepared(prepared_seq)
+    want, want_offsets = _reference_merge(prepared_seq)
+    np.testing.assert_array_equal(got_offsets, want_offsets)
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (_, feats, nodes, children), (_, w_feats, w_nodes, w_children) in zip(
+        got, want, strict=True
+    ):
+        np.testing.assert_array_equal(feats, w_feats)
+        np.testing.assert_array_equal(nodes, w_nodes)
+        np.testing.assert_array_equal(children, w_children)
+        assert nodes.dtype == np.int64 and children.dtype == np.int64
+    return got, got_offsets
+
+
+@pytest.fixture(scope="module")
+def qppnet_prepared(tpch, tpch_split):
+    """Prepared plans of the held-out records, from a QPPNet fit."""
+    train, test = tpch_split
+    model = QPPNet(OperatorEncoder(tpch.catalog), epochs=1, seed=7)
+    model.fit(train)
+    return [model.prepare_one(r) for r in test]
+
+
+def _synthetic(ops, n_feats=3, index_dtype=np.int64):
+    """A hand-built prepared plan: a chain of one node per group, leaf
+    first (the root is walk index 0), so every group has absent
+    children and each key is ``(height, op)``."""
+    from repro.models.prepared import PreparedPlan
+
+    n = len(ops)
+    rng = np.random.default_rng(n)
+    return PreparedPlan(
+        levels=list(range(n)),
+        ops=list(ops),
+        feats=[rng.normal(size=(1, n_feats)) for _ in ops],
+        nodes=[np.array([n - 1 - h], dtype=index_dtype) for h in range(n)],
+        children=[
+            np.array([[n - h if h else -1, -1]], dtype=index_dtype)
+            for h in range(n)
+        ],
+        n_nodes=n,
+    )
+
+
+def test_merge_of_one_plan_matches_the_per_entry_merge(qppnet_prepared):
+    for prepared in qppnet_prepared:
+        _assert_same_merge([prepared])
+    _assert_same_merge([_synthetic([OperatorType.SEQ_SCAN], index_dtype=np.int32)])
+
+
+def test_merge_of_many_plans_matches_the_per_entry_merge(qppnet_prepared):
+    """Shared keys (a plan repeated, random subsets of real plans) and
+    unshared keys (synthetic plans with disjoint operators)."""
+    plans = qppnet_prepared
+    assert _assert_same_merge([])[0] == []
+    _assert_same_merge([plans[0]] * 3)
+    _assert_same_merge(plans)
+    rng = np.random.default_rng(21)
+    for size in (2, 4, 16):
+        pick = rng.choice(len(plans), size=size, replace=True)
+        _assert_same_merge([plans[i] for i in pick])
+    seq = _synthetic([OperatorType.SEQ_SCAN, OperatorType.SORT])
+    index = _synthetic([OperatorType.INDEX_SCAN], index_dtype=np.int32)
+    groups, _ = _assert_same_merge([seq, index])
+    assert [op for op, *_ in groups] == [
+        OperatorType.INDEX_SCAN, OperatorType.SEQ_SCAN, OperatorType.SORT
+    ]
+    _assert_same_merge([index, seq, index, seq])
+
+
+def test_merged_absent_children_point_one_past_the_last_node(qppnet_prepared):
+    flushes = [[qppnet_prepared[0]], qppnet_prepared[:5]]
+    flushes.append([_synthetic([OperatorType.SEQ_SCAN, OperatorType.SORT])] * 2)
+    for flush in flushes:
+        groups, offsets = _assert_same_merge(flush)
+        sources = {}
+        for plan_index, prepared in enumerate(flush):
+            for level, op, children in zip(
+                prepared.levels, prepared.ops, prepared.children, strict=True
+            ):
+                sources.setdefault((level, op.value), []).append(
+                    np.where(children >= 0, children + offsets[plan_index], -1)
+                )
+        absent = 0
+        for (_, parts), (_, _, _, children) in zip(
+            sorted(sources.items()), groups, strict=True
+        ):
+            want = np.concatenate(parts, axis=0)
+            np.testing.assert_array_equal(children[want < 0], offsets[-1])
+            np.testing.assert_array_equal(children[want >= 0], want[want >= 0])
+            absent += int((want < 0).sum())
+        assert absent > 0

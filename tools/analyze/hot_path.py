@@ -45,7 +45,8 @@ HOT_FUNCTIONS = re.compile(
     r"estimate|estimate_many|estimate_async|estimate_batch|_admit"
     r"|_prepare|prepare_one|predict|predict_prepared"
     r"|predict_prepared_batch|prepare_template|prepare_from_template"
-    r"|fused_forward|forward_batched|blocked_matmul"
+    r"|fused_forward|merge_prepared|forward_batched|forward_block"
+    r"|blocked_matmul|block_gemm|pad_rows"
     r"|_resolve_plan|_run_batch|_flush|_take_batch|submit|get_or_compute"
     r"|open_span"
     r"|_route|resolve|_resolve_key"
