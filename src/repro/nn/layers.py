@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, List, Sequence
 import numpy as np
 
 from . import init as _init
-from .batched import block_gemm, blocked_matmul, pad_rows
+from .batched import block_gemm, pad_rows
 from .tensor import Tensor, affine
 
 
@@ -45,12 +45,13 @@ class Module:
         Like :meth:`forward_numpy`, but additionally guarantees that
         row ``i`` of the output depends only on row ``i`` of the input
         — so fusing many requests into one call cannot perturb any
-        single request's result (see :mod:`repro.nn.batched`).
-        Elementwise layers are row-local already, so the default simply
-        delegates; layers that reduce across the feature axis (dense
-        matmuls) must override.
+        single request's result (see :mod:`repro.nn.batched`).  Pads
+        *x* to whole blocks once, runs :meth:`forward_block` on the
+        padded block and slices the real rows once; layers customise
+        :meth:`forward_block`, never this.
         """
-        return self.forward_numpy(x)
+        rows = x.shape[0]
+        return self.forward_block(pad_rows(x), rows)[:rows]
 
     def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
         """One layer of a pad-once forward (see :mod:`repro.nn.batched`).
@@ -111,10 +112,6 @@ class Linear(Module):
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.data + self.bias.data
-
-    def forward_batched(self, x: np.ndarray) -> np.ndarray:
-        """Fixed-block GEMM so the result is batch-size-invariant."""
-        return blocked_matmul(x, self.weight.data, self.bias.data)
 
     def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
         """The fixed-block GEMM on an already padded block; the bias
@@ -195,15 +192,9 @@ class Sequential(Module):
             x = module.forward_numpy(x)
         return x
 
-    def forward_batched(self, x: np.ndarray) -> np.ndarray:
-        """Pad *x* to whole blocks once, run every layer on the padded
-        block, slice the real rows once: bit-identical to chaining each
-        layer's :meth:`forward_batched` (see :mod:`repro.nn.batched`)."""
-        rows = x.shape[0]
-        return self.forward_block(pad_rows(x), rows)[:rows]
-
     def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
-        """Chain each layer's :meth:`forward_block`."""
+        """Chain each layer's :meth:`forward_block` on the one padded
+        block, so a whole network pads and slices once."""
         for module in self.modules:
             block = module.forward_block(block, rows)
         return block

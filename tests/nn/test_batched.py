@@ -1,7 +1,8 @@
 """The pad-once fixed-block kernel (``repro.nn.batched``).
 
-``Sequential.forward_batched`` pads its input to whole ``BLOCK_ROWS``
-blocks once and runs every layer on that block.  It must be bit-equal
+``Sequential.forward_batched`` (inherited from ``Module``) pads its
+input to whole ``BLOCK_ROWS`` blocks once and runs every layer on that
+block.  It must be bit-equal
 to two things: the same network on each row alone, and the per-layer
 chain it replaced, kept here as the oracle (every ``Linear`` padding
 its own input, adding the bias to every row of the block and slicing).
@@ -104,6 +105,22 @@ def test_blocked_matmul_equals_the_per_layer_kernel(rows):
     got = blocked_matmul(x, w, b)
     assert got.shape == (rows, 5) and got.dtype == np.float64
     np.testing.assert_array_equal(_bits(got), _bits(_reference_blocked_matmul(x, w, b)))
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+def test_a_bare_layer_inherits_the_batch_invariant_forward(rows):
+    """``Linear`` and the activations define only ``forward_block``; the
+    inherited ``forward_batched`` must still be the per-layer kernel."""
+    x = _inputs(rows, seed=6)
+    linear = Linear(9, 5, seed_key="bare")
+    got = linear.forward_batched(x)
+    assert got.shape == (rows, 5) and got.dtype == np.float64
+    want = _reference_blocked_matmul(x, linear.weight.data, linear.bias.data)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    for activation in _net("relu").modules[1::2] + _net("tanh").modules[1::2]:
+        np.testing.assert_array_equal(
+            _bits(activation.forward_batched(x)), _bits(activation.forward_numpy(x))
+        )
 
 
 def test_pad_rows_rounds_up_to_whole_blocks():
