@@ -22,17 +22,25 @@ plan-carrying frame (``estimate``, ``estimate_many``,
 
 .. code-block:: text
 
-    +-----------+--------------------------------+----------------------+
-    | json_len  | JSON [env, [query, ...]]       | float64 block        |
-    +-----------+--------------------------------+----------------------+
-      u32 LE      SQL text, or a plan as a         6 per plan node, LE,
-                  pre-order list of positional     in node order
-                  node entries
+    +---------+-----+-------+-----------------------------+---------------+
+    | env_len | env | count | query sections              | runtime block |
+    +---------+-----+-------+-----------------------------+---------------+
+      u32 LE    JSON  u32 LE  "S" len SQL text, or          3 float64 per
+                              "P" nodes len canonical bytes plan node, LE
 
-A request's header then carries only its routing fields (``bundle``,
-``backend``).  The parent builds the blob once per request
-(:func:`encode_request`), before routing, so a failover resends the
-same bytes; the worker decodes it with :func:`decode_request`.
+A plan's section holds exactly its canonical bytes
+(:mod:`repro.engine.plan_codec`): the pre-order JSON node entries and
+the optimizer estimates as float64, the bytes
+:func:`~repro.featurization.fingerprint.plan_fingerprint` hashes.  The
+runtime-only floats (true rows, actual times) ride in the separate
+runtime block, so they never reach the key.  A request's header then
+carries only its routing fields (``bundle``, ``backend``).  The parent
+builds the blob once per request (:func:`encode_request`), before
+routing, so a failover resends the same bytes.  The worker splits it
+(:func:`split_request`) into the env section and one
+:class:`~repro.engine.plan_codec.EncodedPlan` per plan, which its
+service keys by the bytes and decodes only on a feature-cache miss;
+:func:`decode_request` is the eager form that decodes everything.
 
 The decoder is deliberately paranoid: bad magic, an unknown version,
 lengths beyond the hard caps, truncated payloads, non-object headers,
@@ -55,16 +63,23 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ... import errors
-from ...catalog.statistics import Predicate
 from ...engine.environment import DatabaseEnvironment
 from ...engine.hardware import PROFILES, HardwareProfile
 from ...engine.knobs import KnobConfiguration
-from ...engine.operators import OperatorType, PlanNode
+from ...engine.operators import PlanNode
+from ...engine.plan_codec import (
+    EST_FLOATS,
+    NODE_FLOAT_BYTES,
+    RUNTIME_FLOATS,
+    EncodedPlan,
+    encode_plan,
+    encoded_nodes,
+)
 from ...errors import ProtocolError, ReproError, WorkerDiedError
 from ...sql.ast import SelectQuery
 
@@ -72,7 +87,7 @@ from ...sql.ast import SelectQuery
 MAGIC = b"QF"
 
 #: Wire format version; bumped on any incompatible layout change.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Fixed-size frame prefix: magic, version, pad, header len, tail len.
 _PREFIX = struct.Struct(">2sBBII")
@@ -384,9 +399,9 @@ def env_from_wire(state: object) -> DatabaseEnvironment:
         return DatabaseEnvironment(
             knobs=knobs, hardware=hardware, name=str(state["name"])
         )
-    except ReproError:
+    except ProtocolError:
         raise
-    except Exception as exc:  # malformed wire data stays a typed error
+    except Exception as exc:  # malformed wire data, an unknown knob too
         raise ProtocolError(f"invalid environment payload: {exc}") from exc
 
 
@@ -414,208 +429,161 @@ def floats_from_tail(fragment: object, tail: bytes) -> np.ndarray:
 # ----------------------------------------------------------------------
 # request blobs (the tail of every plan-carrying frame)
 # ----------------------------------------------------------------------
-#: Length prefix of a request blob's JSON part.
-_BLOB_PREFIX = struct.Struct("<I")
+#: Length and count prefixes of a request blob.
+_U32 = struct.Struct("<I")
 
-#: Float fields of one plan node, in the order the float block holds
-#: them.
-NODE_FLOATS = (
-    "est_rows",
-    "est_startup_cost",
-    "est_total_cost",
-    "true_rows",
-    "actual_ms",
-    "actual_total_ms",
-)
+#: Head of a SQL query section: tag ``S``, UTF-8 byte length.
+_SQL_HEAD = struct.Struct("<cI")
 
+#: Head of a plan section: tag ``P``, node count, canonical byte length.
+_PLAN_HEAD = struct.Struct("<cII")
 
-def _plan_to_blob(plan: PlanNode, floats: List[float]) -> List[list]:
-    """*plan*'s nodes in pre-order as positional entries; each node's
-    :data:`NODE_FLOATS` fields are appended to *floats*, in that order.
-    Predicate literals stay in the JSON part (a float literal's
-    ``repr`` round-trips exactly)."""
-    entries: List[list] = []
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        entries.append(
-            [
-                node.op.value,
-                node.table,
-                node.index,
-                len(node.children),
-                [[p.table, p.column, p.op, p.value] for p in node.predicates],
-                node.sort_keys,
-                node.join_columns,
-                node.group_keys,
-                node.limit_count,
-                node.est_width,
-            ]
-        )
-        floats += (
-            node.est_rows,
-            node.est_startup_cost,
-            node.est_total_cost,
-            node.true_rows,
-            node.actual_ms,
-            node.actual_total_ms,
-        )
-        stack.extend(reversed(node.children))
-    return entries
+#: Float fields of one plan node a request carries: the est floats in
+#: its canonical bytes, then the runtime floats in the runtime block.
+NODE_FLOATS = EST_FLOATS + RUNTIME_FLOATS
 
 
 def encode_request(queries: Sequence[object], env: DatabaseEnvironment) -> bytes:
     """One request blob carrying *queries* and *env*.
 
-    Layout: a little-endian u32 length, then that many bytes of JSON
-    ``[env, [query, ...]]`` where a query is its SQL text (a
-    :class:`SelectQuery` ships as its SQL) or a plan as a pre-order
-    list of positional node entries, then one little-endian float64
-    per :data:`NODE_FLOATS` field of every plan node, in node order —
-    floats cross bit-exactly, with no text round trip.  Anything that
-    cannot be shipped raises :class:`ProtocolError`.
+    Layout (all integers little-endian u32 unless noted):
+
+    - the env section: its length, then :func:`env_to_wire` as JSON;
+    - the query count, then one section per query: ``S``, a length and
+      UTF-8 SQL text (a :class:`SelectQuery` ships as its SQL), or
+      ``P``, the node count, a length and the plan's canonical bytes
+      (:func:`~repro.engine.plan_codec.encode_plan`) — exactly the
+      bytes the feature-cache key hashes;
+    - the runtime block: :data:`~repro.engine.plan_codec.RUNTIME_FLOATS`
+      of every plan node as float64, plans and nodes in order.
+
+    Floats cross bit-exactly, with no text round trip.  Anything that
+    cannot be shipped — a value JSON cannot encode included — raises
+    :class:`ProtocolError`.
     """
-    floats: List[float] = []
-    shipped: List[object] = []
-    for query in queries:
-        if isinstance(query, str):
-            shipped.append(query)
-        elif isinstance(query, SelectQuery):
-            shipped.append(query.sql())
-        elif isinstance(query, PlanNode):
-            shipped.append(_plan_to_blob(query, floats))
-        else:
-            raise ProtocolError(
-                f"cannot ship {type(query).__name__} across the worker "
-                "boundary; pass SQL text, a SelectQuery or a PlanNode"
-            )
+    runtime: List[float] = []
     try:
-        body = json.dumps(
-            [env_to_wire(env), shipped], separators=(",", ":")
-        ).encode("utf-8")
-        block = struct.pack(f"<{len(floats)}d", *floats)
+        env_body = json.dumps(env_to_wire(env), separators=(",", ":")).encode(
+            "utf-8"
+        )
+        parts = [_U32.pack(len(env_body)), env_body, _U32.pack(len(queries))]
+        for query in queries:
+            if isinstance(query, PlanNode):
+                data, nodes = encode_plan(query, runtime)
+                parts += (_PLAN_HEAD.pack(b"P", nodes, len(data)), data)
+                continue
+            if isinstance(query, str):
+                text = query
+            elif isinstance(query, SelectQuery):
+                text = query.sql()
+            else:
+                raise ProtocolError(
+                    f"cannot ship {type(query).__name__} across the worker "
+                    "boundary; pass SQL text, a SelectQuery or a PlanNode"
+                )
+            raw = text.encode("utf-8", "surrogatepass")
+            parts += (_SQL_HEAD.pack(b"S", len(raw)), raw)
+        parts.append(struct.pack(f"<{len(runtime)}d", *runtime))
+    except ProtocolError:
+        raise
     except (TypeError, ValueError, AttributeError, struct.error) as exc:
         raise ProtocolError(f"cannot encode request: {exc}") from exc
-    return _BLOB_PREFIX.pack(len(body)) + body + block
+    return b"".join(parts)
 
 
-#: Marks an exhausted iterator (any JSON value, ``null`` too, is data).
-_END = object()
+def split_request(
+    blob: bytes, on_decode: Optional[Callable[[], None]] = None
+) -> Tuple[bytes, List[object]]:
+    """``(env section, queries)`` of a request blob, without decoding
+    a plan.
 
-#: Operator types by their wire (``.value``) name.
-_OPERATORS = {op.value: op for op in OperatorType}
-
-
-def _strings(values: object) -> Tuple[str, ...]:
-    """*values* as a tuple of strings (anything else is malformed)."""
-    if type(values) is not list:
-        raise ProtocolError(f"expected a list of strings, got {values!r}")
-    for value in values:
-        if type(value) is not str:
-            raise ProtocolError(f"expected a string, got {value!r}")
-    return tuple(values)
-
-
-def _plan_from_blob(entries, floats) -> PlanNode:
-    """The plan whose pre-order entries *entries* yields, taking
-    :data:`NODE_FLOATS` floats per node from *floats* (both
-    iterators)."""
-    entry = next(entries)
-    if type(entry) is not list:
-        raise ProtocolError(
-            f"plan node entry is a {type(entry).__name__}, not a list"
-        )
-    (
-        op, table, index, child_count, predicates,
-        sort_keys, join_columns, group_keys, limit_count, est_width,
-    ) = entry
-    if not (
-        (table is None or type(table) is str)
-        and (index is None or type(index) is str)
-        and type(child_count) is int
-        and child_count >= 0
-        and type(predicates) is list
-        and all(type(p) is list for p in predicates)
-        and (limit_count is None or type(limit_count) is int)
-        and type(est_width) is int
-    ):
-        raise ProtocolError("malformed plan node entry")
-    est_rows, startup, total, true_rows, actual, actual_total = (
-        next(floats), next(floats), next(floats),
-        next(floats), next(floats), next(floats),
-    )
-    node = PlanNode(
-        op=_OPERATORS[op],
-        table=table,
-        index=index,
-        predicates=[
-            Predicate(
-                table=str(p_table),
-                column=str(p_column),
-                op=str(p_op),
-                # BETWEEN/IN values are tuples in live predicates.
-                value=tuple(value) if type(value) is list else value,
-            )
-            for p_table, p_column, p_op, value in predicates
-        ],
-        sort_keys=_strings(sort_keys),
-        join_columns=_strings(join_columns),
-        group_keys=_strings(group_keys),
-        limit_count=limit_count,
-        est_rows=est_rows,
-        est_width=est_width,
-        est_startup_cost=startup,
-        est_total_cost=total,
-        children=[_plan_from_blob(entries, floats) for _ in range(child_count)],
-    )
-    node.true_rows, node.actual_ms, node.actual_total_ms = (
-        true_rows, actual, actual_total
-    )
-    return node
-
-
-def decode_request(blob: bytes) -> Tuple[List[object], DatabaseEnvironment]:
-    """Inverse of :func:`encode_request`: ``(queries, env)``.
-
-    Every malformed blob — truncated, mis-sized, bad JSON, a plan that
-    does not validate — raises :class:`ProtocolError`.
+    Each plan comes back as an :class:`EncodedPlan` holding its
+    canonical bytes and its slice of the runtime block; its tree
+    decodes on first use (calling *on_decode*, if given).  SQL text
+    comes back as ``str``.  The env section is the raw JSON, for
+    :func:`decode_env`.  The structure is checked here, on every
+    request: section lengths, each plan's node count against its
+    canonical bytes, the runtime block's size against the total node
+    count, and no surplus bytes — a violation raises
+    :class:`ProtocolError`.  Only the JSON inside a plan waits for its
+    decode.
     """
     try:
-        if len(blob) < _BLOB_PREFIX.size:
-            raise ProtocolError(f"request blob is {len(blob)} bytes")
-        (length,) = _BLOB_PREFIX.unpack_from(blob)
-        end = _BLOB_PREFIX.size + length
-        if end > len(blob) or (len(blob) - end) % 8:
+        (env_len,) = _U32.unpack_from(blob)
+        pos = _U32.size + env_len
+        if pos > len(blob):
             raise ProtocolError(
-                f"request blob declares {length} JSON bytes, holds "
-                f"{len(blob) - _BLOB_PREFIX.size}"
+                f"request blob declares a {env_len}-byte env section, "
+                f"holds {len(blob) - _U32.size}"
             )
-        env_state, shipped = json.loads(
-            blob[_BLOB_PREFIX.size : end].decode("utf-8")
-        )
-        values = struct.unpack_from(f"<{(len(blob) - end) // 8}d", blob, end)
-        floats = iter(values)
-        if type(shipped) is not list:
-            raise ProtocolError(
-                f"request queries are a {type(shipped).__name__}, not a list"
-            )
+        env_section = blob[_U32.size : pos]
+        (count,) = _U32.unpack_from(blob, pos)
+        pos += _U32.size
         queries: List[object] = []
-        for query in shipped:
-            if type(query) is str:
-                queries.append(query)
-                continue
-            if type(query) is not list:
-                raise ProtocolError(
-                    f"request query is a {type(query).__name__}"
-                )
-            entries = iter(query)
-            queries.append(_plan_from_blob(entries, floats))
-            if next(entries, _END) is not _END:
-                raise ProtocolError("plan entries outlive their tree")
-        if next(floats, _END) is not _END:
-            raise ProtocolError("request blob carries surplus floats")
-        return queries, env_from_wire(env_state)
+        plans: List[EncodedPlan] = []
+        for _ in range(count):
+            tag = blob[pos : pos + 1]
+            if tag == b"P":
+                _, nodes, length = _PLAN_HEAD.unpack_from(blob, pos)
+                pos += _PLAN_HEAD.size
+                data = blob[pos : pos + length]
+                if len(data) != length or encoded_nodes(data) != nodes:
+                    raise ProtocolError(
+                        f"plan section of {nodes} nodes and {length} bytes "
+                        "does not fit its canonical bytes"
+                    )
+                plan = EncodedPlan(data, nodes, on_decode=on_decode)
+                plans.append(plan)
+                queries.append(plan)
+            elif tag == b"S":
+                _, length = _SQL_HEAD.unpack_from(blob, pos)
+                pos += _SQL_HEAD.size
+                raw = blob[pos : pos + length]
+                if len(raw) != length:
+                    raise ProtocolError(
+                        f"SQL section declares {length} bytes, holds {len(raw)}"
+                    )
+                queries.append(raw.decode("utf-8", "surrogatepass"))
+            else:
+                raise ProtocolError(f"unknown query section tag {tag!r}")
+            pos += length
+        need = sum(plan.nodes for plan in plans) * NODE_FLOAT_BYTES
+        if len(blob) - pos != need:
+            raise ProtocolError(
+                f"runtime block holds {len(blob) - pos} bytes, the plans' "
+                f"nodes need {need}"
+            )
+        for plan in plans:
+            end = pos + plan.nodes * NODE_FLOAT_BYTES
+            plan.runtime = blob[pos:end]
+            pos = end
+        return env_section, queries
     except ProtocolError:
         raise
     except Exception as exc:  # malformed wire data stays a typed error
         raise ProtocolError(f"invalid request blob: {exc}") from exc
+
+
+def decode_env(section: bytes) -> DatabaseEnvironment:
+    """The environment an env section (from :func:`split_request`)
+    holds; a malformed one raises :class:`ProtocolError`."""
+    try:
+        state = json.loads(section.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"unparseable env section: {exc}") from exc
+    return env_from_wire(state)
+
+
+def decode_request(blob: bytes) -> Tuple[List[object], DatabaseEnvironment]:
+    """Inverse of :func:`encode_request`: ``(queries, env)``, every
+    plan decoded (:func:`split_request`, then each ``.plan``).
+
+    Every malformed blob — truncated, mis-sized, bad JSON, a plan that
+    does not validate — raises :class:`ProtocolError`.
+    """
+    env_section, queries = split_request(blob)
+    env = decode_env(env_section)
+    return [
+        query.plan if isinstance(query, EncodedPlan) else query
+        for query in queries
+    ], env

@@ -26,8 +26,12 @@ consecutive ``estimate`` frames is served by one
 :meth:`~repro.serving.CostService.estimate_batch` — one fused predict
 for the whole run — and every other frame by its handler.  Replies go
 out in request order, all of a drain's in one write.  A plan-carrying
-frame's tail is a :func:`~.protocol.encode_request` blob, decoded by
-:func:`~.protocol.decode_request`.
+frame's tail is a :func:`~.protocol.encode_request` blob, split by
+:func:`~.protocol.split_request`: each plan reaches the service as an
+:class:`~repro.engine.plan_codec.EncodedPlan`, keyed in the feature
+cache by its bytes and decoded only on a miss (``plans_decoded`` in
+the counters says how often).  Each distinct env section is decoded
+once per drain.
 
 Every request is answered — with a ``result`` frame, or with a typed
 ``error`` frame naming a ``repro.errors`` class.  In an estimate run,
@@ -53,6 +57,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ...engine.environment import DatabaseEnvironment
 from ...errors import ProtocolError, ReproError, ServingError
 from ...obs import MetricsRegistry
 from ...persist import restore_service_checkpoint
@@ -84,6 +89,9 @@ class WorkerRuntime:
         self.started = time.monotonic()
         self.requests = 0
         self.errors = 0
+        #: Plans whose tree was decoded from a request blob (a repeated
+        #: plan hits the feature cache and is never decoded).
+        self.plans_decoded = 0
         self.warm_booted = False
         self.sync_generation = -1
         self._attached: Optional[AttachedBlobs] = None
@@ -165,9 +173,10 @@ class WorkerRuntime:
         outcomes: List[object] = []
         requests: List[Tuple[object, ...]] = []
         slots: List[int] = []
+        envs: Dict[bytes, DatabaseEnvironment] = {}
         for header, tail in frames:
             try:
-                query, env = _single_request(tail)
+                query, env = self._single_request(tail, envs)
                 requests.append(
                     (query, env, _optional(header, "bundle"),
                      _optional(header, "backend"))
@@ -184,7 +193,7 @@ class WorkerRuntime:
 
     def _on_estimate_many(self, header, tail):
         """A batched estimate; predictions return as raw float64."""
-        queries, env = protocol.decode_request(tail)
+        queries, env = self._request(tail, {})
         values = self.service.estimate_many(
             queries,
             env,
@@ -197,7 +206,7 @@ class WorkerRuntime:
 
     def _on_record_feedback(self, header, tail):
         """Stream one feedback record into the adaptation loop."""
-        query, env = _single_request(tail)
+        query, env = self._single_request(tail, {})
         actual = header.get("actual_ms")
         self.service.record_feedback(
             query,
@@ -218,11 +227,38 @@ class WorkerRuntime:
                 "uptime_s": time.monotonic() - self.started,
                 "requests": self.requests,
                 "errors": self.errors,
+                "plans_decoded": self.plans_decoded,
                 "warm_booted": self.warm_booted,
                 "generation": self.sync_generation,
                 "sections": sections,
             }
         }, b""
+
+    def _request(
+        self, blob: bytes, envs: Dict[bytes, DatabaseEnvironment]
+    ) -> Tuple[List[object], DatabaseEnvironment]:
+        """The ``(queries, env)`` a request blob carries, plans still
+        encoded; *envs* maps env sections already decoded (one drain's
+        worth) to their environments."""
+        section, queries = protocol.split_request(blob, self._count_decode)
+        env = envs.get(section)
+        if env is None:
+            env = envs[section] = protocol.decode_env(section)
+        return queries, env
+
+    def _single_request(
+        self, blob: bytes, envs: Dict[bytes, DatabaseEnvironment]
+    ) -> Tuple[object, DatabaseEnvironment]:
+        """The ``(query, env)`` a single-query request blob carries."""
+        queries, env = self._request(blob, envs)
+        if len(queries) != 1:
+            raise ProtocolError(
+                f"request blob carries {len(queries)} queries, expected 1"
+            )
+        return queries[0], env
+
+    def _count_decode(self) -> None:
+        self.plans_decoded += 1
 
     def _on_shutdown(self, header, tail):
         """Acknowledge; the serve loop exits after this reply."""
@@ -249,16 +285,6 @@ def _json_safe(value: object) -> object:
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
-
-
-def _single_request(blob: bytes) -> Tuple[object, object]:
-    """The ``(query, env)`` a single-query request blob carries."""
-    queries, env = protocol.decode_request(blob)
-    if len(queries) != 1:
-        raise ProtocolError(
-            f"request blob carries {len(queries)} queries, expected 1"
-        )
-    return queries[0], env
 
 
 def _optional(header: Dict[str, object], key: str) -> Optional[str]:

@@ -47,6 +47,7 @@ from ..engine.environment import DatabaseEnvironment
 from ..engine.executor import LabeledPlan
 from ..engine.operators import PlanNode
 from ..engine.optimizer import PlanBuilder
+from ..engine.plan_codec import EncodedPlan
 from ..errors import ReproError, ServingError
 from ..featurization.fingerprint import plan_fingerprint, template_fingerprint
 from ..obs import EventLog, MetricsRegistry
@@ -61,10 +62,30 @@ from .registry import EstimatorBundle, EstimatorRegistry
 from .routing import BackendRouter
 from .snapshot_store import SnapshotStore, template_snapshot_fitter
 
-#: What estimate() accepts: SQL text, a parsed query, or a built plan.
-QueryLike = Union[str, SelectQuery, PlanNode]
+#: What estimate() accepts: SQL text, a parsed query, or a built plan
+#: (live, or as canonical bytes that decode only when needed).
+QueryLike = Union[str, SelectQuery, PlanNode, EncodedPlan]
 
 STAGES = ("parse", "plan", "featurize", "predict")
+
+
+class _EncodedRecord(LabeledPlan):
+    """A request record whose plan stays encoded until something reads
+    ``.plan``: the feature-cache miss path, the adaptation loop, or a
+    predict of a cached None.  The tree decodes once, whoever asks
+    first."""
+
+    def __init__(self, encoded: EncodedPlan, env_name: str):
+        self.encoded = encoded
+        self.latency_ms = 0.0
+        self.env_name = env_name
+        self.query_sql = ""
+        self.template = ""
+
+    @property
+    def plan(self) -> PlanNode:
+        """The request's plan, decoded on first use."""
+        return self.encoded.plan
 
 
 @dataclass
@@ -364,8 +385,9 @@ class CostService:
         query: QueryLike,
         bundle: EstimatorBundle,
         env: DatabaseEnvironment,
-    ) -> Tuple[PlanNode, str]:
+    ) -> Tuple[Union[PlanNode, EncodedPlan], str]:
         """Parse/plan as needed; returns (plan, sql text if known).
+        An :class:`EncodedPlan` passes through still encoded.
 
         The parse and plan stages each open a child span under the
         caller's active request span (thread-local propagation).
@@ -389,11 +411,11 @@ class CostService:
             self.stats.record("plan", time.perf_counter() - start)
             sql_text = sql_text or query.sql()
             return plan, sql_text
-        if isinstance(query, PlanNode):
+        if isinstance(query, (PlanNode, EncodedPlan)):
             return query, sql_text
         raise ServingError(
-            f"estimate() accepts SQL text, SelectQuery or PlanNode, "
-            f"got {type(query).__name__}"
+            f"estimate() accepts SQL text, SelectQuery, PlanNode or "
+            f"EncodedPlan, got {type(query).__name__}"
         )
 
     def _prepare(
@@ -403,8 +425,13 @@ class CostService:
         env: DatabaseEnvironment,
     ):
         start = time.perf_counter()
+        # An encoded plan is keyed by its bytes: a hit never decodes it.
         key = plan_fingerprint(
-            record.plan, bundle.name, bundle.version, bundle.backend, env.name
+            record.encoded if type(record) is _EncodedRecord else record.plan,
+            bundle.name,
+            bundle.version,
+            bundle.backend,
+            env.name,
         )
         computed = []
 
@@ -452,9 +479,12 @@ class CostService:
         item :meth:`_run_batch` predicts."""
         deployed = self._ensure_environment(self._route(bundle, backend), env)
         plan, sql_text = self._resolve_plan(query, deployed, env)
-        record = LabeledPlan(
-            plan=plan, latency_ms=0.0, env_name=env.name, query_sql=sql_text
-        )
+        if isinstance(plan, EncodedPlan):
+            record = _EncodedRecord(plan, env.name)
+        else:
+            record = LabeledPlan(
+                plan=plan, latency_ms=0.0, env_name=env.name, query_sql=sql_text
+            )
         prepared = self._prepare(deployed, record, env)
         self.stats.count_requests()
         self._stream_to_adaptation(deployed.name, record)
@@ -736,7 +766,9 @@ class CostService:
                     "LabeledPlan"
                 )
             plan, sql_text = self._resolve_plan(query, deployed, env)
-            if isinstance(query, PlanNode):
+            if isinstance(plan, EncodedPlan):
+                plan = plan.plan
+            if isinstance(query, (PlanNode, EncodedPlan)):
                 # _resolve_plan passes caller-built plans through as-is;
                 # labelling must not mutate the caller's object (nor let
                 # later feedback calls overwrite this record's targets).

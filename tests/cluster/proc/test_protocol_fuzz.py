@@ -96,6 +96,7 @@ def test_prefix_attacks():
         prefix(magic=b"ZZ"),
         prefix(version=0),
         prefix(version=1),  # the JSON-plan wire format
+        prefix(version=2),  # one JSON part per request, floats after it
         prefix(version=protocol.PROTOCOL_VERSION + 1),
         prefix(header_len=0),
         prefix(header_len=protocol.MAX_HEADER_BYTES + 1),
@@ -400,26 +401,44 @@ def test_query_codec_round_trip_and_rejection(cluster_bundle, sysbench):
     env_json = json.dumps(protocol.env_to_wire(env))
     scan = '["Seq Scan","t",null,0,[],[],[],[],null,8]'
     string_predicate = '["Seq Scan","t",null,0,["abcd"],[],[],[],null,8]'
-    malformed = [  # (JSON part, float64 count)
-        ("[]", 0),
-        (f'[{env_json},"abc"]', 0),  # queries as a string, not a list
-        (f'[{env_json},{{"SELECT 1":0}}]', 0),  # queries as an object
-        (f'[{env_json},[{{"op":0}}]]', 0),  # a plan as an object
-        (f'[{env_json},[[["Seq Scan",null]]]]', 6),  # a node entry too short
-        (f'[{env_json},[["0123456789"]]]', 6),  # a node entry as a string
-        (f"[{env_json},[[{string_predicate}]]]", 6),  # a string predicate
-        (f"[{env_json},[[{scan},null]]]", 6),  # an entry past the tree
+    malformed = [  # (env JSON, query sections, runtime-block nodes)
+        ("[]", [], 0),  # an env that is not an object
+        (env_json, [b"abc"], 0),  # a section with an unknown tag
+        (env_json, [], 0, 1),  # a count promising a missing section
+        (env_json, [plan_section('{"op":0}', 1)], 1),  # a plan object
+        (env_json, [plan_section('[["Seq Scan",null]]', 1)], 1),  # short entry
+        (env_json, [plan_section('["0123456789"]', 1)], 1),  # a string entry
+        (env_json, [plan_section(f"[{string_predicate}]", 1)], 1),
+        (env_json, [plan_section(f"[{scan},null]", 2)], 2),  # past the tree
     ]
     assert protocol.decode_request(
-        struct.pack("<I", len(f"[{env_json},[[{scan}]]]"))
-        + f"[{env_json},[[{scan}]]]".encode() + b"\x00" * 48
+        request_blob(env_json, [plan_section(f"[{scan}]", 1)], 1)
     )[0][0].table == "t"  # the well-formed twin of the cases above
     for bad in [b"", b"\x00" * 3, b"\xff" * 8] + [
-        struct.pack("<I", len(text)) + text.encode() + b"\x00" * (8 * count)
-        for text, count in malformed
+        request_blob(*case) for case in malformed
     ]:
         with pytest.raises(ProtocolError):
             protocol.decode_request(bad)
+
+
+def plan_section(entries_json: str, nodes: int) -> bytes:
+    """A hand-built v3 plan section: its head, then canonical bytes
+    holding *entries_json* and *nodes* zeroed est triples."""
+    body = entries_json.encode()
+    canonical = struct.pack("<I", len(body)) + body + b"\x00" * (24 * nodes)
+    return struct.pack("<cII", b"P", nodes, len(canonical)) + canonical
+
+
+def request_blob(env_json: str, sections, nodes: int, extra: int = 0) -> bytes:
+    """A hand-built v3 request blob: env section, a count of
+    ``len(sections) + extra`` queries, *sections*, and a zeroed runtime
+    block for *nodes* plan nodes."""
+    env = env_json.encode()
+    return (
+        struct.pack("<I", len(env)) + env
+        + struct.pack("<I", len(sections) + extra)
+        + b"".join(sections) + b"\x00" * (24 * nodes)
+    )
 
 
 def test_floats_codec_is_bit_exact_and_validated():

@@ -52,8 +52,9 @@ HOT_FUNCTIONS = re.compile(
     r"|_route|resolve|_resolve_key"
     r"|rpc|_with_failover|_replica|_classify|_settle"
     r"|encode_frame|decode_frame|recv_frame|has_frame|send_frames"
-    r"|encode_request|decode_request|_plan_to_blob|_plan_from_blob"
-    r"|_single_request"
+    r"|encode_request|split_request|decode_request|decode_env"
+    r"|encode_plan|decode_plan|encoded_nodes|_node_from|plan"
+    r"|_request|_single_request|_count_decode"
     r"|serve_batch|serve_estimates"
     r"|featurize\w*|plan_fingerprint|template_fingerprint"
     r")$"
