@@ -1,4 +1,5 @@
-"""Per-request cost of a process-tier worker, on hits and on misses.
+"""Per-request cost of the process tier: the worker's path on hits and
+on misses, and the parent's request encode.
 
 Fits the bundle that ``tpch-plan-async`` and ``tpch-plan-proc`` serve
 (TPC-H, 4 knob environments, QPPNet with difference-propagation
@@ -15,11 +16,18 @@ frames:
   request misses the feature cache.  The template cache warms as the
   pass goes on, as it would in service.
 
+and, as one more case, the parent's side of a request:
+
+- **encode**: ``protocol.encode_request([plan], env)`` for every plan,
+  on environment objects that have been encoded before (as a service
+  sees the same few on every request).  It has no drain; the table
+  prints ``-``.
+
 Cases are interleaved inside every repeat, their order rotating, so a
 drift of the host's speed reaches all of them alike; each figure is
 the median microseconds per request over repeats.  Every outcome must
-equal the in-process ``CostService`` estimate bit for bit, or the
-probe raises.
+equal the in-process ``CostService`` estimate bit for bit, and every
+encoded blob the one the probe started from, or the probe raises.
 
 Run from the repository root::
 
@@ -47,6 +55,9 @@ from repro.serving import CostService, SnapshotStore
 from repro.workload.collect import collect_labeled_plans, get_benchmark
 
 PATHS = ("hit", "miss")
+
+#: The parent's case: ``encode_request`` per request (no drain).
+ENCODE = ("encode", None)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
@@ -97,12 +108,29 @@ def _serve(runtime: WorkerRuntime, drains: List[List[Tuple[dict, bytes]]]) -> Li
     return outcomes
 
 
+def _time_encode(items: List[Tuple[object, object]], blobs: List[bytes]) -> float:
+    """Microseconds per ``encode_request`` over *items*, whose blobs
+    must come out as *blobs*."""
+    gc.collect()
+    gc.disable()
+    try:
+        began = time.perf_counter()
+        encoded = [protocol.encode_request([plan], env) for plan, env in items]
+        elapsed = time.perf_counter() - began
+    finally:
+        gc.enable()
+    if encoded != blobs:
+        raise AssertionError("encode_request blobs differ from the first encode")
+    return elapsed / len(items) * 1e6
+
+
 def probe(args: argparse.Namespace) -> List[Dict[str, object]]:
     """Time every (path, drain) case; returns one row per case."""
     bundle, items = fit_bundle(args)
     # Distinct requests only, so the miss path never hits.
     unique = {protocol.encode_request([plan], env): (plan, env) for plan, env in items}
     items = list(unique.values())
+    blobs = list(unique)
     with CostService(snapshot_store=SnapshotStore()) as single:
         single.deploy(bundle)
         expected = single.estimate_batch([(plan, env, None, None) for plan, env in items])
@@ -112,7 +140,7 @@ def probe(args: argparse.Namespace) -> List[Dict[str, object]]:
         size: [frames[lo : lo + size] for lo in range(0, len(frames), size)]
         for size in sizes
     }
-    cases = [(path, size) for path in PATHS for size in sizes]
+    cases = [(path, size) for path in PATHS for size in sizes] + [ENCODE]
     per_request: Dict[Tuple[str, int], List[float]] = {case: [] for case in cases}
     warm = _worker(bundle)
     try:
@@ -121,6 +149,9 @@ def probe(args: argparse.Namespace) -> List[Dict[str, object]]:
         for repeat in range(args.repeats):
             shift = repeat % len(cases)
             for path, size in cases[shift:] + cases[:shift]:
+                if (path, size) == ENCODE:
+                    per_request[ENCODE].append(_time_encode(items, blobs))
+                    continue
                 runtime = warm if path == "hit" else _worker(bundle)
                 gc.collect()
                 gc.disable()
@@ -150,9 +181,10 @@ def main(argv: Sequence[str] = ()) -> List[Dict[str, object]]:
     """Run the probe and print its table; returns the rows."""
     args = _parse(list(argv))
     rows = probe(args)
-    print(f"{'path':>4} {'drain':>5} {'us/req':>8}")
+    print(f"{'path':>6} {'drain':>5} {'us/req':>8}")
     for row in rows:
-        print(f"{row['path']:>4} {row['drain']:>5} {row['us_per_request']:>8.1f}")
+        drain = "-" if row["drain"] is None else row["drain"]
+        print(f"{row['path']:>6} {drain:>5} {row['us_per_request']:>8.1f}")
     if args.json:
         print(json.dumps(rows))
     return rows

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,7 +81,7 @@ from ...engine.plan_codec import (
     encode_plan,
     encoded_nodes,
 )
-from ...errors import ProtocolError, ReproError, WorkerDiedError
+from ...errors import PlanError, ProtocolError, ReproError, WorkerDiedError
 from ...sql.ast import SelectQuery
 
 #: First two bytes of every frame.
@@ -114,11 +115,16 @@ ERROR_TYPES: Dict[str, type] = {
 # ----------------------------------------------------------------------
 # frame encode / decode
 # ----------------------------------------------------------------------
+#: The frame header's JSON encoder (stateless, so shared instead of
+#: built by ``json.dumps`` on every call).
+_HEADER_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(header: Dict[str, object], tail: bytes = b"") -> bytes:
     """One wire frame for *header* (+ optional binary *tail*); a
     header that cannot be encoded raises :class:`ProtocolError`."""
     try:
-        body = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        body = _HEADER_JSON.encode(header).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"cannot encode frame header: {exc}") from exc
     if len(body) > MAX_HEADER_BYTES:
@@ -443,34 +449,79 @@ _PLAN_HEAD = struct.Struct("<cII")
 NODE_FLOATS = EST_FLOATS + RUNTIME_FLOATS
 
 
+#: Env sections :func:`env_section` keeps, by environment object.
+ENV_SECTIONS_MAX = 64
+
+#: ``id(env) -> (env, section)``, oldest first.  Holding the env keeps
+#: its id from being reused while the entry lives.
+_env_sections: Dict[int, Tuple[DatabaseEnvironment, bytes]] = {}
+_env_sections_lock = threading.Lock()
+
+
+def env_section(env: DatabaseEnvironment) -> bytes:
+    """The env section of a request blob for *env*: its length, then
+    :func:`env_to_wire` as JSON.
+
+    Built once per environment object and reused: environments are
+    frozen, and a service sees the same few objects on every request.
+    They are unhashable (knob values are a dict), so the sections are
+    kept by identity, at most :data:`ENV_SECTIONS_MAX` of them, oldest
+    out first.  An env that cannot be encoded raises
+    :class:`ProtocolError` and is never kept, so it raises again on
+    every call.
+    """
+    entry = _env_sections.get(id(env))
+    if entry is not None:
+        return entry[1]
+    try:
+        body = json.dumps(env_to_wire(env), separators=(",", ":")).encode("utf-8")
+    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
+        raise ProtocolError(f"cannot encode environment: {exc}") from exc
+    section = _U32.pack(len(body)) + body
+    with _env_sections_lock:
+        if len(_env_sections) >= ENV_SECTIONS_MAX:
+            del _env_sections[next(iter(_env_sections))]
+        _env_sections[id(env)] = (env, section)
+    return section
+
+
 def encode_request(queries: Sequence[object], env: DatabaseEnvironment) -> bytes:
     """One request blob carrying *queries* and *env*.
 
     Layout (all integers little-endian u32 unless noted):
 
-    - the env section: its length, then :func:`env_to_wire` as JSON;
+    - the env section (:func:`env_section`): its length, then
+      :func:`env_to_wire` as JSON;
     - the query count, then one section per query: ``S``, a length and
       UTF-8 SQL text (a :class:`SelectQuery` ships as its SQL), or
       ``P``, the node count, a length and the plan's canonical bytes
       (:func:`~repro.engine.plan_codec.encode_plan`) — exactly the
-      bytes the feature-cache key hashes;
+      bytes the feature-cache key hashes.  An :class:`EncodedPlan`
+      ships its ``data`` as it is, with no decode and no re-encode;
     - the runtime block: :data:`~repro.engine.plan_codec.RUNTIME_FLOATS`
-      of every plan node as float64, plans and nodes in order.
+      of every plan node as float64, plans and nodes in order (zeros
+      for an :class:`EncodedPlan` without ``runtime``).
 
     Floats cross bit-exactly, with no text round trip.  Anything that
     cannot be shipped — a value JSON cannot encode included — raises
     :class:`ProtocolError`.
     """
-    runtime: List[float] = []
+    runtime: List[bytes] = []  # each plan's runtime block, in order
     try:
-        env_body = json.dumps(env_to_wire(env), separators=(",", ":")).encode(
-            "utf-8"
-        )
-        parts = [_U32.pack(len(env_body)), env_body, _U32.pack(len(queries))]
+        parts = [env_section(env), _U32.pack(len(queries))]
         for query in queries:
             if isinstance(query, PlanNode):
-                data, nodes = encode_plan(query, runtime)
+                floats: List[float] = []
+                data, nodes = encode_plan(query, floats)
                 parts += (_PLAN_HEAD.pack(b"P", nodes, len(data)), data)
+                runtime.append(struct.pack(f"<{len(floats)}d", *floats))
+                continue
+            if isinstance(query, EncodedPlan):
+                parts += (
+                    _PLAN_HEAD.pack(b"P", query.nodes, len(query.data)),
+                    query.data,
+                )
+                runtime.append(_encoded_runtime(query))
                 continue
             if isinstance(query, str):
                 text = query
@@ -479,16 +530,36 @@ def encode_request(queries: Sequence[object], env: DatabaseEnvironment) -> bytes
             else:
                 raise ProtocolError(
                     f"cannot ship {type(query).__name__} across the worker "
-                    "boundary; pass SQL text, a SelectQuery or a PlanNode"
+                    "boundary; pass SQL text, a SelectQuery, a PlanNode or "
+                    "an EncodedPlan"
                 )
             raw = text.encode("utf-8", "surrogatepass")
             parts += (_SQL_HEAD.pack(b"S", len(raw)), raw)
-        parts.append(struct.pack(f"<{len(runtime)}d", *runtime))
+        parts += runtime
     except ProtocolError:
         raise
-    except (TypeError, ValueError, AttributeError, struct.error) as exc:
+    except (TypeError, ValueError, AttributeError, struct.error, PlanError) as exc:
         raise ProtocolError(f"cannot encode request: {exc}") from exc
     return b"".join(parts)
+
+
+def _encoded_runtime(plan: EncodedPlan) -> bytes:
+    """The runtime block of an :class:`EncodedPlan`, checked against
+    its canonical bytes (zeros when it carries none)."""
+    nodes = encoded_nodes(plan.data)
+    if nodes != plan.nodes:
+        raise ProtocolError(
+            f"encoded plan claims {plan.nodes} nodes, its bytes hold {nodes}"
+        )
+    size = nodes * NODE_FLOAT_BYTES
+    if plan.runtime is None:
+        return bytes(size)
+    if len(plan.runtime) != size:
+        raise ProtocolError(
+            f"encoded plan has {len(plan.runtime)} runtime bytes, its "
+            f"{nodes} nodes need {size}"
+        )
+    return plan.runtime
 
 
 def split_request(

@@ -41,7 +41,7 @@ import struct
 from typing import Callable, List, Optional, Tuple
 
 from ..catalog.statistics import Predicate
-from ..errors import ProtocolError
+from ..errors import PlanError, ProtocolError
 from .operators import OperatorType, PlanNode
 
 #: Optimizer estimates of one node, in the order the est block holds
@@ -77,9 +77,14 @@ def _tag(value: object) -> object:
 
 
 #: The JSON encoders of the strict and the loose form (stateless, so
-#: shared across threads instead of built per call).
-_JSON = json.JSONEncoder(separators=(",", ":"))
-_TAGGING_JSON = json.JSONEncoder(separators=(",", ":"), default=_tag)
+#: shared across threads instead of built per call).  The entries are
+#: built fresh on every call, so only a value that contains itself can
+#: recurse; the circular-reference pass is skipped and such a value
+#: surfaces as ``RecursionError`` instead (see :func:`encode_plan`).
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_TAGGING_JSON = json.JSONEncoder(
+    separators=(",", ":"), check_circular=False, default=_tag
+)
 
 
 def encode_plan(
@@ -92,37 +97,54 @@ def encode_plan(
     When *runtime* is given, each node's :data:`RUNTIME_FLOATS` are
     appended to it in node order, in the same walk.  *strict* raises
     ``TypeError`` on a value JSON cannot encode; otherwise the value is
-    tagged by type and ``repr`` (see the module docstring).
+    tagged by type and ``repr`` (see the module docstring).  A value no
+    JSON can hold in either mode (a list that contains itself) raises
+    :class:`~repro.errors.PlanError`.
+
+    Entries are tuples (JSON writes them as arrays), the operator name
+    comes from the member's ``_value_`` slot (cheaper than the
+    ``Enum.value`` property), and a node without predicates gets the
+    shared empty tuple.  The bytes equal those of a plain walk with
+    lists, which ``tests/engine/test_plan_codec.py`` keeps as its
+    reference.
     """
-    entries: List[list] = []
+    entries: List[tuple] = []
     est: List[float] = []
     stack = [plan]
     while stack:
         node = stack.pop()
+        predicates = node.predicates
+        children = node.children
         entries.append(
-            [
-                node.op.value,
+            (
+                node.op._value_,
                 node.table,
                 node.index,
-                len(node.children),
-                [[p.table, p.column, p.op, p.value] for p in node.predicates],
+                len(children),
+                [(p.table, p.column, p.op, p.value) for p in predicates]
+                if predicates
+                else (),
                 node.sort_keys,
                 node.join_columns,
                 node.group_keys,
                 node.limit_count,
                 node.est_width,
-            ]
+            )
         )
         est += (node.est_rows, node.est_startup_cost, node.est_total_cost)
         if runtime is not None:
             runtime += (node.true_rows, node.actual_ms, node.actual_total_ms)
-        stack.extend(reversed(node.children))
+        if children:
+            stack.extend(reversed(children))
     try:
-        body = _JSON.encode(entries).encode("utf-8")
-    except TypeError:
-        if strict:
-            raise
-        body = _LOOSE + _TAGGING_JSON.encode(entries).encode("utf-8")
+        try:
+            body = _JSON.encode(entries).encode("utf-8")
+        except TypeError:
+            if strict:
+                raise
+            body = _LOOSE + _TAGGING_JSON.encode(entries).encode("utf-8")
+    except (ValueError, RecursionError) as exc:
+        raise PlanError(f"plan holds a value JSON cannot encode: {exc}") from exc
     return (
         _LEN.pack(len(body)) + body + struct.pack(f"<{len(est)}d", *est),
         len(entries),

@@ -49,7 +49,9 @@ def plan_fingerprint(plan: Union[PlanNode, EncodedPlan], *context: object) -> st
 
     An :class:`EncodedPlan` is keyed by its bytes as they are; a
     :class:`PlanNode` is encoded loosely first, so a value JSON cannot
-    carry is tagged by type and ``repr`` rather than refused.
+    carry is tagged by type and ``repr`` rather than refused.  Only a
+    value no JSON can hold (a list that contains itself) is refused,
+    with :class:`~repro.errors.PlanError`.
     """
     if isinstance(plan, EncodedPlan):
         data = plan.data

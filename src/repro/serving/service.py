@@ -424,15 +424,6 @@ class CostService:
         record: LabeledPlan,
         env: DatabaseEnvironment,
     ):
-        start = time.perf_counter()
-        # An encoded plan is keyed by its bytes: a hit never decodes it.
-        key = plan_fingerprint(
-            record.encoded if type(record) is _EncodedRecord else record.plan,
-            bundle.name,
-            bundle.version,
-            bundle.backend,
-            env.name,
-        )
         computed = []
 
         # Feature-cache miss path: consult the template memo first —
@@ -456,10 +447,20 @@ class CostService:
                 return bundle.prepare_one(record)
             return bundle.prepare_from_template(record, template)
 
-        # Stampede-safe: concurrent misses on one fingerprint encode
-        # once, and a legitimate None ("no cacheable form") is cached
-        # rather than recomputed on every request.
+        # The span and the stats sample both cover the key.  Stampede-
+        # safe: concurrent misses on one fingerprint encode once, and a
+        # legitimate None ("no cacheable form") is cached rather than
+        # recomputed on every request.
+        start = time.perf_counter()
         with open_span(self.tracer, "featurize") as span:
+            # An encoded plan is keyed by its bytes: a hit never decodes it.
+            key = plan_fingerprint(
+                record.encoded if type(record) is _EncodedRecord else record.plan,
+                bundle.name,
+                bundle.version,
+                bundle.backend,
+                env.name,
+            )
             prepared = self.cache.get_or_compute(key, _compute)
             span.annotate(fingerprint=key, cache="miss" if computed else "hit")
         self.stats.record("featurize", time.perf_counter() - start)

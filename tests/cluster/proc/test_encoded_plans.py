@@ -19,19 +19,22 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from repro.cluster.proc import protocol
 from repro.cluster.proc.worker import WorkerRuntime
+from repro.engine import plan_codec
 from repro.engine.plan_codec import (
     EST_FLOATS,
     EncodedPlan,
     decode_plan,
     encode_plan,
 )
-from repro.errors import ProtocolError
+from repro.errors import PlanError, ProtocolError, ReproError
 from repro.featurization.fingerprint import plan_fingerprint
 from repro.models.native import NativeCostEstimator
 from repro.serving import CostService, EstimatorBundle, SnapshotStore
@@ -179,6 +182,121 @@ def test_unencodable_values_are_fingerprinted_in_process(
         assert np.isfinite(single.estimate(plan, env))
     with pytest.raises(ProtocolError):
         protocol.encode_request([plan], env)
+
+
+def circular_plan(labeled):
+    """A copy of the first plan with predicates whose first predicate's
+    value is a list that contains itself."""
+    plan = copy.deepcopy(next(
+        r.plan for r in labeled
+        if any(n.predicates for n in r.plan.walk())
+    ))
+    node = next(n for n in plan.walk() if n.predicates)
+    value = [1, 2]
+    value.append(value)
+    node.predicates[0] = dataclasses.replace(
+        node.predicates[0], op="in", value=value
+    )
+    return plan
+
+
+@pytest.fixture(params=["RecursionError", "ValueError"])
+def circular_report(request, monkeypatch):
+    """Run with the codec's own JSON encoders (a self-containing value
+    recurses until ``RecursionError``) and with ones that keep JSON's
+    circular-reference check (``ValueError``): both must end typed."""
+    if request.param == "ValueError":
+        monkeypatch.setattr(
+            plan_codec, "_JSON", json.JSONEncoder(separators=(",", ":"))
+        )
+        monkeypatch.setattr(
+            plan_codec,
+            "_TAGGING_JSON",
+            json.JSONEncoder(separators=(",", ":"), default=plan_codec._tag),
+        )
+    return request.param
+
+
+def test_a_self_containing_value_is_a_typed_error_in_process_and_on_the_wire(
+    cluster_bundle, cluster_envs, circular_report
+):
+    """No JSON can hold a list that contains itself.  The in-process
+    key refuses it with PlanError, so ``estimate`` raises a
+    ``repro.errors`` type rather than a builtin; the wire refuses it
+    with ProtocolError."""
+    bundle, labeled = cluster_bundle
+    env = cluster_envs[0]
+    plan = circular_plan(labeled)
+    for strict in (True, False):
+        with pytest.raises(PlanError):
+            encode_plan(plan, strict=strict)
+    with pytest.raises(PlanError):
+        plan_fingerprint(plan, "bundle", 1)
+    with CostService(snapshot_store=SnapshotStore()) as single:
+        single.deploy(bundle)
+        with pytest.raises(ReproError):
+            single.estimate(plan, env)
+        # In a batch the refused request fails alone.
+        good = (labeled[0].plan, env, None, None)
+        refused, served = single.estimate_batch([(plan, env, None, None), good])
+        assert isinstance(refused, PlanError)
+        assert [served] == fresh_estimates(bundle, [good])
+    with pytest.raises(ProtocolError):
+        protocol.encode_request([plan], env)
+
+
+def test_the_process_tier_serves_an_encoded_plan_like_its_tree(
+    cluster_bundle, cluster_envs, proc_service
+):
+    """``ProcClusterService`` ships an EncodedPlan's bytes as its plan
+    section untouched, with a zero runtime block, and answers exactly
+    what the in-process service answers for the tree."""
+    bundle, labeled = cluster_bundle
+    env = cluster_envs[1]
+    plans = [record.plan for record in labeled[:5]]
+    expected = fresh_estimates(bundle, [(p, env, None, None) for p in plans])
+    decodes = []
+    encoded = [
+        EncodedPlan(*encode_plan(p), on_decode=lambda: decodes.append(1))
+        for p in plans
+    ]
+    with CostService(snapshot_store=SnapshotStore()) as single:
+        single.deploy(bundle)
+        assert [single.estimate(e, env) for e in encoded] == expected
+    decodes.clear()
+    blob = protocol.encode_request(encoded, env)
+    _, shipped = protocol.split_request(blob)
+    assert [s.data for s in shipped] == [e.data for e in encoded]
+    assert all(s.runtime == bytes(len(s.runtime)) for s in shipped)
+    assert [proc_service.estimate(e, env) for e in encoded] == expected
+    futures = [proc_service.estimate_async(e, env) for e in encoded]
+    assert [f.result(timeout=30) for f in futures] == expected
+    mixed = [encoded[0], plans[1], encoded[2], plans[3], encoded[4]]
+    assert list(proc_service.estimate_many(mixed, env)) == expected
+    assert decodes == []  # shipping never decodes
+
+
+def test_an_encoded_plans_runtime_rides_in_the_runtime_block(
+    cluster_bundle, cluster_envs
+):
+    """An EncodedPlan carrying runtime floats ships them in order with
+    the live plans around it, and a node count or runtime size that
+    disagrees with its bytes is refused before anything ships."""
+    _, labeled = cluster_bundle
+    env = cluster_envs[0]
+    first, second = labeled[0].plan, labeled[1].plan
+    runtime: list = []
+    data, nodes = encode_plan(second, runtime)
+    packed = struct.pack(f"<{len(runtime)}d", *runtime)
+    blob = protocol.encode_request([first, EncodedPlan(data, nodes, packed)], env)
+    assert blob == protocol.encode_request([first, second], env)
+    for bad in (
+        EncodedPlan(data, nodes + 1),
+        EncodedPlan(data, nodes, packed[:-8]),
+        EncodedPlan(data[:-8], nodes),
+    ):
+        with pytest.raises(ProtocolError):
+            protocol.encode_request([bad], env)
 
 
 # ----------------------------------------------------------------------

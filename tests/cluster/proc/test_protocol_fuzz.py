@@ -25,6 +25,7 @@ from repro.cluster.proc.supervisor import WorkerHandle
 from repro.cluster.proc.worker import WorkerRuntime
 from repro.engine.environment import DatabaseEnvironment, random_environments
 from repro.engine.hardware import PROFILES
+from repro.engine.knobs import KnobConfiguration
 from repro.engine.operators import OperatorType, PlanNode
 from repro.errors import (
     ClusterError,
@@ -67,6 +68,23 @@ def test_round_trip():
     assert header["id"] == 7
     assert header["kind"] == "ping"
     assert tail == b"\x01\x02\x03\x04"
+
+
+def test_frame_header_bytes_are_compact_json():
+    """A frame's header region is exactly ``json.dumps`` with compact
+    separators, whatever the header holds."""
+    for header in (
+        {"id": 1, "kind": "estimate", "bundle": "b", "backend": None},
+        {"id": 2, "kind": "sync", "payload": [1.5, float("nan"), "\u00e9\U0001f600"]},
+        {"id": 3, "kind": "counters", "nested": {"a": [True, None]}},
+    ):
+        frame = protocol.encode_frame(header, b"tail")
+        body = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        assert frame[protocol.PREFIX_SIZE : -4] == body
+    circular: list = []
+    circular.append(circular)
+    with pytest.raises(ProtocolError):
+        protocol.encode_frame({"id": 4, "kind": "ping", "loop": circular})
 
 
 def test_every_possible_truncation_is_a_typed_error():
@@ -601,19 +619,61 @@ def test_request_blob_byte_flips_and_garbage_are_typed():
 def test_unencodable_values_raise_protocol_error_not_type_error(
     cluster_bundle,
 ):
-    """A numpy scalar JSON cannot encode is a typed error, in a frame
-    header and in a request blob alike."""
+    """A value JSON cannot encode is a typed error, in a frame header
+    and in a request blob alike: a numpy scalar, a list that contains
+    itself, and a numpy knob value in the environment — the last on
+    every call, since a failed env section is never kept."""
     _, labeled = cluster_bundle
     env = random_environments(1, seed=11)[0]
     with pytest.raises(ProtocolError):
         protocol.encode_frame({"id": 1, "kind": "ping", "n": np.int64(7)})
     plan = copy.deepcopy(labeled[0].plan)
     node = next(n for n in plan.walk() if n.predicates)
-    node.predicates[0] = dataclasses.replace(
-        node.predicates[0], value=np.int64(7)
-    )
+    original = node.predicates[0]
+    node.predicates[0] = dataclasses.replace(original, value=np.int64(7))
     with pytest.raises(ProtocolError):
         protocol.encode_request([plan], env)
+    circular = [1]
+    circular.append(circular)
+    node.predicates[0] = dataclasses.replace(original, op="in", value=circular)
+    with pytest.raises(ProtocolError):
+        protocol.encode_request([plan], env)
+    numpy_env = DatabaseEnvironment(
+        knobs=KnobConfiguration(name="np", values={"work_mem": np.int64(4096)}),
+        hardware=env.hardware,
+    )
+    for _ in range(3):
+        with pytest.raises(ProtocolError):
+            protocol.encode_request([labeled[0].plan], numpy_env)
+        with pytest.raises(ProtocolError):
+            protocol.env_section(numpy_env)
+    # The same knobs as plain ints encode, and keep encoding.
+    plain_env = DatabaseEnvironment(
+        knobs=KnobConfiguration(name="np", values={"work_mem": 4096}),
+        hardware=env.hardware,
+    )
+    blob = protocol.encode_request([labeled[0].plan], plain_env)
+    assert protocol.encode_request([labeled[0].plan], plain_env) == blob
+
+
+def test_env_sections_are_built_once_per_environment_object():
+    """The env section is kept per environment object: the same object
+    reuses its bytes, an equal but distinct one gets equal bytes of its
+    own, and the map stays bounded however many envs pass through."""
+    [env] = random_environments(1, seed=11)
+    [twin] = random_environments(1, seed=11)
+    section = protocol.env_section(env)
+    assert protocol.env_section(env) is section
+    assert protocol.env_section(twin) == section
+    assert section[4:] == json.dumps(
+        protocol.env_to_wire(env), separators=(",", ":")
+    ).encode()
+    assert protocol.decode_env(section[4:]) == env
+    many = random_environments(protocol.ENV_SECTIONS_MAX + 5, seed=12)
+    for other in many:
+        protocol.env_section(other)
+    assert len(protocol._env_sections) <= protocol.ENV_SECTIONS_MAX
+    assert protocol.env_section(many[-1]) is protocol.env_section(many[-1])
 
 
 def test_worker_decodes_plans_one_bit_apart_to_their_own_estimates(

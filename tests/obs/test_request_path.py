@@ -12,6 +12,7 @@ from repro.engine.environment import random_environments
 from repro.obs import NULL_SPAN, Span, Tracer, open_span
 from repro.obs import trace as trace_mod
 from repro.serving import CostService, SnapshotStore
+from repro.serving import service as service_mod
 from repro.workload.collect import collect_labeled_plans
 
 
@@ -142,3 +143,25 @@ def test_flush_predict_nests_under_its_batch_span(
         )
         linked += len(root["annotations"]["links"])
     assert linked == 4
+
+
+def test_the_feature_cache_key_is_computed_inside_the_featurize_span(
+    traced, trained_bundle, serving_envs
+):
+    """The key is part of featurization: ``plan_fingerprint`` runs
+    under the active ``featurize`` span, which the ``featurize`` stats
+    sample covers too, so the trace and the counter agree."""
+    service, tracer = traced
+    _, labeled = trained_bundle
+    active = []
+    original = service_mod.plan_fingerprint
+
+    def recording(*args, **kwargs):
+        span = tracer.current()
+        active.append(span.name if span is not None else None)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(service_mod, "plan_fingerprint", recording):
+        service.estimate(labeled[0].plan, serving_envs[0])
+        service.estimate(labeled[0].plan, serving_envs[0])  # a cache hit
+    assert active == ["featurize", "featurize"]

@@ -2,8 +2,10 @@
 
 No timing is asserted: the run proves the probe still fits its bundle
 and drives a worker runtime through the public API, that every
-outcome it times equals the in-process estimate bit for bit (the probe
-raises otherwise), and that it reports one row per (path, drain) case.
+outcome it times equals the in-process estimate bit for bit and every
+blob it re-encodes the first one (the probe raises otherwise), and
+that it reports one row per (path, drain) case plus the parent's
+``encode`` row.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ def test_probe_runs_at_tiny_sizes(capsys):
         "--epochs", "1", "--template-scale", "1", "--items", "7",
     ])
     assert [(row["path"], row["drain"]) for row in rows] == [
-        ("hit", 1), ("hit", 3), ("miss", 1), ("miss", 3)
+        ("hit", 1), ("hit", 3), ("miss", 1), ("miss", 3), ("encode", None)
     ]
     assert all(row["us_per_request"] > 0 for row in rows)
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].split() == ["path", "drain", "us/req"]
     assert len(printed) == 1 + len(rows)
+    assert printed[-1].split()[:2] == ["encode", "-"]

@@ -52,7 +52,7 @@ HOT_FUNCTIONS = re.compile(
     r"|_route|resolve|_resolve_key"
     r"|rpc|_with_failover|_replica|_classify|_settle"
     r"|encode_frame|decode_frame|recv_frame|has_frame|send_frames"
-    r"|encode_request|split_request|decode_request|decode_env"
+    r"|encode_request|env_section|split_request|decode_request|decode_env"
     r"|encode_plan|decode_plan|encoded_nodes|_node_from|plan"
     r"|_request|_single_request|_count_decode"
     r"|serve_batch|serve_estimates"
