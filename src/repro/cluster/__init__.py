@@ -20,10 +20,9 @@ its API:
   tracking, failure ejection and failover re-routing;
 - :class:`ProcClusterService` (:mod:`repro.cluster.proc`) — the same
   facade over real worker *processes*: per-pid ``CostService``
-  replicas behind a length-prefixed IPC protocol, model weights
-  shared read-only via ``multiprocessing.shared_memory``, and a
-  supervisor that spawns/kills/revives/ejects pids with sentinel-fd
-  death detection.
+  replicas behind a length-prefixed IPC protocol that also carries
+  the model weights to every worker, and a supervisor that
+  spawns/kills/revives/ejects pids with sentinel-fd death detection.
 
 See ``docs/ARCHITECTURE.md`` for where this sits in the request
 lifecycle and ``docs/SERVING.md`` for operational guarantees.

@@ -6,9 +6,7 @@ time-sliced inside one interpreter.  The pieces:
 
 - :mod:`~repro.cluster.proc.protocol` — length-prefixed JSON/binary
   frames with per-request ids, hard size caps and typed error frames;
-- :mod:`~repro.cluster.proc.shm` — model weights published read-only
-  through ``multiprocessing.shared_memory`` (N workers, one copy) with
-  orphan-segment sweeping for abnormal exits;
+  a ``sync`` frame carries the model weights in its binary tail;
 - :mod:`~repro.cluster.proc.worker` — the child process: one
   ``CostService`` warm-booted from ``repro.persist`` checkpoints,
   serving frames until EOF;
@@ -18,12 +16,11 @@ time-sliced inside one interpreter.  The pieces:
   the same ``estimate`` / ``estimate_many`` / ``estimate_async`` /
   ``record_feedback`` / ``report`` surface as the thread tier.
 
-See ``docs/SERVING.md`` (process tier) for the wire format, the
-shared-memory lifecycle and the supervisor state machine.
+See ``docs/SERVING.md`` (process tier) for the wire format, how the
+weights reach the workers and the supervisor state machine.
 """
 
 from .service import ProcClusterService
-from .shm import cleanup_orphans, list_segments
 from .supervisor import ProcConfig, ProcSupervisor, WorkerHandle
 
 __all__ = [
@@ -31,6 +28,4 @@ __all__ = [
     "ProcConfig",
     "ProcSupervisor",
     "WorkerHandle",
-    "cleanup_orphans",
-    "list_segments",
 ]

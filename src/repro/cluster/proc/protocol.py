@@ -15,7 +15,8 @@ The *header* is a UTF-8 JSON object carrying at least an integer
 *tail* is an opaque binary payload, so bulk float64 data never
 round-trips through text — the codec split that keeps process-tier
 predictions bit-identical to the in-process tier.  Three tails exist:
-the ``sync`` state blobs, reply prediction vectors
+the state blobs a ``sync`` frame's manifest references
+(:func:`pack_blobs`), reply prediction vectors
 (:func:`floats_to_tail`), and the **request blob** every
 plan-carrying frame (``estimate``, ``estimate_many``,
 ``record_feedback``) ships its queries and environment in:
@@ -47,8 +48,10 @@ lengths beyond the hard caps, truncated payloads, non-object headers,
 JSON errors and malformed request blobs all raise
 :class:`~repro.errors.ProtocolError` (a
 :class:`~repro.errors.ClusterError`), never a builtin; so does a
-header or request that cannot be encoded.  A peer that dies mid-frame
-surfaces as :class:`~repro.errors.WorkerDiedError`.  Reads go through
+header or request that cannot be encoded.  A damaged sync tail raises
+:class:`~repro.errors.CheckpointCorruptError`, as damaged checkpoint
+bytes do.  A peer that dies mid-frame surfaces as
+:class:`~repro.errors.WorkerDiedError`.  Reads go through
 one buffered :class:`FrameReader` per connection, so a burst of frames
 costs one ``recv`` and a reader can tell whether more frames are
 already waiting; writers batch the other way, sending several encoded
@@ -81,7 +84,13 @@ from ...engine.plan_codec import (
     encode_plan,
     encoded_nodes,
 )
-from ...errors import PlanError, ProtocolError, ReproError, WorkerDiedError
+from ...errors import (
+    CheckpointCorruptError,
+    PlanError,
+    ProtocolError,
+    ReproError,
+    WorkerDiedError,
+)
 from ...sql.ast import SelectQuery
 
 #: First two bytes of every frame.
@@ -430,6 +439,73 @@ def floats_from_tail(fragment: object, tail: bytes) -> np.ndarray:
             f"{count * 8}"
         )
     return np.frombuffer(tail, dtype=np.float64).copy()
+
+
+# ----------------------------------------------------------------------
+# sync tails (the state blobs of a ``sync`` frame)
+# ----------------------------------------------------------------------
+#: Sync tail head: magic, blob count, index length.
+_BLOBS_HEAD = struct.Struct("<4sIQ")
+
+#: Magic opening every sync tail.
+_BLOBS_MAGIC = b"QFSM"
+
+
+def pack_blobs(blobs: Sequence[bytes]) -> bytes:
+    """The sync tail carrying *blobs*: ``b"QFSM"``, u32 blob count and
+    u64 index length (little-endian), the index JSON
+    ``{"lengths": [...], "offsets": [...]}`` (offsets from the end of
+    the index), then the blobs back to back."""
+    lengths = [len(blob) for blob in blobs]
+    offsets: List[int] = []
+    cursor = 0
+    for length in lengths:
+        offsets.append(cursor)
+        cursor += length
+    index = json.dumps(
+        {"lengths": lengths, "offsets": offsets}, separators=(",", ":")
+    ).encode("utf-8")
+    head = _BLOBS_HEAD.pack(_BLOBS_MAGIC, len(blobs), len(index))
+    return b"".join([head, index, *blobs])
+
+
+def unpack_index(buf) -> Tuple[List[int], List[int], int]:
+    """``(lengths, offsets, payload_start)`` of a sync tail; offsets are
+    relative to ``payload_start``.
+
+    Raises :class:`~repro.errors.CheckpointCorruptError` on a tail that
+    :func:`pack_blobs` did not lay out, or that was truncated.
+    """
+    if len(buf) < _BLOBS_HEAD.size:
+        raise CheckpointCorruptError(
+            f"sync tail holds {len(buf)} bytes, its head needs "
+            f"{_BLOBS_HEAD.size}"
+        )
+    magic, count, index_len = _BLOBS_HEAD.unpack_from(buf, 0)
+    if magic != _BLOBS_MAGIC:
+        raise CheckpointCorruptError(f"bad sync-tail magic {magic!r}")
+    start = _BLOBS_HEAD.size + index_len
+    if start > len(buf):
+        raise CheckpointCorruptError("sync-tail index truncated")
+    try:
+        index = json.loads(bytes(buf[_BLOBS_HEAD.size : start]).decode("utf-8"))
+        lengths = [int(n) for n in index["lengths"]]
+        offsets = [int(n) for n in index["offsets"]]
+    except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointCorruptError(
+            f"unparseable sync-tail index: {exc}"
+        ) from exc
+    if len(lengths) != count or len(offsets) != count:
+        raise CheckpointCorruptError(
+            f"sync-tail index describes {len(lengths)} blobs, "
+            f"head says {count}"
+        )
+    for length, offset in zip(lengths, offsets):
+        if length < 0 or offset < 0 or start + offset + length > len(buf):
+            raise CheckpointCorruptError(
+                "sync-tail blob extent exceeds the tail"
+            )
+    return lengths, offsets, start
 
 
 # ----------------------------------------------------------------------

@@ -9,12 +9,14 @@ worker process with its own interpreter (own GIL), fed over the
 State flows one way.  The parent keeps a hidden **template**
 ``CostService`` that never serves requests: ``deploy``/``restore``
 mutate the template, its full state is encoded once with the
-``repro.persist`` codec, the array blobs are published read-only via
-:mod:`multiprocessing.shared_memory` (N workers, one physical copy of
-the weights) and each worker installs the manifest over a ``sync``
-frame.  Because the persist codec is byte-exact for float64 weights,
-a worker's predictions are **bit-identical** to an in-process service
-holding the same bundles — asserted by the equivalence tests.
+``repro.persist`` codec, and every worker installs it from one
+``sync`` frame: the manifest in the header, the array blobs packed in
+the tail (:func:`~.protocol.pack_blobs`).  A sync frame holds its
+own bytes, so a worker revived during a deploy installs one whole
+generation, whichever it was handed.  Because the persist codec is
+byte-exact for float64 weights, a worker's predictions are
+**bit-identical** to an in-process service holding the same bundles —
+asserted by the equivalence tests.
 
 Request routing *is* the thread tier's: both tiers inherit
 :class:`~repro.cluster.tier.ReplicaTier` — rendezvous-hashed tenant
@@ -49,7 +51,6 @@ from ...serving import CostService, EstimatorBundle
 from ..admission import AdmissionController
 from ..tier import ReplicaTier
 from . import protocol
-from .shm import BlobSegment, cleanup_orphans, pack_blobs
 from .supervisor import ProcConfig, ProcSupervisor, WorkerHandle
 
 
@@ -114,10 +115,8 @@ class ProcClusterService(ReplicaTier):
             for worker_id in self.router.shard_ids()
         }
         self._generation = 0
-        self._segment: Optional[BlobSegment] = None
         self._current_sync: Optional[Tuple[Dict[str, object], bytes]] = None
         self._closed = False
-        cleanup_orphans()
         self.supervisor = ProcSupervisor(
             self.config,
             on_death=self._on_worker_death,
@@ -161,44 +160,28 @@ class ProcClusterService(ReplicaTier):
     # ------------------------------------------------------------------
     # state publication
     # ------------------------------------------------------------------
-    def _publish(self) -> Tuple[Dict[str, object], bytes]:
-        """Encode the template's full state and publish its blobs.
+    def _publish(self) -> None:
+        """Encode the template's full state as the next ``sync`` payload
+        and tail, and make it current.
 
-        Returns the ``sync`` payload + tail.  Blobs go through shared
-        memory when the host supports it (one copy for N workers); the
-        fallback packs them inline in the frame tail — same bytes,
-        just not shared.
+        The spool checkpoint is written first: a failed write raises
+        before the new generation is installed, so a revived worker
+        never re-syncs to a generation the live workers lack.
         """
         state = service_state(self.template)
         store = BlobStore()
         tree = encode_state(state, store)
-        with self._lock:
-            self._generation += 1
-            generation = self._generation
-        payload: Dict[str, object] = {
-            "manifest": tree,
-            "shm": None,
-            "generation": generation,
-        }
-        tail = b""
-        segment: Optional[BlobSegment] = None
-        if store.blobs:
-            try:
-                segment = BlobSegment.create(store.blobs, generation)
-                payload["shm"] = segment.name
-            except ReproError:
-                tail = pack_blobs(store.blobs)
-        previous, self._segment = self._segment, segment
-        self._current_sync = (payload, tail)
         if self._spool:
             write_retained(
                 state, self._spool, retain=3, meta={"kind": "cost_service"}
             )
-        if previous is not None:
-            # POSIX keeps existing worker mappings valid after unlink;
-            # the old generation's memory frees as workers re-sync.
-            previous.close()
-        return payload, tail
+        with self._lock:
+            self._generation += 1
+            generation = self._generation
+        self._current_sync = (
+            {"manifest": tree, "generation": generation},
+            protocol.pack_blobs(store.blobs),
+        )
 
     def _sync_worker(self, handle: WorkerHandle) -> None:
         """Install the current published state in *handle*."""
@@ -463,8 +446,7 @@ class ProcClusterService(ReplicaTier):
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Retire the fleet: stop supervision, shut workers down
-        (gracefully, then by force), unlink shared segments, close the
-        template, and sweep any orphaned segments."""
+        (gracefully, then by force) and close the template."""
         if self._closed:
             return
         self._closed = True
@@ -477,8 +459,4 @@ class ProcClusterService(ReplicaTier):
                     handle.mark_dead(
                         ShardDownError("tier closed"), kill=True
                     )
-        if self._segment is not None:
-            self._segment.close()
-            self._segment = None
         self.template.close()
-        cleanup_orphans()

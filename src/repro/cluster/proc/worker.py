@@ -60,11 +60,15 @@ import numpy as np
 from ...engine.environment import DatabaseEnvironment
 from ...errors import ProtocolError, ReproError, ServingError
 from ...obs import MetricsRegistry
-from ...persist import restore_service_checkpoint
+from ...persist import (
+    BlobStore,
+    decode_state,
+    restore_service,
+    restore_service_checkpoint,
+)
 from ...serving.service import CostService
 from ...serving.snapshot_store import SnapshotStore
 from . import protocol
-from .shm import AttachedBlobs, open_state
 
 
 class WorkerRuntime:
@@ -94,7 +98,6 @@ class WorkerRuntime:
         self.plans_decoded = 0
         self.warm_booted = False
         self.sync_generation = -1
-        self._attached: Optional[AttachedBlobs] = None
 
     # ------------------------------------------------------------------
     # boot
@@ -145,17 +148,25 @@ class WorkerRuntime:
         return {"value": "delayed"}, b""
 
     def _on_sync(self, header, tail):
-        """Install a full service state published by the parent."""
-        tree, store, attached = open_state(header, tail)
-        from ...persist import decode_state, restore_service
+        """Install a full service state published by the parent: the
+        manifest in the header, its array blobs packed in the tail.
 
-        state = decode_state(tree, store)
+        The blobs stay views of the tail until the decode copies each
+        array once.  A damaged tail or manifest raises before anything
+        is installed, so the worker keeps serving its previous state.
+        """
+        if "manifest" not in header:
+            raise ProtocolError("sync payload lacks 'manifest'")
+        lengths, offsets, start = protocol.unpack_index(tail)
+        view = memoryview(tail)
+        store = BlobStore(
+            [
+                view[start + offset : start + offset + length]
+                for length, offset in zip(lengths, offsets)
+            ]
+        )
+        state = decode_state(header["manifest"], store)
         restore_service(self.service, state)
-        # Hold the new mapping for the service's lifetime (the arrays
-        # alias it); release the previous generation's mapping.
-        previous, self._attached = self._attached, attached
-        if previous is not None:
-            previous.close()
         self.sync_generation = int(header.get("generation", -1))
         return {
             "value": "synced",
@@ -265,11 +276,8 @@ class WorkerRuntime:
         return {"value": "bye"}, b""
 
     def close(self) -> None:
-        """Release the service and any attached shared mapping."""
+        """Release the service."""
         self.service.close()
-        if self._attached is not None:
-            self._attached.close()
-            self._attached = None
 
 
 def _json_safe(value: object) -> object:

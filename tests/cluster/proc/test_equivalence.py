@@ -1,8 +1,8 @@
 """The process tier is *bit-identical* to the thread tier.
 
 Exact equality, not closeness: the parent template's state crosses
-the worker boundary through the byte-exact persist codec (weights via
-shared memory, predictions back as raw float64), so a worker process
+the worker boundary through the byte-exact persist codec (weights in
+the sync frame's tail, predictions back as raw float64), so a worker process
 must produce the same 64 bits as an in-process service holding the
 same bundles.  Any tolerance here would hide a codec bug.
 """

@@ -3,25 +3,24 @@
 Every death here is a *real* process death (``SIGKILL``, which cannot
 be caught, masked, or handled), and every assertion is about the
 supervisor's observable contract: in-flight futures fail typed (never
-hang), routing heals, revives are budgeted, and no shared-memory
-segment outlives its owner.  The package-level autouse fixture
-additionally asserts zero leaked segments after every single test.
+hang), routing heals, revives are budgeted, a tier's whole lifecycle
+leaves nothing behind but its own worker pids, and a failed spool
+write never splits the fleet across generations.
 """
 
 from __future__ import annotations
 
-import signal
-import subprocess
-import sys
+import os
+import pathlib
+import shutil
 import threading
 import time
 
 import pytest
 
 from repro.cluster.proc import ProcClusterService
-from repro.cluster.proc.shm import cleanup_orphans, list_segments
 from repro.cluster.proc.supervisor import WorkerHandle
-from repro.errors import ReproError, WorkerDiedError
+from repro.errors import CheckpointError, ReproError, WorkerDiedError
 from repro.persist import save_service_checkpoint
 from repro.serving import CostService, SnapshotStore
 
@@ -184,68 +183,132 @@ def test_heartbeat_kills_and_revives_a_hung_worker():
 
 
 # ----------------------------------------------------------------------
-# shared-memory crash hygiene
+# crash hygiene: what a tier leaves behind
 # ----------------------------------------------------------------------
-def test_orphaned_segments_from_a_dead_owner_are_cleaned():
-    """A process that publishes a segment and dies by SIGKILL cannot
-    unlink it; cleanup_orphans() must identify the dead owner pid
-    embedded in the name and sweep the segment."""
-    script = (
-        "import os, signal\n"
-        "from multiprocessing import resource_tracker, shared_memory\n"
-        "name = 'qcfe-shm-%d-1-feedface' % os.getpid()\n"
-        "shm = shared_memory.SharedMemory(name=name, create=True, size=64)\n"
-        "try:\n"
-        "    resource_tracker.unregister(shm._name, 'shared_memory')\n"
-        "except (OSError, KeyError, AttributeError, ValueError):\n"
-        "    pass\n"
-        "print(name, flush=True)\n"
-        "os.kill(os.getpid(), signal.SIGKILL)\n"
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
-    )
-    name = proc.stdout.readline().strip()
-    proc.wait(timeout=15.0)
-    proc.stdout.close()
-    assert proc.returncode == -signal.SIGKILL
-    assert name in list_segments(), "the orphan must exist to be swept"
-    removed = cleanup_orphans()
-    assert name in removed
-    assert name not in list_segments()
+def _segments():
+    """Weight segments linked on this host, under the name prefix
+    earlier builds gave them in POSIX shared memory (none, ever, is
+    the bar)."""
+    return sorted(pathlib.Path("/dev").glob("shm/qcfe-shm-*"))
 
 
-def test_live_owner_segments_survive_the_orphan_sweep(
-    cluster_bundle, cluster_envs
+def _children():
+    """Pids of this process's children, live or not yet reaped, read
+    from ``/proc/<pid>/stat``."""
+    me = os.getpid()
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = pathlib.Path("/proc", entry, "stat").read_bytes()
+        except OSError:
+            continue
+        # The fields after the command name: state, then the parent pid.
+        if int(stat[stat.rindex(b")") + 2 :].split()[1]) == me:
+            found.add(int(entry))
+    return found
+
+
+def _live_workers(tier):
+    """Pids of the tier's serving workers."""
+    return {h.pid for h in tier.supervisor.handles.values() if h.alive}
+
+
+def _kill_and_resync(tier, worker_id):
+    """SIGKILL *worker_id* and wait until its replacement is back in
+    routing, which the tier does only after the replacement's sync."""
+    old_pid = tier.worker(worker_id).pid
+    tier.kill_worker(worker_id)
+    assert _poll(
+        lambda: tier.worker(worker_id).pid != old_pid
+        and tier.router.is_alive(worker_id),
+        timeout_s=30.0,
+    )
+
+
+def test_tier_lifecycle_leaves_no_segment_and_no_helper_process(
+    cluster_bundle, cluster_envs, tmp_path
 ):
-    """cleanup_orphans() must never touch a segment whose owner is
-    alive — sweeping a live tier's weights would break every worker."""
+    """Deploy, estimate, SIGKILL and revive, redeploy, save/restore and
+    close: no step links a weight segment, the tier's only children
+    are its live workers (no resource-tracker helper) and close reaps
+    them all."""
     bundle, labeled = cluster_bundle
-    before = set(list_segments())  # other live tiers' segments
-    with ProcClusterService(worker_count=1, config=fast_config()) as tier:
-        tier.deploy(bundle)
-        published = set(list_segments()) - before
-        assert published, "deploy publishes at least one segment"
-        assert cleanup_orphans() == []
-        assert published <= set(list_segments())
-        # The tier still serves off the (untouched) shared weights.
-        assert tier.estimate(labeled[0].query_sql, cluster_envs[0]) > 0
-    assert not set(list_segments()) & published  # close() unlinked
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    assert _segments() == []
+    before = _children()  # other tiers' workers stay out of the count
+    tier = ProcClusterService(worker_count=2, config=fast_config())
+    try:
+        name = tier.deploy(bundle)
+        assert _segments() == []
+        assert _children() - before == _live_workers(tier)
+        assert len(_live_workers(tier)) == 2
+
+        expected = tier.estimate(sql, env)
+        assert _segments() == []
+
+        _kill_and_resync(tier, tier.worker_of(name))
+        assert tier.estimate(sql, env) == expected
+        assert _segments() == []
+        assert _poll(lambda: _children() - before == _live_workers(tier))
+
+        tier.deploy(bundle, name="tenant-b")
+        assert tier.estimate(sql, env, bundle="tenant-b") == expected
+        assert _segments() == []
+
+        tier.save(tmp_path / "ckpt")
+        assert tier.restore(tmp_path / "ckpt")
+        assert tier.estimate(sql, env, bundle=name) == expected
+        assert _segments() == []
+        assert _children() - before == _live_workers(tier)
+    finally:
+        tier.close()
+    assert _segments() == []
+    assert _children() - before == set()
 
 
-def test_close_is_idempotent_and_unlinks_everything(
-    cluster_bundle, cluster_envs
-):
-    """Double-close must be safe, and a closed tier leaves zero
-    segments and zero child pids behind."""
+def test_close_is_idempotent_and_reaps_every_pid(cluster_bundle):
+    """Double-close must be safe, and a closed tier leaves zero child
+    pids behind."""
     bundle, _ = cluster_bundle
-    before = set(list_segments())  # other live tiers' segments
     tier = ProcClusterService(worker_count=2, config=fast_config())
     tier.deploy(bundle)
     pids = [tier.worker(w).proc for w in ("worker-0", "worker-1")]
-    assert set(list_segments()) - before, "deploy published a segment"
     tier.close()
     tier.close()
     for proc in pids:
         assert proc.poll() is not None, "worker pid outlived close()"
-    assert set(list_segments()) <= before
+
+
+def test_a_failed_spool_write_installs_no_new_generation(
+    cluster_bundle, cluster_envs, tmp_path
+):
+    """A spool that cannot be written fails deploy and save with a
+    typed CheckpointError before the new generation is current, so a
+    worker revived afterwards re-syncs to the generation the live
+    workers serve, not one ahead of them."""
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    spool = tmp_path / "spool"
+    with ProcClusterService(
+        worker_count=2, config=fast_config(), checkpoint_spool=spool
+    ) as tier:
+        name = tier.deploy(bundle)
+        expected = tier.estimate(sql, env)
+        shutil.rmtree(spool)
+        spool.write_bytes(b"a regular file where the spool was")
+
+        with pytest.raises(CheckpointError) as failed:
+            tier.deploy(bundle, name="tenant-b")
+        assert isinstance(failed.value.__cause__, OSError)
+        with pytest.raises(CheckpointError):
+            tier.save(spool / "nested")
+
+        _kill_and_resync(tier, tier.worker_of(name))
+        generations = {
+            tier.worker(w).rpc("counters", {})[0]["value"]["generation"]
+            for w in ("worker-0", "worker-1")
+        }
+        assert generations == {1}
+        assert tier.estimate(sql, env, bundle=name) == expected

@@ -775,3 +775,63 @@ def test_wire_garbage_fails_pending_futures_typed_never_hangs():
         assert handle.proc.returncode == 2
     finally:
         handle.mark_dead(WorkerDiedError("fuzz test over"), kill=True)
+
+
+# ----------------------------------------------------------------------
+# sync tails: the weights of every deploy
+# ----------------------------------------------------------------------
+def test_sync_tail_bytes_are_pinned():
+    """The sync tail layout, byte for byte: magic, count, index length,
+    the JSON index, then the blobs."""
+    index = b'{"lengths":[2,0,3],"offsets":[0,2,2]}'
+    tail = protocol.pack_blobs([b"ab", b"", b"xyz"])
+    assert tail == struct.pack("<4sIQ", b"QFSM", 3, len(index)) + index + b"abxyz"
+    assert protocol.unpack_index(tail) == ([2, 0, 3], [0, 2, 2], 16 + len(index))
+
+
+def test_damaged_sync_tails_get_typed_replies_and_keep_the_old_state(
+    cluster_bundle, cluster_envs
+):
+    """A live worker sent a damaged sync tail answers with a typed
+    error, stays up, and keeps serving the generation it had, bit for
+    bit."""
+    from repro.errors import CheckpointCorruptError
+    from repro.persist import BlobStore, encode_state, service_state
+
+    bundle, labeled = cluster_bundle
+    with CostService() as template:
+        template.deploy(bundle)
+        store = BlobStore()
+        tree = encode_state(service_state(template), store)
+    blobs = store.blobs
+    tail = protocol.pack_blobs(blobs)
+    _, count, index_len = struct.unpack_from("<4sIQ", tail)
+    damaged = {
+        "truncated": tail[:20],
+        "bad magic": b"XXXX" + tail[4:],
+        "count off the index": struct.pack(
+            "<4sIQ", b"QFSM", count + 1, index_len
+        ) + tail[16:],
+        "extent past the end": tail[:-1],
+        "length off dtype and shape": protocol.pack_blobs(
+            [blobs[0][:-8]] + blobs[1:]
+        ),
+    }
+    request = protocol.encode_request([labeled[0].plan], cluster_envs[0])
+    routing = {"bundle": bundle.name, "backend": None}
+    handle = WorkerHandle("fuzz-sync", fast_config())
+    handle.spawn()
+    try:
+        handle.rpc("sync", {"manifest": tree, "generation": 1}, tail)
+        expected, _ = handle.rpc("estimate", routing, request)
+        with pytest.raises(ProtocolError):
+            handle.rpc("sync", {"generation": 2}, tail)
+        for label, bad in damaged.items():
+            with pytest.raises((CheckpointCorruptError, ProtocolError)):
+                handle.rpc("sync", {"manifest": tree, "generation": 2}, bad)
+            header, _ = handle.rpc("estimate", routing, request)
+            assert header["value"] == expected["value"], label
+        counters, _ = handle.rpc("counters", {})
+        assert counters["value"]["generation"] == 1
+    finally:
+        handle.mark_dead(WorkerDiedError("fuzz test over"), kill=True)

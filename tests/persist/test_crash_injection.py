@@ -36,9 +36,10 @@ def test_killed_os_replace_preserves_the_previous_checkpoint(
         raise OSError("injected crash during rename")
 
     monkeypatch.setattr(os, "replace", boom)
-    with pytest.raises(OSError, match="injected crash"):
+    with pytest.raises(CheckpointError, match="injected crash") as failed:
         write_retained(STATE_B, tmp_path, retain=3)
     monkeypatch.undo()
+    assert isinstance(failed.value.__cause__, OSError)
 
     # The interrupted write is invisible: no second checkpoint exists,
     # no tmp file survives, and the previous checkpoint still loads.
@@ -56,12 +57,35 @@ def test_killed_fsync_preserves_the_previous_checkpoint(tmp_path, monkeypatch):
         raise OSError("injected fsync failure")
 
     monkeypatch.setattr(os, "fsync", boom)
-    with pytest.raises(OSError, match="injected fsync"):
+    with pytest.raises(CheckpointError, match="injected fsync"):
         write_retained(STATE_B, tmp_path, retain=3)
     monkeypatch.undo()
 
     assert [path for _, path in list_checkpoints(tmp_path)] == [first]
+    assert not list(tmp_path.glob("*.tmp"))
     assert restore_latest(tmp_path)[0] == STATE_A
+
+
+def test_an_unwritable_directory_raises_checkpoint_error(tmp_path):
+    """A checkpoint directory under a regular file cannot be made: the
+    write raises a typed CheckpointError chained to the OSError, and
+    so do the service-level saves built on it."""
+    from repro.persist import save_service_checkpoint
+    from repro.serving import CostService
+
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"not a directory")
+    with pytest.raises(CheckpointError) as failed:
+        write_retained(STATE_A, blocker / "spool")
+    assert isinstance(failed.value.__cause__, NotADirectoryError)
+    with pytest.raises(CheckpointError):
+        save_checkpoint(STATE_A, blocker / "ckpt.qcp")
+    with CostService() as service:
+        with pytest.raises(CheckpointError):
+            save_service_checkpoint(service, blocker / "spool")
+        with pytest.raises(CheckpointError):
+            service.save(blocker / "spool")
+    assert blocker.read_bytes() == b"not a directory"
 
 
 def test_partial_tmp_left_by_a_hard_kill_is_never_loadable(tmp_path):
