@@ -12,7 +12,10 @@ import pathlib
 
 import pytest
 
+from repro.core import QCFE, QCFEConfig
+from repro.engine.environment import random_environments
 from repro.eval.harness import ExperimentContext
+from repro.workload.collect import collect_labeled_plans, get_benchmark
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -31,6 +34,28 @@ def pytest_addoption(parser):
 def quick(request):
     """True under ``--quick``: benches shrink to smoke-test scale."""
     return bool(request.config.getoption("--quick"))
+
+
+@pytest.fixture(scope="session")
+def sizes(quick):
+    """Labelled plans and epochs of the stress benches' bundles."""
+    return {"plans": 48, "epochs": 2} if quick else {"plans": 96, "epochs": 4}
+
+
+@pytest.fixture(scope="session")
+def sysbench_setup(sizes):
+    """``(bundle, labeled, envs)``: a QPPNet bundle fitted on Sysbench
+    plans over two knob environments, shared by the stress benches."""
+    benchmark = get_benchmark("sysbench")
+    envs = random_environments(2, seed=3)
+    labeled = collect_labeled_plans(benchmark, envs, sizes["plans"], seed=1)
+    pipeline = QCFE(
+        benchmark,
+        envs,
+        QCFEConfig(model="qppnet", epochs=sizes["epochs"], template_scale=4),
+    )
+    pipeline.fit(labeled)
+    return pipeline.export_bundle(), labeled, envs
 
 
 @pytest.fixture(scope="session")

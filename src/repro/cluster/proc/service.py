@@ -191,7 +191,6 @@ class ProcClusterService(ReplicaTier):
         handle.rpc(
             "sync", payload, tail, timeout_s=self.config.sync_timeout_s
         )
-        handle.generation = int(payload["generation"])
 
     def _sync_all(self) -> None:
         """Install the current published state in every live worker."""

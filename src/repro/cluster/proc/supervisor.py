@@ -125,7 +125,6 @@ class WorkerHandle:
         self.revives = 0
         self.last_pong = 0.0
         self.cached_counters: Dict[str, object] = {}
-        self.generation = -1
         self._pending: Dict[int, _Pending] = {}
         self._lock = make_lock("cluster.proc.handle")
         self._ids = itertools.count(1)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-import pathlib
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .experiments import (
     ModelRow,
@@ -219,70 +217,6 @@ def render_obs_report(
             )
         )
     return "\n\n".join(sections) if sections else "(no observability data)"
-
-
-def load_bench_trajectory(directory: Union[str, pathlib.Path]) -> List[Dict]:
-    """Every ``BENCH_*.json`` perf-trajectory envelope under
-    *directory* (see :mod:`repro.bench.runner`), scenario-sorted."""
-    results = [
-        json.loads(path.read_text())
-        for path in sorted(pathlib.Path(directory).glob("BENCH_*.json"))
-    ]
-    return sorted(results, key=lambda r: str(r.get("scenario", "")))
-
-
-def render_bench_trajectory(
-    results: Union[Sequence[Dict], str, pathlib.Path]
-) -> str:
-    """Markdown table over perf-trajectory results.
-
-    *results* is a list of ``BENCH_*.json`` envelopes, or a directory
-    to load them from.  Missing metrics render as ``-`` so partial or
-    older-schema files degrade readably instead of raising.
-    """
-    if isinstance(results, (str, pathlib.Path)):
-        results = load_bench_trajectory(results)
-
-    def dig(mapping: object, *keys: str) -> object:
-        for key in keys:
-            if not isinstance(mapping, dict) or key not in mapping:
-                return None
-            mapping = mapping[key]
-        return mapping
-
-    def fmt(value: object, spec: str = "{:.2f}") -> str:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return "-"
-        return spec.format(int(value) if spec == "{:d}" else value)
-
-    header = (
-        "| scenario | reqs | p50 ms | p95 ms | p99 ms | max ms | req/s "
-        "| cache hit | errors | sha | mode |"
-    )
-    divider = "|" + " --- |" * 11
-    lines = [header, divider]
-    for result in results:
-        metrics = result.get("metrics", {})
-        lines.append(
-            "| {scenario} | {reqs} | {p50} | {p95} | {p99} | {max} "
-            "| {rps} | {hit} | {errors} | {sha} | {mode} |".format(
-                scenario=result.get("scenario", "?"),
-                reqs=fmt(dig(metrics, "completed"), "{:d}"),
-                p50=fmt(dig(metrics, "latency_ms", "p50"), "{:.3f}"),
-                p95=fmt(dig(metrics, "latency_ms", "p95"), "{:.3f}"),
-                p99=fmt(dig(metrics, "latency_ms", "p99"), "{:.3f}"),
-                max=fmt(dig(metrics, "latency_ms", "max"), "{:.3f}"),
-                rps=fmt(dig(metrics, "throughput_rps"), "{:.1f}"),
-                hit=fmt(
-                    dig(metrics, "counters", "feature_cache", "hit_rate"),
-                    "{:.1%}",
-                ),
-                errors=fmt(dig(metrics, "errors"), "{:d}"),
-                sha=result.get("git_sha", "-"),
-                mode="quick" if result.get("quick") else "full",
-            )
-        )
-    return "\n".join(lines)
 
 
 def render_figure1(result: Dict[str, Dict[str, float]]) -> str:

@@ -1,12 +1,9 @@
 """Fixed-memory log-bucketed histograms: the one bucketing scheme.
 
-The bench harness has recorded latencies into log-spaced buckets since
-the load-testing PR (:class:`repro.bench.metrics.LatencyHistogram`);
-the metrics registry needs the same shape for its duration series.
-Rather than two bucketing implementations drifting apart, the bucket
-math lives here — range, resolution, index and midpoint functions —
-and both the bench histogram and :class:`LogHistogram` (the registry's
-instrument) are built on it.
+The metrics registry records its duration series into log-spaced
+buckets.  The bucket math lives here — range, resolution, index and
+midpoint functions — and :class:`LogHistogram` (the registry's
+instrument) is built on it.
 
 The scheme: values from 1 microsecond to 1000 seconds (in
 milliseconds), 20 buckets per decade — about 12% relative resolution

@@ -305,7 +305,7 @@ def enable(graph: Optional[LockGraph] = None) -> LockGraph:
     Returns the installed graph (a fresh one unless *graph* is given).
     Locks created *before* enabling stay plain — enable watching
     before constructing the services under test (the tier-1 conftest
-    and ``python -m repro.bench --lockwatch`` both do).
+    does, for the whole session).
     """
     global _installed
     _installed = graph if graph is not None else LockGraph()

@@ -394,11 +394,11 @@ def test_cli_writes_json_report(tmp_path, capsys):
 
 
 def test_exception_rule_scoped_to_serving_packages():
-    """In-repo scoping: exception-taxonomy skips e.g. src/repro/bench."""
+    """In-repo scoping: exception-taxonomy skips e.g. src/repro/eval."""
     rule = _rule("exception-taxonomy")
     assert rule_applies(rule, "src/repro/serving/service.py")
     assert rule_applies(rule, "src/repro/obs/trace.py")
-    assert not rule_applies(rule, "src/repro/bench/metrics.py")
+    assert not rule_applies(rule, "src/repro/eval/metrics.py")
     assert not rule_applies(rule, "src/repro/engine/executor.py")
     # ...but fixtures outside src/repro stay fully in scope.
     assert rule_applies(rule, "tests/analyze/fixtures/x.py")

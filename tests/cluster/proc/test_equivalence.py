@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import DEFAULT_BACKEND
 from repro.cluster import ClusterService
 from repro.cluster.proc import ProcClusterService
 from repro.engine.environment import random_environments
@@ -88,6 +89,29 @@ def test_bit_identical_to_a_single_inprocess_service(
             assert proc_service.estimate(
                 queries[0], env
             ) == single.estimate(queries[0], env)
+
+
+def test_backend_tagged_estimates_bit_identical_to_thread_tier(
+    cluster_bundle, cluster_envs
+):
+    """Tagged for the learned default backend and for a backend served
+    by an auto-deployed native fallback, both tiers route to the same
+    bundle and answer with the same 64 bits.  Fresh tiers: the
+    fallback's deploy would leak into the shared fixtures."""
+    bundle, labeled = cluster_bundle
+    queries = [record.query_sql for record in labeled[:8]]
+    env = cluster_envs[0]
+    with ProcClusterService(worker_count=1, config=fast_config()) as proc, ClusterService(
+        shard_count=2,
+        service_factory=lambda sid: CostService(snapshot_store=SnapshotStore()),
+    ) as thread:
+        for tier in (proc, thread):
+            tier.deploy(bundle, name="fleet-learned")
+        for backend in (DEFAULT_BACKEND, "aurora"):
+            np.testing.assert_array_equal(
+                proc.estimate_many(queries, env, backend=backend),
+                thread.estimate_many(queries, env, backend=backend),
+            )
 
 
 def test_async_path_bit_identical_to_sync(

@@ -6,6 +6,7 @@ Expensive objects are session-scoped so the whole suite shares them.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -101,3 +102,28 @@ def sysbench_labeled(sysbench, environments):
 @pytest.fixture(scope="session")
 def tpch_split(tpch_labeled):
     return train_test_split(tpch_labeled, seed=0)
+
+
+def hammer(work, threads=4, timeout_s=120.0):
+    """Run ``work(index)`` on *threads* threads at once; every
+    exception raised, in no particular order.  A thread still running
+    after *timeout_s* fails the calling test."""
+    errors = []
+    barrier = threading.Barrier(threads)
+
+    def run(index):
+        barrier.wait(timeout=timeout_s)
+        try:
+            work(index)
+        except Exception as exc:  # collected for the assertion
+            errors.append(exc)
+
+    workers = [
+        threading.Thread(target=run, args=(i,), daemon=True) for i in range(threads)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=timeout_s)
+    assert not any(worker.is_alive() for worker in workers), "hammer thread hung"
+    return errors

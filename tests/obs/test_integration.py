@@ -1,9 +1,8 @@
 """End-to-end observability: cluster traces, thin-view counters,
-live Prometheus exposition, bench obs embedding, report rendering."""
+live Prometheus exposition, report rendering."""
 
 from __future__ import annotations
 
-import json
 import sys
 
 import pytest
@@ -11,7 +10,6 @@ import pytest
 sys.path.insert(0, "tools")
 from check_prom import check_prometheus_text  # noqa: E402
 
-from repro.bench.runner import _obs_registry, _obs_summary
 from repro.cluster import ClusterService
 from repro.core import QCFE, QCFEConfig
 from repro.engine.environment import random_environments
@@ -124,29 +122,6 @@ def test_live_expositions_parse_under_check_prom(
     assert check_prometheus_text(service_text) == []
     assert "repro_cluster_routed" in cluster_text
     assert "repro_service_requests" in service_text
-
-
-def test_bench_obs_summary_and_registry(tmp_path):
-    tracer = Tracer(sample_rate=0.0, slow_ms=0.0, seed=1)
-    with tracer.start_span("request") as span:
-        span.annotate(fingerprint="deadbeef")
-
-    summary = _obs_summary(tracer, sample_rate=0.25)
-    assert summary["sample_rate"] == 0.25
-    assert summary["tracer"]["traces_retained"] == 1
-    [entry] = summary["slow_queries"]
-    assert entry["fingerprint"] == "deadbeef"
-    assert "spans" not in entry  # trees stay in the _slow.json artifact
-    json.dumps(summary)  # envelope-embeddable
-
-    registry = _obs_registry(
-        "smoke", {"throughput_rps": 10.0, "latency": {"p95_ms": 3.5}}, tracer
-    )
-    text = registry.render_prometheus()
-    assert check_prometheus_text(text) == []
-    assert 'repro_bench_throughput_rps{scenario="smoke"} 10' in text
-    assert 'repro_bench_latency_p95_ms{scenario="smoke"} 3.5' in text
-    assert "repro_bench_tracer_traces_retained 1" in text
 
 
 def test_render_obs_report(trained_bundle, serving_envs):

@@ -120,15 +120,6 @@ class TestExposition:
 
 
 class TestHistogramBucketing:
-    def test_shared_buckets_with_bench_histogram(self):
-        """One bucketing scheme: the registry histogram and the bench
-        LatencyHistogram agree on every bucket boundary."""
-        from repro.bench.metrics import LatencyHistogram
-        from repro.obs import histogram as buckets
-
-        assert LatencyHistogram._bucket is buckets.bucket_index
-        assert LatencyHistogram._bucket_mid_ms is buckets.bucket_mid_ms
-
     def test_quantiles_and_clamping(self):
         histogram = LogHistogram()
         for value in (1.0, 2.0, 4.0, 8.0, 1000.0):

@@ -9,6 +9,8 @@ dimensions, and the loop warm-retrains + hot-swaps a recalled bundle.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from repro.workload.collect import (
     collect_labeled_plans,
     interleave_by_environment,
 )
+
+from ..conftest import hammer
 
 RANGE_SHAPES = {"simple_range", "sum_range", "order_range", "distinct_range"}
 
@@ -276,6 +280,43 @@ class TestDriftLoop:
             assert stats.promotions + stats.rollbacks == stats.refits
             if stats.promotions:
                 assert service.registry.get(name).version > version_before
+
+    def test_refit_under_async_load_serves_every_request(
+        self, point_trained, drifted_records, adapt_envs
+    ):
+        """Threads hammer the async path for as long as the background
+        refit runs: no request fails, the loop counts no error, and it
+        still recalls, refits and promotes."""
+        pipeline, baselines, _ = point_trained
+        env_by_name = {env.name: env for env in adapt_envs}
+        probe = [
+            (record.plan, env_by_name[record.env_name])
+            for record in drifted_records[:16]
+        ]
+        with make_service(
+            pipeline, baselines, background=True, poll_interval_s=0.01
+        ) as service:
+            stats = service.adaptation.stats
+            for record in drifted_records:
+                service.record_feedback(record, env_by_name[record.env_name])
+
+            def work(index):
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() < deadline:
+                    for plan, env in probe:
+                        future = service.estimate_async(plan, env)
+                        assert np.isfinite(future.result(timeout=30.0))
+                    if stats.promotions + stats.rollbacks:
+                        return
+
+            errors = hammer(work)
+            assert service.adaptation.wait_idle(timeout=60.0)
+            flagged = service.adaptation.watcher("sysbench:qppnet").recall.total_flagged
+            loop_errors = service.counters()["adaptation"]["errors"]
+        assert errors == []
+        assert flagged >= 1
+        assert stats.promotions >= 1
+        assert loop_errors == 0
 
     def test_report_includes_adaptation_counters(
         self, point_trained, drifted_records, adapt_envs

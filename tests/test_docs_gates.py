@@ -20,7 +20,6 @@ import check_workflows  # noqa: E402
 #: ruff D1 invocation in .github/workflows/ci.yml).
 GATED_TREES = [
     str(REPO / "src" / "repro" / "serving"),
-    str(REPO / "src" / "repro" / "bench"),
     str(REPO / "src" / "repro" / "cluster"),
     str(REPO / "src" / "repro" / "persist"),
     str(REPO / "src" / "repro" / "obs"),

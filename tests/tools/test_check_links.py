@@ -97,7 +97,7 @@ def test_backtick_path_existing_passes(tmp_path):
 
 def test_glob_and_placeholder_tokens_ignored(tmp_path):
     (tmp_path / "doc.md").write_text(
-        "outputs `BENCH_<scenario>.json` and `benchmarks/results/*.json`\n"
+        "outputs `RESULT_<workload>.json` and `benchmarks/results/*.json`\n"
     )
     assert _check(tmp_path) == []
 

@@ -15,7 +15,7 @@ nesting.
 
 Usage::
 
-    python tools/check_docstrings.py src/repro/serving src/repro/bench ...
+    python tools/check_docstrings.py src/repro/serving src/repro/cluster ...
 
 Exits nonzero listing every undocumented public definition.
 """
@@ -110,7 +110,6 @@ def main(argv: List[str]) -> int:
     """CLI entry point: check the trees given as arguments."""
     roots = argv or [
         "src/repro/serving",
-        "src/repro/bench",
         "src/repro/cluster",
         "src/repro/persist",
         "src/repro/obs",

@@ -15,7 +15,7 @@ fails on:
   (lowercase, punctuation stripped, spaces to hyphens).
 - **Unreadable files**: a gated file that is not UTF-8 is reported as
   a problem, never a traceback.
-- **Backticked path references** like ``src/repro/bench/scenarios.py``
+- **Backticked path references** like ``src/repro/serving/service.py``
   — a token with a directory separator and a known file extension —
   that do not exist relative to the repo root.  Tokens with glob or
   placeholder characters (``*``, ``<``, ``{``) and bare filenames are

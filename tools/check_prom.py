@@ -16,10 +16,10 @@ scrape endpoint would serve.  It checks, line by line:
 - no duplicate series: a (metric name, label set) pair appears once.
 
 Usable as a library (:func:`check_prometheus_text` returns a problem
-list) and as a CLI over ``.prom`` files (the CI perf gate's uploaded
-``OBS_*.prom`` artifacts)::
+list; ``tests/obs`` runs it over live renders) and as a CLI over
+``.prom`` files, such as a scrape saved with ``curl``::
 
-    python tools/check_prom.py bench-out/OBS_*.prom
+    python tools/check_prom.py scrape.prom
 
 Exits nonzero listing every malformed line.
 """
