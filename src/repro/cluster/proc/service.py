@@ -8,15 +8,22 @@ worker process with its own interpreter (own GIL), fed over the
 
 State flows one way.  The parent keeps a hidden **template**
 ``CostService`` that never serves requests: ``deploy``/``restore``
-mutate the template, its full state is encoded once with the
-``repro.persist`` codec, and every worker installs it from one
-``sync`` frame: the manifest in the header, the array blobs packed in
-the tail (:func:`~.protocol.pack_blobs`).  A sync frame holds its
-own bytes, so a worker revived during a deploy installs one whole
-generation, whichever it was handed.  Because the persist codec is
-byte-exact for float64 weights, a worker's predictions are
-**bit-identical** to an in-process service holding the same bundles —
-asserted by the equivalence tests.
+mutate the template, and its full state is encoded once into a
+checkpoint **image** (:func:`~repro.persist.encode_checkpoint`).  The
+image is the ``sync`` frame's tail, the header carrying only the
+``generation``; with a spool set, the same bytes are the spool's next
+checkpoint file.  Every worker installs it through
+:func:`~repro.persist.decode_checkpoint`, the decode that loads a
+checkpoint file, with every hash verified.  A sync frame holds its own
+bytes, so a worker revived during a deploy installs one whole
+generation, whichever it was handed.  Generations are drawn with the
+template snapshot in one critical section, and only a newer one
+becomes current, so concurrent deploys publish in snapshot order; a
+worker acknowledges but does not install a generation older than its
+own.  Every live worker's ``sync`` is sent before any reply is
+awaited.  Because the persist codec is byte-exact for float64 weights,
+a worker's predictions are **bit-identical** to an in-process service
+holding the same bundles — asserted by the equivalence tests.
 
 Request routing *is* the thread tier's: both tiers inherit
 :class:`~repro.cluster.tier.ReplicaTier` — rendezvous-hashed tenant
@@ -46,7 +53,8 @@ import numpy as np
 from ...errors import ClusterError, ReproError, ShardDownError
 from ...obs import EventLog, MetricsRegistry
 from ...obs.trace import Tracer
-from ...persist import BlobStore, encode_state, service_state, write_retained
+from ...obs.lockwatch import make_lock
+from ...persist import encode_checkpoint, service_state, write_retained_bytes
 from ...serving import CostService, EstimatorBundle
 from ..admission import AdmissionController
 from ..tier import ReplicaTier
@@ -114,8 +122,13 @@ class ProcClusterService(ReplicaTier):
             worker_id: AdmissionController(max_inflight_per_worker)
             for worker_id in self.router.shard_ids()
         }
+        #: Orders generations: the draw and the template snapshot.
+        self._publish_lock = make_lock("proc.publish")
+        #: Orders installs: the spool write and ``_current_sync``.
+        self._install_lock = make_lock("proc.install")
         self._generation = 0
-        self._current_sync: Optional[Tuple[Dict[str, object], bytes]] = None
+        #: ``(generation, image)`` every worker syncs to.
+        self._current_sync: Optional[Tuple[int, bytes]] = None
         self._closed = False
         self.supervisor = ProcSupervisor(
             self.config,
@@ -161,42 +174,57 @@ class ProcClusterService(ReplicaTier):
     # state publication
     # ------------------------------------------------------------------
     def _publish(self) -> None:
-        """Encode the template's full state as the next ``sync`` payload
-        and tail, and make it current.
+        """Encode the template's full state as the next image and make
+        it current, unless a newer generation already is.
 
-        The spool checkpoint is written first: a failed write raises
-        before the new generation is installed, so a revived worker
-        never re-syncs to a generation the live workers lack.
+        The generation is drawn with the snapshot, so generation order
+        is snapshot order; the encode runs outside both locks.  The
+        spool checkpoint is written under the install lock, which only
+        publishers take, so the newest spool file is always the
+        current image.  It is written before the install: a failed
+        write raises before the new generation is current, so a
+        revived worker never re-syncs to a generation the live workers
+        lack.
         """
-        state = service_state(self.template)
-        store = BlobStore()
-        tree = encode_state(state, store)
-        if self._spool:
-            write_retained(
-                state, self._spool, retain=3, meta={"kind": "cost_service"}
-            )
-        with self._lock:
+        with self._publish_lock:
             self._generation += 1
             generation = self._generation
-        self._current_sync = (
-            {"manifest": tree, "generation": generation},
-            protocol.pack_blobs(store.blobs),
-        )
+            state = service_state(self.template)
+        image = encode_checkpoint(state, meta={"kind": "cost_service"})
+        with self._install_lock:
+            current = self._current_sync
+            if current is not None and current[0] > generation:
+                return
+            if self._spool:
+                write_retained_bytes(image, self._spool, retain=3)
+            self._current_sync = (generation, image)
 
-    def _sync_worker(self, handle: WorkerHandle) -> None:
-        """Install the current published state in *handle*."""
-        if self._current_sync is None:
+    def _sync(self, handles: Sequence[WorkerHandle]) -> None:
+        """Install the current image in *handles*.
+
+        Every ``sync`` is sent before any reply is awaited, so the
+        workers install in parallel; the first failure raises once
+        its reply (or deadline) is reached.
+        """
+        current = self._current_sync
+        if current is None:
             return
-        payload, tail = self._current_sync
-        handle.rpc(
-            "sync", payload, tail, timeout_s=self.config.sync_timeout_s
-        )
+        generation, image = current
+        timeout = self.config.sync_timeout_s
+        sent = [
+            (handle, handle.submit(
+                "sync", {"generation": generation}, image, timeout_s=timeout
+            ))
+            for handle in handles
+        ]
+        for handle, future in sent:
+            handle.await_reply(future, "sync", timeout)
 
     def _sync_all(self) -> None:
-        """Install the current published state in every live worker."""
-        for handle in list(self.supervisor.handles.values()):
-            if handle.alive:
-                self._sync_worker(handle)
+        """Install the current image in every live worker."""
+        self._sync(
+            [h for h in list(self.supervisor.handles.values()) if h.alive]
+        )
 
     # ------------------------------------------------------------------
     # deployment
@@ -393,7 +421,7 @@ class ProcClusterService(ReplicaTier):
     def _on_worker_revived(self, handle: WorkerHandle) -> None:
         """A respawned pid said hello: re-sync state, restore routing."""
         try:
-            self._sync_worker(handle)
+            self._sync([handle])
         except ReproError:
             # The replacement died before installing state; kill it so
             # the sentinel runs the death path (and burns a revive).

@@ -312,6 +312,14 @@ class WorkerHandle:
             self.config.request_timeout_s if timeout_s is None else timeout_s
         )
         future = self.submit(kind, payload, tail, timeout_s=timeout)
+        return self.await_reply(future, kind, timeout)
+
+    def await_reply(
+        self, future: Future, kind: str, timeout: float
+    ) -> Tuple[Dict[str, object], bytes]:
+        """The reply to a :meth:`submit` of *kind* with deadline
+        *timeout*; a reply that never comes surfaces as
+        :class:`~repro.errors.WorkerTimeoutError`."""
         try:
             return future.result(timeout=timeout + 1.0)
         except FutureTimeoutError as exc:

@@ -17,7 +17,11 @@ with three pieces of argv state:
 Boot sequence: build the service → warm-boot from the newest loadable
 ``repro.persist`` checkpoint if a spool directory was given → send a
 ``hello`` frame (carrying pid and warm/cold verdict) → serve frames
-until EOF or a ``shutdown`` frame.
+until EOF or a ``shutdown`` frame.  State arrives in ``sync`` frames
+whose tail is a checkpoint image, the same bytes the spool holds: the
+worker installs it with :func:`~repro.persist.decode_checkpoint` and
+:func:`~repro.persist.restore_service`, the decode a warm boot runs
+on the spool file, and skips an image older than the one it serves.
 
 The loop is single-threaded on purpose (a worker process is one CPU
 lane) and drains then batches: one blocking read, then every frame
@@ -61,8 +65,7 @@ from ...engine.environment import DatabaseEnvironment
 from ...errors import ProtocolError, ReproError, ServingError
 from ...obs import MetricsRegistry
 from ...persist import (
-    BlobStore,
-    decode_state,
+    decode_checkpoint,
     restore_service,
     restore_service_checkpoint,
 )
@@ -149,25 +152,22 @@ class WorkerRuntime:
 
     def _on_sync(self, header, tail):
         """Install a full service state published by the parent: the
-        manifest in the header, its array blobs packed in the tail.
+        tail is a checkpoint image, the header carries its generation.
 
-        The blobs stay views of the tail until the decode copies each
-        array once.  A damaged tail or manifest raises before anything
-        is installed, so the worker keeps serving its previous state.
+        The image is verified and decoded exactly as a checkpoint file
+        is, each array copied once from the tail.  A damaged image
+        raises before anything is installed, so the worker keeps
+        serving its previous state.  A generation older than the
+        installed one is acknowledged but not installed: concurrent
+        deploys can deliver their syncs out of order.
         """
-        if "manifest" not in header:
-            raise ProtocolError("sync payload lacks 'manifest'")
-        lengths, offsets, start = protocol.unpack_index(tail)
-        view = memoryview(tail)
-        store = BlobStore(
-            [
-                view[start + offset : start + offset + length]
-                for length, offset in zip(lengths, offsets)
-            ]
-        )
-        state = decode_state(header["manifest"], store)
-        restore_service(self.service, state)
-        self.sync_generation = int(header.get("generation", -1))
+        generation = header.get("generation")
+        if not isinstance(generation, int):
+            raise ProtocolError("sync payload lacks an integer 'generation'")
+        if generation >= self.sync_generation:
+            state, _ = decode_checkpoint(tail, f"sync generation {generation}")
+            restore_service(self.service, state)
+            self.sync_generation = generation
         return {
             "value": "synced",
             "generation": self.sync_generation,

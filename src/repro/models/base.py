@@ -69,27 +69,34 @@ class CostEstimator:
     ):
         """Cacheable per-record encoding for the serving layer.
 
-        Returns an opaque object that :meth:`predict_prepared` accepts in
-        place of re-encoding *record*.  It must be reusable across plan
-        objects that share a fingerprint (same structure and estimates),
-        which is what lets a :class:`repro.serving.FeatureCache` skip
-        featurization on repeated plans.  The default returns None
-        ("no cacheable form"), which predict_prepared treats as
+        Returns an opaque object that :meth:`predict_prepared_batch`
+        accepts in place of re-encoding *record*.  It must be reusable
+        across plan objects that share a fingerprint (same structure and
+        estimates), which is what lets a
+        :class:`repro.serving.FeatureCache` skip featurization on
+        repeated plans.  The default returns None ("no cacheable
+        form"), which predict_prepared_batch treats as
         encode-on-demand.
         """
         return None
 
-    def predict_prepared(
+    def predict_prepared_batch(
         self,
         labeled: Sequence[LabeledPlan],
         prepared: Optional[Sequence] = None,
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:
-        """Batched prediction reusing :meth:`prepare_one` encodings.
+        """Fused whole-flush prediction reusing :meth:`prepare_one`
+        encodings: the MicroBatcher entry point.
 
         ``prepared[i]`` is the cached encoding of ``labeled[i]`` or None,
         in which case the record is encoded on the fly (with
-        ``snapshot_set``).  The default ignores ``prepared`` entirely.
+        ``snapshot_set``).  Implementations that support it make one
+        vectorized forward pass over all records (grouped, zero
+        per-item dispatch) and must return results *bit-identical* to
+        calling it per record — the batched path may never perturb a
+        prediction.  The default ignores ``prepared`` and calls
+        :meth:`predict_many`.
 
         Empty-flush contract: a zero-length ``labeled`` returns an
         empty **float64** array — never raises, never a default-dtype
@@ -99,22 +106,6 @@ class CostEstimator:
         if not labeled:
             return np.zeros(0, dtype=np.float64)
         return self.predict_many(labeled, snapshot_set=snapshot_set)
-
-    def predict_prepared_batch(
-        self,
-        labeled: Sequence[LabeledPlan],
-        prepared: Optional[Sequence] = None,
-        snapshot_set: Optional["SnapshotSet"] = None,
-    ) -> np.ndarray:
-        """Fused whole-flush prediction: the MicroBatcher entry point.
-
-        Implementations that support it make one vectorized forward
-        pass over all records (grouped, zero per-item dispatch) and
-        must return results *bit-identical* to calling
-        :meth:`predict_prepared` per record — the batched path may
-        never perturb a prediction.  The default simply delegates.
-        """
-        return self.predict_prepared(labeled, prepared, snapshot_set=snapshot_set)
 
     def prepare_template(
         self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"] = None

@@ -294,7 +294,7 @@ class MSCN(CostEstimator):
         labeled: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:
-        return self.predict_prepared(labeled, snapshot_set=snapshot_set)
+        return self.predict_prepared_batch(labeled, snapshot_set=snapshot_set)
 
     # ------------------------------------------------------------------
     # serving hooks
@@ -336,16 +336,6 @@ class MSCN(CostEstimator):
             joins=sample.joins,
             predicates=sample.predicates,
             plan_global=plan_global,
-        )
-
-    def predict_prepared(
-        self,
-        labeled: Sequence[LabeledPlan],
-        prepared: Optional[Sequence] = None,
-        snapshot_set: Optional["SnapshotSet"] = None,
-    ) -> np.ndarray:
-        return self.predict_prepared_batch(
-            labeled, prepared, snapshot_set=snapshot_set
         )
 
     def predict_prepared_batch(

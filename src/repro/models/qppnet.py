@@ -358,7 +358,7 @@ class QPPNet(CostEstimator):
         labeled: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:
-        return self.predict_prepared(labeled, snapshot_set=snapshot_set)
+        return self.predict_prepared_batch(labeled, snapshot_set=snapshot_set)
 
     # ------------------------------------------------------------------
     # serving hooks
@@ -429,16 +429,6 @@ class QPPNet(CostEstimator):
         if isinstance(value, PreparedPlan):
             return value
         return prepared_from_rows(record.plan, value)
-
-    def predict_prepared(
-        self,
-        labeled: Sequence[LabeledPlan],
-        prepared: Optional[Sequence] = None,
-        snapshot_set: Optional["SnapshotSet"] = None,
-    ) -> np.ndarray:
-        return self.predict_prepared_batch(
-            labeled, prepared, snapshot_set=snapshot_set
-        )
 
     def predict_prepared_batch(
         self,

@@ -10,7 +10,8 @@ predictions:
 
 - :mod:`repro.persist.codec` — the state-tree codec (JSON manifest +
   binary array blobs, plan/labelled-plan codecs);
-- :mod:`repro.persist.checkpoint` — the container format: atomic
+- :mod:`repro.persist.checkpoint` — the container format, one image
+  on disk and in the process tier's ``sync`` frame: atomic
   write-temp-then-rename, per-blob and payload hashes, bounded
   retention, newest-loadable-first restore;
 - :mod:`repro.persist.service_state` — whole-
@@ -37,12 +38,15 @@ from ..errors import CheckpointCorruptError, CheckpointError
 from .checkpoint import (
     SCHEMA_VERSION,
     checkpoint_path,
+    decode_checkpoint,
+    encode_checkpoint,
     list_checkpoints,
     load_checkpoint,
     read_manifest,
     restore_latest,
     save_checkpoint,
     write_retained,
+    write_retained_bytes,
 )
 from .checkpointer import Checkpointer, dirty_token
 from .codec import (
@@ -113,8 +117,10 @@ __all__ = [
     "bundle_from_state",
     "bundle_to_state",
     "checkpoint_path",
+    "decode_checkpoint",
     "decode_state",
     "dirty_token",
+    "encode_checkpoint",
     "encode_state",
     "estimator_from_state",
     "estimator_to_state",
@@ -132,4 +138,5 @@ __all__ = [
     "save_service_checkpoint",
     "service_state",
     "write_retained",
+    "write_retained_bytes",
 ]

@@ -1,17 +1,22 @@
-"""The on-disk checkpoint container: manifest + blobs, written atomically.
+"""The checkpoint container: manifest + blobs, written atomically.
 
-A checkpoint is a single file::
+A checkpoint is one byte image — the same bytes as a file on disk and
+as the tail of the process tier's ``sync`` frame::
 
     magic          b"QCFE-CKPT\\x00"          (10 bytes)
     manifest_len   big-endian uint64           (8 bytes)
     manifest       UTF-8 JSON                  (manifest_len bytes)
-    payload        concatenated binary blobs   (rest of the file)
+    payload        concatenated binary blobs   (rest of the image)
 
 The manifest carries ``schema_version``, free-form ``meta``, the
 encoded ``state`` tree (arrays as blob references, see
 :mod:`repro.persist.codec`) and a ``blobs`` table of
 ``{offset, length, sha256}`` entries with offsets relative to the
 payload region, plus a ``payload_sha256`` over the whole payload.
+
+:func:`encode_checkpoint` builds the image and
+:func:`decode_checkpoint` verifies and decodes it;
+:func:`save_checkpoint` / :func:`load_checkpoint` add the file.
 
 Durability invariants:
 
@@ -20,13 +25,13 @@ Durability invariants:
   place.  A reader can never observe a half-written checkpoint under
   the final name; a crash mid-write leaves (at most) a ``.tmp`` file
   that no loader ever considers.
-- **Integrity on load** — :func:`load_checkpoint` verifies magic,
+- **Integrity on load** — :func:`decode_checkpoint` verifies magic,
   manifest framing, per-blob bounds and hashes, and the payload hash;
   any mismatch raises :class:`~repro.errors.CheckpointCorruptError`.
 - **Versioning** — a manifest whose ``schema_version`` this build does
   not understand raises a clean :class:`~repro.errors.CheckpointError`
   (never a crash), so future format changes degrade to a cold start.
-- **Bounded retention** — :func:`write_retained` numbers checkpoints
+- **Bounded retention** — :func:`write_retained_bytes` numbers checkpoints
   ``ckpt-<seq>.qcp`` and prunes the oldest beyond ``retain``;
   :func:`restore_latest` walks newest → oldest, skipping unloadable
   files, so one corrupt write never erases a good predecessor.
@@ -65,45 +70,68 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_checkpoint(
-    state: object,
-    path: "pathlib.Path | str",
-    meta: Optional[Mapping[str, object]] = None,
-) -> Dict[str, object]:
-    """Serialize *state* to *path* atomically; returns the manifest.
-
-    The temp file is written next to *path* (same filesystem, so the
-    final ``os.replace`` is atomic) and removed on any failure; an
-    ``OSError`` from the write or the rename raises
-    :class:`CheckpointError`.
-    """
-    path = pathlib.Path(path)
+def _encode(
+    state: object, meta: Optional[Mapping[str, object]]
+) -> Tuple[bytes, Dict[str, object]]:
+    """The image of *state* and its manifest (see :func:`encode_checkpoint`)."""
     store = BlobStore()
     encoded = encode_state(state, store)
     offsets: List[Dict[str, object]] = []
+    payload_hash = hashlib.sha256()
     offset = 0
     for blob in store.blobs:
         offsets.append(
             {"offset": offset, "length": len(blob), "sha256": _sha256(blob)}
         )
+        payload_hash.update(blob)
         offset += len(blob)
-    payload = b"".join(store.blobs)
     manifest: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "created_unix": time.time(),
         "meta": dict(meta or {}),
         "state": encoded,
         "blobs": offsets,
-        "payload_sha256": _sha256(payload),
+        "payload_sha256": payload_hash.hexdigest(),
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    image = b"".join(
+        [MAGIC, _HEADER.pack(len(manifest_bytes)), manifest_bytes, *store.blobs]
+    )
+    return image, manifest
+
+
+def encode_checkpoint(
+    state: object, meta: Optional[Mapping[str, object]] = None
+) -> bytes:
+    """The checkpoint image of *state*: the exact bytes
+    :func:`save_checkpoint` writes and :func:`decode_checkpoint` reads.
+    Raises :class:`CheckpointError` on a value the codec cannot encode."""
+    return _encode(state, meta)[0]
+
+
+def save_checkpoint(
+    state: object,
+    path: "pathlib.Path | str",
+    meta: Optional[Mapping[str, object]] = None,
+) -> Dict[str, object]:
+    """Serialize *state* to *path* atomically; returns the manifest."""
+    image, manifest = _encode(state, meta)
+    _write_atomic(image, pathlib.Path(path))
+    return manifest
+
+
+def _write_atomic(data: bytes, path: pathlib.Path) -> None:
+    """Write *data* to *path* through a fsynced temp file and a rename.
+
+    The temp file is written next to *path* (same filesystem, so the
+    final ``os.replace`` is atomic) and removed on any failure; an
+    ``OSError`` from the write or the rename raises
+    :class:`CheckpointError`.
+    """
     tmp = path.with_name(path.name + TMP_SUFFIX)
     try:
         with open(tmp, "wb") as handle:
-            handle.write(MAGIC)
-            handle.write(_HEADER.pack(len(manifest_bytes)))
-            handle.write(manifest_bytes)
-            handle.write(payload)
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -118,7 +146,6 @@ def save_checkpoint(
             ) from exc
         raise
     _fsync_directory(path.parent)
-    return manifest
 
 
 def _fsync_directory(directory: pathlib.Path) -> None:
@@ -178,37 +205,47 @@ def read_manifest(path: "pathlib.Path | str") -> Dict[str, object]:
     return manifest
 
 
-def load_checkpoint(
-    path: "pathlib.Path | str",
+def decode_checkpoint(
+    data: bytes, label: object = "checkpoint"
 ) -> Tuple[object, Dict[str, object]]:
-    """Load and fully verify *path*; returns ``(state, manifest)``."""
-    path = pathlib.Path(path)
-    data = path.read_bytes()
-    manifest, payload_start = _parse_manifest(data, path)
-    payload = data[payload_start:]
+    """Fully verify the image *data*; returns ``(state, manifest)``.
+
+    Every blob is a ``memoryview`` slice of *data*, so each array is
+    copied exactly once, by the state decode.  *label* names the image
+    in error messages.
+    """
+    manifest, payload_start = _parse_manifest(data, label)
+    payload = memoryview(data)[payload_start:]
     if manifest.get("payload_sha256") != _sha256(payload):
         raise CheckpointCorruptError(
-            f"{path}: payload hash mismatch (truncated or modified blobs)"
+            f"{label}: payload hash mismatch (truncated or modified blobs)"
         )
-    blobs: List[bytes] = []
+    blobs: List[memoryview] = []
     for index, entry in enumerate(manifest.get("blobs", [])):
         try:
             offset, length = int(entry["offset"]), int(entry["length"])
             digest = str(entry["sha256"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointCorruptError(
-                f"{path}: malformed blob table entry {index}"
+                f"{label}: malformed blob table entry {index}"
             ) from exc
         if offset < 0 or length < 0 or offset + length > len(payload):
             raise CheckpointCorruptError(
-                f"{path}: blob {index} escapes the payload region"
+                f"{label}: blob {index} escapes the payload region"
             )
         blob = payload[offset:offset + length]
         if _sha256(blob) != digest:
-            raise CheckpointCorruptError(f"{path}: blob {index} hash mismatch")
+            raise CheckpointCorruptError(f"{label}: blob {index} hash mismatch")
         blobs.append(blob)
     state = decode_state(manifest.get("state"), BlobStore(blobs))
     return state, manifest
+
+
+def load_checkpoint(
+    path: "pathlib.Path | str",
+) -> Tuple[object, Dict[str, object]]:
+    """Load and fully verify *path*; returns ``(state, manifest)``."""
+    return decode_checkpoint(pathlib.Path(path).read_bytes(), path)
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +281,20 @@ def write_retained(
     retain: int = 3,
     meta: Optional[Mapping[str, object]] = None,
 ) -> pathlib.Path:
-    """Write the next numbered checkpoint under *directory*, pruning
-    the oldest files beyond *retain*; returns the new path.  A
-    directory that cannot be made or written raises
-    :class:`CheckpointError`."""
+    """Write *state* as the next numbered checkpoint under *directory*
+    (see :func:`write_retained_bytes`); returns the new path."""
+    return write_retained_bytes(
+        encode_checkpoint(state, meta), directory, retain=retain
+    )
+
+
+def write_retained_bytes(
+    image: bytes, directory: "pathlib.Path | str", retain: int = 3
+) -> pathlib.Path:
+    """Write the checkpoint *image* (:func:`encode_checkpoint` output)
+    as the next numbered checkpoint under *directory*, pruning the
+    oldest files beyond *retain*; returns the new path.  A directory
+    that cannot be made or written raises :class:`CheckpointError`."""
     if retain < 1:
         raise CheckpointError(f"retain must be >= 1, got {retain}")
     directory = pathlib.Path(directory)
@@ -260,7 +307,7 @@ def write_retained(
     existing = list_checkpoints(directory)
     seq = (existing[-1][0] + 1) if existing else 1
     path = checkpoint_path(directory, seq)
-    save_checkpoint(state, path, meta=meta)
+    _write_atomic(image, path)
     for _, old in list_checkpoints(directory)[:-retain]:
         try:
             old.unlink()
@@ -304,10 +351,13 @@ __all__: Sequence[str] = [
     "SCHEMA_VERSION",
     "TMP_SUFFIX",
     "checkpoint_path",
+    "decode_checkpoint",
+    "encode_checkpoint",
     "list_checkpoints",
     "load_checkpoint",
     "read_manifest",
     "restore_latest",
     "save_checkpoint",
     "write_retained",
+    "write_retained_bytes",
 ]

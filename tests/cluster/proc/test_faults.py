@@ -312,3 +312,95 @@ def test_a_failed_spool_write_installs_no_new_generation(
         }
         assert generations == {1}
         assert tier.estimate(sql, env, bundle=name) == expected
+
+
+def test_concurrent_deploys_publish_the_newest_snapshot_last(
+    cluster_bundle, cluster_envs, monkeypatch
+):
+    """Two deploys race: the first one's encode is held until the
+    second has published.  The first snapshot drew the older
+    generation, so it never replaces the newer image; a worker revived
+    afterwards serves every deployed bundle."""
+    from repro.cluster.proc import protocol
+    from repro.cluster.proc import service as service_module
+    from repro.persist import decode_checkpoint
+
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    encode = service_module.encode_checkpoint
+    held, release = threading.Event(), threading.Event()
+
+    def slow_first_tenant(state, meta=None):
+        names = {entry["name"] for entry in state["registry"]["bundles"]}
+        if names == {"base", "tenant-a"}:
+            held.set()
+            assert release.wait(30.0)
+        return encode(state, meta)
+
+    with ProcClusterService(worker_count=2, config=fast_config()) as tier:
+        tier.deploy(bundle, name="base")
+        monkeypatch.setattr(service_module, "encode_checkpoint", slow_first_tenant)
+        errors = []
+
+        def deploy_a():
+            try:
+                tier.deploy(bundle, name="tenant-a")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        first = threading.Thread(target=deploy_a)
+        first.start()
+        assert held.wait(30.0)
+        tier.deploy(bundle, name="tenant-b")
+        release.set()
+        first.join(60.0)
+        assert not first.is_alive() and errors == []
+
+        names = ["base", "tenant-a", "tenant-b"]
+        assert tier.deployed_names() == names
+        generation, image = tier._current_sync
+        state, _ = decode_checkpoint(image)
+        assert generation == 3
+        assert [entry["name"] for entry in state["registry"]["bundles"]] == names
+        _kill_and_resync(tier, "worker-0")
+        request = protocol.encode_request([sql], env)
+        for worker_id in ("worker-0", "worker-1"):
+            handle = tier.worker(worker_id)
+            assert handle.rpc("counters", {})[0]["value"]["generation"] == 3
+            for name in names:
+                reply, _ = handle.rpc(
+                    "estimate", {"bundle": name, "backend": None}, request
+                )
+                assert reply["value"] > 0, (worker_id, name)
+
+
+def test_deploys_from_many_threads_leave_the_newest_image_current(
+    cluster_bundle,
+):
+    """Six deploys from six threads at once, with a short switch
+    interval: the current image is the last generation drawn, it holds
+    every deployed bundle, and the worker serves that generation."""
+    import sys
+
+    from repro.persist import decode_checkpoint
+    from tests.conftest import hammer
+
+    bundle, _ = cluster_bundle
+    names = [f"tenant-{index}" for index in range(6)]
+    interval = sys.getswitchinterval()
+    with ProcClusterService(worker_count=1, config=fast_config()) as tier:
+        sys.setswitchinterval(1e-5)
+        try:
+            errors = hammer(
+                lambda index: tier.deploy(bundle, name=names[index]),
+                threads=len(names),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        generation, image = tier._current_sync
+        state, _ = decode_checkpoint(image)
+        assert generation == tier._generation == len(names)
+        assert sorted(e["name"] for e in state["registry"]["bundles"]) == names
+        counters = tier.worker("worker-0").rpc("counters", {})[0]["value"]
+        assert counters["generation"] == len(names)

@@ -227,6 +227,52 @@ def test_warm_boot_from_spool(cluster_bundle, cluster_envs, tmp_path):
         assert second.estimate(sql, env) == expected
 
 
+def test_the_newest_spool_file_is_the_sync_image(cluster_bundle, tmp_path):
+    """One image on disk and on the wire: the spool's newest checkpoint
+    holds exactly the bytes every worker was sent."""
+    from repro.persist import list_checkpoints
+
+    bundle, _ = cluster_bundle
+    spool = tmp_path / "spool"
+    with ProcClusterService(
+        worker_count=1, config=fast_config(), checkpoint_spool=str(spool)
+    ) as tier:
+        tier.deploy(bundle)
+        tier.deploy(bundle, name="tenant-b")
+        _, image = tier._current_sync
+        _, newest = list_checkpoints(spool)[-1]
+        assert newest.read_bytes() == image
+
+
+def test_every_sync_is_in_flight_before_a_reply_is_awaited(
+    cluster_bundle, monkeypatch
+):
+    """A deploy sends every live worker its sync before it waits on
+    any reply, so it pays for one sync, not one per worker."""
+    from repro.cluster.proc.supervisor import WorkerHandle
+
+    bundle, _ = cluster_bundle
+    log = []
+    submit, await_reply = WorkerHandle.submit, WorkerHandle.await_reply
+
+    def logged_submit(self, kind, *args, **kwargs):
+        if kind == "sync":
+            log.append(("send", self.worker_id))
+        return submit(self, kind, *args, **kwargs)
+
+    def logged_await(self, future, kind, timeout):
+        if kind == "sync":
+            log.append(("await", self.worker_id))
+        return await_reply(self, future, kind, timeout)
+
+    monkeypatch.setattr(WorkerHandle, "submit", logged_submit)
+    monkeypatch.setattr(WorkerHandle, "await_reply", logged_await)
+    with ProcClusterService(worker_count=3, config=fast_config()) as tier:
+        tier.deploy(bundle)
+    assert [step for step, _ in log] == ["send"] * 3 + ["await"] * 3
+    assert {worker for _, worker in log} == {"worker-0", "worker-1", "worker-2"}
+
+
 def test_the_callers_config_is_never_mutated(tmp_path):
     """One ``ProcConfig`` can build many tiers: a tier merges its
     service knobs and its checkpoint spool into a copy, so the

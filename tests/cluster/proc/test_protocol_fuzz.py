@@ -778,60 +778,122 @@ def test_wire_garbage_fails_pending_futures_typed_never_hangs():
 
 
 # ----------------------------------------------------------------------
-# sync tails: the weights of every deploy
+# sync images: the weights of every deploy
 # ----------------------------------------------------------------------
-def test_sync_tail_bytes_are_pinned():
-    """The sync tail layout, byte for byte: magic, count, index length,
-    the JSON index, then the blobs."""
-    index = b'{"lengths":[2,0,3],"offsets":[0,2,2]}'
-    tail = protocol.pack_blobs([b"ab", b"", b"xyz"])
-    assert tail == struct.pack("<4sIQ", b"QFSM", 3, len(index)) + index + b"abxyz"
-    assert protocol.unpack_index(tail) == ([2, 0, 3], [0, 2, 2], 16 + len(index))
+def _bundle_image(bundle) -> bytes:
+    """The checkpoint image a template holding *bundle* publishes."""
+    from repro.persist import encode_checkpoint, service_state
+
+    with CostService() as template:
+        template.deploy(bundle)
+        return encode_checkpoint(
+            service_state(template), meta={"kind": "cost_service"}
+        )
+
+
+def _with_manifest(image: bytes, mutate) -> bytes:
+    """*image* with its manifest patched by *mutate* (payload as is)."""
+    from repro.persist.checkpoint import MAGIC
+
+    head = len(MAGIC) + 8
+    (length,) = struct.unpack(">Q", image[len(MAGIC):head])
+    manifest = json.loads(image[head:head + length])
+    mutate(manifest)
+    body = json.dumps(manifest, sort_keys=True).encode()
+    return MAGIC + struct.pack(">Q", len(body)) + body + image[head + length:]
+
+
+def test_decoding_an_image_copies_each_array_once(cluster_bundle):
+    """The decode slices blobs out of the image without copying them:
+    its allocation peak stays under 1.5 times the image, the arrays'
+    single copy included."""
+    from repro.persist import decode_checkpoint
+
+    image = _bundle_image(cluster_bundle[0])
+    decode_checkpoint(image)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        state, _ = decode_checkpoint(image)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state["registry"]
+    assert peak < 1.5 * len(image), (peak, len(image))
 
 
 def test_damaged_sync_tails_get_typed_replies_and_keep_the_old_state(
     cluster_bundle, cluster_envs
 ):
-    """A live worker sent a damaged sync tail answers with a typed
-    error, stays up, and keeps serving the generation it had, bit for
-    bit."""
-    from repro.errors import CheckpointCorruptError
-    from repro.persist import BlobStore, encode_state, service_state
+    """A live worker sent a damaged image answers with a typed error,
+    stays up, and keeps serving the generation it had, bit for bit."""
+    from repro.errors import CheckpointCorruptError, CheckpointError
 
     bundle, labeled = cluster_bundle
-    with CostService() as template:
-        template.deploy(bundle)
-        store = BlobStore()
-        tree = encode_state(service_state(template), store)
-    blobs = store.blobs
-    tail = protocol.pack_blobs(blobs)
-    _, count, index_len = struct.unpack_from("<4sIQ", tail)
+    image = _bundle_image(bundle)
+    flipped = bytearray(image)
+    flipped[-1] ^= 0x01
+
+    def flip_blob_hash(manifest):
+        digest = manifest["blobs"][0]["sha256"]
+        manifest["blobs"][0]["sha256"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+
+    def unknown_schema(manifest):
+        manifest["schema_version"] = 99
+
     damaged = {
-        "truncated": tail[:20],
-        "bad magic": b"XXXX" + tail[4:],
-        "count off the index": struct.pack(
-            "<4sIQ", b"QFSM", count + 1, index_len
-        ) + tail[16:],
-        "extent past the end": tail[:-1],
-        "length off dtype and shape": protocol.pack_blobs(
-            [blobs[0][:-8]] + blobs[1:]
+        "truncated": (image[:20], CheckpointCorruptError),
+        "bad magic": (b"XXXX" + image[4:], CheckpointCorruptError),
+        "payload hash flip": (bytes(flipped), CheckpointCorruptError),
+        "blob hash flip": (
+            _with_manifest(image, flip_blob_hash), CheckpointCorruptError
         ),
+        "unknown schema": (_with_manifest(image, unknown_schema), CheckpointError),
     }
     request = protocol.encode_request([labeled[0].plan], cluster_envs[0])
     routing = {"bundle": bundle.name, "backend": None}
     handle = WorkerHandle("fuzz-sync", fast_config())
     handle.spawn()
     try:
-        handle.rpc("sync", {"manifest": tree, "generation": 1}, tail)
+        handle.rpc("sync", {"generation": 1}, image)
         expected, _ = handle.rpc("estimate", routing, request)
         with pytest.raises(ProtocolError):
-            handle.rpc("sync", {"generation": 2}, tail)
-        for label, bad in damaged.items():
-            with pytest.raises((CheckpointCorruptError, ProtocolError)):
-                handle.rpc("sync", {"manifest": tree, "generation": 2}, bad)
+            handle.rpc("sync", {}, image)
+        for label, (bad, error) in damaged.items():
+            with pytest.raises(error):
+                handle.rpc("sync", {"generation": 2}, bad)
             header, _ = handle.rpc("estimate", routing, request)
             assert header["value"] == expected["value"], label
         counters, _ = handle.rpc("counters", {})
         assert counters["value"]["generation"] == 1
+    finally:
+        handle.mark_dead(WorkerDiedError("fuzz test over"), kill=True)
+
+
+def test_a_worker_acknowledges_but_skips_an_older_generation(
+    cluster_bundle, cluster_envs
+):
+    """Syncs of concurrent deploys can reach a worker out of order: one
+    older than the installed generation is acknowledged and ignored."""
+    from repro.persist import encode_checkpoint, service_state
+
+    bundle, labeled = cluster_bundle
+    with CostService() as template:
+        template.deploy(bundle)
+        older = encode_checkpoint(service_state(template))
+        template.deploy(bundle, name="tenant-b")
+        newer = encode_checkpoint(service_state(template))
+    handle = WorkerHandle("fuzz-stale", fast_config())
+    handle.spawn()
+    try:
+        header, _ = handle.rpc("sync", {"generation": 3}, newer)
+        assert header["bundles"] == [bundle.name, "tenant-b"]
+        header, _ = handle.rpc("sync", {"generation": 2}, older)
+        assert header["generation"] == 3
+        assert header["bundles"] == [bundle.name, "tenant-b"]
+        request = protocol.encode_request([labeled[0].plan], cluster_envs[0])
+        reply, _ = handle.rpc(
+            "estimate", {"bundle": "tenant-b", "backend": None}, request
+        )
+        assert np.isfinite(reply["value"])
     finally:
         handle.mark_dead(WorkerDiedError("fuzz test over"), kill=True)

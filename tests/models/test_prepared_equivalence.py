@@ -54,7 +54,7 @@ def test_empty_flush_is_an_empty_float64_array(fitted):
     for out in (
         model.predict_prepared_batch([]),
         model.predict_prepared_batch([], []),
-        model.predict_prepared([]),
+        model.predict_many([]),
     ):
         assert out.shape == (0,)
         assert out.dtype == np.float64
@@ -71,7 +71,7 @@ def test_fused_forward_empty_flush_is_float64():
 def test_base_class_empty_flush_is_float64():
     from repro.models.base import CostEstimator
 
-    out = CostEstimator().predict_prepared([])
+    out = CostEstimator().predict_prepared_batch([])
     assert out.shape == (0,)
     assert out.dtype == np.float64
 
