@@ -3,19 +3,22 @@
 Fits the bundle that ``tpch-plan-async`` serves (TPC-H, 4 knob
 environments, QPPNet with difference-propagation reduction), featurizes
 the held-out plans once, and times ``predict_prepared_batch`` on flushes
-of 1, 4, 16 and 64 plans.  Sizes are interleaved inside every repeat,
-so a drift of the host's speed reaches all of them alike; each figure
-is the median over repeats.  Every flush's output must be bit-identical
-to predicting its plans one at a time, or the probe fails.
+of 1, 4, 16 and 64 plans, and ``prepare_one`` (featurizing and grouping
+one plan, what a feature-cache miss pays before the predict) over the
+same plans.  Sizes are interleaved inside every repeat, so a drift of
+the host's speed reaches all of them alike; each figure is the median
+over repeats.  Every flush's output must be bit-identical to predicting
+its plans one at a time, or the probe fails.
 
 Run from the repository root::
 
     PYTHONPATH=src python3 benchmarks/probe_predict.py [--repeats N]
 
-It prints one row per flush size: microseconds per call, per row
-(plan), and the number of (height, operator) groups the fused forward
-runs per call.  Only the public API is used, so the same file runs
-against any earlier checkout for a before/after comparison.
+It prints one ``prepare_one`` row, then one ``predict`` row per flush
+size: microseconds per call, per row (plan), and the number of
+(height, operator) groups per call.  Only the public API is used, so
+the same file runs against any earlier checkout for a before/after
+comparison.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ def probe(args: argparse.Namespace) -> List[Dict[str, float]]:
                 raise AssertionError(f"flush of {size} is not bit-identical to one-plan predicts")
     per_call: Dict[int, List[float]] = {size: [] for size in sizes}
     per_row: Dict[int, List[float]] = {size: [] for size in sizes}
+    per_prepare: List[float] = []
     inputs = {
         size: [
             ([items[i] for i in flush], [prepared[i] for i in flush])
@@ -121,10 +125,24 @@ def probe(args: argparse.Namespace) -> List[Dict[str, float]]:
                 elapsed = time.perf_counter() - began
                 per_call[size].append(elapsed / len(inputs[size]) * 1e6)
                 per_row[size].append(elapsed / rows * 1e6)
+            began = time.perf_counter()
+            for record in items:
+                bundle.prepare_one(record)
+            per_prepare.append((time.perf_counter() - began) / len(items) * 1e6)
     finally:
         gc.enable()
+    prepare_us = statistics.median(per_prepare)
     return [
         {
+            "call": "prepare_one",
+            "flush": 1,
+            "us_per_call": prepare_us,
+            "us_per_row": prepare_us,
+            "groups": statistics.mean(_groups([p]) for p in prepared),
+        }
+    ] + [
+        {
+            "call": "predict",
             "flush": size,
             "us_per_call": statistics.median(per_call[size]),
             "us_per_row": statistics.median(per_row[size]),
@@ -140,10 +158,10 @@ def main(argv: Sequence[str] = ()) -> List[Dict[str, float]]:
     """Run the probe and print its table; returns the rows."""
     args = _parse(list(argv))
     rows = probe(args)
-    print(f"{'flush':>5} {'us/call':>9} {'us/row':>8} {'groups':>7}")
+    print(f"{'call':<11} {'flush':>5} {'us/call':>9} {'us/row':>8} {'groups':>7}")
     for row in rows:
         print(
-            f"{row['flush']:>5} {row['us_per_call']:>9.1f} "
+            f"{row['call']:<11} {row['flush']:>5} {row['us_per_call']:>9.1f} "
             f"{row['us_per_row']:>8.1f} {row['groups']:>7.1f}"
         )
     if args.json:

@@ -234,13 +234,30 @@ class ProcClusterService(ReplicaTier):
     ) -> str:
         """Deploy *bundle* to every worker under *name* (full
         replication, exactly like the thread tier) by updating the
-        template and re-publishing its state."""
+        template and re-publishing its state.
+
+        A publish that fails (a spool that cannot be written raises
+        :class:`~repro.errors.CheckpointError`) undoes the deploy, so
+        the name ends as it was: a new name is neither listed nor
+        shipped by a later publish, a redeployed one keeps its previous
+        bundle.
+        """
         key = name or bundle.name
+        registry = self.template.registry
+        previous = registry.get(key) if key in registry else None
         self.template.deploy(bundle, name=key)
         with self._lock:
-            if key not in self._deployed:
+            listed = key in self._deployed
+            if not listed:
                 self._deployed.append(key)
-        self._publish()
+        try:
+            self._publish()
+        except ReproError:
+            registry.reinstate(key, previous)
+            if not listed:
+                with self._lock:
+                    self._deployed.remove(key)
+            raise
         self._sync_all()
         self.events.emit("bundle_deployed", bundle=key)
         return key

@@ -244,12 +244,5 @@ def collect_baselines(
     snapshot slots stay zero on both the baseline and observation
     sides, so they can never produce spurious mean-shift flags.
     """
-    rows_by_op: Dict[OperatorType, List[np.ndarray]] = {}
-    for record in labeled:
-        for node in record.plan.walk():
-            rows_by_op.setdefault(node.op, []).append(
-                encoder.encode_node(node)
-            )
-    return {
-        op: np.mean(np.stack(rows), axis=0) for op, rows in rows_by_op.items()
-    }
+    rows_by_op = encoder.operator_rows(record.plan for record in labeled)
+    return {op: np.mean(rows, axis=0) for op, rows in rows_by_op.items()}

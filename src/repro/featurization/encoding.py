@@ -11,11 +11,20 @@ vector with named dimensions.  Many dimensions are ineffective for any
 given benchmark (columns never filtered, operators never produced,
 index slots for workloads that plan no index scans) — precisely the
 dead weight the paper's feature reduction prunes.
+
+Encoding is array-shaped: :meth:`OperatorEncoder.encode_nodes` builds
+a whole node list's matrix with one Python pass and a fixed number of
+numpy calls, and every other entry point (one node, one plan, a
+template skeleton, its numeric patch, the drift loop's per-operator
+rows) calls it.  Each row is a function of its own node alone, so a
+node encodes to the same bits whichever call it rides in;
+``tests/featurization/test_encoding_reference.py`` holds it to a
+per-node oracle bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +48,8 @@ _NUMERIC_NAMES = (
     "est_selectivity",
     "log_limit",
 )
+#: Columns of the numeric block stored as ``log1p`` of the raw value.
+_LOG_COLUMNS = np.array([0, 1, 2, 3, 9])
 
 
 class OperatorEncoder:
@@ -92,29 +103,117 @@ class OperatorEncoder:
         return slice(start, stop)
 
     # ------------------------------------------------------------------
+    def encode_nodes(
+        self,
+        nodes: Sequence[PlanNode],
+        snapshot: Optional[Mapping[OperatorType, np.ndarray]] = None,
+        skeleton: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Encode *nodes* as one ``(len(nodes), dim)`` matrix, row *i*
+        for ``nodes[i]``; *snapshot* maps operator type -> coefficients.
+
+        The one encoder behind every entry point.  A single Python pass
+        collects each node's one-hot cells and its raw numeric values,
+        followed by its operator's snapshot coefficients (the block
+        that comes next in the layout).  numpy then fills the matrix in
+        a fixed number of calls however many nodes there are: one
+        ``zeros``, one scatter of the one-hots, one conversion of the
+        raw values, one ``log1p`` over the five log columns and one
+        block write.  A row depends only on its own node (and that
+        node's children), never on which other nodes share the call.
+
+        With *skeleton* (an :meth:`encode_plan_skeleton` matrix of the
+        same nodes) only the numeric block is computed, written into
+        *skeleton* in place, and *skeleton* is returned; *snapshot* is
+        then unused.
+        """
+        offsets = self._offsets
+        dim = offsets["end"]
+        table_base, column_base = offsets["table"], offsets["column"]
+        index_base = offsets["index"]
+        op_pos, table_pos = self._op_pos, self._table_pos
+        col_pos, index_pos = self._col_pos, self._index_pos
+        table_of = self.catalog.table
+        one_hots = skeleton is None
+        cells: List[int] = []
+        values: List[float] = []
+        snapshot_rows: Dict[int, Tuple[float, ...]] = {}
+        for row, node in enumerate(nodes):
+            if one_hots:
+                base = row * dim
+                op_row = op_pos[node.op]
+                cells.append(base + op_row)
+                if node.table is not None:
+                    cells.append(base + table_base + table_pos[node.table])
+                refs = [(p.table, p.column) for p in node.predicates]
+                for key in (*node.sort_keys, *node.group_keys):
+                    if "." in key:
+                        refs.append(tuple(key.split(".", 1)))
+                if len(node.join_columns) == 4:
+                    lt, lc, rt, rc = node.join_columns
+                    refs += [(lt, lc), (rt, rc)]
+                for ref in refs:
+                    pos = col_pos.get(ref)
+                    if pos is not None:
+                        cells.append(base + column_base + pos)
+                if node.index is not None and node.index in index_pos:
+                    cells.append(base + index_base + index_pos[node.index])
+            child_rows = 1.0
+            for child in node.children:
+                child_rows *= max(child.est_rows, 1.0)
+            if node.table is not None:
+                child_rows = float(table_of(node.table).row_count)
+            values += (
+                max(node.est_rows, 0.0),
+                max(node.est_width, 0),
+                max(node.est_total_cost, 0.0),
+                max(node.est_startup_cost, 0.0),
+                float(len(node.predicates)),
+                float(len(node.sort_keys)),
+                float(len(node.group_keys)),
+                float(len(node.children)),
+                min(node.est_rows / max(child_rows, 1.0), 1.0),
+                float(node.limit_count or 0),
+            )
+            if one_hots:
+                coefficients = snapshot_rows.get(op_row)
+                if coefficients is None:
+                    coefficients = snapshot_rows[op_row] = self._snapshot_row(
+                        node.op, snapshot
+                    )
+                values += coefficients
+        block = np.array(values, dtype=np.float64).reshape(
+            len(nodes), offsets["end" if one_hots else "snapshot"] - offsets["numeric"]
+        )
+        block[:, _LOG_COLUMNS] = np.log1p(block[:, _LOG_COLUMNS])
+        if not one_hots:
+            skeleton[:, offsets["numeric"]:offsets["snapshot"]] = block
+            return skeleton
+        matrix = np.zeros((len(nodes), dim), dtype=np.float64)
+        matrix.put(cells, 1.0)
+        matrix[:, offsets["numeric"]:dim] = block
+        return matrix
+
+    def _snapshot_row(
+        self,
+        op: OperatorType,
+        snapshot: Optional[Mapping[OperatorType, np.ndarray]],
+    ) -> Tuple[float, ...]:
+        """*op*'s snapshot block: its leading coefficients, zero-padded
+        to the block's width (all zeros when *snapshot* lacks *op*)."""
+        if snapshot is None or op not in snapshot:
+            return (0.0,) * self.snapshot_slots
+        coeffs = np.asarray(snapshot[op], dtype=np.float64)
+        width = min(len(coeffs), self.snapshot_slots)
+        return (*coeffs[:width].tolist(), *(0.0,) * (self.snapshot_slots - width))
+
     def encode_node(
         self,
         node: PlanNode,
         snapshot: Optional[Mapping[OperatorType, np.ndarray]] = None,
     ) -> np.ndarray:
-        """Encode one node; *snapshot* maps operator type -> coefficients."""
-        vec = np.zeros(self.dim, dtype=np.float64)
-        vec[self._op_pos[node.op]] = 1.0
-        if node.table is not None:
-            vec[self._offsets["table"] + self._table_pos[node.table]] = 1.0
-        for table, column in self._referenced_columns(node):
-            pos = self._col_pos.get((table, column))
-            if pos is not None:
-                vec[self._offsets["column"] + pos] = 1.0
-        if node.index is not None and node.index in self._index_pos:
-            vec[self._offsets["index"] + self._index_pos[node.index]] = 1.0
-        vec[self._offsets["numeric"]:self._offsets["snapshot"]] = self._numerics(node)
-        if snapshot is not None and node.op in snapshot:
-            coeffs = np.asarray(snapshot[node.op], dtype=np.float64)
-            width = min(len(coeffs), self.snapshot_slots)
-            base = self._offsets["snapshot"]
-            vec[base:base + width] = coeffs[:width]
-        return vec
+        """Encode one node (a one-row :meth:`encode_nodes`)."""
+        return self.encode_nodes([node], snapshot)[0]
 
     def encode_plan(
         self,
@@ -122,7 +221,25 @@ class OperatorEncoder:
         snapshot: Optional[Mapping[OperatorType, np.ndarray]] = None,
     ) -> np.ndarray:
         """Encode every node (pre-order) into an (n_nodes, dim) matrix."""
-        return np.stack([self.encode_node(n, snapshot) for n in plan.walk()])
+        return self.encode_nodes(list(plan.walk()), snapshot)
+
+    def operator_rows(
+        self, plans: Iterable[PlanNode]
+    ) -> Dict[OperatorType, np.ndarray]:
+        """Every node of *plans*, encoded without a snapshot, stacked
+        per operator type.
+
+        Rows are plan-major and in walk order within a plan; operators
+        appear in order of first occurrence.  All nodes are encoded in
+        one :meth:`encode_nodes` call, so each row is bit-identical to
+        :meth:`encode_node` of its node.
+        """
+        nodes = [node for plan in plans for node in plan.walk()]
+        matrix = self.encode_nodes(nodes)
+        positions: Dict[OperatorType, List[int]] = {}
+        for row, node in enumerate(nodes):
+            positions.setdefault(node.op, []).append(row)
+        return {op: matrix[rows] for op, rows in positions.items()}
 
     # ------------------------------------------------------------------
     # template memoization
@@ -152,51 +269,12 @@ class OperatorEncoder:
 
         Row *i* of *matrix* must correspond to the *i*-th pre-order
         node of *plan* (the :meth:`encode_plan_skeleton` layout).  The
-        values written are computed by the same code path the scalar
-        encoder uses, so the patched matrix is bit-identical to a fresh
-        :meth:`encode_plan` — the memoized and unmemoized serving paths
-        cannot disagree.  Returns *matrix* for chaining.
+        block is computed by :meth:`encode_nodes`, the code that builds
+        a fresh :meth:`encode_plan`, so the patched matrix is
+        bit-identical to one — the memoized and unmemoized serving
+        paths cannot disagree.  Returns *matrix* for chaining.
         """
-        block = self.block_slice("numeric")
-        for i, node in enumerate(plan.walk()):
-            matrix[i, block] = self._numerics(node)
-        return matrix
-
-    # ------------------------------------------------------------------
-    def _numerics(self, node: PlanNode) -> np.ndarray:
-        child_rows = 1.0
-        for child in node.children:
-            child_rows *= max(child.est_rows, 1.0)
-        if node.table is not None:
-            child_rows = float(self.catalog.table(node.table).row_count)
-        selectivity = min(node.est_rows / max(child_rows, 1.0), 1.0)
-        return np.array(
-            [
-                np.log1p(max(node.est_rows, 0.0)),
-                np.log1p(max(node.est_width, 0)),
-                np.log1p(max(node.est_total_cost, 0.0)),
-                np.log1p(max(node.est_startup_cost, 0.0)),
-                float(len(node.predicates)),
-                float(len(node.sort_keys)),
-                float(len(node.group_keys)),
-                float(len(node.children)),
-                selectivity,
-                np.log1p(float(node.limit_count or 0)),
-            ],
-            dtype=np.float64,
-        )
-
-    @staticmethod
-    def _referenced_columns(node: PlanNode) -> List[Tuple[str, str]]:
-        refs: List[Tuple[str, str]] = [(p.table, p.column) for p in node.predicates]
-        for key in (*node.sort_keys, *node.group_keys):
-            if "." in key:
-                table, column = key.split(".", 1)
-                refs.append((table, column))
-        if len(node.join_columns) == 4:
-            lt, lc, rt, rc = node.join_columns
-            refs.extend([(lt, lc), (rt, rc)])
-        return refs
+        return self.encode_nodes(list(plan.walk()), skeleton=matrix)
 
 
 def apply_mask(features: np.ndarray, keep: Optional[np.ndarray]) -> np.ndarray:

@@ -10,6 +10,14 @@ flush — zero per-item dispatch, which is what lets the MicroBatcher's
 coalescing actually pay off.  Training merges each mini-batch with the
 same :func:`merge_prepared`, so both paths group plans one way.
 
+Featurizing one plan walks it once: :func:`walk_plan` records the
+pre-order nodes with each node's parent and child slot, the encoder
+turns the node list into one matrix, and :func:`plan_topology` derives
+heights, child slots and groups from the same walk in one reverse
+pass.  :func:`prepared_from_matrix` then cuts each group's block out of
+the matrix with one indexing step (its rows by its operator's kept
+columns).
+
 Bit-identity contract: every matmul goes through
 :meth:`repro.nn.layers.Module.forward_batched` (fixed-block GEMM, see
 :mod:`repro.nn.batched`), so a row's result is independent of how many
@@ -24,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.operators import OperatorType, PlanNode
-from ..featurization.encoding import apply_mask
 
 #: Child-data slots per node (QPPNet's binary-plan assumption).
 MAX_CHILDREN = 2
@@ -63,8 +70,44 @@ class PreparedPlan:
     n_nodes: int
 
 
+class PlanWalk(NamedTuple):
+    """A plan's pre-order walk with each node's place in the tree.
+
+    ``nodes[i]`` is walk index *i*; ``parents[i]`` is the walk index
+    of its parent (``-1`` for the root) and ``slots[i]`` its position
+    among that parent's children.  Built once by :func:`walk_plan` and
+    shared by the encoder (rows) and :func:`plan_topology` (groups).
+    """
+
+    nodes: List[PlanNode]
+    parents: List[int]
+    slots: List[int]
+
+
+def walk_plan(plan: PlanNode) -> PlanWalk:
+    """Walk *plan* in pre-order with an explicit stack (no recursion)."""
+    nodes: List[PlanNode] = []
+    parents: List[int] = []
+    slots: List[int] = []
+    stack = [(plan, -1, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, parent, slot = pop()
+        index = len(nodes)
+        nodes.append(node)
+        parents.append(parent)
+        slots.append(slot)
+        children = node.children
+        if children:
+            slot = len(children)
+            for child in reversed(children):
+                slot -= 1
+                push((child, index, slot))
+    return PlanWalk(nodes, parents, slots)
+
+
 def plan_topology(
-    plan: PlanNode,
+    plan: PlanNode, walk: Optional[PlanWalk] = None
 ) -> Tuple[List[Tuple[int, OperatorType, np.ndarray, np.ndarray]], int]:
     """Group *plan*'s nodes by ``(height, operator)``.
 
@@ -72,64 +115,74 @@ def plan_topology(
     node_indices, child_indices)`` over pre-order walk indices, sorted
     by ``(level, op value)`` so iterating groups in order always
     computes children before parents.
+
+    One pass over the walk (*walk*, when the caller already has
+    :func:`walk_plan`'s), iterated in reverse: a node's descendants
+    follow it in pre-order, so when the pass reaches a node its height
+    is final; it then raises its parent's height and fills its
+    parent's child slot.  Children past :data:`MAX_CHILDREN` count for
+    the height but get no slot.  The groups' index arrays are slices of
+    one array each, built once per plan.
     """
-    heights: Dict[int, int] = {}
-
-    def height_of(node: PlanNode) -> int:
-        h = 1 + max((height_of(c) for c in node.children), default=-1)
-        heights[id(node)] = h
-        return h
-
-    height_of(plan)
-    walk = list(plan.walk())
-    index = {id(node): i for i, node in enumerate(walk)}
-    groups: Dict[Tuple[int, str], Tuple[OperatorType, List[int], List[List[int]]]] = {}
-    for i, node in enumerate(walk):
-        key = (heights[id(node)], node.op.value)
-        op, nodes, children = groups.setdefault(key, (node.op, [], []))
-        nodes.append(i)
-        children.append(
-            [
-                index[id(node.children[slot])]
-                if slot < len(node.children)
-                else -1
-                for slot in range(MAX_CHILDREN)
-            ]
-        )
-    result = []
-    for (level, _), (op, nodes, children) in sorted(groups.items()):
-        result.append(
-            (
-                level,
-                op,
-                np.asarray(nodes, dtype=np.int64),
-                np.asarray(children, dtype=np.int64).reshape(
-                    len(nodes), MAX_CHILDREN
-                ),
-            )
-        )
-    return result, len(walk)
+    nodes, parents, slots = walk if walk is not None else walk_plan(plan)
+    n_nodes = len(nodes)
+    heights = [0] * n_nodes
+    child_slots = [[-1] * MAX_CHILDREN for _ in range(n_nodes)]
+    members: Dict[Tuple[int, str], Tuple[OperatorType, List[int]]] = {}
+    for i in range(n_nodes - 1, -1, -1):
+        height, op = heights[i], nodes[i].op
+        members.setdefault((height, op.value), (op, []))[1].append(i)
+        parent = parents[i]
+        if parent >= 0:
+            if height >= heights[parent]:
+                heights[parent] = height + 1
+            if slots[i] < MAX_CHILDREN:
+                child_slots[parent][slots[i]] = i
+    order: List[int] = []
+    bounds = []
+    for (level, _), (op, indices) in sorted(members.items()):
+        order.extend(reversed(indices))
+        bounds.append((level, op, len(order)))
+    node_order = np.array(order, dtype=np.int64)
+    child_order = np.array(
+        [child_slots[i] for i in order], dtype=np.int64
+    ).reshape(n_nodes, MAX_CHILDREN)
+    groups = []
+    lo = 0
+    for level, op, hi in bounds:
+        groups.append((level, op, node_order[lo:hi], child_order[lo:hi]))
+        lo = hi
+    return groups, n_nodes
 
 
 def prepared_from_matrix(
     plan: PlanNode,
     matrix: np.ndarray,
     masks: Optional[Mapping[OperatorType, np.ndarray]] = None,
+    walk: Optional[PlanWalk] = None,
 ) -> PreparedPlan:
     """Build a :class:`PreparedPlan` from a full ``(n_nodes, dim)``
     feature matrix (pre-order rows), applying per-operator keep-masks
-    group-wise — identical values to masking each row individually."""
-    groups, n_nodes = plan_topology(plan)
+    group-wise — identical values to masking each row individually.
+
+    Each group's feature block is one indexing step: its rows crossed
+    with its operator's kept columns.  *walk* is passed on to
+    :func:`plan_topology`.
+    """
+    groups, n_nodes = plan_topology(plan, walk)
     levels: List[int] = []
     ops: List[OperatorType] = []
     feats: List[np.ndarray] = []
     nodes: List[np.ndarray] = []
     children: List[np.ndarray] = []
     for level, op, node_idx, child_idx in groups:
+        keep = masks.get(op) if masks else None
         levels.append(level)
         ops.append(op)
         feats.append(
-            apply_mask(matrix[node_idx], masks.get(op) if masks else None)
+            matrix[node_idx]
+            if keep is None
+            else matrix[node_idx[:, None], np.asarray(keep)]
         )
         nodes.append(node_idx)
         children.append(child_idx)

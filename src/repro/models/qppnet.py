@@ -55,6 +55,7 @@ from .prepared import (
     merge_prepared,
     prepared_from_matrix,
     prepared_from_rows,
+    walk_plan,
 )
 
 _MAX_CHILDREN = MAX_CHILDREN
@@ -321,7 +322,7 @@ class QPPNet(CostEstimator):
         if not train:
             raise TrainingError("empty training set")
         start = time.perf_counter()
-        prepared = [self.prepare_one(r, snapshot_set) for r in train]
+        prepared = self._prepare_many(train, snapshot_set)
         node_targets = [self._node_targets(r) for r in train]
         optimizer = Adam(self.parameters(), lr=self.lr)
         rng = rng_for("qppnet-fit", self.seed)
@@ -364,12 +365,11 @@ class QPPNet(CostEstimator):
     # serving hooks
     # ------------------------------------------------------------------
     def _masked_matrix(
-        self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"]
+        self, nodes: Sequence[PlanNode], mapping: Optional[Dict]
     ) -> np.ndarray:
-        """The full encoded plan matrix with the soft zero-mask applied
+        """*nodes* encoded as one matrix with the soft zero-mask applied
         (per-operator keep-masks are applied at grouping time)."""
-        mapping = snapshot_mapping_for(record, snapshot_set)
-        matrix = self.encoder.encode_plan(record.plan, mapping)
+        matrix = self.encoder.encode_nodes(nodes, mapping)
         if self.zero_mask is not None:
             matrix = matrix * self.zero_mask
         return matrix
@@ -383,9 +383,39 @@ class QPPNet(CostEstimator):
         walk-order based and safe to replay onto any plan object with
         the same fingerprint (see :class:`~repro.models.prepared.PreparedPlan`).
         """
-        return prepared_from_matrix(
-            record.plan, self._masked_matrix(record, snapshot_set), self.masks
-        )
+        return self._prepare_many([record], snapshot_set)[0]
+
+    def _prepare_many(
+        self,
+        records: Sequence[LabeledPlan],
+        snapshot_set: Optional["SnapshotSet"],
+    ) -> List[PreparedPlan]:
+        """:meth:`prepare_one` of every record, in order.
+
+        Each plan is walked once (:func:`~repro.models.prepared.walk_plan`);
+        the walk feeds both the encoder and the grouping.  Plans that
+        share a snapshot mapping (one environment) are encoded as one
+        matrix, then cut into per-plan row ranges: rows depend only on
+        their own node, so each plan gets the bits a lone encode gives.
+        """
+        walks = [walk_plan(record.plan) for record in records]
+        by_mapping: Dict[int, Tuple[Optional[Dict], List[int]]] = {}
+        for i, record in enumerate(records):
+            mapping = snapshot_mapping_for(record, snapshot_set)
+            by_mapping.setdefault(id(mapping), (mapping, []))[1].append(i)
+        prepared: Dict[int, PreparedPlan] = {}
+        for mapping, indices in by_mapping.values():
+            matrix = self._masked_matrix(
+                [node for i in indices for node in walks[i].nodes], mapping
+            )
+            lo = 0
+            for i in indices:
+                hi = lo + len(walks[i].nodes)
+                prepared[i] = prepared_from_matrix(
+                    records[i].plan, matrix[lo:hi], self.masks, walks[i]
+                )
+                lo = hi
+        return [prepared[i] for i in range(len(records))]
 
     def prepare_template(
         self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"] = None
@@ -410,25 +440,11 @@ class QPPNet(CostEstimator):
         Patches only the numeric block, then masks and groups exactly
         as :meth:`prepare_one` would — bit-identical output, minus the
         one-hot assembly cost."""
-        matrix = self.encoder.fill_numerics(template.copy(), record.plan)
+        walk = walk_plan(record.plan)
+        matrix = self.encoder.encode_nodes(walk.nodes, skeleton=template.copy())
         if self.zero_mask is not None:
             matrix = matrix * self.zero_mask
-        return prepared_from_matrix(record.plan, matrix, self.masks)
-
-    def _as_prepared(
-        self,
-        record: LabeledPlan,
-        value: object,
-        snapshot_set: Optional["SnapshotSet"],
-    ) -> PreparedPlan:
-        """Normalize a cached prepared value: None means encode now;
-        a legacy row list (pre-``PreparedPlan`` checkpoints) is
-        regrouped; a :class:`PreparedPlan` passes through."""
-        if value is None:
-            return self.prepare_one(record, snapshot_set=snapshot_set)
-        if isinstance(value, PreparedPlan):
-            return value
-        return prepared_from_rows(record.plan, value)
+        return prepared_from_matrix(record.plan, matrix, self.masks, walk)
 
     def predict_prepared_batch(
         self,
@@ -444,11 +460,18 @@ class QPPNet(CostEstimator):
         guarantee structural rather than aspirational."""
         if not labeled:
             return np.zeros(0, dtype=np.float64)
-        if prepared is None:
-            prepared = [None] * len(labeled)
+        # A value of None means encode now: the flush's unprepared
+        # plans are featurized together.  A legacy row list
+        # (pre-PreparedPlan checkpoints) is regrouped.
+        values = list(prepared) if prepared is not None else [None] * len(labeled)
+        missing = [i for i, value in enumerate(values) if value is None]
+        fresh = self._prepare_many([labeled[i] for i in missing], snapshot_set)
+        for i, value in zip(missing, fresh, strict=True):
+            values[i] = value
         plans = [
-            self._as_prepared(record, value, snapshot_set)
-            for record, value in zip(labeled, prepared, strict=True)
+            value if isinstance(value, PreparedPlan)
+            else prepared_from_rows(record.plan, value)
+            for record, value in zip(labeled, values, strict=True)
         ]
         out = np.zeros(len(labeled))
         for lo in range(0, len(labeled), PREDICT_CHUNK_PLANS):
@@ -471,7 +494,9 @@ class QPPNet(CostEstimator):
         plan, plans in input order."""
         collected: Dict[OperatorType, List[np.ndarray]] = {}
         for record in labeled:
-            matrix = self._masked_matrix(record, snapshot_set)
+            matrix = self._masked_matrix(
+                list(record.plan.walk()), snapshot_mapping_for(record, snapshot_set)
+            )
             rows = {
                 id(node): row
                 for node, row in zip(record.plan.walk(), matrix, strict=True)

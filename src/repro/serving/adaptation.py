@@ -65,10 +65,10 @@ def operator_encoder_of(bundle: EstimatorBundle):
     encoder = getattr(bundle.estimator, "encoder", None)
     if encoder is None:
         return None
-    if hasattr(encoder, "encode_node") and hasattr(encoder, "feature_names"):
+    if hasattr(encoder, "operator_rows") and hasattr(encoder, "feature_names"):
         return encoder
     inner = getattr(encoder, "op_encoder", None)
-    if inner is not None and hasattr(inner, "encode_node"):
+    if inner is not None and hasattr(inner, "operator_rows"):
         return inner
     return None
 
@@ -411,19 +411,15 @@ class AdaptationManager:
         encoder = operator_encoder_of(bundle)  # validated by watch()
         # Raw encoding (no snapshot block): drift lives in the
         # workload-shape dimensions; per-env snapshot slots stay zero
-        # on both baseline and observation sides.  Rows are grouped by
-        # operator so the streaming statistics update once per operator
-        # per drain, not once per plan node.
-        rows_by_op: Dict[object, List[np.ndarray]] = {}
-        for record in records:
-            for node in record.plan.walk():
-                rows_by_op.setdefault(node.op, []).append(
-                    encoder.encode_node(node)
-                )
+        # on both baseline and observation sides.  The drain is encoded
+        # as one matrix and split by operator, so the streaming
+        # statistics update once per operator per drain, not once per
+        # plan node.
+        rows_by_op = encoder.operator_rows(record.plan for record in records)
         newly: List[str] = []
         count = 0
         for op, rows in rows_by_op.items():
-            newly.extend(watcher.recall.observe(op, np.stack(rows)))
+            newly.extend(watcher.recall.observe(op, rows))
             count += len(rows)
         self.stats.add("rows_observed", count)
         if newly:

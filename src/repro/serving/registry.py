@@ -179,6 +179,17 @@ class EstimatorRegistry:
             except KeyError:
                 raise ServingError(f"no bundle named {name!r}") from None
 
+    def reinstate(self, name: str, bundle: Optional[EstimatorBundle]) -> None:
+        """Undo a deploy under *name*: put *bundle* (what :meth:`get`
+        returned before it) back as it was, or remove *name* when
+        *bundle* is None.  The deployment counter keeps its count, so
+        the name never hands out a version twice."""
+        with self._lock:
+            if bundle is None:
+                self._bundles.pop(name, None)
+            else:
+                self._bundles[name] = bundle
+
     # ------------------------------------------------------------------
     # checkpoint support (repro.persist)
     # ------------------------------------------------------------------

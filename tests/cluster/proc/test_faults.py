@@ -314,6 +314,49 @@ def test_a_failed_spool_write_installs_no_new_generation(
         assert tier.estimate(sql, env, bundle=name) == expected
 
 
+def test_a_failed_deploy_leaves_the_bundle_unlisted_and_unshipped(
+    cluster_bundle, cluster_envs, tmp_path
+):
+    """A deploy whose spool write fails raises CheckpointError and
+    undoes the template change: a new name is neither listed nor in
+    the template's registry, a redeployed name keeps its previous
+    bundle and version, and a later successful deploy does not ship
+    the failed one."""
+    from repro.cluster.proc import protocol
+    from repro.persist import decode_checkpoint
+
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    spool = tmp_path / "spool"
+    with ProcClusterService(
+        worker_count=1, config=fast_config(), checkpoint_spool=spool
+    ) as tier:
+        tier.deploy(bundle, name="a")
+        deployed_a = tier.template.registry.get("a")
+        shutil.rmtree(spool)
+        spool.write_bytes(b"a regular file where the spool was")
+
+        for name in ("b", "a"):
+            with pytest.raises(CheckpointError):
+                tier.deploy(bundle, name=name)
+            assert tier.deployed_names() == ["a"]
+            assert tier.template.registry.names() == ["a"]
+        assert tier.template.registry.get("a") is deployed_a
+
+        spool.unlink()
+        tier.deploy(bundle, name="c")
+        assert tier.deployed_names() == ["a", "c"]
+        _, image = tier._current_sync
+        state, _ = decode_checkpoint(image)
+        assert [e["name"] for e in state["registry"]["bundles"]] == ["a", "c"]
+        handle = tier.worker("worker-0")
+        request = protocol.encode_request([sql], env)
+        with pytest.raises(ReproError, match="no bundle named 'b'"):
+            handle.rpc("estimate", {"bundle": "b", "backend": None}, request)
+        reply, _ = handle.rpc("estimate", {"bundle": "c", "backend": None}, request)
+        assert reply["value"] == tier.estimate(sql, env, bundle="a")
+
+
 def test_concurrent_deploys_publish_the_newest_snapshot_last(
     cluster_bundle, cluster_envs, monkeypatch
 ):

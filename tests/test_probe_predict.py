@@ -2,8 +2,8 @@
 
 No timing is asserted: the run proves the probe still fits its bundle
 through the public API, that every flush it times is bit-identical to
-one-plan predicts (the probe raises otherwise), and that it reports one
-row per flush size.
+one-plan predicts (the probe raises otherwise), and that it reports a
+``prepare_one`` row and one ``predict`` row per flush size.
 """
 
 from __future__ import annotations
@@ -27,12 +27,14 @@ def test_probe_runs_at_tiny_sizes(capsys):
         "--bundle-plans", "24", "--epochs", "1", "--template-scale", "1",
         "--items", "12",
     ])
-    assert [row["flush"] for row in rows] == [1, 4, 5]
+    assert [(row["call"], row["flush"]) for row in rows] == [
+        ("prepare_one", 1), ("predict", 1), ("predict", 4), ("predict", 5),
+    ]
     for row in rows:
         assert row["us_per_call"] > 0 and row["us_per_row"] > 0
         assert row["groups"] >= 1
     # A flush of several plans runs at least as many groups as one plan.
-    assert rows[1]["groups"] >= rows[0]["groups"]
+    assert rows[2]["groups"] >= rows[1]["groups"]
     printed = capsys.readouterr().out.splitlines()
-    assert printed[0].split() == ["flush", "us/call", "us/row", "groups"]
+    assert printed[0].split() == ["call", "flush", "us/call", "us/row", "groups"]
     assert len(printed) == 1 + len(rows)

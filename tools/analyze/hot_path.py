@@ -57,6 +57,7 @@ HOT_FUNCTIONS = re.compile(
     r"|_request|_single_request|_count_decode"
     r"|serve_batch|serve_estimates"
     r"|featurize\w*|plan_fingerprint|template_fingerprint"
+    r"|encode_nodes|fill_numerics|walk_plan|plan_topology|prepared_from_matrix"
     r")$"
 )
 
