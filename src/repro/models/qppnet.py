@@ -494,13 +494,11 @@ class QPPNet(CostEstimator):
         plan, plans in input order."""
         collected: Dict[OperatorType, List[np.ndarray]] = {}
         for record in labeled:
+            nodes = list(record.plan.walk())
             matrix = self._masked_matrix(
-                list(record.plan.walk()), snapshot_mapping_for(record, snapshot_set)
+                nodes, snapshot_mapping_for(record, snapshot_set)
             )
-            rows = {
-                id(node): row
-                for node, row in zip(record.plan.walk(), matrix, strict=True)
-            }
+            rows = {id(node): row for node, row in zip(nodes, matrix, strict=True)}
             self._collect_unit_inputs(record.plan, rows, collected)
         return {
             op: np.stack(rows) for op, rows in collected.items() if len(rows) >= 2
