@@ -1,7 +1,7 @@
 """Serving stress bars: batching, caching, isolation, restarts, scaling.
 
-Not a paper figure.  Each test drives ``CostService``,
-``ClusterService`` or ``ProcClusterService`` directly and asserts one
+Not a paper figure.  Each test drives ``CostService`` or
+``ProcClusterService`` directly and asserts one
 of the serving layer's machine-relative guarantees, each a ratio
 against a reference measured in the same run on the same host:
 
@@ -13,12 +13,14 @@ against a reference measured in the same run on the same host:
 3. **Open-loop health**: sustained Poisson traffic completes with no
    errors.
 4. **Hot-tenant isolation**: quiet tenants' p95 beside a tenant at 10x
-   their rate, on the sharded tier, within 4.97x of their p95 alone on
-   one service.
-5. **Warm restart**: a replica restored from a checkpoint reaches its
-   first estimate in at most 0.32x the cold restart's time, serves its
-   first window with a p95 within 6x of the cold one's, and predicts
-   bit-identically to the replica that was killed.
+   their rate, on a 3-worker process tier with the quiet tenants off
+   the hot tenant's worker, within 4.97x of their p95 alone on one
+   service.
+5. **Warm restart**: a fresh service restored from a checkpoint reaches
+   its first estimate in at most 0.32x the time of a fresh service with
+   the bundles deployed cold, serves its first window with a p95
+   within 6x of the cold one's, and predicts bit-identically to the
+   service that saved the checkpoint.
 6. **Process scaling**: process-tier throughput rises strictly with
    every added worker up to the usable core count and stays at >= 75%
    of the best beyond it.
@@ -35,7 +37,6 @@ import numpy as np
 import pytest
 from load import percentile, run_load
 
-from repro.cluster import ClusterService
 from repro.cluster.proc import ProcClusterService, ProcConfig
 from repro.engine.environment import random_environments
 from repro.serving import CostService, SnapshotStore
@@ -63,13 +64,6 @@ def report(save_result):
 def _items(labeled, envs):
     env_by_name = {env.name: env for env in envs}
     return [(record.plan, env_by_name[record.env_name]) for record in labeled]
-
-
-def _cluster(shards: int) -> ClusterService:
-    return ClusterService(
-        shard_count=shards,
-        service_factory=lambda sid: CostService(snapshot_store=SnapshotStore()),
-    )
 
 
 def _warm(tier, name, items):
@@ -169,12 +163,12 @@ def test_hot_tenant_does_not_slow_quiet_tenants(sysbench_setup, quick, report):
     items = _items(labeled, envs)
     rate = 80.0 if quick else 120.0
     seconds = 1.5 if quick else 3.0
-    with _cluster(3) as cluster:
+    with ProcClusterService(worker_count=3) as tier:
         hot = "hot-tenant"
-        # Probe names the router places off the hot tenant's shard.
+        # Probe names the router places off the hot tenant's worker.
         probes = [
             name for name in (f"probe-{i}" for i in range(64))
-            if cluster.shard_of(name) != cluster.shard_of(hot)
+            if tier.worker_of(name) != tier.worker_of(hot)
         ][:3]
         quiet = [(name, 1.0, items) for name in probes]
 
@@ -186,13 +180,13 @@ def test_hot_tenant_does_not_slow_quiet_tenants(sysbench_setup, quick, report):
             alone = run_load(_send(single), quiet, seconds=seconds, rate_rps=rate)
 
         for name in probes + [hot]:
-            cluster.deploy(bundle, name=name)
-            _warm(cluster, name, items)
+            tier.deploy(bundle, name=name)
+            _warm(tier, name, items)
         mixed = run_load(
-            _send(cluster), quiet + [(hot, 10.0 * len(probes), items)],
+            _send(tier), quiet + [(hot, 10.0 * len(probes), items)],
             seconds=seconds, rate_rps=rate * 11.0,
         )
-        shed = cluster.counters()["cluster"]["shed"]
+        shed = tier.counters()["cluster"]["shed"]
     ratio = percentile(mixed.merged(probes), 95) / percentile(alone.merged(), 95)
     summary = (
         f"quiet-tenant p95 beside a 10x hot tenant: {ratio:.2f}x alone "
@@ -211,37 +205,36 @@ def test_warm_restart_beats_cold_restart(sysbench_setup, quick, report, tmp_path
     unseen = random_environments(3, seed=3)[2]
     probe_plans = [record.plan for record in labeled[:32]]
     window = 32 if quick else 48
+    names = ("tenant-0", "tenant-1")
 
-    def boot_probe(cluster):
+    def boot_probe(service):
         """Time to first estimate and the first window's latencies."""
         began = time.perf_counter()
-        cluster.estimate(labeled[0].plan, unseen, bundle="tenant-0")
+        service.estimate(labeled[0].plan, unseen, bundle="tenant-0")
         ttfe = time.perf_counter() - began
         latencies = []
         for plan, env in (items * 2)[:window]:
             began = time.perf_counter()
-            cluster.estimate(plan, env, bundle="tenant-0")
+            service.estimate(plan, env, bundle="tenant-0")
             latencies.append((time.perf_counter() - began) * 1000.0)
         return ttfe, percentile(np.array(latencies), 95)
 
-    with _cluster(2) as cluster:
-        for name in ("tenant-0", "tenant-1"):
-            cluster.deploy(bundle, name=name)
-        victim = cluster.shard_of("tenant-0")
+    with CostService(snapshot_store=SnapshotStore()) as saved:
+        for name in names:
+            saved.deploy(bundle, name=name)
         for plan, _ in items[:16]:
-            cluster.estimate(plan, unseen, bundle="tenant-0")
-        service = cluster.shard(victim).service
-        service.save(tmp_path)
-        reference = service.estimate_many(probe_plans, envs[0], bundle="tenant-0")
+            saved.estimate(plan, unseen, bundle="tenant-0")
+        saved.save(tmp_path)
+        reference = saved.estimate_many(probe_plans, envs[0], bundle="tenant-0")
 
-        cluster.kill_shard(victim)
-        cluster.restart_shard(victim)
-        cold_ttfe, cold_p95 = boot_probe(cluster)
-        restored = cluster.restart_shard(victim, checkpoint_dir=tmp_path)
-        warm_ttfe, warm_p95 = boot_probe(cluster)
-        after = cluster.shard(victim).service.estimate_many(
-            probe_plans, envs[0], bundle="tenant-0"
-        )
+    with CostService(snapshot_store=SnapshotStore()) as cold:
+        for name in names:
+            cold.deploy(bundle, name=name)
+        cold_ttfe, cold_p95 = boot_probe(cold)
+    with CostService(snapshot_store=SnapshotStore()) as warm:
+        restored = warm.restore(tmp_path)
+        warm_ttfe, warm_p95 = boot_probe(warm)
+        after = warm.estimate_many(probe_plans, envs[0], bundle="tenant-0")
     ttfe_ratio, window_ratio = warm_ttfe / cold_ttfe, warm_p95 / cold_p95
     summary = (
         f"warm restart: first estimate {warm_ttfe * 1e3:.2f} ms vs cold "

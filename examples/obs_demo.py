@@ -1,19 +1,27 @@
 """Demo: observability — traces, unified metrics, structured events.
 
-Reduces a tiny QCFE bundle on point-selects, serves it through a
-2-shard :class:`~repro.cluster.ClusterService` with a full-sampling
-:class:`~repro.obs.Tracer` attached, then makes things interesting:
-sync/batched/async traffic, a shard killed mid-traffic, and a workload
-drift onto range queries that trips the recall watcher.  Afterwards it
-prints what the observability stack saw:
+Reduces a tiny QCFE bundle on point-selects and serves it twice with a
+full-sampling :class:`~repro.obs.Tracer` attached:
 
-1. trace waterfalls (route → request → parse/plan/featurize/predict,
-   plus the batch span a coalesced async request was served by);
+- through a 2-worker :class:`~repro.cluster.ProcClusterService`, with
+  sync/async traffic and a worker SIGKILLed mid-traffic — the parent
+  traces each request's ``route`` hop and logs the worker's death and
+  revival;
+- through one in-process :class:`~repro.serving.CostService` with a
+  drift watcher, fed a workload drift onto range queries that trips
+  the recall watcher — its traces hold the whole request.
+
+Afterwards it prints what the observability stack saw:
+
+1. trace waterfalls (route hops; request → parse/plan/featurize/
+   predict, plus the batch span a coalesced async request was served
+   by);
 2. the slow-query log (top-K roots by duration, with plan
    fingerprints);
-3. the structured event history (the shard kill/ejection, the drift
-   trip);
-4. the Prometheus text exposition of the cluster's metrics registry.
+3. the structured event histories (the worker kill/death/revival, the
+   drift trip);
+4. the Prometheus text exposition of the tier's metrics registry,
+   every worker's counters folded in.
 
 Run with ``PYTHONPATH=src python examples/obs_demo.py``.
 """
@@ -21,8 +29,9 @@ Run with ``PYTHONPATH=src python examples/obs_demo.py``.
 from __future__ import annotations
 
 import concurrent.futures
+import time
 
-from repro.cluster import ClusterService
+from repro.cluster import ProcClusterService
 from repro.core import QCFE, QCFEConfig, collect_baselines
 from repro.engine import ExecutionSimulator
 from repro.engine.executor import LabeledPlan
@@ -57,7 +66,7 @@ def labeled_subset(benchmark, environments, shapes, total, seed):
 
 
 def main() -> None:
-    """Trace, count and narrate a small cluster run end to end."""
+    """Trace, count and narrate a small tier run and a drift."""
     print("== reduce a tiny Sysbench bundle on point-selects ==")
     benchmark = get_benchmark("sysbench")
     environments = standard_environments(2, seed=0)
@@ -80,56 +89,70 @@ def main() -> None:
     # production scrape would run nearer the 5% default, relying on the
     # always-on slow/error tail sampling for the interesting ones.
     tracer = Tracer(sample_rate=1.0, slow_ms=50.0, seed=7)
-    with ClusterService(
-        shard_count=2,
-        # background=False: the demo pumps the adaptation loop itself
-        # (run_pending) so the drift trip lands deterministically; the
-        # absurd min_refit_records keeps the demo at "trip observed",
-        # short of a full refit.
-        service_factory=lambda sid: CostService(
-            snapshot_store=SnapshotStore(),
-            adaptation=AdaptationConfig(
-                background=False, min_refit_records=10**9
-            ),
-        ),
-        tracer=tracer,
-    ) as cluster:
-        cluster.deploy(bundle)
-        env = environments[0]
-        sql = point_only[0].query_sql
+    env = environments[0]
+    sql = point_only[0].query_sql
+    with ProcClusterService(worker_count=2, tracer=tracer) as tier:
+        tier.deploy(bundle)
 
-        print("\n== drive traffic (sync + async, through the batcher) ==")
+        print("\n== drive the process tier (sync + async) ==")
         for record in point_only[:8]:
-            cluster.estimate(record.query_sql, env_by_name[record.env_name])
-        futures = [cluster.estimate_async(sql, env) for _ in range(8)]
+            tier.estimate(record.query_sql, env_by_name[record.env_name])
+        futures = [tier.estimate_async(sql, env) for _ in range(8)]
         concurrent.futures.wait(futures)
         assert all(f.result() > 0 for f in futures)
 
-        victim = cluster.shard_of(bundle.name)
-        print(f"== kill {victim} mid-traffic (failover, then eject) ==")
-        cluster.kill_shard(victim)
+        victim = tier.worker_of(bundle.name)
+        old_pid = tier.worker(victim).pid
+        print(f"== SIGKILL {victim} mid-traffic (failover, then revival) ==")
+        tier.kill_worker(victim)
         for record in point_only[8:16]:
-            cluster.estimate(record.query_sql, env_by_name[record.env_name])
-        survivor = cluster.shard_of(bundle.name)
+            tier.estimate(record.query_sql, env_by_name[record.env_name])
+        deadline = time.monotonic() + 60.0
+        while not (
+            tier.router.is_alive(victim) and tier.worker(victim).pid != old_pid
+        ):
+            assert time.monotonic() < deadline, "the supervisor revives"
+            time.sleep(0.05)
 
-        print("== drift the workload onto range queries ==")
+        print("\n== route hops, slow-query log, tier events ==\n")
+        print(render_obs_report(tracer=tracer, events=tier.events))
+
+        print("\n== Prometheus exposition (head of the dump) ==\n")
+        deadline = time.monotonic() + 30.0
+        while not all(
+            "sections" in snap for snap in tier.counters()["workers"].values()
+        ):
+            assert time.monotonic() < deadline, "the supervisor pulls counters"
+            time.sleep(0.05)
+        dump = tier.metrics.render_prometheus()
+        print("\n".join(dump.splitlines()[:30]))
+        print(f"... ({len(dump.splitlines())} lines total)")
+
+    # background=False: the demo pumps the adaptation loop itself
+    # (run_pending) so the drift trip lands deterministically; the
+    # absurd min_refit_records keeps the demo at "trip observed", short
+    # of a full refit.
+    tracer.reset()
+    with CostService(
+        snapshot_store=SnapshotStore(),
+        adaptation=AdaptationConfig(background=False, min_refit_records=10**9),
+        tracer=tracer,
+    ) as service:
+        service.deploy(bundle)
+        print("\n== drift one service's workload onto range queries ==")
+        futures = [service.estimate_async(sql, env) for _ in range(8)]
+        concurrent.futures.wait(futures)
         drifted = labeled_subset(
             benchmark, environments, _RANGE_SHAPES, 48, seed=9
         )
         for record in drifted:
-            cluster.estimate(record.plan, env_by_name[record.env_name])
-        cluster.shard(survivor).service.adaptation.run_pending()
+            service.estimate(record.plan, env_by_name[record.env_name])
+        service.adaptation.run_pending()
 
-        print("\n== trace waterfalls, slow-query log, cluster events ==\n")
-        print(render_obs_report(tracer=tracer, events=cluster.events))
-
-        shard_events = cluster.shard(survivor).service.events
-        trips = shard_events.events(event_type="drift_trip")
+        print("\n== request waterfalls, slow-query log, service events ==\n")
+        print(render_obs_report(tracer=tracer, events=service.events))
+        trips = service.events.events(event_type="drift_trip")
         assert trips, "the drifted workload must trip the recall watcher"
-        print(
-            f"\n{survivor} events: "
-            + ", ".join(e.type for e in shard_events.events())
-        )
 
         # Every coalesced async request links to the flush that served
         # it; show the linkage explicitly.
@@ -142,11 +165,6 @@ def main() -> None:
                 + ", ".join(link["trace_id"] for link in links[:4])
                 + ("..." if len(links) > 4 else "")
             )
-
-        print("\n== Prometheus exposition (head of the dump) ==\n")
-        dump = cluster.metrics.render_prometheus()
-        print("\n".join(dump.splitlines()[:30]))
-        print(f"... ({len(dump.splitlines())} lines total)")
 
 
 if __name__ == "__main__":

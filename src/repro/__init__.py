@@ -11,7 +11,7 @@ Public entry points:
 - :mod:`repro.engine` — the PostgreSQL-style planner/executor simulator;
 - :mod:`repro.eval` — metrics and the per-table/figure experiments;
 - :mod:`repro.serving` — the online, batched, cached cost service;
-- :mod:`repro.cluster` — the sharded multi-replica serving tier.
+- :mod:`repro.cluster` — the multi-process replica serving tier.
 
 ``benchmarks/e2e`` measures the program from outside, and
 ``tools/e2e_gate.py`` runs it on a base and a head commit as the perf

@@ -14,7 +14,7 @@ time-sliced inside one interpreter.  The pieces:
   real pids, with sentinel-fd death certification and heartbeats;
 - :mod:`~repro.cluster.proc.service` — :class:`ProcClusterService`,
   the same ``estimate`` / ``estimate_many`` / ``estimate_async`` /
-  ``record_feedback`` / ``report`` surface as the thread tier.
+  ``record_feedback`` / ``report`` surface as one ``CostService``.
 
 See ``docs/SERVING.md`` (process tier) for the wire format, how the
 weights reach the workers and the supervisor state machine.

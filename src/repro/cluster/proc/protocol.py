@@ -59,8 +59,8 @@ already waiting; writers batch the other way, sending several encoded
 frames with one :func:`send_frames`.  Error *frames* are typed too: a
 worker maps an exception onto a whitelisted ``repro.errors`` class
 name which the parent rehydrates, so a worker-side
-``ShardOverloadError`` sheds on the parent exactly like a thread-tier
-one.
+``ShardOverloadError`` sheds on the parent exactly like one raised by
+the parent's own admission gate.
 """
 
 from __future__ import annotations

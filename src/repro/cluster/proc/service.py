@@ -1,10 +1,11 @@
-"""`ProcClusterService` — the process tier behind the service API.
+"""`ProcClusterService` — the replica tier behind the service API.
 
-The thread tier (:class:`~repro.cluster.ClusterService`) multiplies
-*isolation*; this tier multiplies *hardware*: every replica is a real
-worker process with its own interpreter (own GIL), fed over the
-:mod:`.protocol` frame socket and supervised by
-:class:`~repro.cluster.proc.supervisor.ProcSupervisor`.
+Every replica is a real worker process with its own interpreter (own
+GIL), fed over the :mod:`.protocol` frame socket and supervised by
+:class:`~repro.cluster.proc.supervisor.ProcSupervisor`.  Replicas in
+one interpreter would share its GIL and add only routing, so this is
+the one replica tier; a single ``CostService`` is the in-process
+alternative.
 
 State flows one way.  The parent keeps a hidden **template**
 ``CostService`` that never serves requests: ``deploy``/``restore``
@@ -25,9 +26,10 @@ awaited.  Because the persist codec is byte-exact for float64 weights,
 a worker's predictions are **bit-identical** to an in-process service
 holding the same bundles — asserted by the equivalence tests.
 
-Request routing *is* the thread tier's: both tiers inherit
-:class:`~repro.cluster.tier.ReplicaTier` — rendezvous-hashed tenant
-affinity, per-worker admission gates, and one failure classification:
+Request routing lives in the process-free
+:class:`~repro.cluster.tier.ReplicaTier` core — rendezvous-hashed
+tenant affinity, per-worker admission gates, and one failure
+classification:
 a dead worker (:class:`~repro.errors.WorkerDiedError`, a
 :class:`~repro.errors.ShardDownError`) charges health and fails over;
 request-shaped :class:`~repro.errors.ReproError` propagates; overload
@@ -64,8 +66,6 @@ from .supervisor import ProcConfig, ProcSupervisor, WorkerHandle
 
 class ProcClusterService(ReplicaTier):
     """N worker *processes* behind the single-service API."""
-
-    replica_kind = "worker"
 
     def __init__(
         self,
@@ -233,8 +233,9 @@ class ProcClusterService(ReplicaTier):
         self, bundle: EstimatorBundle, name: Optional[str] = None
     ) -> str:
         """Deploy *bundle* to every worker under *name* (full
-        replication, exactly like the thread tier) by updating the
-        template and re-publishing its state.
+        replication: any worker can serve any tenant, so failover needs
+        no state transfer) by updating the template and re-publishing
+        its state.
 
         A publish that fails (a spool that cannot be written raises
         :class:`~repro.errors.CheckpointError`) undoes the deploy, so
@@ -290,8 +291,8 @@ class ProcClusterService(ReplicaTier):
     ) -> float:
         """Estimated latency (ms) of *query* under *env*, served by the
         tenant's worker process (with failover).  A ``backend`` tag
-        rides the wire and routes inside the worker exactly as the
-        thread tier routes in-process; an unknown tag crosses back as
+        rides the wire and routes inside the worker exactly as one
+        ``CostService`` routes it in-process; an unknown tag crosses back as
         a typed :class:`~repro.errors.UnknownBackendError` (request-
         shaped: no health charge, no failover)."""
         key, name = self._resolve_key(bundle, tenant, backend)
@@ -337,7 +338,7 @@ class ProcClusterService(ReplicaTier):
 
         Submission fails over like :meth:`estimate`; once the frame is
         on the wire the admission slot rides with the request and is
-        released — and worker health judged, thread-tier style — when
+        released — and worker health judged by the failure table — when
         the reply (or the deadline sweeper, or a death) resolves it.
         """
         key, name = self._resolve_key(bundle, tenant, backend)
@@ -377,9 +378,9 @@ class ProcClusterService(ReplicaTier):
         tenant: Optional[str] = None,
         backend: Optional[str] = None,
     ) -> None:
-        """Report an actual runtime to the tenant worker's adaptation
-        loop (worker-local, exactly like the thread tier's per-shard
-        loops)."""
+        """Report an actual runtime to the tenant worker's service.
+        Workers run no adaptation loop, so the record is dropped there;
+        an unknown backend tag still raises, typed."""
         key, name = self._resolve_key(bundle, tenant, backend)
         payload = {"bundle": name, "backend": backend, "actual_ms": actual_ms}
         blob = protocol.encode_request([query], env)
@@ -470,17 +471,34 @@ class ProcClusterService(ReplicaTier):
     def restore(self, directory) -> bool:
         """Warm-boot the tier from the newest loadable checkpoint
         under *directory*: restore the template, then re-publish and
-        re-sync every worker.  False → cold start (nothing changed)."""
+        re-sync every worker.  False → cold start (nothing changed).
+
+        A publish that fails (a spool that cannot be written raises
+        :class:`~repro.errors.CheckpointError`) undoes the restore the
+        way a failed :meth:`deploy` is undone: every name keeps the
+        bundle it had, and :meth:`deployed_names` its deploy order.
+        """
         from ...persist import restore_service_checkpoint
 
+        registry = self.template.registry
+        previous = {name: registry.get(name) for name in registry.names()}
+        with self._lock:
+            deployed = list(self._deployed)
         restored, _path = restore_service_checkpoint(
             self.template, str(directory)
         )
         if not restored:
             return False
         with self._lock:
-            self._deployed = self.template.registry.names()
-        self._publish()
+            self._deployed = registry.names()
+        try:
+            self._publish()
+        except ReproError:
+            for name in set(registry.names()) | set(previous):
+                registry.reinstate(name, previous.get(name))
+            with self._lock:
+                self._deployed = deployed
+            raise
         self._sync_all()
         self.events.emit("tier_restored", directory=str(directory))
         return True

@@ -1,18 +1,19 @@
-"""`ReplicaTier` — the routing/failover core both replica tiers share.
+"""`ReplicaTier` — the process-free routing/failover core.
 
-:class:`~repro.cluster.ClusterService` (in-process replicas) and
-:class:`~repro.cluster.proc.ProcClusterService` (worker processes)
-differ in what a replica *is*, not in how a request reaches one.  The
-common part lives here, once: routing and its counters, admission,
-deployment bookkeeping, the failover loop under one ``route`` span,
-the failure classification (the table in ``docs/SERVING.md``) and the
-``cluster`` metrics section behind ``counters()`` / ``report()``.
+:class:`~repro.cluster.proc.ProcClusterService` serves through worker
+processes; how a request *reaches* a worker lives here, apart from the
+processes: routing and its counters, admission, deployment
+bookkeeping, the failover loop under one ``route`` span, the failure
+classification (the table in ``docs/SERVING.md``) and the ``cluster``
+metrics section behind ``counters()`` / ``report()``.  Keeping it
+process-free lets the failure-table tests drive every row through a
+subclass over stand-in replicas without spawning a worker.
 
-A tier supplies :attr:`ReplicaTier.replica_kind` (``"shard"`` or
-``"worker"``: it names the tier's events, span annotations and error
-messages), :meth:`ReplicaTier._replica` (the replica by id, looked up
-afresh on every attempt) and its admission gates
-(:attr:`ReplicaTier._admission`).
+A subclass supplies :meth:`ReplicaTier._replica` (the replica by id,
+looked up afresh on every attempt) and its admission gates
+(:attr:`ReplicaTier._admission`).  Replicas are workers: ids default
+to ``worker-<i>``, and events, span annotations and error messages
+name them ``worker``.
 """
 
 from __future__ import annotations
@@ -36,29 +37,29 @@ from .router import ShardRouter
 
 class ClusterStats:
     """Cluster-level routing counters (replica-local counts live on the
-    replicas' own admission controllers and services)."""
+    workers' own admission gates and services)."""
 
-    def __init__(self, shard_ids: Sequence[str]):
-        """Zeroed counters over *shard_ids*."""
+    def __init__(self, worker_ids: Sequence[str]):
+        """Zeroed counters over *worker_ids*."""
         self._lock = make_lock("cluster.stats")
-        self._routed: Dict[str, int] = {shard_id: 0 for shard_id in shard_ids}
+        self._routed: Dict[str, int] = {worker_id: 0 for worker_id in worker_ids}
         self.reroutes = 0
         self.exhausted = 0
 
-    def count_routed(self, shard_id: str) -> None:
-        """One request routed to *shard_id* (sync: served to
+    def count_routed(self, worker_id: str) -> None:
+        """One request routed to *worker_id* (sync: served to
         completion; async: successfully submitted — its outcome
         resolves later on the Future)."""
         with self._lock:
-            self._routed[shard_id] = self._routed.get(shard_id, 0) + 1
+            self._routed[worker_id] = self._routed.get(worker_id, 0) + 1
 
     def count_reroute(self) -> None:
-        """One request retried on a different shard after a failure."""
+        """One request retried on a different worker after a failure."""
         with self._lock:
             self.reroutes += 1
 
     def count_exhausted(self) -> None:
-        """One request that failed on every alive shard."""
+        """One request that failed on every alive worker."""
         with self._lock:
             self.exhausted += 1
 
@@ -75,10 +76,6 @@ class ClusterStats:
 class ReplicaTier:
     """Routing, failover and tier-level observability over N replicas."""
 
-    #: ``"shard"`` or ``"worker"``, set by the subclass: names the
-    #: tier's events, span annotations and error messages.
-    replica_kind: str
-
     #: Admission gate per replica id, set by the subclass constructor.
     _admission: Dict[str, AdmissionController]
 
@@ -91,12 +88,11 @@ class ReplicaTier:
         tracer: Optional[Tracer],
         events: Optional[EventLog],
     ):
-        """Shared state over *replica_ids* (default ``<kind>-<i>``)."""
-        kind = self.replica_kind
+        """Shared state over *replica_ids* (default ``worker-<i>``)."""
         if replica_ids is None:
             if count < 1:
-                raise ClusterError(f"{kind}_count must be >= 1, got {count}")
-            replica_ids = [f"{kind}-{i}" for i in range(count)]
+                raise ClusterError(f"worker_count must be >= 1, got {count}")
+            replica_ids = [f"worker-{i}" for i in range(count)]
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventLog()
         self.tracer = tracer if tracer is not None else current_tracer()
@@ -134,8 +130,7 @@ class ReplicaTier:
 
     def _cluster_section(self) -> Dict[str, object]:
         """The ``cluster`` collector: routing totals plus per-replica
-        health/admission/liveness (the data :meth:`report` renders),
-        one shape for both tiers."""
+        health/admission/liveness (the data :meth:`report` renders)."""
         health = self.router.health()
         routing = self.stats.snapshot()
         routed: Dict[str, int] = routing["routed"]
@@ -162,9 +157,8 @@ class ReplicaTier:
         }
 
     def _emit_ejected(self, replica_id: str, reason: str) -> None:
-        """The ``<kind>_ejected`` event for *replica_id*."""
-        kind = self.replica_kind
-        self.events.emit(f"{kind}_ejected", **{kind: replica_id}, reason=reason)
+        """The ``worker_ejected`` event for *replica_id*."""
+        self.events.emit("worker_ejected", worker=replica_id, reason=reason)
 
     # ------------------------------------------------------------------
     # routing core
@@ -263,35 +257,29 @@ class ReplicaTier:
         Every failure path still releases and records here.
 
         With a tracer attached, the whole attempt chain runs under one
-        ``route`` span (which, via the shared tracer's thread-local
-        stack, parents the replica's request span when it runs
-        in-process) annotated with the tenant, the serving replica and
-        whether failover rerouted it; the process tier also tags it
-        ``tier="proc"``.
+        ``route`` span annotated with the tenant, the serving worker
+        and whether failover rerouted it.
         """
-        kind = self.replica_kind
         excluded: Set[str] = set()
         rerouted = False
         last_error: Optional[Exception] = None
         with open_span(self.tracer, "route", kind="route") as span:
             span.annotate(tenant=key)
-            if kind == "worker":
-                span.annotate(tier="proc")
             while True:
                 try:
                     replica_id = self.router.shard_for(key, exclude=excluded)
                 except ClusterError:
                     self.stats.count_exhausted()
                     raise ClusterError(
-                        f"request for tenant {key!r} failed on every alive {kind}"
+                        f"request for tenant {key!r} failed on every alive worker"
                     ) from last_error
                 admission = self._admission[replica_id]
                 if not admission.try_acquire():
                     self.events.emit(
-                        "admission_shed", **{kind: replica_id}, tenant=key
+                        "admission_shed", worker=replica_id, tenant=key
                     )
                     raise ShardOverloadError(
-                        f"{kind} {replica_id!r} is at its admission limit "
+                        f"worker {replica_id!r} is at its admission limit "
                         f"({admission.max_inflight} in flight); request shed"
                     )
                 try:
@@ -310,7 +298,7 @@ class ReplicaTier:
                 self.stats.count_routed(replica_id)
                 if rerouted:
                     self.stats.count_reroute()
-                span.annotate(**{kind: replica_id}, rerouted=rerouted)
+                span.annotate(worker=replica_id, rerouted=rerouted)
                 return value
 
     def _settle(self, replica_id: str, done: Future) -> Optional[BaseException]:
@@ -343,9 +331,9 @@ class ReplicaTier:
         """Machine-readable counter snapshot for the whole tier.
 
         A thin view over :attr:`metrics`: ``cluster`` carries
-        routing/admission/health totals, then come the tier's own
-        sections (``shards`` or ``workers``/``supervisor``), ``events``
-        and — when tracing — ``tracer``.  The same registry renders the
+        routing/admission/health totals, then come the subclass's own
+        sections (``workers``/``supervisor`` on the process tier),
+        ``events`` and — when tracing — ``tracer``.  The same registry renders the
         Prometheus exposition.
         """
         return self.metrics.sections_snapshot()

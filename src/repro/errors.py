@@ -64,15 +64,16 @@ class CheckpointCorruptError(CheckpointError):
 
 
 class ClusterError(ServingError):
-    """The sharded serving tier could not route or serve a request."""
+    """The replica tier could not route or serve a request."""
 
 
 class ShardDownError(ClusterError):
-    """A request reached a shard whose replica is dead or ejected."""
+    """A request reached a replica that is dead or ejected."""
 
 
 class ShardOverloadError(ClusterError):
-    """Admission control shed a request: the shard's queue is full."""
+    """Admission control shed a request: the replica's in-flight gate
+    is full."""
 
 
 class ProtocolError(ClusterError):

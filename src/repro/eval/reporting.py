@@ -100,21 +100,22 @@ def render_persist_report(
 
 
 def render_cluster_report(
-    shard_rows: Sequence[Tuple[str, str, int, int, int, int]],
+    worker_rows: Sequence[Tuple[str, str, int, int, int, int]],
     totals: Dict[str, int],
 ) -> str:
-    """The sharded tier's health/routing report in the repo's table
+    """The replica tier's health/routing report in the repo's table
     style.
 
-    ``shard_rows`` are (shard, status, routed, failures, shed, peak
-    in-flight) as produced by :meth:`repro.cluster.ClusterService.report`;
+    ``worker_rows`` are (worker, status, routed, failures, shed, peak
+    in-flight) as produced by :meth:`repro.cluster.ReplicaTier.report`
+    (the report of :class:`~repro.cluster.ProcClusterService`);
     ``totals`` maps cluster-level counters (reroutes, exhausted,
     ejections) to their values.
     """
     sections = [
         format_table(
-            ["shard", "status", "routed", "failures", "shed", "peak inflight"],
-            list(shard_rows),
+            ["worker", "status", "routed", "failures", "shed", "peak inflight"],
+            list(worker_rows),
         )
     ]
     if totals:

@@ -6,7 +6,7 @@ adaptation, cluster, persist, bench):
 - :class:`MetricsRegistry` — the unified counter/gauge/histogram
   registry.  Every subsystem's stats object registers its atomic
   snapshot as a *collector*; ``CostService.counters()`` and
-  ``ClusterService.counters()`` are thin views over it, and the same
+  ``ProcClusterService.counters()`` are thin views over it, and the same
   snapshot renders as Prometheus text
   (:meth:`MetricsRegistry.render_prometheus`) or JSON.  Histograms
   share the bench harness's fixed-memory log bucketing
@@ -19,7 +19,7 @@ adaptation, cluster, persist, bench):
   its span through :func:`open_span`, which returns the shared no-op
   :data:`NULL_SPAN`, so the hot path allocates no span.
 - :class:`EventLog` — typed, subscribable structured events (deploys,
-  promotions/rollbacks, drift trips, shard ejections/revivals,
+  promotions/rollbacks, drift trips, worker deaths/revivals/ejections,
   checkpoint writes/restores, admission sheds).
 
 See ``docs/OBSERVABILITY.md`` for the naming scheme, span taxonomy,

@@ -3,7 +3,7 @@
 Counters say *how much*; events say *what happened and when*.  The
 interesting moments in this stack are rare, discrete transitions —
 a bundle deploy, an adaptation promotion or rollback, a drift or
-miss-rate trip, a shard ejection/revival, a checkpoint write, a warm
+miss-rate trip, a worker death/revival/ejection, a checkpoint write, a warm
 restore (possibly failing over to an older retained checkpoint), an
 admission shed — and each subsystem emits them into one
 :class:`EventLog`: a bounded, thread-safe ring of :class:`Event`
@@ -33,16 +33,12 @@ EVENT_TYPES: Tuple[str, ...] = (
     "rollback",
     "drift_trip",
     "miss_rate_trip",
-    "shard_killed",
-    "shard_ejected",
-    "shard_revived",
-    "shard_restarted",
     "checkpoint_write",
     "checkpoint_error",
     "checkpoint_restore",
     "checkpoint_failover_older",
     "admission_shed",
-    # process tier (repro.cluster.proc): real-pid lifecycle
+    # replica tier (repro.cluster.proc): real-pid lifecycle
     "worker_spawned",
     "worker_killed",
     "worker_died",

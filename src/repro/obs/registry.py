@@ -5,7 +5,7 @@ Before this module each subsystem rolled its own snapshot plumbing —
 ``AdaptationStats``, the admission gate, the router health map and the
 checkpointer all exposed hand-wired ``snapshot()``/``counters()``
 methods that :meth:`repro.serving.CostService.counters` and
-:meth:`repro.cluster.ClusterService.counters` stitched together by
+:meth:`repro.cluster.ProcClusterService.counters` stitched together by
 hand.  :class:`MetricsRegistry` replaces the stitching: each stats
 object registers a **collector** (its existing atomic snapshot
 function) under a section name, and the registry becomes the single
@@ -19,7 +19,7 @@ Two kinds of series live side by side:
 - **Collectors** — callables returning a plain (possibly nested)
   counter dict, snapshotted atomically under the owning component's
   own lock.  Nested tables with dynamic keys (per-batcher, per-stage,
-  per-shard, per-tenant) render as labeled Prometheus series.
+  per-replica, per-tenant) render as labeled Prometheus series.
 - **Direct instruments** — :class:`Counter` / :class:`Gauge` /
   log-bucketed histograms (:class:`~repro.obs.histogram.LogHistogram`)
   created via :meth:`MetricsRegistry.counter` & friends, for new code
@@ -52,7 +52,6 @@ Collector = Callable[[], Optional[Dict[str, object]]]
 _LABEL_KEYS: Dict[str, str] = {
     "batchers": "batcher",
     "stages": "stage",
-    "shards": "shard",
     "per_shard": "shard",
     "routed": "shard",
     "per_tenant": "tenant",

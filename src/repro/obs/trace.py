@@ -14,8 +14,8 @@ Propagation is hybrid, matching how the stack threads actually run:
 
 - **Same-thread nesting** uses a thread-local span stack — a span
   started while another is active becomes its child automatically, so
-  a cluster routing span parents the shard service's request span with
-  no API changes between the tiers.
+  a caller's span parents the service's request span with no API
+  change.
 - **Cross-thread hops** (a request parked in the batcher queue, a
   Future resolved on the worker) carry an explicit
   :class:`SpanContext` with the queued item.
@@ -72,7 +72,7 @@ class Span:
     Use as a context manager (an exception marks the span errored and
     re-raises) or call :meth:`finish` explicitly for spans that outlive
     their opening scope (async request roots).  Annotations are free-
-    form key/values (cache hit flags, shard ids, plan fingerprints).
+    form key/values (cache hit flags, worker ids, plan fingerprints).
     """
 
     __slots__ = (
@@ -469,7 +469,7 @@ def span_tree(spans: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
 
     Returns the root spans, each with a ``children`` list (recursively),
     ordered by start time; spans whose parent is not in *spans* (e.g. a
-    shard-side span whose routing parent lives in another export) rank
+    worker-side span whose routing parent lives in another export) rank
     as roots rather than being dropped.
     """
     nodes = {s["span_id"]: dict(s, children=[]) for s in spans}

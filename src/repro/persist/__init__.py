@@ -23,9 +23,9 @@ predictions:
 The warm-boot entry points most callers want are on the services
 themselves: :meth:`repro.serving.CostService.save` /
 :meth:`~repro.serving.CostService.restore` and
-:meth:`repro.cluster.ClusterService.save` /
-:meth:`~repro.cluster.ClusterService.restore` /
-:meth:`~repro.cluster.ClusterService.restart_shard`.  A corrupt or
+:meth:`repro.cluster.ProcClusterService.save` /
+:meth:`~repro.cluster.ProcClusterService.restore` (whose checkpoint
+spool also warm-boots revived workers).  A corrupt or
 version-mismatched checkpoint never crashes a boot: restore falls back
 to older retained checkpoints, then to a cold start.
 """

@@ -18,15 +18,15 @@ that answers it —
    cheap-native-model argument, operationalized.
 
 Unknown tags raise the typed
-:class:`~repro.errors.UnknownBackendError` *before* any shard or
-estimator work happens, so the cluster tiers treat them as caller
-errors: no replica health damage, no failover.
+:class:`~repro.errors.UnknownBackendError` *before* any estimator work
+happens, so the replica tier treats them as caller errors: no replica
+health damage, no failover.
 
-Both cluster tiers resolve through this class (the proc tier inside
-each worker's service), so thread-tier and proc-tier routing decisions
-are identical by construction.  Routing is deterministic — sorted
-names, fixed preference order — which is what keeps cross-tier
-estimates bit-identical per backend.
+The replica tier resolves through this class inside each worker's
+service, so its routing decisions and an in-process service's are
+identical by construction.  Routing is deterministic — sorted names,
+fixed preference order — which is what keeps process-tier estimates
+bit-identical to in-process ones per backend.
 
 Counters (``routed``/``learned``/``native_fallback`` per backend,
 error and auto-deploy totals) register into the service's metrics

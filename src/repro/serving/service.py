@@ -743,7 +743,8 @@ class CostService:
         actuals are apportioned by optimizer cost fractions.  A
         ``backend`` tag routes the feedback to the backend's serving
         bundle exactly as :meth:`estimate` would (an unknown tag raises
-        even when adaptation is off — same typed error, both tiers).
+        even when adaptation is off — the same typed error in process and
+        on a process-tier worker).
         Otherwise a no-op when adaptation is disabled.
         """
         if backend is not None:

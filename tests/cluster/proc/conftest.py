@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cluster.proc import ProcClusterService, ProcConfig
@@ -22,6 +24,16 @@ def fast_config(**overrides) -> ProcConfig:
     )
     defaults.update(overrides)
     return ProcConfig(**defaults)
+
+
+def poll(predicate, timeout_s: float = 20.0, interval_s: float = 0.02) -> bool:
+    """Spin until *predicate* is truthy (bounded); True on success."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval_s)
+    return False
 
 
 @pytest.fixture(scope="package")

@@ -1,4 +1,4 @@
-"""The process tier is *bit-identical* to the thread tier.
+"""The process tier is *bit-identical* to an in-process service.
 
 Exact equality, not closeness: the parent template's state crosses
 the worker boundary through the byte-exact persist codec (weights in
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.backends import DEFAULT_BACKEND
-from repro.cluster import ClusterService
 from repro.cluster.proc import ProcClusterService
 from repro.engine.environment import random_environments
 from repro.errors import UnknownBackendError
@@ -23,45 +22,31 @@ from .conftest import fast_config
 
 
 @pytest.fixture(scope="module")
-def thread_tier(cluster_bundle):
-    """The existing thread tier over the same bundle, for comparison."""
+def single(cluster_bundle):
+    """The oracle: one in-process service over the same bundle."""
     bundle, _ = cluster_bundle
-    tier = ClusterService(
-        shard_count=2,
-        service_factory=lambda sid: CostService(
-            snapshot_store=SnapshotStore()
-        ),
-    )
-    tier.deploy(bundle)
-    yield tier
-    tier.close()
+    with CostService(snapshot_store=SnapshotStore()) as service:
+        service.deploy(bundle)
+        yield service
 
 
-def test_estimates_bit_identical_to_thread_tier(
-    proc_service, thread_tier, cluster_bundle, cluster_envs
+def test_bit_identical_to_a_single_inprocess_service(
+    proc_service, single, cluster_bundle, cluster_envs
 ):
-    _, labeled = cluster_bundle
-    for env in cluster_envs:
-        for record in labeled[:8]:
-            assert proc_service.estimate(
-                record.query_sql, env
-            ) == thread_tier.estimate(record.query_sql, env)
-
-
-def test_batched_estimates_bit_identical_to_thread_tier(
-    proc_service, thread_tier, cluster_bundle, cluster_envs
-):
+    """One estimate per query and batched estimates, per environment."""
     _, labeled = cluster_bundle
     queries = [record.query_sql for record in labeled[:12]]
     for env in cluster_envs:
+        for query in queries[:8]:
+            assert proc_service.estimate(query, env) == single.estimate(query, env)
         np.testing.assert_array_equal(
             proc_service.estimate_many(queries, env, batch_size=4),
-            thread_tier.estimate_many(queries, env, batch_size=4),
+            single.estimate_many(queries, env, batch_size=4),
         )
 
 
 def test_plan_shipped_queries_bit_identical(
-    proc_service, thread_tier, cluster_bundle, cluster_envs
+    proc_service, single, cluster_bundle, cluster_envs
 ):
     """Plan trees cross the boundary through the persist plan codec;
     the re-hydrated plan must estimate to the same 64 bits."""
@@ -70,47 +55,29 @@ def test_plan_shipped_queries_bit_identical(
     for record in labeled[:5]:
         assert proc_service.estimate(
             record.plan, env, bundle=bundle.name
-        ) == thread_tier.estimate(record.plan, env, bundle=bundle.name)
+        ) == single.estimate(record.plan, env, bundle=bundle.name)
 
 
-def test_bit_identical_to_a_single_inprocess_service(
-    proc_service, cluster_bundle, cluster_envs
-):
-    """Ground truth: a plain CostService in this very process."""
-    bundle, labeled = cluster_bundle
-    queries = [record.query_sql for record in labeled[:10]]
-    with CostService(snapshot_store=SnapshotStore()) as single:
-        single.deploy(bundle)
-        for env in cluster_envs:
-            np.testing.assert_array_equal(
-                proc_service.estimate_many(queries, env, batch_size=4),
-                single.estimate_many(queries, env, batch_size=4),
-            )
-            assert proc_service.estimate(
-                queries[0], env
-            ) == single.estimate(queries[0], env)
-
-
-def test_backend_tagged_estimates_bit_identical_to_thread_tier(
+def test_backend_tagged_estimates_bit_identical_to_an_inprocess_service(
     cluster_bundle, cluster_envs
 ):
     """Tagged for the learned default backend and for a backend served
-    by an auto-deployed native fallback, both tiers route to the same
-    bundle and answer with the same 64 bits.  Fresh tiers: the
-    fallback's deploy would leak into the shared fixtures."""
+    by an auto-deployed native fallback, a worker and an in-process
+    service route to the same bundle and answer with the same 64 bits.
+    Fresh services: the fallback's deploy would leak into the shared
+    fixtures."""
     bundle, labeled = cluster_bundle
     queries = [record.query_sql for record in labeled[:8]]
     env = cluster_envs[0]
-    with ProcClusterService(worker_count=1, config=fast_config()) as proc, ClusterService(
-        shard_count=2,
-        service_factory=lambda sid: CostService(snapshot_store=SnapshotStore()),
-    ) as thread:
-        for tier in (proc, thread):
-            tier.deploy(bundle, name="fleet-learned")
+    with ProcClusterService(worker_count=1, config=fast_config()) as proc, CostService(
+        snapshot_store=SnapshotStore()
+    ) as single:
+        for service in (proc, single):
+            service.deploy(bundle, name="fleet-learned")
         for backend in (DEFAULT_BACKEND, "aurora"):
             np.testing.assert_array_equal(
                 proc.estimate_many(queries, env, backend=backend),
-                thread.estimate_many(queries, env, backend=backend),
+                single.estimate_many(queries, env, backend=backend),
             )
 
 

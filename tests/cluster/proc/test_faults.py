@@ -24,17 +24,7 @@ from repro.errors import CheckpointError, ReproError, WorkerDiedError
 from repro.persist import save_service_checkpoint
 from repro.serving import CostService, SnapshotStore
 
-from .conftest import fast_config
-
-
-def _poll(predicate, timeout_s: float = 20.0, interval_s: float = 0.02) -> bool:
-    """Spin until *predicate* is truthy (bounded); True on success."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval_s)
-    return False
+from .conftest import fast_config, poll
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +58,7 @@ def test_sigkill_mid_flight_fails_futures_typed_and_revives(
         # The tenant's traffic keeps flowing (failover or revival).
         assert tier.estimate(sql, env) == expected
         # And the fleet heals: a *different* pid takes the victim's id.
-        assert _poll(
+        assert poll(
             lambda: tier.worker(victim).alive
             and tier.worker(victim).pid != old_pid,
             timeout_s=30.0,
@@ -108,7 +98,7 @@ def test_kill_during_checkpoint_restore(cluster_bundle, tmp_path):
     spawner = threading.Thread(target=_spawn)
     spawner.start()
     try:
-        assert _poll(lambda: handle.proc is not None, timeout_s=15.0)
+        assert poll(lambda: handle.proc is not None, timeout_s=15.0)
         time.sleep(1.0)  # let the child get past exec and into boot
         handle.kill()
         spawner.join(timeout=30.0)
@@ -138,14 +128,14 @@ def test_revive_budget_exhaustion_ejects(cluster_bundle, cluster_envs):
         tier.kill_worker(victim)
         # Wait for the *replacement* handle (not the dying one, which
         # still reads "up" until the sentinel fires) to come up.
-        assert _poll(
+        assert poll(
             lambda: tier.worker(victim).revives == 1
             and tier.worker(victim).alive,
             timeout_s=30.0,
         )
 
         tier.kill_worker(victim)
-        assert _poll(lambda: tier.worker(victim).state == "ejected")
+        assert poll(lambda: tier.worker(victim).state == "ejected")
 
         counters = tier.supervisor.counters()
         assert counters["deaths"] == 2
@@ -169,7 +159,7 @@ def test_heartbeat_kills_and_revives_a_hung_worker():
         old_pid = handle.pid
         wedged = handle.submit("delay", {"seconds": 60.0}, timeout_s=120.0)
 
-        assert _poll(
+        assert poll(
             lambda: tier.worker("worker-0").alive
             and tier.worker("worker-0").pid != old_pid,
             timeout_s=30.0,
@@ -220,7 +210,7 @@ def _kill_and_resync(tier, worker_id):
     routing, which the tier does only after the replacement's sync."""
     old_pid = tier.worker(worker_id).pid
     tier.kill_worker(worker_id)
-    assert _poll(
+    assert poll(
         lambda: tier.worker(worker_id).pid != old_pid
         and tier.router.is_alive(worker_id),
         timeout_s=30.0,
@@ -251,7 +241,7 @@ def test_tier_lifecycle_leaves_no_segment_and_no_helper_process(
         _kill_and_resync(tier, tier.worker_of(name))
         assert tier.estimate(sql, env) == expected
         assert _segments() == []
-        assert _poll(lambda: _children() - before == _live_workers(tier))
+        assert poll(lambda: _children() - before == _live_workers(tier))
 
         tier.deploy(bundle, name="tenant-b")
         assert tier.estimate(sql, env, bundle="tenant-b") == expected
@@ -355,6 +345,47 @@ def test_a_failed_deploy_leaves_the_bundle_unlisted_and_unshipped(
             handle.rpc("estimate", {"bundle": "b", "backend": None}, request)
         reply, _ = handle.rpc("estimate", {"bundle": "c", "backend": None}, request)
         assert reply["value"] == tier.estimate(sql, env, bundle="a")
+
+
+def test_a_failed_restore_leaves_only_served_bundles_listed(
+    cluster_bundle, cluster_envs, tmp_path
+):
+    """A restore whose spool write fails raises CheckpointError and is
+    undone like a failed deploy: the checkpoint's extra bundle is
+    neither listed nor in the template, the tier's own bundle keeps
+    its object, and a later successful deploy ships only what the
+    tier deployed."""
+    from repro.persist import decode_checkpoint
+
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    checkpoint = tmp_path / "checkpoint"
+    with CostService(snapshot_store=SnapshotStore()) as donor:
+        donor.deploy(bundle, name="a")
+        donor.deploy(bundle, name="b")
+        save_service_checkpoint(donor, str(checkpoint))
+    spool = tmp_path / "spool"
+    with ProcClusterService(
+        worker_count=1, config=fast_config(), checkpoint_spool=spool
+    ) as tier:
+        tier.deploy(bundle, name="a")
+        expected = tier.estimate(sql, env, bundle="a")
+        deployed_a = tier.template.registry.get("a")
+        shutil.rmtree(spool)
+        spool.write_bytes(b"a regular file where the spool was")
+
+        with pytest.raises(CheckpointError):
+            tier.restore(checkpoint)
+        assert tier.deployed_names() == ["a"]
+        assert tier.template.registry.names() == ["a"]
+        assert tier.template.registry.get("a") is deployed_a
+        assert tier.estimate(sql, env, bundle="a") == expected
+
+        spool.unlink()
+        tier.deploy(bundle, name="c")
+        assert tier.deployed_names() == ["a", "c"]
+        state, _ = decode_checkpoint(tier._current_sync[1])
+        assert [e["name"] for e in state["registry"]["bundles"]] == ["a", "c"]
 
 
 def test_concurrent_deploys_publish_the_newest_snapshot_last(

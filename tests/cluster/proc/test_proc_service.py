@@ -227,6 +227,25 @@ def test_warm_boot_from_spool(cluster_bundle, cluster_envs, tmp_path):
         assert second.estimate(sql, env) == expected
 
 
+def test_a_dead_spool_boots_workers_cold(cluster_bundle, cluster_envs, tmp_path):
+    """A spool whose every checkpoint is corrupt never fails a boot:
+    the workers come up cold and serve once a deploy syncs them."""
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    spool = tmp_path / "spool"
+    with CostService(snapshot_store=SnapshotStore()) as single:
+        single.deploy(bundle)
+        expected = single.estimate(sql, env)
+        single.save(spool).write_bytes(b"not a checkpoint")
+    with ProcClusterService(
+        worker_count=1, config=fast_config(), checkpoint_spool=str(spool)
+    ) as tier:
+        spawned = tier.events.events("worker_spawned")
+        assert spawned and spawned[0].data["warm"] is False
+        tier.deploy(bundle)
+        assert tier.estimate(sql, env) == expected
+
+
 def test_the_newest_spool_file_is_the_sync_image(cluster_bundle, tmp_path):
     """One image on disk and on the wire: the spool's newest checkpoint
     holds exactly the bytes every worker was sent."""

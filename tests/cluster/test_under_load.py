@@ -1,33 +1,32 @@
-"""The sharded tier under concurrent load.
+"""The process tier under concurrent load.
 
-A replica killed while threads send traffic must cost no request:
-failover ejects it, re-routes its tenants and serves them the same
-bits.  A hot tenant stays on its own shard, so none of its load lands
-on the quiet tenants' replicas.  A mixed fleet routes each backend's
-tenant to the right bundle, auto-deploys the second backend's native
-fallback, and keeps each backend's q-error and cache hit rate.
+A worker SIGKILLed while threads send traffic must cost no request:
+failover re-routes its tenants and serves them the same bits, and the
+revived worker serves them again.  A hot tenant stays on its own
+worker, so none of its load lands on the quiet tenants' workers.  A
+mixed fleet routes each backend's tenant to the right bundle,
+auto-deploys the second backend's native fallback once, on the worker
+its traffic reaches, and keeps each backend's q-error and cache hit
+rate.  Worker-side counts are read through the ``counters`` frame.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 
 import numpy as np
 
 from repro.backends import DEFAULT_BACKEND, get_backend
-from repro.cluster import ClusterService
+from repro.cluster.proc import ProcClusterService
+from repro.errors import WorkerDiedError
 from repro.nn.loss import numpy_q_error
-from repro.serving import CostService, SnapshotStore
 
 from ..conftest import hammer
+from .proc.conftest import fast_config, poll
 
 
-def make_cluster(shard_count):
-    return ClusterService(
-        shard_count=shard_count,
-        service_factory=lambda sid: CostService(snapshot_store=SnapshotStore()),
-    )
+def make_tier(worker_count=3):
+    return ProcClusterService(worker_count=worker_count, config=fast_config())
 
 
 def _items(labeled, envs):
@@ -35,78 +34,117 @@ def _items(labeled, envs):
     return [(record.plan, env_by_name[record.env_name]) for record in labeled]
 
 
+def _worker_sections(tier):
+    """Each worker's own counter sections, pulled now."""
+    return {
+        worker_id: tier.worker(worker_id).rpc("counters", {})[0]["value"]["sections"]
+        for worker_id in tier.router.shard_ids()
+    }
+
+
 def test_kill_under_load_fails_over_with_zero_errors(cluster_bundle, cluster_envs):
     bundle, labeled = cluster_bundle
     items = _items(labeled, cluster_envs)
     names = [f"tenant-{i}" for i in range(4)]
-    with make_cluster(3) as cluster:
+    with make_tier() as tier:
         for name in names:
-            cluster.deploy(bundle, name=name)
+            tier.deploy(bundle, name=name)
         oracle = {
-            (name, i): cluster.estimate(plan, env, bundle=name)
+            (name, i): tier.estimate(plan, env, bundle=name)
             for name in names
             for i, (plan, env) in enumerate(items)
         }
-        victim = cluster.shard_of(names[0])
-        displaced = [name for name in names if cluster.shard_of(name) == victim]
+        victim = tier.worker_of(names[0])
+        displaced = [name for name in names if tier.worker_of(name) == victim]
+        old_pid = tier.worker(victim).pid
         sent = itertools.count()
-        killed = threading.Event()
+        held = []
         served = []
+
+        def kill_with_requests_in_flight():
+            # A slow frame holds the victim, so the requests routed to
+            # it behind the frame are in flight when the kill lands.
+            held.append(
+                tier.worker(victim).submit("delay", {"seconds": 5.0}, timeout_s=30.0)
+            )
+            assert poll(lambda: tier._admission[victim].inflight >= 1, 10.0)
+            tier.kill_worker(victim)
 
         def work(index):
             for step in range(40):
                 if next(sent) == 40:
-                    cluster.kill_shard(victim)
-                    killed.set()
+                    kill_with_requests_in_flight()
                 name = names[(index + step) % len(names)]
                 i = (index * 7 + step) % len(items)
-                served.append(((name, i), cluster.estimate(*items[i], bundle=name)))
+                served.append(((name, i), tier.estimate(*items[i], bundle=name)))
 
         errors = hammer(work)
-        tier = cluster.counters()["cluster"]
-        moved = all(cluster.shard_of(name) != victim for name in displaced)
-    assert killed.is_set()
+        counts = tier.counters()
+        # The revived pid takes its tenants back and serves their bits.
+        assert poll(
+            lambda: tier.worker(victim).pid != old_pid and tier.router.is_alive(victim),
+            timeout_s=30.0,
+        )
+        home = [tier.worker_of(name) for name in displaced]
+        after = {name: tier.estimate(*items[0], bundle=name) for name in displaced}
     assert errors == []
+    (delay,) = held
+    assert isinstance(delay.exception(timeout=30.0), WorkerDiedError)
     assert len(served) == 4 * 40
     assert all(value == oracle[key] for key, value in served)
-    assert tier["ejections"] >= 1
-    assert tier["reroutes"] >= 1
-    assert tier["shed"] == 0 and tier["exhausted"] == 0
-    assert moved
+    cluster = counts["cluster"]
+    assert cluster["ejections"] >= 1
+    assert cluster["reroutes"] >= 1
+    assert cluster["shed"] == 0 and cluster["exhausted"] == 0
+    assert counts["supervisor"]["deaths"] == 1
+    assert home == [victim] * len(displaced)
+    assert after == {name: oracle[(name, 0)] for name in displaced}
 
 
 def test_hot_tenant_stays_on_its_own_shard_under_load(cluster_bundle, cluster_envs):
     bundle, labeled = cluster_bundle
     items = _items(labeled, cluster_envs)
-    with make_cluster(3) as cluster:
+    with make_tier() as tier:
         hot = "hot-tenant"
-        hot_shard = cluster.shard_of(hot)
+        hot_worker = tier.worker_of(hot)
         probes = [
             name for name in (f"probe-{i}" for i in range(64))
-            if cluster.shard_of(name) != hot_shard
+            if tier.worker_of(name) != hot_worker
         ][:3]
         assert len(probes) == 3
         for name in probes + [hot]:
-            cluster.deploy(bundle, name=name)
-        before = cluster.counters()["cluster"]["routed"]
+            tier.deploy(bundle, name=name)
+        before = tier.counters()["cluster"]["routed"]
+        requests_before = {
+            worker_id: sections["service"]["requests"]
+            for worker_id, sections in _worker_sections(tier).items()
+        }
 
         def work(index):
             for step in range(44):
                 # Ten hot requests for every quiet tenant's one.
                 name = probes[step // 11 % 3] if step % 11 == 0 else hot
-                cluster.estimate(*items[(index + step) % len(items)], bundle=name)
+                tier.estimate(*items[(index + step) % len(items)], bundle=name)
 
         errors = hammer(work)
-        tier = cluster.counters()["cluster"]
+        cluster = tier.counters()["cluster"]
+        served = {
+            worker_id: sections["service"]["requests"] - requests_before[worker_id]
+            for worker_id, sections in _worker_sections(tier).items()
+        }
+        placement = [tier.worker_of(name) for name in probes]
     routed = {
-        shard: count - before.get(shard, 0) for shard, count in tier["routed"].items()
+        worker: count - before.get(worker, 0)
+        for worker, count in cluster["routed"].items()
     }
     assert errors == []
-    assert tier["shed"] == 0 and tier["reroutes"] == 0
-    assert all(cluster.shard_of(name) != hot_shard for name in probes)
-    # 4 threads x 40 hot requests went to the hot shard, and nothing else.
-    assert routed[hot_shard] == 4 * 40
+    assert cluster["shed"] == 0 and cluster["reroutes"] == 0
+    assert hot_worker not in placement
+    # 4 threads x 40 hot requests went to the hot worker, and nothing
+    # else; each worker served exactly what was routed to it.
+    assert routed[hot_worker] == 4 * 40
     assert sum(routed.values()) == 4 * 44
+    assert served == routed
 
 
 def test_mixed_fleet_routes_both_backends_with_bounded_q_error(
@@ -122,35 +160,35 @@ def test_mixed_fleet_routes_both_backends_with_bounded_q_error(
         second: [(profile.native_plan(plan), env) for plan, env in _items(labeled, cluster_envs)],
     }
     actual = np.array([record.latency_ms for record in labeled])
-    with make_cluster(2) as cluster:
-        cluster.deploy(bundle, name="fleet-learned")
+    with make_tier() as tier:
+        tier.deploy(bundle, name="fleet-learned")
         # One pass per backend: the second one auto-deploys its
-        # fallback on the shards it reaches, and every item's features
+        # fallback on the worker it reaches, and every item's features
         # are cached before the probes below.
         for backend, pairs in items.items():
             for plan, env in pairs:
-                cluster.estimate(plan, env, backend=backend)
+                tier.estimate(plan, env, backend=backend)
 
         def work(index):
             for step in range(30):
                 backend = DEFAULT_BACKEND if (index + step) % 3 else second
                 plan, env = items[backend][(index * 5 + step) % len(labeled)]
-                assert np.isfinite(cluster.estimate(plan, env, backend=backend))
+                assert np.isfinite(tier.estimate(plan, env, backend=backend))
 
         errors = hammer(work)
         quality = {}
         for backend, pairs in items.items():
-            hits_before = _cache_hits(cluster)
+            hits_before = _cache_hits(tier)
             predicted = np.array(
-                [cluster.estimate(plan, env, backend=backend) for plan, env in pairs]
+                [tier.estimate(plan, env, backend=backend) for plan, env in pairs]
             )
-            hits = _cache_hits(cluster) - hits_before
+            hits = _cache_hits(tier) - hits_before
             q = numpy_q_error(predicted, actual)
             quality[backend] = (np.median(q), np.quantile(q, 0.95), hits / len(pairs))
         totals = {"routed": {}, "learned": {}, "native_fallback": {}, "auto_deployed": 0,
                   "unknown_backend_errors": 0, "mismatch_errors": 0}
-        for shard in cluster.counters()["shards"].values():
-            section = shard.get("backends") or {}
+        for sections in _worker_sections(tier).values():
+            section = sections.get("backends") or {}
             for kind in ("routed", "learned", "native_fallback"):
                 for backend, count in (section.get(kind) or {}).items():
                     totals[kind][backend] = totals[kind].get(backend, 0) + count
@@ -160,7 +198,8 @@ def test_mixed_fleet_routes_both_backends_with_bounded_q_error(
     assert totals["routed"].get(DEFAULT_BACKEND, 0) > 0 and totals["routed"].get(second, 0) > 0
     assert totals["learned"].get(DEFAULT_BACKEND, 0) > 0
     assert totals["native_fallback"].get(second, 0) > 0
-    assert totals["auto_deployed"] > 0
+    # Deployed lazily, only on the one worker the tag routes to.
+    assert totals["auto_deployed"] == 1
     assert totals["unknown_backend_errors"] == totals["mismatch_errors"] == 0
     default_p50, default_p95, default_hits = quality[DEFAULT_BACKEND]
     second_p50, second_p95, second_hits = quality[second]
@@ -169,7 +208,7 @@ def test_mixed_fleet_routes_both_backends_with_bounded_q_error(
     assert default_hits >= 0.95 and second_hits >= 0.95
 
 
-def _cache_hits(cluster):
+def _cache_hits(tier):
     return sum(
-        shard["feature_cache"]["hits"] for shard in cluster.counters()["shards"].values()
+        sections["feature_cache"]["hits"] for sections in _worker_sections(tier).values()
     )

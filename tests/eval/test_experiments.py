@@ -21,6 +21,12 @@ from repro.eval.harness import ExperimentContext
 from repro.eval import reporting
 
 
+#: Runs per arm of a wall-time comparison.  Each arm is judged by its
+#: fastest run: a host stall only ever adds time, so the minimum is the
+#: run least disturbed by one.
+BEST_OF = 5
+
+
 @pytest.fixture(scope="module")
 def context(monkeypatch_module_scale):
     return ExperimentContext(seed=0)
@@ -109,8 +115,13 @@ class TestTable5:
 
 class TestTable6:
     def test_runtime_grows_with_references(self, context):
-        rows = table6(context, benchmark_name="sysbench", reference_counts=(4, 32))
-        assert rows[1].fr_runtime_seconds > rows[0].fr_runtime_seconds
+        runs = [
+            table6(context, benchmark_name="sysbench", reference_counts=(4, 32))
+            for _ in range(BEST_OF)
+        ]
+        rows = runs[0]
+        fastest = [min(run[i].fr_runtime_seconds for run in runs) for i in (0, 1)]
+        assert fastest[1] > fastest[0]
         for row in rows:
             assert row.mean_q_error >= 1.0
             assert 0.0 <= row.reduction_ratio <= 1.0
@@ -119,11 +130,16 @@ class TestTable6:
 
 class TestTable7AndFigure8:
     def test_transfer_beats_direct_on_small_h2_data(self, context):
-        rows = table7(context, benchmarks=("sysbench",))
+        runs = [table7(context, benchmarks=("sysbench",)) for _ in range(BEST_OF)]
+        rows = runs[0]
         by_model = {row.model: row for row in rows}
         assert set(by_model) == {"basis", "direct", "trans-FSO", "trans-FST"}
+        fastest = {
+            model: min(row.train_seconds for run in runs for row in run if row.model == model)
+            for model in by_model
+        }
         # Transfer retraining is much cheaper than direct training.
-        assert by_model["trans-FST"].train_seconds < by_model["direct"].train_seconds
+        assert fastest["trans-FST"] < fastest["direct"]
         assert reporting.render_table7(rows)
 
     def test_transfer_converges_faster(self, context):

@@ -38,12 +38,12 @@ def test_ring_is_bounded_keeping_newest():
 def test_filter_and_limit():
     log = EventLog()
     log.emit("deploy", seq=0)
-    log.emit("shard_killed", shard="s0")
+    log.emit("worker_killed", worker="w0")
     log.emit("deploy", seq=1)
     deploys = log.events(event_type="deploy")
     assert [e.data["seq"] for e in deploys] == [0, 1]
     assert [e.data["seq"] for e in log.events(event_type="deploy", limit=1)] == [1]
-    assert [d["type"] for d in log.as_dicts(limit=2)] == ["shard_killed", "deploy"]
+    assert [d["type"] for d in log.as_dicts(limit=2)] == ["worker_killed", "deploy"]
 
 
 def test_subscribers_fire_and_crashes_are_contained():
@@ -63,10 +63,9 @@ def test_subscribers_fire_and_crashes_are_contained():
 def test_vocabulary_covers_the_stack():
     expected = {
         "deploy", "promotion", "rollback", "drift_trip", "miss_rate_trip",
-        "shard_killed", "shard_ejected", "shard_revived", "shard_restarted",
         "checkpoint_write", "checkpoint_error", "checkpoint_restore",
         "checkpoint_failover_older", "admission_shed",
-        # process tier: real-pid lifecycle
+        # replica tier: real-pid lifecycle
         "worker_spawned", "worker_killed", "worker_died", "worker_revived",
         "worker_ejected", "worker_sync_failed", "bundle_deployed",
         "tier_restored",

@@ -1,16 +1,17 @@
-"""End-to-end observability: cluster traces, thin-view counters,
-live Prometheus exposition, report rendering."""
+"""End-to-end observability: thin-view counters, live Prometheus
+exposition, report rendering."""
 
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 
 sys.path.insert(0, "tools")
 from check_prom import check_prometheus_text  # noqa: E402
 
-from repro.cluster import ClusterService
+from repro.cluster.proc import ProcClusterService
 from repro.core import QCFE, QCFEConfig
 from repro.engine.environment import random_environments
 from repro.eval.reporting import render_obs_report
@@ -34,40 +35,6 @@ def trained_bundle(sysbench, serving_envs):
     )
     pipeline.fit(labeled)
     return pipeline.export_bundle(), labeled
-
-
-def test_cluster_trace_links_five_plus_spans(trained_bundle, serving_envs):
-    """The acceptance trace: one retained trace holding the full
-    route -> request -> parse/plan/featurize/predict chain."""
-    bundle, labeled = trained_bundle
-    tracer = Tracer(sample_rate=1.0, seed=11)
-    with ClusterService(shard_count=2, tracer=tracer) as cluster:
-        cluster.deploy(bundle)
-        cluster.estimate(labeled[0].query_sql, serving_envs[0])
-
-    routed = [
-        t
-        for t in tracer.traces(kind="route")
-        if any(s["name"] == "route" for s in t["spans"])
-    ]
-    assert routed, "the routing hop must share the request trace"
-    trace = routed[-1]
-    spans = trace["spans"]
-    assert len(spans) >= 5
-    names = {span["name"] for span in spans}
-    assert {"route", "request", "parse", "plan", "featurize", "predict"} <= names
-
-    # All spans belong to one trace and chain to the single root.
-    assert {span["trace_id"] for span in spans} == {trace["trace_id"]}
-    by_id = {span["span_id"]: span for span in spans}
-    roots = [span for span in spans if span["parent_id"] is None]
-    assert len(roots) == 1 and roots[0]["name"] == "route"
-    for span in spans:
-        if span["parent_id"] is not None:
-            assert span["parent_id"] in by_id
-    request = next(span for span in spans if span["name"] == "request")
-    assert request["parent_id"] == roots[0]["span_id"]
-    assert "shard" in roots[0]["annotations"]
 
 
 def test_service_counters_is_a_registry_view(trained_bundle, serving_envs):
@@ -107,20 +74,31 @@ def test_optional_sections_are_omitted(trained_bundle):
 def test_live_expositions_parse_under_check_prom(
     trained_bundle, serving_envs
 ):
+    """The process tier's exposition, with every worker's folded
+    sections, and one service's both lint clean."""
     bundle, labeled = trained_bundle
     tracer = Tracer(sample_rate=1.0, seed=3)
-    with ClusterService(shard_count=2, tracer=tracer) as cluster:
-        cluster.deploy(bundle)
+    with ProcClusterService(worker_count=2, tracer=tracer) as tier:
+        tier.deploy(bundle)
         for record in labeled[:4]:
-            cluster.estimate(record.query_sql, serving_envs[0])
-        cluster_text = cluster.metrics.render_prometheus()
-        service_text = (
-            cluster.shard(cluster.shard_of(bundle.name))
-            .service.metrics.render_prometheus()
-        )
-    assert check_prometheus_text(cluster_text) == []
+            tier.estimate(record.query_sql, serving_envs[0])
+        home = tier.worker_of(bundle.name)
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            workers = tier.counters()["workers"]
+            if all("sections" in snap for snap in workers.values()):
+                break
+            time.sleep(0.05)
+        tier_text = tier.metrics.render_prometheus()
+    with CostService(snapshot_store=SnapshotStore()) as service:
+        service.deploy(bundle)
+        service.estimate(labeled[0].query_sql, serving_envs[0])
+        service_text = service.metrics.render_prometheus()
+    assert check_prometheus_text(tier_text) == []
     assert check_prometheus_text(service_text) == []
-    assert "repro_cluster_routed" in cluster_text
+    assert "repro_cluster_routed" in tier_text
+    assert f'repro_cluster_routed{{shard="{home}"}} 4' in tier_text
+    assert "repro_workers_" in tier_text
     assert "repro_service_requests" in service_text
 
 

@@ -1,11 +1,10 @@
-"""Warm-boot paths: whole CostService and per-replica ClusterService."""
+"""Warm-boot paths of a whole CostService."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterService
 from repro.engine.environment import random_environments
 from repro.persist import list_checkpoints
 from repro.serving import (
@@ -175,146 +174,3 @@ def test_restore_fails_over_corrupt_newest_then_cold(
         assert len(cold.registry) == 0
     finally:
         cold.close()
-
-
-# ----------------------------------------------------------------------
-# the cluster tier
-# ----------------------------------------------------------------------
-def _cluster() -> ClusterService:
-    return ClusterService(
-        shard_count=2,
-        service_factory=lambda sid: CostService(
-            snapshot_store=SnapshotStore(), snapshot_scale=2
-        ),
-    )
-
-
-def test_cluster_save_restore_per_replica(tmp_path, qppnet_setup):
-    envs, labeled = qppnet_setup["envs"], qppnet_setup["labeled"]
-    cluster = _cluster()
-    try:
-        cluster.deploy(qppnet_setup["bundle"], name="t0")
-        cluster.deploy(qppnet_setup["bundle"], name="t1")
-        for record in labeled[:8]:
-            cluster.estimate(record.plan, envs[0], bundle="t0")
-        paths = cluster.save(tmp_path)
-        assert set(paths) == {"shard-0", "shard-1"}
-
-        fresh = _cluster()
-        try:
-            warm = fresh.restore(tmp_path)
-            assert warm == {"shard-0": True, "shard-1": True}
-            want = cluster.shard("shard-0").service.estimate_many(
-                [r.plan for r in labeled], envs[0], bundle="t0"
-            )
-            got = fresh.shard("shard-0").service.estimate_many(
-                [r.plan for r in labeled], envs[0], bundle="t0"
-            )
-            assert np.array_equal(want, got)
-        finally:
-            fresh.close()
-    finally:
-        cluster.close()
-
-
-def test_cluster_partial_restore_backfills_cold_replicas(
-    tmp_path, qppnet_setup
-):
-    """A fresh process restoring with one dead checkpoint: the cold
-    replica is backfilled from the warm one's restored bundles, the
-    routing bookkeeping is rebuilt, and every tenant stays servable
-    on every shard (the failover invariant)."""
-    envs, labeled = qppnet_setup["envs"], qppnet_setup["labeled"]
-    cluster = _cluster()
-    try:
-        cluster.deploy(qppnet_setup["bundle"], name="t0")
-        cluster.deploy(qppnet_setup["bundle"], name="t1")
-        cluster.save(tmp_path)
-    finally:
-        cluster.close()
-    for _, path in list_checkpoints(tmp_path / "shard-1"):
-        path.write_bytes(b"rotten")
-
-    fresh = _cluster()  # a brand-new process: no retained bundles
-    try:
-        warm = fresh.restore(tmp_path)
-        assert warm == {"shard-0": True, "shard-1": False}
-        assert set(fresh.deployed_names()) == {"t0", "t1"}
-        for shard_id in ("shard-0", "shard-1"):
-            for name in ("t0", "t1"):
-                value = fresh.shard(shard_id).service.estimate(
-                    labeled[0].plan, envs[0], bundle=name
-                )
-                assert np.isfinite(value)
-        # The warm replica's restored registry was left untouched.
-        assert (
-            fresh.shard("shard-0").service.counters()["registry"][
-                "restored_from_checkpoint"
-            ]
-            == 2
-        )
-    finally:
-        fresh.close()
-
-
-def test_restart_shard_cold_redeploys_and_revives(qppnet_setup):
-    envs, labeled = qppnet_setup["envs"], qppnet_setup["labeled"]
-    cluster = _cluster()
-    try:
-        cluster.deploy(qppnet_setup["bundle"], name="t0")
-        victim = cluster.shard_of("t0")
-        cluster.kill_shard(victim)
-        assert cluster.restart_shard(victim) is False  # cold
-        assert cluster.shard_of("t0") == victim  # back in routing
-        value = cluster.estimate(labeled[0].plan, envs[0], bundle="t0")
-        assert np.isfinite(value)
-        counters = cluster.shard(victim).service.counters()
-        assert counters["registry"]["restored_from_checkpoint"] == 0
-    finally:
-        cluster.close()
-
-
-def test_restart_shard_warm_restores_the_replica(tmp_path, qppnet_setup):
-    envs, labeled = qppnet_setup["envs"], qppnet_setup["labeled"]
-    plans = [record.plan for record in labeled]
-    cluster = _cluster()
-    try:
-        cluster.deploy(qppnet_setup["bundle"], name="t0")
-        victim = cluster.shard_of("t0")
-        victim_service = cluster.shard(victim).service
-        reference = victim_service.estimate_many(plans, envs[0], bundle="t0")
-        ckpt_dir = tmp_path / victim
-        victim_service.save(ckpt_dir)
-
-        cluster.kill_shard(victim)
-        assert cluster.restart_shard(victim, checkpoint_dir=ckpt_dir) is True
-        restored = cluster.shard(victim).service
-        assert restored is not victim_service
-        assert np.array_equal(
-            restored.estimate_many(plans, envs[0], bundle="t0"), reference
-        )
-        assert (
-            restored.counters()["registry"]["restored_from_checkpoint"] == 1
-        )
-    finally:
-        cluster.close()
-
-
-def test_restart_shard_with_dead_checkpoint_falls_back_cold(
-    tmp_path, qppnet_setup
-):
-    envs, labeled = qppnet_setup["envs"], qppnet_setup["labeled"]
-    cluster = _cluster()
-    try:
-        cluster.deploy(qppnet_setup["bundle"], name="t0")
-        victim = cluster.shard_of("t0")
-        ckpt_dir = tmp_path / victim
-        path = cluster.shard(victim).service.save(ckpt_dir)
-        path.write_bytes(b"not a checkpoint")
-        cluster.kill_shard(victim)
-        assert cluster.restart_shard(victim, checkpoint_dir=ckpt_dir) is False
-        # Cold but serving: the retained bundle was re-deployed.
-        value = cluster.estimate(labeled[0].plan, envs[0], bundle="t0")
-        assert np.isfinite(value)
-    finally:
-        cluster.close()
