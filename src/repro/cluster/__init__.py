@@ -16,7 +16,7 @@ while keeping its API:
 - :class:`ProcClusterService` (:mod:`repro.cluster.proc`) — the
   facade over real worker *processes*: per-pid ``CostService``
   replicas behind the same ``estimate`` / ``estimate_many`` /
-  ``estimate_async`` / ``record_feedback`` / ``report`` surface, a
+  ``estimate_async`` / ``report`` surface, a
   length-prefixed IPC protocol that also carries the model weights to
   every worker, and a supervisor that spawns/kills/revives/ejects pids
   with sentinel-fd death detection.

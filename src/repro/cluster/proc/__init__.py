@@ -11,10 +11,11 @@ time-sliced inside one interpreter.  The pieces:
   ``CostService`` warm-booted from ``repro.persist`` checkpoints,
   serving frames until EOF;
 - :mod:`~repro.cluster.proc.supervisor` — spawn/kill/revive/eject over
-  real pids, with sentinel-fd death certification and heartbeats;
+  real pids, with sentinel-fd death certification and a heartbeat
+  that doubles as the counters pull;
 - :mod:`~repro.cluster.proc.service` — :class:`ProcClusterService`,
   the same ``estimate`` / ``estimate_many`` / ``estimate_async`` /
-  ``record_feedback`` / ``report`` surface as one ``CostService``.
+  ``report`` surface as one ``CostService``.
 
 See ``docs/SERVING.md`` (process tier) for the wire format, how the
 weights reach the workers and the supervisor state machine.

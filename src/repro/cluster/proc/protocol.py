@@ -18,8 +18,8 @@ predictions bit-identical to the in-process tier.  Three tails exist:
 a ``sync`` frame's checkpoint image (:mod:`repro.persist.checkpoint`
 owns its layout and checks; the header carries only ``generation``),
 reply prediction vectors (:func:`floats_to_tail`), and the **request
-blob** every plan-carrying frame (``estimate``, ``estimate_many``,
-``record_feedback``) ships its queries and environment in:
+blob** both plan-carrying frames (``estimate``, ``estimate_many``)
+ship their queries and environment in:
 
 .. code-block:: text
 

@@ -5,7 +5,8 @@ GIL), fed over the :mod:`.protocol` frame socket and supervised by
 :class:`~repro.cluster.proc.supervisor.ProcSupervisor`.  Replicas in
 one interpreter would share its GIL and add only routing, so this is
 the one replica tier; a single ``CostService`` is the in-process
-alternative.
+alternative.  Workers run no adaptation loop, so the tier takes no
+feedback: drift-driven refits run on an in-process ``CostService``.
 
 State flows one way.  The parent keeps a hidden **template**
 ``CostService`` that never serves requests: ``deploy``/``restore``
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Future
-from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,38 +70,25 @@ class ProcClusterService(ReplicaTier):
     def __init__(
         self,
         worker_count: int = 2,
-        worker_ids: Optional[Sequence[str]] = None,
         config: Optional[ProcConfig] = None,
-        failure_threshold: int = 3,
         max_inflight_per_worker: int = 64,
-        checkpoint_spool=None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         events: Optional[EventLog] = None,
-        **service_kwargs,
     ):
         """Spawn the fleet (cold) and start supervision.
 
-        *service_kwargs* are JSON-able ``CostService`` knobs shipped to
-        every worker (``cache_capacity``, ``batch_max``, ...); the
-        hidden template service is built from the same knobs so the
-        state it publishes matches what workers expect.
-        *checkpoint_spool* (a directory) enables the persist spool:
-        every deploy/restore writes a retained checkpoint there and
-        revived workers warm-boot from it before their first sync.
-        The caller's *config* is never mutated: the tier works on a
-        copy with the knobs and the spool merged in.
+        *config* carries everything the workers are built from: its
+        ``service`` knobs (``cache_capacity``, ``batch_max``, ...) are
+        shipped to every worker, and the hidden template service is
+        built from the same knobs so the state it publishes matches
+        what workers expect.  Its ``checkpoint_dir`` enables the
+        persist spool: every deploy/restore writes a retained
+        checkpoint there and revived workers warm-boot from it before
+        their first sync.
         """
-        super().__init__(
-            worker_count, worker_ids, failure_threshold, metrics, tracer, events
-        )
-        config = config or ProcConfig()
-        self._spool = str(checkpoint_spool) if checkpoint_spool else None
-        self.config = replace(
-            config,
-            service={**config.service, **service_kwargs},
-            checkpoint_dir=config.checkpoint_dir or self._spool,
-        )
+        super().__init__(worker_count, metrics, tracer, events)
+        self.config = config or ProcConfig()
         #: The hidden state-authority service (never serves requests).
         self.template = CostService(
             metrics=MetricsRegistry(),
@@ -195,8 +182,10 @@ class ProcClusterService(ReplicaTier):
             current = self._current_sync
             if current is not None and current[0] > generation:
                 return
-            if self._spool:
-                write_retained_bytes(image, self._spool, retain=3)
+            if self.config.checkpoint_dir:
+                write_retained_bytes(
+                    image, self.config.checkpoint_dir, retain=3
+                )
             self._current_sync = (generation, image)
 
     def _sync(self, handles: Sequence[WorkerHandle]) -> None:
@@ -369,27 +358,6 @@ class ProcClusterService(ReplicaTier):
 
         return self._with_failover(key, _submit, release_on_success=False)
 
-    def record_feedback(
-        self,
-        query,
-        env,
-        actual_ms: Optional[float] = None,
-        bundle: Optional[str] = None,
-        tenant: Optional[str] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        """Report an actual runtime to the tenant worker's service.
-        Workers run no adaptation loop, so the record is dropped there;
-        an unknown backend tag still raises, typed."""
-        key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {"bundle": name, "backend": backend, "actual_ms": actual_ms}
-        blob = protocol.encode_request([query], env)
-
-        def _call(handle: WorkerHandle) -> None:
-            handle.rpc("record_feedback", payload, blob)
-
-        self._with_failover(key, _call)
-
     # ------------------------------------------------------------------
     # worker lifecycle (failure injection + operations)
     # ------------------------------------------------------------------
@@ -477,11 +445,15 @@ class ProcClusterService(ReplicaTier):
         :class:`~repro.errors.CheckpointError`) undoes the restore the
         way a failed :meth:`deploy` is undone: every name keeps the
         bundle it had, and :meth:`deployed_names` its deploy order.
+        The template's feature and template caches are put back as
+        they were, so no later image ships the checkpoint's entries.
         """
         from ...persist import restore_service_checkpoint
 
         registry = self.template.registry
         previous = {name: registry.get(name) for name in registry.names()}
+        caches = (self.template.cache, self.template.template_cache)
+        cached = [cache.export_entries() for cache in caches]
         with self._lock:
             deployed = list(self._deployed)
         restored, _path = restore_service_checkpoint(
@@ -496,6 +468,9 @@ class ProcClusterService(ReplicaTier):
         except ReproError:
             for name in set(registry.names()) | set(previous):
                 registry.reinstate(name, previous.get(name))
+            for cache, entries in zip(caches, cached, strict=True):
+                cache.clear()
+                cache.restore_entries(entries)
             with self._lock:
                 self._deployed = deployed
             raise

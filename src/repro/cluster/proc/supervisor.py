@@ -19,18 +19,19 @@ replies through a buffered :class:`~.protocol.FrameReader`, so a
 drain's worth of replies costs one ``recv``.
 
 :class:`ProcSupervisor` owns the fleet: it sweeps request deadlines,
-sends heartbeat pings (a live-but-wedged worker misses enough pongs
-to be killed and treated as dead), refreshes per-worker counter
-snapshots for the parent metrics registry, and runs the
-revive-vs-eject policy — a dead worker is respawned and re-synced up
+sends each worker a heartbeat ``counters`` request — the reply both
+proves the worker alive and refreshes its counter snapshot for the
+parent metrics registry, and a live-but-wedged worker misses enough
+replies to be killed and treated as dead — and runs the
+revive-vs-eject policy: a dead worker is respawned and re-synced up
 to ``max_revives`` times, then permanently ejected from routing.  The
 state machine per worker::
 
-    spawned ──hello──▶ up ──sentinel EOF / missed pongs──▶ dead
-       ▲                                                    │
-       └────────── revive (revives < max_revives) ──────────┤
-                                                            ▼
-                                                         ejected
+    spawned ──hello──▶ up ──sentinel EOF / missed replies──▶ dead
+       ▲                                                      │
+       └─────────── revive (revives < max_revives) ───────────┤
+                                                              ▼
+                                                           ejected
 """
 
 from __future__ import annotations
@@ -69,22 +70,20 @@ class ProcConfig:
     service: Dict[str, object] = field(default_factory=dict)
     #: Spool directory workers warm-boot from (None → cold boot).
     checkpoint_dir: Optional[str] = None
-    #: Per-request deadline (estimate/feedback/counters RPCs).
+    #: Per-request deadline (estimates and direct ``rpc`` calls).
     request_timeout_s: float = 30.0
     #: How long a fresh worker may take to say hello.
     boot_timeout_s: float = 60.0
     #: Deadline for installing a published state in a worker.
     sync_timeout_s: float = 60.0
-    #: Heartbeat ping cadence.
+    #: Heartbeat cadence: one ``counters`` request per worker.
     heartbeat_interval_s: float = 1.0
-    #: Missed-pong budget before a live pid is declared hung.
+    #: Missed-heartbeat budget before a live pid is declared hung.
     heartbeat_miss_limit: int = 5
     #: Times a dead worker is respawned before permanent ejection.
     max_revives: int = 2
     #: Monitor loop tick.
     poll_interval_s: float = 0.05
-    #: Counter-snapshot refresh cadence (parent metrics folding).
-    counters_interval_s: float = 1.0
 
 
 class _Pending:
@@ -465,7 +464,6 @@ class ProcSupervisor:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._last_heartbeat = 0.0
-        self._last_counters = 0.0
         self.deaths = 0
         self.revive_count = 0
         self.ejections = 0
@@ -510,7 +508,7 @@ class ProcSupervisor:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        """Monitor loop: sentinels, deadlines, heartbeats, counters."""
+        """Monitor loop: sentinels, deadlines, heartbeats."""
         while not self._stop.is_set():
             events = self._selector.select(timeout=self.config.poll_interval_s)
             dead: List[str] = []
@@ -533,12 +531,11 @@ class ProcSupervisor:
             if now - self._last_heartbeat >= self.config.heartbeat_interval_s:
                 self._last_heartbeat = now
                 self._heartbeat(now)
-            if now - self._last_counters >= self.config.counters_interval_s:
-                self._last_counters = now
-                self._refresh_counters()
 
     def _heartbeat(self, now: float) -> None:
-        """Ping every live worker; kill the ones that stopped ponging."""
+        """Send every live worker a ``counters`` request; a reply
+        proves it alive (``last_pong``) and lands in
+        ``cached_counters``.  Kill the ones that stopped replying."""
         budget = (
             self.config.heartbeat_interval_s * self.config.heartbeat_miss_limit
         )
@@ -556,35 +553,19 @@ class ProcSupervisor:
                 continue
             try:
                 future = handle.submit(
-                    "ping", {}, timeout_s=self.config.heartbeat_interval_s
+                    "counters", {}, timeout_s=self.config.heartbeat_interval_s
                 )
             except ReproError:
                 continue  # death path will run via sentinel
 
-            def _pong(fut: Future, handle=handle) -> None:
+            def _on_reply(fut: Future, handle=handle) -> None:
                 if fut.exception() is None:
                     handle.last_pong = time.monotonic()
-
-            future.add_done_callback(_pong)
-
-    def _refresh_counters(self) -> None:
-        """Async counter pulls; snapshots land in ``cached_counters``."""
-        for handle in list(self.handles.values()):
-            if not handle.alive:
-                continue
-            try:
-                future = handle.submit("counters", {})
-            except ReproError:
-                continue
-
-            def _store(fut: Future, handle=handle) -> None:
-                if fut.exception() is None:
-                    header, _tail = fut.result()
-                    value = header.get("value")
+                    value = fut.result()[0].get("value")
                     if isinstance(value, dict):
                         handle.cached_counters = value
 
-            future.add_done_callback(_store)
+            future.add_done_callback(_on_reply)
 
     def _handle_death(self, worker_id: str, reason: str) -> None:
         """The revive-vs-eject policy for one certified death."""

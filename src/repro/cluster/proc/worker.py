@@ -83,9 +83,7 @@ class WorkerRuntime:
         self.worker_id = str(config.get("worker_id", "?"))
         self.metrics = MetricsRegistry()
         self.service = CostService(
-            snapshot_store=(
-                SnapshotStore() if config.get("snapshot_store", True) else None
-            ),
+            snapshot_store=SnapshotStore(),
             cache_capacity=int(config.get("cache_capacity", 2048)),
             batch_max=int(config.get("batch_max", 64)),
             batch_window_s=float(config.get("batch_window_s", 0.002)),
@@ -134,15 +132,6 @@ class WorkerRuntime:
         if handler is None:
             raise ProtocolError(f"unknown request kind {kind!r}")
         return handler(header, tail)
-
-    def _on_ping(self, header, tail):
-        """Liveness probe; replies with uptime and request totals."""
-        return {
-            "value": "pong",
-            "pid": os.getpid(),
-            "uptime_s": time.monotonic() - self.started,
-            "requests": self.requests,
-        }, b""
 
     def _on_delay(self, header, tail):
         """Fault-injection hook: occupy the worker for ``seconds`` so
@@ -215,21 +204,9 @@ class WorkerRuntime:
         fragment, blob = protocol.floats_to_tail(np.asarray(values))
         return {"values": fragment}, blob
 
-    def _on_record_feedback(self, header, tail):
-        """Stream one feedback record into the adaptation loop."""
-        query, env = self._single_request(tail, {})
-        actual = header.get("actual_ms")
-        self.service.record_feedback(
-            query,
-            env,
-            actual_ms=float(actual) if actual is not None else None,
-            bundle=_optional(header, "bundle"),
-            backend=_optional(header, "backend"),
-        )
-        return {"value": "recorded"}, b""
-
     def _on_counters(self, header, tail):
-        """The worker's full metrics snapshot for parent-side folding."""
+        """The worker's full metrics snapshot for parent-side folding;
+        also the supervisor's heartbeat, whose reply proves liveness."""
         sections = _json_safe(self.service.counters())
         return {
             "value": {

@@ -11,9 +11,9 @@ subclass over stand-in replicas without spawning a worker.
 
 A subclass supplies :meth:`ReplicaTier._replica` (the replica by id,
 looked up afresh on every attempt) and its admission gates
-(:attr:`ReplicaTier._admission`).  Replicas are workers: ids default
-to ``worker-<i>``, and events, span annotations and error messages
-name them ``worker``.
+(:attr:`ReplicaTier._admission`).  Replicas are workers: ids are
+``worker-<i>``, and events, span annotations and error messages name
+them ``worker``.
 """
 
 from __future__ import annotations
@@ -82,23 +82,17 @@ class ReplicaTier:
     def __init__(
         self,
         count: int,
-        replica_ids: Optional[Sequence[str]],
-        failure_threshold: int,
         metrics: Optional[MetricsRegistry],
         tracer: Optional[Tracer],
         events: Optional[EventLog],
     ):
-        """Shared state over *replica_ids* (default ``worker-<i>``)."""
-        if replica_ids is None:
-            if count < 1:
-                raise ClusterError(f"worker_count must be >= 1, got {count}")
-            replica_ids = [f"worker-{i}" for i in range(count)]
+        """Shared state over *count* replicas, ``worker-0`` onwards."""
+        if count < 1:
+            raise ClusterError(f"worker_count must be >= 1, got {count}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events if events is not None else EventLog()
         self.tracer = tracer if tracer is not None else current_tracer()
-        self.router = ShardRouter(
-            replica_ids, failure_threshold=failure_threshold
-        )
+        self.router = ShardRouter([f"worker-{i}" for i in range(count)])
         self.stats = ClusterStats(self.router.shard_ids())
         self._lock = make_lock("cluster.tier")
         self._deployed: List[str] = []

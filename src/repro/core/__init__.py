@@ -8,7 +8,6 @@ from .snapshot import (
     collect_operator_samples,
     fit_snapshot,
     fit_snapshot_from_queries,
-    fit_snapshot_set,
 )
 from .templates import (
     SimplifiedTemplate,
@@ -47,7 +46,6 @@ __all__ = [
     "collect_operator_samples",
     "fit_snapshot",
     "fit_snapshot_from_queries",
-    "fit_snapshot_set",
     "TemplateInfo",
     "SimplifiedTemplate",
     "parse_template_info",

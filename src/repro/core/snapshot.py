@@ -252,16 +252,3 @@ def fit_snapshot_from_queries(
     snapshot.collection_ms = collection_ms
     return snapshot
 
-
-def fit_snapshot_set(
-    queries_by_env: Mapping[str, Sequence[SelectQuery]],
-    simulators: Mapping[str, ExecutionSimulator],
-    source: str = "original",
-) -> SnapshotSet:
-    """Fit one snapshot per environment and bundle them."""
-    snapshots = []
-    for env_name, queries in queries_by_env.items():
-        snapshots.append(
-            fit_snapshot_from_queries(queries, simulators[env_name], source=source)
-        )
-    return SnapshotSet(snapshots)

@@ -1,7 +1,7 @@
 """repro.obs — observability substrate for the serving stack.
 
 Three pieces, wired through every layer (serving, batcher, caches,
-adaptation, cluster, persist, bench):
+adaptation, cluster, persist):
 
 - :class:`MetricsRegistry` — the unified counter/gauge/histogram
   registry.  Every subsystem's stats object registers its atomic
@@ -9,8 +9,7 @@ adaptation, cluster, persist, bench):
   ``ProcClusterService.counters()`` are thin views over it, and the same
   snapshot renders as Prometheus text
   (:meth:`MetricsRegistry.render_prometheus`) or JSON.  Histograms
-  share the bench harness's fixed-memory log bucketing
-  (:mod:`repro.obs.histogram`).
+  use one fixed-memory log bucketing (:mod:`repro.obs.histogram`).
 - :class:`Tracer` / :class:`Span` — per-request traces with context
   propagation through the sync, batched and async paths, batch spans
   linked to every coalesced request, cluster routing hops, cache

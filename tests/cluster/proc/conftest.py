@@ -20,7 +20,6 @@ def fast_config(**overrides) -> ProcConfig:
         heartbeat_miss_limit=20,
         max_revives=2,
         poll_interval_s=0.02,
-        counters_interval_s=0.3,
     )
     defaults.update(overrides)
     return ProcConfig(**defaults)

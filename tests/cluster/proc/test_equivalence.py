@@ -97,8 +97,8 @@ def test_coalesced_burst_is_bit_identical_and_isolates_bad_requests(
     """A burst of async estimates reaches one worker as coalesced
     writes and is served by fused batches: every value still equals an
     in-process ``estimate_many``, the 3 unknown-backend requests mixed
-    in fail alone (typed), a ping in the middle is answered, and the
-    worker's counters reconcile."""
+    in fail alone (typed), a ``counters`` frame in the middle is
+    answered, and the worker's counters reconcile."""
     bundle, labeled = cluster_bundle
     # Two of the four environments are new to the bundle.  Grafting a
     # snapshot changes the bundle every later estimate uses, so both
@@ -121,13 +121,13 @@ def test_coalesced_burst_is_bit_identical_and_isolates_bad_requests(
                     tier.estimate_async(plan, env, backend="no-such-engine")
                 )
             if i == 64:
-                ping = handle.submit("ping", {})
+                probe = handle.submit("counters", {})
             good.append(tier.estimate_async(plan, env))
         values = np.array([future.result(timeout=60.0) for future in good])
         for future in bad:
             with pytest.raises(UnknownBackendError):
                 future.result(timeout=60.0)
-        assert ping.result(timeout=60.0)[0]["value"] == "pong"
+        assert probe.result(timeout=60.0)[0]["value"]["pid"] == handle.pid
         after = handle.rpc("counters", {})[0]["value"]
 
     with CostService(snapshot_store=SnapshotStore()) as single:

@@ -282,7 +282,7 @@ def test_a_failed_spool_write_installs_no_new_generation(
     sql, env = labeled[0].query_sql, cluster_envs[0]
     spool = tmp_path / "spool"
     with ProcClusterService(
-        worker_count=2, config=fast_config(), checkpoint_spool=spool
+        worker_count=2, config=fast_config(checkpoint_dir=str(spool))
     ) as tier:
         name = tier.deploy(bundle)
         expected = tier.estimate(sql, env)
@@ -319,7 +319,7 @@ def test_a_failed_deploy_leaves_the_bundle_unlisted_and_unshipped(
     sql, env = labeled[0].query_sql, cluster_envs[0]
     spool = tmp_path / "spool"
     with ProcClusterService(
-        worker_count=1, config=fast_config(), checkpoint_spool=spool
+        worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as tier:
         tier.deploy(bundle, name="a")
         deployed_a = tier.template.registry.get("a")
@@ -366,7 +366,7 @@ def test_a_failed_restore_leaves_only_served_bundles_listed(
         save_service_checkpoint(donor, str(checkpoint))
     spool = tmp_path / "spool"
     with ProcClusterService(
-        worker_count=1, config=fast_config(), checkpoint_spool=spool
+        worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as tier:
         tier.deploy(bundle, name="a")
         expected = tier.estimate(sql, env, bundle="a")
@@ -386,6 +386,50 @@ def test_a_failed_restore_leaves_only_served_bundles_listed(
         assert tier.deployed_names() == ["a", "c"]
         state, _ = decode_checkpoint(tier._current_sync[1])
         assert [e["name"] for e in state["registry"]["bundles"]] == ["a", "c"]
+
+
+def test_a_failed_restore_puts_the_template_caches_back(
+    cluster_bundle, cluster_envs, tmp_path
+):
+    """A restore whose spool write fails leaves the template's feature
+    and template caches holding the keys they held before, in the same
+    order, so a later image ships none of the checkpoint's entries."""
+    from repro.persist import decode_checkpoint
+
+    bundle, labeled = cluster_bundle
+    env = cluster_envs[0]
+    first, second = tmp_path / "first", tmp_path / "second"
+    with CostService(snapshot_store=SnapshotStore()) as donor:
+        donor.deploy(bundle, name="a")
+        for record in labeled[:2]:
+            donor.estimate(record.query_sql, env)
+        save_service_checkpoint(donor, str(first))
+        for record in labeled[2:6]:
+            donor.estimate(record.query_sql, env)
+        save_service_checkpoint(donor, str(second))
+    spool = tmp_path / "spool"
+    with ProcClusterService(
+        worker_count=1, config=fast_config(checkpoint_dir=str(spool))
+    ) as tier:
+        caches = (tier.template.cache, tier.template.template_cache)
+        assert tier.restore(first) is True
+        before = [list(cache.keys()) for cache in caches]
+        assert all(before)
+        shutil.rmtree(spool)
+        spool.write_bytes(b"a regular file where the spool was")
+
+        with pytest.raises(CheckpointError):
+            tier.restore(second)
+        assert [list(cache.keys()) for cache in caches] == before
+
+        spool.unlink()
+        tier.deploy(bundle, name="c")
+        state, _ = decode_checkpoint(tier._current_sync[1])
+        shipped = [
+            [entry["key"] for entry in state[section]["entries"]]
+            for section in ("feature_cache", "template_cache")
+        ]
+        assert shipped == before
 
 
 def test_concurrent_deploys_publish_the_newest_snapshot_last(

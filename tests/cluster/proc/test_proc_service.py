@@ -33,7 +33,6 @@ def test_estimate_surface(proc_service, cluster_bundle, cluster_envs):
     )
     assert many.shape == (6,) and many.dtype == np.float64
     assert proc_service.estimate_async(sql, env).result(timeout=30.0) == value
-    proc_service.record_feedback(sql, env, actual_ms=12.5)
     assert np.isfinite(
         proc_service.estimate(labeled[0].plan, env, bundle=bundle.name)
     )
@@ -57,7 +56,6 @@ def test_unencodable_request_fails_typed_before_routing(
         lambda: proc_service.estimate(plan, env),
         lambda: proc_service.estimate_async(plan, env),
         lambda: proc_service.estimate_many([plan], env),
-        lambda: proc_service.record_feedback(plan, env, actual_ms=1.0),
     ):
         with pytest.raises(ProtocolError):
             call()
@@ -71,7 +69,7 @@ def test_unencodable_request_fails_typed_before_routing(
     for handle in proc_service.supervisor.handles.values():
         with handle._lock:
             kinds = [entry.kind for entry in handle._pending.values()]
-        assert set(kinds) <= {"ping", "counters"}  # supervision traffic
+        assert set(kinds) <= {"counters"}  # supervision traffic
 
 
 def test_custom_hardware_under_a_profile_name_matches_the_thread_tier(
@@ -212,14 +210,14 @@ def test_warm_boot_from_spool(cluster_bundle, cluster_envs, tmp_path):
     sql, env = labeled[0].query_sql, cluster_envs[0]
     spool = tmp_path / "spool"
     with ProcClusterService(
-        worker_count=1, config=fast_config(), checkpoint_spool=str(spool)
+        worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as first:
         first.deploy(bundle)
         expected = first.estimate(sql, env)
         spawned = first.events.events("worker_spawned")
         assert spawned and spawned[0].data["warm"] is False  # nothing yet
     with ProcClusterService(
-        worker_count=1, config=fast_config(), checkpoint_spool=str(spool)
+        worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as second:
         spawned = second.events.events("worker_spawned")
         assert spawned and spawned[0].data["warm"] is True
@@ -238,7 +236,7 @@ def test_a_dead_spool_boots_workers_cold(cluster_bundle, cluster_envs, tmp_path)
         expected = single.estimate(sql, env)
         single.save(spool).write_bytes(b"not a checkpoint")
     with ProcClusterService(
-        worker_count=1, config=fast_config(), checkpoint_spool=str(spool)
+        worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as tier:
         spawned = tier.events.events("worker_spawned")
         assert spawned and spawned[0].data["warm"] is False
@@ -254,7 +252,7 @@ def test_the_newest_spool_file_is_the_sync_image(cluster_bundle, tmp_path):
     bundle, _ = cluster_bundle
     spool = tmp_path / "spool"
     with ProcClusterService(
-        worker_count=1, config=fast_config(), checkpoint_spool=str(spool)
+        worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as tier:
         tier.deploy(bundle)
         tier.deploy(bundle, name="tenant-b")
@@ -293,18 +291,15 @@ def test_every_sync_is_in_flight_before_a_reply_is_awaited(
 
 
 def test_the_callers_config_is_never_mutated(tmp_path):
-    """One ``ProcConfig`` can build many tiers: a tier merges its
-    service knobs and its checkpoint spool into a copy, so the
-    caller's config — and its ``service`` dict — stay as they were."""
-    config = fast_config()
+    """One ``ProcConfig`` can build many tiers: a tier reads its
+    service knobs and its checkpoint spool from the config and
+    changes neither it nor its ``service`` dict."""
+    spool = str(tmp_path / "spool")
+    config = fast_config(service={"cache_capacity": 64}, checkpoint_dir=spool)
     knobs = config.service
     before = dataclasses.asdict(config)
-    spool = str(tmp_path / "spool")
-    with ProcClusterService(
-        worker_count=1, config=config, checkpoint_spool=spool,
-        cache_capacity=64,
-    ) as tier:
-        assert tier.config.service["cache_capacity"] == 64
+    with ProcClusterService(worker_count=1, config=config) as tier:
+        assert tier.template.cache.capacity == 64
         assert tier.config.checkpoint_dir == spool
     assert dataclasses.asdict(config) == before
-    assert config.service is knobs and knobs == {}
+    assert config.service is knobs and knobs == {"cache_capacity": 64}

@@ -752,8 +752,30 @@ def test_unknown_request_kind_is_a_typed_reply_not_a_crash():
     try:
         with pytest.raises(ProtocolError):
             handle.rpc("no_such_kind", {})
-        header, _ = handle.rpc("ping", {})
-        assert header["value"] == "pong"
+        header, _ = handle.rpc("counters", {})
+        assert header["value"]["pid"] == handle.pid
+    finally:
+        handle.mark_dead(WorkerDiedError("fuzz test over"), kill=True)
+
+
+@pytest.mark.parametrize("kind", ["ping", "record_feedback"])
+def test_retired_request_kinds_are_typed_replies_amid_served_frames(kind):
+    """``ping`` (the heartbeat is a ``counters`` request) and
+    ``record_feedback`` (workers run no adaptation loop) are not
+    request kinds: sent between two ``counters`` frames, each gets a
+    typed ProtocolError while the frames around it are answered."""
+    handle = WorkerHandle("fuzz-retired", fast_config())
+    handle.spawn()
+    try:
+        before = handle.submit("counters", {})
+        retired = handle.submit(kind, {})
+        after = handle.submit("counters", {})
+        with pytest.raises(ProtocolError, match=kind):
+            retired.result(timeout=30.0)
+        served = [f.result(timeout=30.0)[0]["value"] for f in (before, after)]
+        assert [value["pid"] for value in served] == [handle.pid] * 2
+        assert served[1]["errors"] == served[0]["errors"] + 1
+        assert handle.alive
     finally:
         handle.mark_dead(WorkerDiedError("fuzz test over"), kill=True)
 
@@ -765,11 +787,11 @@ def test_wire_garbage_fails_pending_futures_typed_never_hangs():
     handle = WorkerHandle("fuzz-1", fast_config())
     handle.spawn()
     try:
-        header, _ = handle.rpc("ping", {})
-        assert header["value"] == "pong"
+        header, _ = handle.rpc("counters", {})
+        assert header["value"]["pid"] == handle.pid
         handle.sock.sendall(b"\x00" * 64)
         with pytest.raises((WorkerDiedError, ProtocolError)):
-            handle.submit("ping", {}, timeout_s=20.0).result(timeout=20.0)
+            handle.submit("counters", {}, timeout_s=20.0).result(timeout=20.0)
         handle.proc.wait(timeout=15.0)
         # Exit 2 is the worker's deliberate "lost frame sync" verdict.
         assert handle.proc.returncode == 2

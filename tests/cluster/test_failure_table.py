@@ -40,7 +40,7 @@ class FakeTier(ReplicaTier):
     ShardDownError."""
 
     def __init__(self, tracer=None, max_inflight=4):
-        super().__init__(3, None, 3, None, tracer, None)
+        super().__init__(3, None, tracer, None)
         self._admission = {
             replica_id: AdmissionController(max_inflight)
             for replica_id in self.router.shard_ids()
