@@ -61,7 +61,13 @@ from ...serving import CostService, EstimatorBundle
 from ..admission import AdmissionController
 from ..tier import ReplicaTier
 from . import protocol
-from .supervisor import ProcConfig, ProcSupervisor, WorkerHandle
+from .supervisor import (
+    SERVICE_KNOBS,
+    ProcConfig,
+    ProcSupervisor,
+    WorkerHandle,
+    service_kwargs,
+)
 
 
 class ProcClusterService(ReplicaTier):
@@ -82,28 +88,27 @@ class ProcClusterService(ReplicaTier):
         ``service`` knobs (``cache_capacity``, ``batch_max``, ...) are
         shipped to every worker, and the hidden template service is
         built from the same knobs so the state it publishes matches
-        what workers expect.  Its ``checkpoint_dir`` enables the
-        persist spool: every deploy/restore writes a retained
-        checkpoint there and revived workers warm-boot from it before
-        their first sync.
+        what workers expect.  A key outside
+        :data:`~.supervisor.SERVICE_KNOBS` raises
+        :class:`~repro.errors.ClusterError` before any worker spawns.
+        Its ``checkpoint_dir`` enables the persist spool: every
+        deploy/restore writes a retained checkpoint there and revived
+        workers warm-boot from it before their first sync.
         """
+        config = config or ProcConfig()
+        unknown = [key for key in config.service if key not in SERVICE_KNOBS]
+        if unknown:
+            raise ClusterError(
+                f"unknown ProcConfig.service key(s) {unknown}; "
+                f"accepted: {', '.join(SERVICE_KNOBS)}"
+            )
         super().__init__(worker_count, metrics, tracer, events)
-        self.config = config or ProcConfig()
+        self.config = config
         #: The hidden state-authority service (never serves requests).
         self.template = CostService(
             metrics=MetricsRegistry(),
             tracer=None,
-            **{
-                k: v
-                for k, v in self.config.service.items()
-                if k
-                in (
-                    "cache_capacity",
-                    "batch_max",
-                    "batch_window_s",
-                    "snapshot_scale",
-                )
-            },
+            **service_kwargs(self.config.service),
         )
         self._admission = {
             worker_id: AdmissionController(max_inflight_per_worker)

@@ -50,7 +50,7 @@ from queue import Empty, Queue
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ...errors import (
     ProtocolError,
@@ -62,11 +62,35 @@ from ...obs.lockwatch import make_lock
 from . import protocol
 
 
+#: The keys ``ProcConfig.service`` accepts: the ``CostService`` knobs
+#: every worker, and the tier's template service, is built with, then
+#: ``boot_delay_s``, the worker-only fault-injection hook that holds a
+#: worker inside its warm boot.
+SERVICE_KNOBS = (
+    "cache_capacity",
+    "batch_max",
+    "batch_window_s",
+    "snapshot_scale",
+    "boot_delay_s",
+)
+
+
+def service_kwargs(settings: Mapping[str, object]) -> Dict[str, object]:
+    """The ``CostService`` keywords among *settings*: each of
+    :data:`SERVICE_KNOBS` it sets, except the worker-only hook."""
+    return {
+        key: settings[key]
+        for key in SERVICE_KNOBS
+        if key in settings and key != "boot_delay_s"
+    }
+
+
 @dataclass
 class ProcConfig:
     """Tunables for the process tier (service knobs + supervision)."""
 
-    #: Service construction knobs forwarded verbatim to each worker.
+    #: Service construction knobs forwarded verbatim to each worker;
+    #: only the keys of :data:`SERVICE_KNOBS`.
     service: Dict[str, object] = field(default_factory=dict)
     #: Spool directory workers warm-boot from (None → cold boot).
     checkpoint_dir: Optional[str] = None

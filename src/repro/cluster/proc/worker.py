@@ -72,6 +72,7 @@ from ...persist import (
 from ...serving.service import CostService
 from ...serving.snapshot_store import SnapshotStore
 from . import protocol
+from .supervisor import service_kwargs
 
 
 class WorkerRuntime:
@@ -84,12 +85,9 @@ class WorkerRuntime:
         self.metrics = MetricsRegistry()
         self.service = CostService(
             snapshot_store=SnapshotStore(),
-            cache_capacity=int(config.get("cache_capacity", 2048)),
-            batch_max=int(config.get("batch_max", 64)),
-            batch_window_s=float(config.get("batch_window_s", 0.002)),
-            snapshot_scale=int(config.get("snapshot_scale", 8)),
             metrics=self.metrics,
             tracer=None,
+            **service_kwargs(config),
         )
         self.started = time.monotonic()
         self.requests = 0

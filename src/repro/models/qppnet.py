@@ -5,13 +5,18 @@ reads the operator's feature vector concatenated with the *data
 vectors* produced by its children's units, and outputs its subtree's
 predicted (log) latency plus a data vector passed to the parent.
 
-Training and serving share one grouping: each plan is featurized once
-into a :class:`~repro.models.prepared.PreparedPlan`, and a mini-batch
-(or a serving flush) is merged into ``(height, operator)`` groups so
-every unit runs once per group, children's groups before parents'.
-Training builds that as an autodiff graph: per group, one differentiable
-gather of the children's data vectors from earlier groups' outputs, one
-unit forward, and one slice of the group's predictions.
+Training and serving share one grouping, by ``(height, operator)``,
+so every unit runs once per group, children's groups before parents'
+(:mod:`repro.models.prepared`).  A flush of fresh plans is grouped as
+one forest: walked once, encoded per environment, grouped with one
+reverse pass and one sort, with no per-plan step.  A plan featurized on
+its own (``prepare_one``, the feature cache's value, each training
+plan) is a forest of one, a
+:class:`~repro.models.prepared.PreparedPlan`; cached flushes and
+training mini-batches merge those.  Training builds the merged groups
+as an autodiff graph: per group, one differentiable gather of the
+children's data vectors from earlier groups' outputs, one unit
+forward, and one slice of the group's predictions.
 
 Supervision follows QPPNet: every node's latency output is trained
 against the measured cumulative subtree time (EXPLAIN ANALYZE-style
@@ -51,11 +56,13 @@ from .base import (
 from .prepared import (
     MAX_CHILDREN,
     PreparedPlan,
+    forest_forward,
     fused_forward,
     merge_prepared,
     prepared_from_matrix,
     prepared_from_rows,
     walk_plan,
+    walk_plans,
 )
 
 _MAX_CHILDREN = MAX_CHILDREN
@@ -385,6 +392,19 @@ class QPPNet(CostEstimator):
         """
         return self._prepare_many([record], snapshot_set)[0]
 
+    def _environments(
+        self,
+        records: Sequence[LabeledPlan],
+        snapshot_set: Optional["SnapshotSet"],
+    ) -> List[Tuple[Optional[Dict], List[int]]]:
+        """The indices of *records* per snapshot mapping (one mapping per
+        environment), environments in first-seen order."""
+        by_mapping: Dict[int, Tuple[Optional[Dict], List[int]]] = {}
+        for i, record in enumerate(records):
+            mapping = snapshot_mapping_for(record, snapshot_set)
+            by_mapping.setdefault(id(mapping), (mapping, []))[1].append(i)
+        return list(by_mapping.values())
+
     def _prepare_many(
         self,
         records: Sequence[LabeledPlan],
@@ -392,19 +412,16 @@ class QPPNet(CostEstimator):
     ) -> List[PreparedPlan]:
         """:meth:`prepare_one` of every record, in order.
 
-        Each plan is walked once (:func:`~repro.models.prepared.walk_plan`);
-        the walk feeds both the encoder and the grouping.  Plans that
-        share a snapshot mapping (one environment) are encoded as one
-        matrix, then cut into per-plan row ranges: rows depend only on
-        their own node, so each plan gets the bits a lone encode gives.
+        Each plan is walked once (:func:`~repro.models.prepared.walk_plan`)
+        and grouped as a forest of one; the walk feeds both the encoder
+        and the grouping.  Plans that share a snapshot mapping (one
+        environment) are encoded as one matrix, then cut into per-plan
+        row ranges: rows depend only on their own node, so each plan
+        gets the bits a lone encode gives.
         """
         walks = [walk_plan(record.plan) for record in records]
-        by_mapping: Dict[int, Tuple[Optional[Dict], List[int]]] = {}
-        for i, record in enumerate(records):
-            mapping = snapshot_mapping_for(record, snapshot_set)
-            by_mapping.setdefault(id(mapping), (mapping, []))[1].append(i)
         prepared: Dict[int, PreparedPlan] = {}
-        for mapping, indices in by_mapping.values():
+        for mapping, indices in self._environments(records, snapshot_set):
             matrix = self._masked_matrix(
                 [node for i in indices for node in walks[i].nodes], mapping
             )
@@ -416,6 +433,36 @@ class QPPNet(CostEstimator):
                 )
                 lo = hi
         return [prepared[i] for i in range(len(records))]
+
+    def _forest_roots(
+        self,
+        records: Sequence[LabeledPlan],
+        snapshot_set: Optional["SnapshotSet"],
+    ) -> np.ndarray:
+        """Root log-latency of every record, its plans grouped as one
+        forest (:func:`~repro.models.prepared.forest_forward`).
+
+        The plans are walked once, environment by environment, so each
+        environment's nodes are one contiguous run of the forest and
+        encode as one matrix; the forest's roots are then put back in
+        input order.  No per-plan :class:`PreparedPlan` is built.
+        """
+        environments = self._environments(records, snapshot_set)
+        order = [i for _, indices in environments for i in indices]
+        walk = walk_plans([records[i].plan for i in order])
+        bounds = [*walk.roots, len(walk.nodes)]
+        matrices = []
+        first = 0
+        for mapping, indices in environments:
+            rows = slice(bounds[first], bounds[first + len(indices)])
+            matrices.append(self._masked_matrix(walk.nodes[rows], mapping))
+            first += len(indices)
+        matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
+        roots = np.empty(len(records))
+        roots[order] = forest_forward(
+            walk, matrix, self.masks, self.units, self.data_size
+        )
+        return roots
 
     def prepare_template(
         self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"] = None
@@ -452,32 +499,36 @@ class QPPNet(CostEstimator):
         prepared: Optional[Sequence] = None,
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:
-        """Fused forward over the whole flush (see
-        :func:`~repro.models.prepared.fused_forward`): one
-        ``forward_batched`` call per (height, operator) group across
-        all plans.  Scalar requests are the batch-size-1 special case
-        of the same code, which is what makes the bit-identity
-        guarantee structural rather than aspirational."""
+        """Fused forward over the whole flush: one ``forward_batched``
+        call per (height, operator) group across all plans.  Plans
+        without a prepared value are grouped as one forest
+        (:func:`~repro.models.prepared.forest_forward`), prepared ones
+        are merged (:func:`~repro.models.prepared.fused_forward`).
+        Scalar requests are the batch-size-1 special case of the same
+        code, which is what makes the bit-identity guarantee structural
+        rather than aspirational."""
         if not labeled:
             return np.zeros(0, dtype=np.float64)
         # A value of None means encode now: the flush's unprepared
-        # plans are featurized together.  A legacy row list
-        # (pre-PreparedPlan checkpoints) is regrouped.
+        # plans are grouped as one forest per chunk.  Cached values are
+        # merged; a legacy row list (pre-PreparedPlan checkpoints) is
+        # regrouped first.
         values = list(prepared) if prepared is not None else [None] * len(labeled)
-        missing = [i for i, value in enumerate(values) if value is None]
-        fresh = self._prepare_many([labeled[i] for i in missing], snapshot_set)
-        for i, value in zip(missing, fresh, strict=True):
-            values[i] = value
-        plans = [
-            value if isinstance(value, PreparedPlan)
-            else prepared_from_rows(record.plan, value)
-            for record, value in zip(labeled, values, strict=True)
-        ]
+        fresh = [i for i, value in enumerate(values) if value is None]
+        cached = [i for i, value in enumerate(values) if value is not None]
         out = np.zeros(len(labeled))
-        for lo in range(0, len(labeled), PREDICT_CHUNK_PLANS):
-            chunk = plans[lo:lo + PREDICT_CHUNK_PLANS]
-            roots = fused_forward(chunk, self.units, self.data_size)
-            out[lo:lo + len(chunk)] = from_log(roots)
+        for lo in range(0, len(fresh), PREDICT_CHUNK_PLANS):
+            chunk = fresh[lo:lo + PREDICT_CHUNK_PLANS]
+            roots = self._forest_roots([labeled[i] for i in chunk], snapshot_set)
+            out[chunk] = from_log(roots)
+        for lo in range(0, len(cached), PREDICT_CHUNK_PLANS):
+            chunk = cached[lo:lo + PREDICT_CHUNK_PLANS]
+            plans = [
+                values[i] if isinstance(values[i], PreparedPlan)
+                else prepared_from_rows(labeled[i].plan, values[i])
+                for i in chunk
+            ]
+            out[chunk] = from_log(fused_forward(plans, self.units, self.data_size))
         return out
 
     # ------------------------------------------------------------------

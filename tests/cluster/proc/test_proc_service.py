@@ -10,10 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.proc import ProcClusterService
+from repro.cluster.proc import ProcClusterService, WorkerHandle
 from repro.engine.environment import DatabaseEnvironment, random_environments
 from repro.engine.hardware import PROFILES
-from repro.errors import ClusterError, ProtocolError, WorkerTimeoutError
+from repro.errors import (
+    ClusterError,
+    ProtocolError,
+    WorkerDiedError,
+    WorkerTimeoutError,
+)
 from repro.serving import CostService, SnapshotStore
 
 from .conftest import fast_config
@@ -303,3 +308,20 @@ def test_the_callers_config_is_never_mutated(tmp_path):
         assert tier.config.checkpoint_dir == spool
     assert dataclasses.asdict(config) == before
     assert config.service is knobs and knobs == {"cache_capacity": 64}
+
+
+def test_an_unknown_service_knob_fails_before_any_worker_spawns(monkeypatch):
+    """A misspelled knob is refused, naming the key, instead of being
+    dropped while the tier serves with the default."""
+    spawned = []
+
+    def no_spawn(handle):
+        spawned.append(handle.worker_id)
+        raise WorkerDiedError("spawn is not expected")
+
+    monkeypatch.setattr(WorkerHandle, "spawn", no_spawn)
+    config = fast_config(service={"cache_capcity": 8})
+    with pytest.raises(ClusterError, match="cache_capcity") as raised:
+        ProcClusterService(worker_count=2, config=config)
+    assert not isinstance(raised.value, WorkerDiedError)
+    assert spawned == []

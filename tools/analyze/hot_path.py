@@ -46,6 +46,7 @@ HOT_FUNCTIONS = re.compile(
     r"|_prepare|prepare_one|predict|predict_prepared"
     r"|predict_prepared_batch|prepare_template|prepare_from_template"
     r"|fused_forward|merge_prepared|forward_batched|forward_block"
+    r"|_forest_roots|forest_forward|forward_groups|group_forest|cut_groups"
     r"|blocked_matmul|block_gemm|pad_rows"
     r"|_resolve_plan|_run_batch|_flush|_take_batch|submit|get_or_compute"
     r"|open_span"
@@ -57,7 +58,7 @@ HOT_FUNCTIONS = re.compile(
     r"|_request|_single_request|_count_decode"
     r"|serve_batch|serve_estimates"
     r"|featurize\w*|plan_fingerprint|template_fingerprint"
-    r"|encode_nodes|fill_numerics|walk_plan|plan_topology|prepared_from_matrix"
+    r"|encode_nodes|fill_numerics|walk_plans?|plan_topology|prepared_from_matrix"
     r")$"
 )
 
