@@ -8,8 +8,8 @@ time-sliced inside one interpreter.  The pieces:
   frames with per-request ids, hard size caps and typed error frames;
   a ``sync`` frame carries the model weights in its binary tail;
 - :mod:`~repro.cluster.proc.worker` — the child process: one
-  ``CostService`` warm-booted from ``repro.persist`` checkpoints,
-  serving frames until EOF;
+  ``CostService`` that starts empty and installs the state ``sync``
+  frames carry, serving frames until EOF;
 - :mod:`~repro.cluster.proc.supervisor` — spawn/kill/revive/eject over
   real pids, with sentinel-fd death certification and a heartbeat
   that doubles as the counters pull;

@@ -61,13 +61,7 @@ from ...serving import CostService, EstimatorBundle
 from ..admission import AdmissionController
 from ..tier import ReplicaTier
 from . import protocol
-from .supervisor import (
-    SERVICE_KNOBS,
-    ProcConfig,
-    ProcSupervisor,
-    WorkerHandle,
-    service_kwargs,
-)
+from .supervisor import SERVICE_KNOBS, ProcConfig, ProcSupervisor, WorkerHandle
 
 
 class ProcClusterService(ReplicaTier):
@@ -91,9 +85,11 @@ class ProcClusterService(ReplicaTier):
         what workers expect.  A key outside
         :data:`~.supervisor.SERVICE_KNOBS` raises
         :class:`~repro.errors.ClusterError` before any worker spawns.
-        Its ``checkpoint_dir`` enables the persist spool: every
-        deploy/restore writes a retained checkpoint there and revived
-        workers warm-boot from it before their first sync.
+        Every worker starts empty and gets state only from ``sync``
+        frames.  Its ``checkpoint_dir`` enables the persist spool:
+        every deploy/restore writes the published image there as a
+        retained checkpoint.  The spool is write-only; a new tier over
+        it serves nothing until :meth:`restore` reads it back.
         """
         config = config or ProcConfig()
         unknown = [key for key in config.service if key not in SERVICE_KNOBS]
@@ -108,7 +104,7 @@ class ProcClusterService(ReplicaTier):
         self.template = CostService(
             metrics=MetricsRegistry(),
             tracer=None,
-            **service_kwargs(self.config.service),
+            **self.config.service,
         )
         self._admission = {
             worker_id: AdmissionController(max_inflight_per_worker)
@@ -131,13 +127,10 @@ class ProcClusterService(ReplicaTier):
         try:
             for worker_id in self.router.shard_ids():
                 handle = WorkerHandle(worker_id, self.config)
-                hello = handle.spawn()
+                handle.spawn()
                 self.supervisor.adopt(handle)
                 self.events.emit(
-                    "worker_spawned",
-                    worker=worker_id,
-                    pid=handle.pid,
-                    warm=bool(hello.get("warm")),
+                    "worker_spawned", worker=worker_id, pid=handle.pid
                 )
         except ReproError:
             self.close()
@@ -442,9 +435,10 @@ class ProcClusterService(ReplicaTier):
         return save_service_checkpoint(self.template, directory, retain=retain)
 
     def restore(self, directory) -> bool:
-        """Warm-boot the tier from the newest loadable checkpoint
-        under *directory*: restore the template, then re-publish and
-        re-sync every worker.  False → cold start (nothing changed).
+        """Resume the tier from the newest loadable checkpoint under
+        *directory* (a spool included): restore the template, then
+        re-publish and re-sync every worker.  False → nothing loadable
+        (nothing changed).
 
         A publish that fails (a spool that cannot be written raises
         :class:`~repro.errors.CheckpointError`) undoes the restore the

@@ -50,7 +50,7 @@ from queue import Empty, Queue
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...errors import (
     ProtocolError,
@@ -63,26 +63,13 @@ from . import protocol
 
 
 #: The keys ``ProcConfig.service`` accepts: the ``CostService`` knobs
-#: every worker, and the tier's template service, is built with, then
-#: ``boot_delay_s``, the worker-only fault-injection hook that holds a
-#: worker inside its warm boot.
+#: every worker, and the tier's template service, is built with.
 SERVICE_KNOBS = (
     "cache_capacity",
     "batch_max",
     "batch_window_s",
     "snapshot_scale",
-    "boot_delay_s",
 )
-
-
-def service_kwargs(settings: Mapping[str, object]) -> Dict[str, object]:
-    """The ``CostService`` keywords among *settings*: each of
-    :data:`SERVICE_KNOBS` it sets, except the worker-only hook."""
-    return {
-        key: settings[key]
-        for key in SERVICE_KNOBS
-        if key in settings and key != "boot_delay_s"
-    }
 
 
 @dataclass
@@ -92,7 +79,10 @@ class ProcConfig:
     #: Service construction knobs forwarded verbatim to each worker;
     #: only the keys of :data:`SERVICE_KNOBS`.
     service: Dict[str, object] = field(default_factory=dict)
-    #: Spool directory workers warm-boot from (None → cold boot).
+    #: Spool directory the tier writes every published image to, as a
+    #: retained checkpoint (None → no spool).  Write-only: workers get
+    #: state only from ``sync`` frames; a cold tier resumes from the
+    #: spool with ``ProcClusterService.restore``.
     checkpoint_dir: Optional[str] = None
     #: Per-request deadline (estimates and direct ``rpc`` calls).
     request_timeout_s: float = 30.0
@@ -164,16 +154,14 @@ class WorkerHandle:
 
         Returns the hello header.  Raises
         :class:`~repro.errors.WorkerDiedError` when the child dies (or
-        stays silent) before greeting.
+        stays silent) before greeting, after killing and reaping it and
+        closing its plumbing.
         """
         parent_sock, child_sock = socket.socketpair()
         sentinel_r, sentinel_w = os.pipe()
         os.set_inheritable(child_sock.fileno(), True)
         os.set_inheritable(sentinel_w, True)
-        worker_cfg = dict(self.config.service)
-        worker_cfg["worker_id"] = self.worker_id
-        if self.config.checkpoint_dir:
-            worker_cfg["checkpoint_dir"] = self.config.checkpoint_dir
+        worker_cfg = {"worker_id": self.worker_id, "service": self.config.service}
         cmd = [
             sys.executable,
             "-m",
@@ -220,10 +208,11 @@ class WorkerHandle:
         try:
             hello = self._hello.result(timeout=self.config.boot_timeout_s)
         except (FutureTimeoutError, ReproError) as exc:
-            self.kill()
-            raise WorkerDiedError(
+            died = WorkerDiedError(
                 f"worker {self.worker_id} never said hello: {exc}"
-            ) from exc
+            )
+            self.mark_dead(died, kill=True)
+            raise died from exc
         self.state = "up"
         self.last_pong = time.monotonic()
         return hello
@@ -368,11 +357,6 @@ class WorkerHandle:
                     )
                 )
         return len(expired)
-
-    def pending_count(self) -> int:
-        """How many requests are currently awaiting replies."""
-        with self._lock:
-            return len(self._pending)
 
     def _fail_pending(self, exc: ReproError) -> None:
         """Resolve every pending future exceptionally with *exc*."""

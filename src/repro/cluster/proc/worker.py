@@ -9,19 +9,16 @@ with three pieces of argv state:
   open; the parent polls the read end and sees EOF the instant this
   process dies, however it dies (the classic sentinel-fd trick —
   SIGKILL cannot dodge fd cleanup);
-- ``--config`` — a JSON :class:`dict` of service knobs, the optional
-  ``checkpoint_dir`` to warm-boot from, and fault-injection hooks
-  (``boot_delay_s``) used by the crash tests to freeze a worker in a
-  chosen lifecycle phase.
+- ``--config`` — a JSON :class:`dict` ``{"worker_id": ..., "service":
+  {...}}``; the ``service`` knobs are the ``CostService`` keywords.
 
-Boot sequence: build the service → warm-boot from the newest loadable
-``repro.persist`` checkpoint if a spool directory was given → send a
-``hello`` frame (carrying pid and warm/cold verdict) → serve frames
-until EOF or a ``shutdown`` frame.  State arrives in ``sync`` frames
-whose tail is a checkpoint image, the same bytes the spool holds: the
-worker installs it with :func:`~repro.persist.decode_checkpoint` and
-:func:`~repro.persist.restore_service`, the decode a warm boot runs
-on the spool file, and skips an image older than the one it serves.
+Boot sequence: build an empty service → send a ``hello`` frame
+(carrying the pid) → serve frames until EOF or a ``shutdown`` frame.
+State arrives only in ``sync`` frames, whose tail is a checkpoint
+image: the worker installs it with
+:func:`~repro.persist.decode_checkpoint` and
+:func:`~repro.persist.restore_service`, the decode that loads a
+checkpoint file, and skips an image older than the one it serves.
 
 The loop is single-threaded on purpose (a worker process is one CPU
 lane) and drains then batches: one blocking read, then every frame
@@ -64,15 +61,10 @@ import numpy as np
 from ...engine.environment import DatabaseEnvironment
 from ...errors import ProtocolError, ReproError, ServingError
 from ...obs import MetricsRegistry
-from ...persist import (
-    decode_checkpoint,
-    restore_service,
-    restore_service_checkpoint,
-)
+from ...persist import decode_checkpoint, restore_service
 from ...serving.service import CostService
 from ...serving.snapshot_store import SnapshotStore
 from . import protocol
-from .supervisor import service_kwargs
 
 
 class WorkerRuntime:
@@ -80,14 +72,13 @@ class WorkerRuntime:
 
     def __init__(self, config: Dict[str, object]):
         """Build the service from *config* (no I/O yet)."""
-        self.config = config
         self.worker_id = str(config.get("worker_id", "?"))
         self.metrics = MetricsRegistry()
         self.service = CostService(
             snapshot_store=SnapshotStore(),
             metrics=self.metrics,
             tracer=None,
-            **service_kwargs(config),
+            **config.get("service", {}),
         )
         self.started = time.monotonic()
         self.requests = 0
@@ -95,28 +86,7 @@ class WorkerRuntime:
         #: Plans whose tree was decoded from a request blob (a repeated
         #: plan hits the feature cache and is never decoded).
         self.plans_decoded = 0
-        self.warm_booted = False
         self.sync_generation = -1
-
-    # ------------------------------------------------------------------
-    # boot
-    # ------------------------------------------------------------------
-    def warm_boot(self) -> None:
-        """Restore from the spool checkpoint directory, if configured.
-
-        Never raises: a damaged spool means a cold start (the parent
-        re-syncs state over the wire anyway), not a crash loop.
-        """
-        directory = self.config.get("checkpoint_dir")
-        if not directory:
-            return
-        delay = float(self.config.get("boot_delay_s", 0.0) or 0.0)
-        if delay > 0:
-            # Fault-injection hook: hold the worker inside the restore
-            # phase so crash tests can SIGKILL it mid-restore.
-            time.sleep(delay)
-        restored, _ = restore_service_checkpoint(self.service, str(directory))
-        self.warm_booted = restored
 
     # ------------------------------------------------------------------
     # request handlers
@@ -214,7 +184,6 @@ class WorkerRuntime:
                 "requests": self.requests,
                 "errors": self.errors,
                 "plans_decoded": self.plans_decoded,
-                "warm_booted": self.warm_booted,
                 "generation": self.sync_generation,
                 "sections": sections,
             }
@@ -406,13 +375,11 @@ def main(argv=None) -> int:
         return 2
     conn = socket.socket(fileno=args.conn_fd)
     runtime = WorkerRuntime(config)
-    runtime.warm_boot()
     hello = {
         "id": 0,
         "kind": "hello",
         "pid": os.getpid(),
         "sentinel_fd": sentinel_fd,
-        "warm": runtime.warm_booted,
     }
     protocol.send_frames(conn, [protocol.encode_frame(hello)])
     try:

@@ -54,9 +54,6 @@ class FeatureSnapshot:
             out[:width] = coeffs[:width]
         return out
 
-    def as_mapping(self) -> Dict[OperatorType, np.ndarray]:
-        return {op: self.padded(op) for op in self.coefficients}
-
     def predict_node_ms(self, node: PlanNode, catalog: Optional[Catalog] = None) -> float:
         """Logical-formula prediction for one node (sanity checks)."""
         coeffs = self.coefficients.get(node.op)

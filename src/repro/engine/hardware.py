@@ -29,11 +29,6 @@ class HardwareProfile:
     memory_gb: float
     disk: str = "ssd"
 
-    @property
-    def io_ratio(self) -> float:
-        """Random/sequential I/O penalty (≈ random_page_cost rationale)."""
-        return self.rand_ms_per_page / self.seq_ms_per_page
-
 
 #: The paper's two machines plus contrasting profiles for robustness
 #: experiments.  Numbers approximate NVMe/SATA/HDD characteristics.

@@ -413,20 +413,3 @@ class MSCN(CostEstimator):
         global_rows = np.stack([s.plan_global for s in samples])
         matrix = np.concatenate([tables, joins, preds, global_rows], axis=1)
         return matrix, slice(3 * self.hidden, matrix.shape[1])
-
-    def global_dataset(
-        self,
-        labeled: Sequence[LabeledPlan],
-        snapshot_set: Optional["SnapshotSet"] = None,
-    ) -> np.ndarray:
-        """Unmasked global vectors — the dataset feature reduction scores."""
-        mapping_cache: Dict[str, Optional[Dict]] = {}
-        rows = []
-        for record in labeled:
-            if record.env_name not in mapping_cache:
-                mapping_cache[record.env_name] = snapshot_mapping_for(
-                    record, snapshot_set
-                )
-            sample = self.encoder.encode(record.plan, mapping_cache[record.env_name])
-            rows.append(sample.plan_global)
-        return np.stack(rows)

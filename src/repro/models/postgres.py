@@ -40,15 +40,6 @@ class PostgresCostEstimator(NativeCostEstimator):
             backend="postgres", slope=1.0, intercept=0.0, calibrated=calibrated
         )
 
-    @property
-    def _scale(self) -> float:
-        """Legacy alias: the single multiplicative calibration scale."""
-        return self.slope
-
-    @_scale.setter
-    def _scale(self, value: float) -> None:
-        self.slope = float(value)
-
     def fit(
         self,
         train: Sequence[LabeledPlan],
@@ -58,7 +49,7 @@ class PostgresCostEstimator(NativeCostEstimator):
 
         Live feedback can carry NaN/inf latencies (timeouts, clock
         bugs); those pairs are dropped before the median so a single
-        poisoned label cannot corrupt ``_scale`` for every subsequent
+        poisoned label cannot corrupt ``slope`` for every subsequent
         prediction.  With no usable pairs the scale is left unchanged.
         """
         start = time.perf_counter()

@@ -15,14 +15,6 @@ def kaiming_uniform(fan_in: int, fan_out: int, seed_key: object = 0) -> np.ndarr
     )
 
 
-def xavier_uniform(fan_in: int, fan_out: int, seed_key: object = 0) -> np.ndarray:
-    """Glorot/Xavier uniform init for tanh/sigmoid layers."""
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng_for("xavier", seed_key, fan_in, fan_out).uniform(
-        -bound, bound, size=(fan_in, fan_out)
-    )
-
-
 def bias_uniform(fan_in: int, size: int, seed_key: object = 0) -> np.ndarray:
     """PyTorch-style bias init: uniform in +-1/sqrt(fan_in)."""
     bound = 1.0 / np.sqrt(max(fan_in, 1))

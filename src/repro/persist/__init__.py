@@ -24,8 +24,9 @@ The warm-boot entry points most callers want are on the services
 themselves: :meth:`repro.serving.CostService.save` /
 :meth:`~repro.serving.CostService.restore` and
 :meth:`repro.cluster.ProcClusterService.save` /
-:meth:`~repro.cluster.ProcClusterService.restore` (whose checkpoint
-spool also warm-boots revived workers).  A corrupt or
+:meth:`~repro.cluster.ProcClusterService.restore` (a process tier's
+checkpoint spool is write-only: its workers get state only from
+``sync`` frames, and ``restore`` reads the spool back).  A corrupt or
 version-mismatched checkpoint never crashes a boot: restore falls back
 to older retained checkpoints, then to a cold start.
 """

@@ -240,19 +240,6 @@ class EstimatorRegistry:
         with self._lock:
             return sorted(self._bundles)
 
-    def names_for_backend(self, backend: str) -> List[str]:
-        """Deployed bundle names serving *backend*, sorted.
-
-        The routing layer's lookup: a request tagged with a backend is
-        answered by a bundle whose ``backend`` field matches.
-        """
-        with self._lock:
-            return sorted(
-                name
-                for name, bundle in self._bundles.items()
-                if bundle.backend == backend
-            )
-
     def bundles_for_backend(self, backend: str) -> List[EstimatorBundle]:
         """Deployed bundles serving *backend*, name-sorted (the order
         the router's deterministic preference scan relies on)."""

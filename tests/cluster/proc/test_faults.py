@@ -70,22 +70,23 @@ def test_sigkill_mid_flight_fails_futures_typed_and_revives(
         assert died and died[0].data["worker"] == victim
 
 
-def test_kill_during_checkpoint_restore(cluster_bundle, tmp_path):
-    """SIGKILL a worker while it is inside the warm-boot checkpoint
-    restore: spawn() must surface a typed WorkerDiedError, not hang
-    until the boot timeout, and must leave nothing behind."""
-    bundle, _ = cluster_bundle
-    spool = tmp_path / "spool"
-    with CostService(snapshot_store=SnapshotStore()) as service:
-        service.deploy(bundle)
-        save_service_checkpoint(service, str(spool))
+def test_kill_before_hello(monkeypatch, tmp_path):
+    """SIGKILL a worker before it says hello: spawn() must surface a
+    typed WorkerDiedError promptly, not hang until the boot timeout,
+    and must leave nothing behind.  The "worker" is a script that
+    sleeps instead of greeting, so the kill lands before the hello
+    without racing interpreter startup."""
+    import types
 
-    # boot_delay_s holds the worker inside the restore phase so the
-    # kill lands mid-restore instead of racing interpreter startup.
-    config = fast_config(
-        service={"boot_delay_s": 5.0}, checkpoint_dir=str(spool)
+    from repro.cluster.proc import supervisor
+
+    script = tmp_path / "silent-worker"
+    script.write_text("#!/bin/sh\nexec sleep 60\n")
+    script.chmod(0o755)
+    monkeypatch.setattr(
+        supervisor, "sys", types.SimpleNamespace(executable=str(script))
     )
-    handle = WorkerHandle("boot-victim", config)
+    handle = WorkerHandle("boot-victim", fast_config())
     outcome = {}
 
     def _spawn() -> None:
@@ -99,12 +100,22 @@ def test_kill_during_checkpoint_restore(cluster_bundle, tmp_path):
     spawner.start()
     try:
         assert poll(lambda: handle.proc is not None, timeout_s=15.0)
-        time.sleep(1.0)  # let the child get past exec and into boot
+        time.sleep(0.5)  # the child is past exec and asleep
+        started = time.monotonic()
         handle.kill()
         spawner.join(timeout=30.0)
         assert not spawner.is_alive()
+        # The sentinel, not the 45 s boot timeout, failed the spawn.
+        assert time.monotonic() - started < 10.0
         assert isinstance(outcome.get("exc"), WorkerDiedError)
         assert "hello" not in outcome
+        # Nothing behind: the pid is reaped, the plumbing closed and
+        # both I/O threads gone.
+        assert handle.proc.returncode is not None
+        assert handle.sock is None and handle.sentinel_fd == -1
+        for thread in (handle._reader, handle._writer):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
     finally:
         handle.mark_dead(WorkerDiedError("test cleanup"), kill=True)
         spawner.join(timeout=10.0)
@@ -269,6 +280,50 @@ def test_close_is_idempotent_and_reaps_every_pid(cluster_bundle):
     tier.close()
     for proc in pids:
         assert proc.poll() is not None, "worker pid outlived close()"
+
+
+def test_every_sync_reply_lists_exactly_the_templates_bundles(
+    cluster_bundle, cluster_envs, tmp_path, monkeypatch
+):
+    """A worker's state is the current image: after deploys, and after
+    a kill and revive over a populated spool, every worker's sync reply
+    lists exactly the template's bundles.  Requests use known
+    environments only, so no worker grafts a snapshot of its own."""
+    bundle, labeled = cluster_bundle
+    sql = labeled[0].query_sql
+    replies = {}
+    await_reply = WorkerHandle.await_reply
+
+    def recorded(self, future, kind, timeout):
+        reply = await_reply(self, future, kind, timeout)
+        if kind == "sync":
+            replies[self.worker_id] = reply[0]["bundles"]
+        return reply
+
+    monkeypatch.setattr(WorkerHandle, "await_reply", recorded)
+    spool = tmp_path / "spool"
+    workers = ("worker-0", "worker-1")
+    with ProcClusterService(
+        worker_count=2, config=fast_config(checkpoint_dir=str(spool))
+    ) as tier:
+        tier.deploy(bundle, name="a")
+        tier.deploy(bundle, name="b")
+        for name in ("a", "b"):
+            for env in cluster_envs:
+                tier.estimate(sql, env, bundle=name)
+        names = tier.template.registry.names()
+        assert names == ["a", "b"]
+        assert replies == {worker: names for worker in workers}
+
+        replies.clear()
+        victim = tier.worker_of("a")
+        _kill_and_resync(tier, victim)
+        assert replies == {victim: names}
+
+        replies.clear()
+        tier.deploy(bundle, name="b")
+        assert replies == {worker: names for worker in workers}
+        assert tier.template.registry.names() == names
 
 
 def test_a_failed_spool_write_installs_no_new_generation(

@@ -10,12 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.proc import ProcClusterService, WorkerHandle
+from repro.cluster.proc import ProcClusterService, WorkerHandle, protocol
 from repro.engine.environment import DatabaseEnvironment, random_environments
 from repro.engine.hardware import PROFILES
 from repro.errors import (
     ClusterError,
     ProtocolError,
+    ServingError,
     WorkerDiedError,
     WorkerTimeoutError,
 )
@@ -207,10 +208,12 @@ def test_save_restore_round_trip_is_bit_identical(
         assert fresh.estimate(sql, env) == expected
 
 
-def test_warm_boot_from_spool(cluster_bundle, cluster_envs, tmp_path):
+def test_a_cold_tier_resumes_from_its_spool(
+    cluster_bundle, cluster_envs, tmp_path
+):
     """With a checkpoint spool, every publish writes a retained
-    checkpoint and freshly spawned workers warm-boot from it before
-    their first sync — a cold tier restart resumes bit-identically."""
+    checkpoint; a cold tier started over it resumes bit-identically
+    through ``restore``, the one reader of the spool."""
     bundle, labeled = cluster_bundle
     sql, env = labeled[0].query_sql, cluster_envs[0]
     spool = tmp_path / "spool"
@@ -220,19 +223,23 @@ def test_warm_boot_from_spool(cluster_bundle, cluster_envs, tmp_path):
         first.deploy(bundle)
         expected = first.estimate(sql, env)
         spawned = first.events.events("worker_spawned")
-        assert spawned and spawned[0].data["warm"] is False  # nothing yet
+        assert spawned and set(spawned[0].data) == {"worker", "pid"}
     with ProcClusterService(
         worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as second:
         spawned = second.events.events("worker_spawned")
-        assert spawned and spawned[0].data["warm"] is True
+        assert spawned and set(spawned[0].data) == {"worker", "pid"}
         assert second.restore(spool) is True
+        assert second.deployed_names() == first.deployed_names()
         assert second.estimate(sql, env) == expected
 
 
-def test_a_dead_spool_boots_workers_cold(cluster_bundle, cluster_envs, tmp_path):
-    """A spool whose every checkpoint is corrupt never fails a boot:
-    the workers come up cold and serve once a deploy syncs them."""
+def test_a_dead_spool_restores_false_then_serves_after_a_deploy(
+    cluster_bundle, cluster_envs, tmp_path
+):
+    """A spool whose every checkpoint is corrupt fails neither a boot
+    nor a restore: ``restore`` reports False and changes nothing, and
+    the workers serve once a deploy syncs them."""
     bundle, labeled = cluster_bundle
     sql, env = labeled[0].query_sql, cluster_envs[0]
     spool = tmp_path / "spool"
@@ -244,9 +251,46 @@ def test_a_dead_spool_boots_workers_cold(cluster_bundle, cluster_envs, tmp_path)
         worker_count=1, config=fast_config(checkpoint_dir=str(spool))
     ) as tier:
         spawned = tier.events.events("worker_spawned")
-        assert spawned and spawned[0].data["warm"] is False
+        assert spawned and set(spawned[0].data) == {"worker", "pid"}
+        assert tier.restore(spool) is False
+        assert tier.deployed_names() == []
         tier.deploy(bundle)
         assert tier.estimate(sql, env) == expected
+
+
+def test_a_tier_over_a_populated_spool_serves_nothing_until_restore(
+    cluster_bundle, cluster_envs, tmp_path
+):
+    """The spool is write-only: the workers of a tier started over a
+    spool that holds bundle ``x`` never read it, so every worker
+    refuses a request naming ``x`` until ``restore`` reads the spool
+    back, and then answers bit-identically to the saving service."""
+    bundle, labeled = cluster_bundle
+    sql, env = labeled[0].query_sql, cluster_envs[0]
+    spool = tmp_path / "spool"
+    with CostService(snapshot_store=SnapshotStore()) as saving:
+        saving.deploy(bundle, name="x")
+        expected = saving.estimate(sql, env, bundle="x")
+        saving.save(spool)
+    with ProcClusterService(
+        worker_count=2, config=fast_config(checkpoint_dir=str(spool))
+    ) as tier:
+        assert tier.deployed_names() == []
+        assert tier.template.registry.names() == []
+        with pytest.raises(ServingError, match="no bundle named 'x'"):
+            tier.estimate(sql, env, bundle="x")
+        blob = protocol.encode_request([sql], env)
+        for worker_id in ("worker-0", "worker-1"):
+            with pytest.raises(ServingError, match="no bundle named 'x'"):
+                tier.worker(worker_id).rpc("estimate", {"bundle": "x"}, blob)
+        assert tier.restore(spool) is True
+        assert tier.deployed_names() == ["x"]
+        assert tier.estimate(sql, env, bundle="x") == expected
+        for worker_id in ("worker-0", "worker-1"):
+            header, _tail = tier.worker(worker_id).rpc(
+                "estimate", {"bundle": "x"}, blob
+            )
+            assert header["value"] == expected
 
 
 def test_the_newest_spool_file_is_the_sync_image(cluster_bundle, tmp_path):

@@ -95,7 +95,7 @@ class TestNativeCostEstimator:
 
 class TestPostgresPoisonedCalibration:
     """Regression: ``fit`` used to push non-finite ratios (or an empty
-    array) straight into ``np.median``, corrupting ``_scale`` to NaN —
+    array) straight into ``np.median``, corrupting ``slope`` to NaN —
     or warning-crashing on zero usable pairs."""
 
     def test_nonfinite_latencies_do_not_poison_scale(self, tpch_labeled):
@@ -108,17 +108,17 @@ class TestPostgresPoisonedCalibration:
         ]
         poisoned = PostgresCostEstimator(calibrated=True)
         poisoned.fit(poisoned_input)
-        assert np.isfinite(poisoned._scale)
-        assert poisoned._scale == pytest.approx(clean._scale)
+        assert np.isfinite(poisoned.slope)
+        assert poisoned.slope == pytest.approx(clean.slope)
 
     def test_zero_usable_pairs_keep_scale_unchanged(self, tpch_labeled):
         model = PostgresCostEstimator(calibrated=True)
         model.fit(tpch_labeled[:10])
-        before = model._scale
+        before = model.slope
         with np.errstate(all="raise"):
             model.fit([_with_latency(r, float("nan")) for r in tpch_labeled[:4]])
             model.fit([])
-        assert model._scale == before
+        assert model.slope == before
 
     def test_is_a_native_cost_estimator(self):
         """The routing layer's "is this a native fallback?" check
