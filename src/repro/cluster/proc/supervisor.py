@@ -149,13 +149,12 @@ class WorkerHandle:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def spawn(self) -> Dict[str, object]:
+    def spawn(self) -> None:
         """Start the child and wait for its hello frame.
 
-        Returns the hello header.  Raises
-        :class:`~repro.errors.WorkerDiedError` when the child dies (or
-        stays silent) before greeting, after killing and reaping it and
-        closing its plumbing.
+        Raises :class:`~repro.errors.WorkerDiedError` when the child
+        dies (or stays silent) before greeting, after killing and
+        reaping it and closing its plumbing.
         """
         parent_sock, child_sock = socket.socketpair()
         sentinel_r, sentinel_w = os.pipe()
@@ -206,7 +205,7 @@ class WorkerHandle:
         self._reader.start()
         self._writer.start()
         try:
-            hello = self._hello.result(timeout=self.config.boot_timeout_s)
+            self._hello.result(timeout=self.config.boot_timeout_s)
         except (FutureTimeoutError, ReproError) as exc:
             died = WorkerDiedError(
                 f"worker {self.worker_id} never said hello: {exc}"
@@ -215,7 +214,6 @@ class WorkerHandle:
             raise died from exc
         self.state = "up"
         self.last_pong = time.monotonic()
-        return hello
 
     @property
     def pid(self) -> Optional[int]:

@@ -12,8 +12,9 @@ with three pieces of argv state:
 - ``--config`` — a JSON :class:`dict` ``{"worker_id": ..., "service":
   {...}}``; the ``service`` knobs are the ``CostService`` keywords.
 
-Boot sequence: build an empty service → send a ``hello`` frame
-(carrying the pid) → serve frames until EOF or a ``shutdown`` frame.
+Boot sequence: build an empty service → send a ``hello`` frame (its
+header is just ``{"id": 0, "kind": "hello"}``: the parent knows the
+pid from ``Popen``) → serve frames until EOF or a ``shutdown`` frame.
 State arrives only in ``sync`` frames, whose tail is a checkpoint
 image: the worker installs it with
 :func:`~repro.persist.decode_checkpoint` and
@@ -365,23 +366,16 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=str, default="{}")
     args = parser.parse_args(argv)
 
-    # The sentinel fd is never written: the parent detects EOF on its
-    # read end when this process exits.  Keeping the integer alive in
-    # a local is all that is required.
-    sentinel_fd = args.sentinel_fd
+    # The sentinel fd is never written or read here: the parent detects
+    # EOF on its read end when this process exits, and the inherited fd
+    # stays open until then.
     try:
         config = json.loads(args.config)
     except json.JSONDecodeError:
         return 2
     conn = socket.socket(fileno=args.conn_fd)
     runtime = WorkerRuntime(config)
-    hello = {
-        "id": 0,
-        "kind": "hello",
-        "pid": os.getpid(),
-        "sentinel_fd": sentinel_fd,
-    }
-    protocol.send_frames(conn, [protocol.encode_frame(hello)])
+    protocol.send_frames(conn, [protocol.encode_frame({"id": 0, "kind": "hello"})])
     try:
         return serve(conn, runtime)
     finally:

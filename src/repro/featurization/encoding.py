@@ -12,18 +12,23 @@ given benchmark (columns never filtered, operators never produced,
 index slots for workloads that plan no index scans) — precisely the
 dead weight the paper's feature reduction prunes.
 
-Encoding is array-shaped: :meth:`OperatorEncoder.encode_nodes` builds
-a whole node list's matrix with one Python pass and a fixed number of
-numpy calls, and every other entry point (one node, one plan, a
-template skeleton, its numeric patch, the drift loop's per-operator
-rows) calls it.  Each row is a function of its own node alone, so a
-node encodes to the same bits whichever call it rides in;
+Encoding is column-wise: :meth:`OperatorEncoder.encode_nodes` builds
+a whole node list's matrix field by field, not node by node.  A few
+comprehensions read the nodes' raw fields and one-hot cells, and a
+fixed number of numpy calls, however many nodes there are, gather the
+operator rows, clamp, divide and take logs; the clamps keep Python's
+``max``/``min`` semantics bit for bit (``-0.0`` and NaN pass through).
+Every other entry point (one node, one plan, a template skeleton, its
+numeric patch, the drift loop's per-operator rows) calls it.  Each row
+is a function of its own node alone, so a node encodes to the same
+bits whichever call it rides in;
 ``tests/featurization/test_encoding_reference.py`` holds it to a
 per-node oracle bit for bit.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,8 +53,6 @@ _NUMERIC_NAMES = (
     "est_selectivity",
     "log_limit",
 )
-#: Columns of the numeric block stored as ``log1p`` of the raw value.
-_LOG_COLUMNS = np.array([0, 1, 2, 3, 9])
 
 
 class OperatorEncoder:
@@ -62,11 +65,40 @@ class OperatorEncoder:
         self.tables: List[str] = catalog.table_names
         self.columns: List[Tuple[str, str]] = catalog.all_columns()
         self.indexes: List[str] = [ix.name for ix in catalog.all_indexes()]
-        self._op_pos = {op: i for i, op in enumerate(self.operators)}
-        self._table_pos = {t: i for i, t in enumerate(self.tables)}
-        self._col_pos = {tc: i for i, tc in enumerate(self.columns)}
-        self._index_pos = {name: i for i, name in enumerate(self.indexes)}
         self._offsets = self._build_offsets()
+        self._numeric = self.block_slice("numeric")
+        self._snapshot = self.block_slice("snapshot")
+        # Operator code by ``op._value_`` (a plain attribute read, where
+        # ``Enum.__hash__`` is a Python-level call), and the flat cell
+        # offset within a row of every table, column and index one-hot.
+        self._op_code = {op._value_: i for i, op in enumerate(self.operators)}
+        # Row *c*: the one-hot of the operator with code *c*.
+        self._op_rows = np.eye(len(self.operators), self.dim, dtype=np.float64)
+        base = self._offsets["table"]
+        self._table_cell = {t: base + i for i, t in enumerate(self.tables)}
+        base = self._offsets["column"]
+        self._col_cell = {tc: base + i for i, tc in enumerate(self.columns)}
+        # A ``"table.column"`` sort or group key, looked up whole: the
+        # same cell as its ``split(".", 1)`` pair, for every such pair.
+        self._key_cell = {
+            f"{t}.{c}": cell
+            for (t, c), cell in self._col_cell.items()
+            if "." not in t
+        }
+        base = self._offsets["index"]
+        self._index_cell = {name: base + i for i, name in enumerate(self.indexes)}
+        # A scan's selectivity denominator: its table's row count,
+        # clamped like every other input row count (at least 1); 1.0
+        # starts the product of a node without a table.  Tables are
+        # immutable once built.
+        rows = np.array(
+            [float(catalog.table(t).row_count) for t in self.tables], dtype=np.float64
+        )
+        np.maximum(rows, 1.0, out=rows)
+        self._input_rows: Dict[Optional[str], float] = dict(
+            zip(self.tables, rows.tolist(), strict=True)
+        )
+        self._input_rows[None] = 1.0
         self.feature_names: List[str] = self._build_names()
 
     # ------------------------------------------------------------------
@@ -112,100 +144,168 @@ class OperatorEncoder:
         """Encode *nodes* as one ``(len(nodes), dim)`` matrix, row *i*
         for ``nodes[i]``; *snapshot* maps operator type -> coefficients.
 
-        The one encoder behind every entry point.  A single Python pass
-        collects each node's one-hot cells and its raw numeric values,
-        followed by its operator's snapshot coefficients (the block
-        that comes next in the layout).  numpy then fills the matrix in
-        a fixed number of calls however many nodes there are: one
-        ``zeros``, one scatter of the one-hots, one conversion of the
-        raw values, one ``log1p`` over the five log columns and one
-        block write.  A row depends only on its own node (and that
-        node's children), never on which other nodes share the call.
+        The one encoder behind every entry point, built column by
+        column rather than node by node: :meth:`_one_hots` writes the
+        one-hot and snapshot blocks and :meth:`_numeric_block` the
+        numeric one, each with a few comprehensions over *nodes* and a
+        fixed number of numpy calls however many nodes there are.  A
+        row depends only on its own node and that node's children
+        (read through ``node.children``, whether or not they are in
+        *nodes*), never on which other nodes share the call.
 
         With *skeleton* (an :meth:`encode_plan_skeleton` matrix of the
         same nodes) only the numeric block is computed, written into
         *skeleton* in place, and *skeleton* is returned; *snapshot* is
         then unused.
         """
-        offsets = self._offsets
-        dim = offsets["end"]
-        table_base, column_base = offsets["table"], offsets["column"]
-        index_base = offsets["index"]
-        op_pos, table_pos = self._op_pos, self._table_pos
-        col_pos, index_pos = self._col_pos, self._index_pos
-        table_of = self.catalog.table
-        one_hots = skeleton is None
-        cells: List[int] = []
-        values: List[float] = []
-        snapshot_rows: Dict[int, Tuple[float, ...]] = {}
-        for row, node in enumerate(nodes):
-            if one_hots:
-                base = row * dim
-                op_row = op_pos[node.op]
-                cells.append(base + op_row)
-                if node.table is not None:
-                    cells.append(base + table_base + table_pos[node.table])
-                refs = [(p.table, p.column) for p in node.predicates]
-                for key in (*node.sort_keys, *node.group_keys):
-                    if "." in key:
-                        refs.append(tuple(key.split(".", 1)))
-                if len(node.join_columns) == 4:
-                    lt, lc, rt, rc = node.join_columns
-                    refs += [(lt, lc), (rt, rc)]
-                for ref in refs:
-                    pos = col_pos.get(ref)
-                    if pos is not None:
-                        cells.append(base + column_base + pos)
-                if node.index is not None and node.index in index_pos:
-                    cells.append(base + index_base + index_pos[node.index])
-            child_rows = 1.0
-            for child in node.children:
-                child_rows *= max(child.est_rows, 1.0)
-            if node.table is not None:
-                child_rows = float(table_of(node.table).row_count)
-            values += (
-                max(node.est_rows, 0.0),
-                max(node.est_width, 0),
-                max(node.est_total_cost, 0.0),
-                max(node.est_startup_cost, 0.0),
-                float(len(node.predicates)),
-                float(len(node.sort_keys)),
-                float(len(node.group_keys)),
-                float(len(node.children)),
-                min(node.est_rows / max(child_rows, 1.0), 1.0),
-                float(node.limit_count or 0),
-            )
-            if one_hots:
-                coefficients = snapshot_rows.get(op_row)
-                if coefficients is None:
-                    coefficients = snapshot_rows[op_row] = self._snapshot_row(
-                        node.op, snapshot
-                    )
-                values += coefficients
-        block = np.array(values, dtype=np.float64).reshape(
-            len(nodes), offsets["end" if one_hots else "snapshot"] - offsets["numeric"]
-        )
-        block[:, _LOG_COLUMNS] = np.log1p(block[:, _LOG_COLUMNS])
-        if not one_hots:
-            skeleton[:, offsets["numeric"]:offsets["snapshot"]] = block
-            return skeleton
-        matrix = np.zeros((len(nodes), dim), dtype=np.float64)
-        matrix.put(cells, 1.0)
-        matrix[:, offsets["numeric"]:dim] = block
+        tables = [node.table for node in nodes]
+        matrix = self._one_hots(nodes, tables, snapshot) if skeleton is None else skeleton
+        matrix[:, self._numeric] = self._numeric_block(nodes, tables)
         return matrix
 
-    def _snapshot_row(
+    def _one_hots(
         self,
-        op: OperatorType,
+        nodes: Sequence[PlanNode],
+        tables: Sequence[Optional[str]],
         snapshot: Optional[Mapping[OperatorType, np.ndarray]],
-    ) -> Tuple[float, ...]:
-        """*op*'s snapshot block: its leading coefficients, zero-padded
-        to the block's width (all zeros when *snapshot* lacks *op*)."""
-        if snapshot is None or op not in snapshot:
-            return (0.0,) * self.snapshot_slots
-        coeffs = np.asarray(snapshot[op], dtype=np.float64)
-        width = min(len(coeffs), self.snapshot_slots)
-        return (*coeffs[:width].tolist(), *(0.0,) * (self.snapshot_slots - width))
+    ) -> np.ndarray:
+        """*nodes*' matrix with the one-hot and snapshot blocks written
+        and the numeric block zero (*tables*: each node's table).
+
+        The rows start as a gather, by operator code, from a per-call
+        ``(n_ops, dim)`` table: each operator's one-hot and its
+        snapshot coefficients.  The other one-hot cells are collected
+        as flat offsets, the tables' by one comprehension and the
+        column and index references by one loop over the nodes, and
+        written with one ``put``.
+        """
+        op_code = self._op_code
+        codes = [op_code[node.op._value_] for node in nodes]
+        rows = self._op_rows
+        if snapshot:
+            rows = rows.copy()
+            present = set(codes)
+            first, slots = self._snapshot.start, self.snapshot_slots
+            for op, coefficients in snapshot.items():
+                code = op_code[op._value_]
+                if code in present:
+                    head = coefficients[:slots]
+                    rows[code, first:first + len(head)] = head
+        matrix = rows.take(codes, axis=0)
+        dim = self.dim
+        bases = range(0, len(nodes) * dim, dim)
+        table_cell = self._table_cell
+        cells = [
+            base + table_cell[table]
+            for base, table in zip(bases, tables, strict=True)
+            if table is not None
+        ]
+        col_cell, key_cell = self._col_cell, self._key_cell
+        index_cell = self._index_cell
+        append = cells.append
+        for base, node in zip(bases, nodes, strict=True):
+            if node.predicates:
+                for p in node.predicates:
+                    cell = col_cell.get((p.table, p.column))
+                    if cell is not None:
+                        append(base + cell)
+            if node.sort_keys:
+                for key in node.sort_keys:
+                    cell = key_cell.get(key)
+                    if cell is not None:
+                        append(base + cell)
+            if node.group_keys:
+                for key in node.group_keys:
+                    cell = key_cell.get(key)
+                    if cell is not None:
+                        append(base + cell)
+            join = node.join_columns
+            if len(join) == 4:
+                cell = col_cell.get((join[0], join[1]))
+                if cell is not None:
+                    append(base + cell)
+                cell = col_cell.get((join[2], join[3]))
+                if cell is not None:
+                    append(base + cell)
+            if node.index is not None:
+                cell = index_cell.get(node.index)
+                if cell is not None:
+                    append(base + cell)
+        matrix.put(cells, 1.0)
+        return matrix
+
+    def _numeric_block(
+        self, nodes: Sequence[PlanNode], tables: Sequence[Optional[str]]
+    ) -> np.ndarray:
+        """The ``(len(nodes), 10)`` numeric block (*tables*: each
+        node's table).
+
+        One comprehension reads every node's raw fields in block order,
+        with the estimated rows again in the selectivity field, and the
+        children's estimated rows follow; one array holds them all.
+        The clamps keep Python's ``max``/``min`` bits.  ``max(x, 0.0)``
+        is ``np.where(0.0 > x, 0.0, x)``, done in place by
+        ``np.putmask``: ``-0.0`` and NaN pass through, where
+        ``np.maximum(-0.0, 0.0)`` is ``0.0``.  Against a bound of 1.0,
+        ``np.maximum``/``np.minimum`` are already exact: they part from
+        Python only at a tie between zeros of opposite sign, and like
+        Python they return a NaN operand.
+        """
+        n = len(nodes)
+        values = [
+            value
+            for node in nodes
+            for value in (
+                node.est_rows,
+                node.est_width,
+                node.est_total_cost,
+                node.est_startup_cost,
+                len(node.predicates),
+                len(node.sort_keys),
+                len(node.group_keys),
+                len(node.children),
+                node.est_rows,
+                node.limit_count or 0,
+            )
+        ]
+        # The selectivity's denominator: a scan's table row count, else
+        # the product of its children's estimated rows, every factor at
+        # least 1.  The clamped factors are multiplied in slot order,
+        # ``1.0 * c0 * c1``, in Python floats (the same IEEE products as
+        # numpy's).  A product of factors >= 1 is >= 1 (or NaN), so it
+        # needs no clamp of its own; the row counts are clamped once,
+        # in ``__init__``.
+        values += [
+            child.est_rows
+            for node, table in zip(nodes, tables, strict=True)
+            if table is None
+            for child in node.children
+        ]
+        # ``struct`` packs a list of Python numbers into doubles (each
+        # exactly ``float(value)``) faster than ``np.array`` converts it.
+        values = np.frombuffer(bytearray(struct.pack(f"{len(values)}d", *values)))
+        # Field-major: each field one contiguous row, as the clamps and
+        # logs below read it.
+        fields = np.ascontiguousarray(values[:10 * n].reshape(n, 10).T)
+        estimates = fields[:4]
+        np.putmask(estimates, 0.0 > estimates, 0.0)
+        factors = values[10 * n:]
+        np.maximum(factors, 1.0, out=factors)
+        factors = iter(factors.tolist())
+        input_rows = self._input_rows
+        denominator = []
+        for node, table in zip(nodes, tables, strict=True):
+            rows = input_rows[table]
+            if table is None:
+                for _ in node.children:
+                    rows *= next(factors)
+            denominator.append(rows)
+        selectivity = fields[8]
+        np.divide(selectivity, denominator, out=selectivity)
+        np.minimum(selectivity, 1.0, out=selectivity)
+        np.log1p(estimates, out=estimates)
+        np.log1p(fields[9], out=fields[9])
+        return fields.T
 
     def encode_node(
         self,
@@ -260,9 +360,8 @@ class OperatorEncoder:
         :meth:`fill_numerics` patches a copy back to exactly what
         :meth:`encode_plan` would have produced.
         """
-        matrix = self.encode_plan(plan, snapshot)
-        matrix[:, self.block_slice("numeric")] = 0.0
-        return matrix
+        nodes = list(plan.walk())
+        return self._one_hots(nodes, [node.table for node in nodes], snapshot)
 
     def fill_numerics(self, matrix: np.ndarray, plan: PlanNode) -> np.ndarray:
         """Write this plan's numeric block into a skeleton copy, in place.

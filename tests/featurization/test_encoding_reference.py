@@ -293,6 +293,66 @@ def test_edge_nodes_match_the_oracles(tpch):
     assert max(level for level, *_ in groups) == 4
 
 
+def signed_zero_plan() -> PlanNode:
+    """A plan of the values where numpy's clamps part from Python's.
+
+    - a scan whose estimated rows and costs are ``-0.0`` (``max(-0.0,
+      0.0)`` is ``-0.0``; ``np.maximum`` gives ``0.0``);
+    - a join whose children estimate ``0.5`` and ``-0.0`` rows (both
+      clamp to 1 in the selectivity's denominator);
+    - a Sort over the join whose estimated rows are NaN, under a Limit
+      (its selectivity's denominator is NaN).
+    """
+    def zero_scan() -> PlanNode:
+        scan = scan_node(OperatorType.SEQ_SCAN, "lineitem", [])
+        scan.est_rows = scan.est_total_cost = scan.est_startup_cost = -0.0
+        return scan
+
+    half = PlanNode(op=OperatorType.MATERIALIZE, children=[zero_scan()], est_rows=0.5)
+    join = PlanNode(
+        op=OperatorType.HASH_JOIN,
+        children=[half, zero_scan()],
+        join_columns=("lineitem", "l_orderkey", "lineitem", "l_partkey"),
+        est_rows=0.75, est_width=12, est_total_cost=3.0,
+    )
+    nan = PlanNode(
+        op=OperatorType.SORT, children=[join], est_rows=float("nan"), est_width=12
+    )
+    return PlanNode(op=OperatorType.LIMIT, children=[nan], limit_count=5, est_rows=5.0)
+
+
+def test_signed_zero_and_nan_match_the_oracle(tpch):
+    encoder = OperatorEncoder(tpch.catalog)
+    plan = signed_zero_plan()
+    limit, sort, _, _, zero, _ = plan.walk()
+    numeric = encoder.block_slice("numeric")
+    # log1p of the clamped rows, total cost and startup cost keeps -0.0.
+    assert np.signbit(encoder.encode_node(zero)[numeric][[0, 2, 3]]).all()
+    assert np.isnan(encoder.encode_node(sort)[numeric][0])
+    assert np.isnan(encoder.encode_node(limit)[numeric][8])
+    for snapshot in (None, snapshot_mapping(3)):
+        expected = reference_encode_plan(encoder, plan, snapshot)
+        assert_same_bits(encoder.encode_plan(plan, snapshot), expected)
+        skeleton = encoder.encode_plan_skeleton(plan, snapshot)
+        assert_same_bits(encoder.fill_numerics(skeleton, plan), expected)
+        for node, row in zip(plan.walk(), expected, strict=True):
+            assert_same_bits(encoder.encode_node(node, snapshot), row)
+
+
+def test_a_node_encodes_alone_without_its_children(tpch):
+    """An inner join encoded on its own still reads its children's rows:
+    the selectivity does not depend on which nodes share the call."""
+    encoder = OperatorEncoder(tpch.catalog)
+    for plan in (edge_plan(), signed_zero_plan()):
+        for node in plan.walk():
+            if len(node.children) < 2:
+                continue
+            expected = reference_encode_node(encoder, node)
+            assert_same_bits(encoder.encode_node(node), expected)
+            assert_same_bits(encoder.encode_nodes([node, *node.children])[0], expected)
+            assert_same_bits(encoder.encode_nodes([*node.children, node])[-1], expected)
+
+
 def test_walk_records_parents_and_slots(tpch):
     plan = edge_plan()
     walk = walk_plan(plan)

@@ -58,7 +58,8 @@ HOT_FUNCTIONS = re.compile(
     r"|_request|_single_request|_count_decode"
     r"|serve_batch|serve_estimates"
     r"|featurize\w*|plan_fingerprint|template_fingerprint"
-    r"|encode_nodes|fill_numerics|walk_plans?|plan_topology|prepared_from_matrix"
+    r"|encode_nodes|_one_hots|_numeric_block|fill_numerics"
+    r"|walk_plans?|plan_topology|prepared_from_matrix"
     r")$"
 )
 
