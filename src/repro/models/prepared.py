@@ -10,8 +10,9 @@ parents':
   and child slot;
 - the encoder turns that node list into one matrix (per environment);
 - :func:`group_forest` makes one reverse pass for heights, child slots
-  and bucket keys, and sorts the nodes into buckets with one stable
-  argsort over the int key ``height * n_ops + op code``;
+  and bucket keys (:func:`forest_keys`), and sorts the nodes into
+  buckets with one stable argsort over the int key ``height * n_ops +
+  op code``;
 - :func:`cut_groups` cuts each bucket's features out of the matrix
   with one index (its rows by its operator's kept columns);
 - :func:`forward_groups` runs one ``forward_batched`` per bucket into
@@ -19,12 +20,14 @@ parents':
 
 A fresh flush runs exactly that (:func:`forest_forward`), with no
 per-plan step.  A single plan is a forest of one: a
-:class:`PreparedPlan` (what the feature cache stores and what training
-samples mini-batches from) holds that forest's buckets, and
-:func:`plan_topology` and :func:`prepared_from_matrix` are the one-root
-case of the same routine.  Prepared plans are regrouped across a
-cached flush or a training mini-batch by :func:`merge_prepared`, one
-stable sort by the same int key.
+:class:`PreparedPlan` (what the feature cache stores) holds that
+forest's buckets, and :func:`plan_topology` and
+:func:`prepared_from_matrix` are the one-root case of the same routine.
+Prepared plans are regrouped across a cached flush by
+:func:`merge_prepared`, one stable sort by the same int key.  Training
+keys its whole training set once as a :class:`TrainingForest` and cuts
+each mini-batch from it into the groups :func:`merge_prepared` would
+make of the batch's prepared plans.
 
 Bit-identity contract: every matmul goes through
 :meth:`repro.nn.layers.Module.forward_batched` (fixed-block GEMM, see
@@ -165,19 +168,19 @@ def walk_plan(plan: PlanNode) -> PlanWalk:
     return walk_plans((plan,))
 
 
-def group_forest(walk: PlanWalk) -> Forest:
-    """Group *walk*'s nodes by ``(height, operator)``.
+def forest_keys(walk: PlanWalk) -> Tuple[np.ndarray, np.ndarray]:
+    """Each of *walk*'s nodes' bucket key and child slots.
 
     One pass over the walk, iterated in reverse: a node's descendants
     follow it in pre-order, so when the pass reaches a node its height
     is final; it takes its key ``height * n_ops + op code``, raises
     its parent's height and fills its parent's child slot (children
     past :data:`MAX_CHILDREN` count for the height but get no slot).
-    One stable argsort of the keys then orders the nodes bucket by
-    bucket, in forest order within a bucket.  Each bucket's index
-    arrays are slices of one array each.
+    Returns ``(keys, children)``: ``(n_nodes,)`` int keys and
+    ``(n_nodes, MAX_CHILDREN)`` forest indices, ``-1`` for absent
+    slots.
     """
-    nodes, parents, slots, roots = walk
+    nodes, parents, slots, _ = walk
     n_nodes = len(nodes)
     heights = [0] * n_nodes
     keys = [0] * n_nodes
@@ -191,24 +194,46 @@ def group_forest(walk: PlanWalk) -> Forest:
                 heights[parent] = height + 1
             if slots[i] < MAX_CHILDREN:
                 child_slots[parent * MAX_CHILDREN + slots[i]] = i
-    key_of = np.array(keys, dtype=np.int64)
+    return (
+        np.array(keys, dtype=np.int64),
+        np.array(child_slots, dtype=np.int64).reshape(-1, MAX_CHILDREN),
+    )
+
+
+def _bucket_bounds(sorted_keys: np.ndarray) -> List[Tuple[int, int]]:
+    """``(lo, hi)`` of each run of equal keys in *sorted_keys*."""
+    cuts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(sorted_keys)]))
+
+
+def group_forest(walk: PlanWalk) -> Forest:
+    """Group *walk*'s nodes by ``(height, operator)``.
+
+    The keys come from :func:`forest_keys`; one stable argsort of them
+    orders the nodes bucket by bucket, in forest order within a
+    bucket.  Each bucket's index arrays are slices of one array each.
+    """
+    key_of, child_of = forest_keys(walk)
     order = np.argsort(key_of, kind="stable")
     sorted_keys = key_of[order]
-    child_order = np.array(child_slots, dtype=np.int64).reshape(-1, MAX_CHILDREN)
-    child_order = child_order[order]
-    cuts = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
+    child_order = child_of[order]
     levels: List[int] = []
     ops: List[OperatorType] = []
     members: List[np.ndarray] = []
     children: List[np.ndarray] = []
-    for lo, hi in zip([0, *cuts], [*cuts, n_nodes]):
+    for lo, hi in _bucket_bounds(sorted_keys):
         level, code = divmod(int(sorted_keys[lo]), _N_OPS)
         levels.append(level)
         ops.append(_OPS[code])
         members.append(order[lo:hi])
         children.append(child_order[lo:hi])
     return Forest(
-        levels, ops, members, children, np.array(roots, dtype=np.int64), n_nodes
+        levels,
+        ops,
+        members,
+        children,
+        np.array(walk.roots, dtype=np.int64),
+        len(walk.nodes),
     )
 
 
@@ -304,8 +329,8 @@ def merge_prepared(
     value)`` so children are always computed before parents, with rows
     plan-major and in walk order within a plan; absent child slots point
     at ``offsets[-1]`` (one past the last node).  ``offsets`` has one
-    entry per plan plus the total.  Serving (:func:`fused_forward`) and
-    training (:meth:`repro.models.qppnet.QPPNet.fit`) share this merge.
+    entry per plan plus the total.  Serving (:func:`fused_forward`) runs
+    on this merge; a :class:`TrainingForest` batch gives the same groups.
 
     A single plan's groups are already unique and sorted, so a flush of
     one skips the merge (every synchronous ``estimate`` is such a
@@ -375,6 +400,94 @@ def merge_prepared(
         groups.append((op, feats, nodes[lo:hi], children[lo:hi]))
         lo, first = hi, stop
     return groups, offsets
+
+
+class ForestBatch(NamedTuple):
+    """A mini-batch cut from a :class:`TrainingForest`.
+
+    ``groups`` and ``n_nodes`` are what :func:`merge_prepared` gives
+    for the batch's prepared plans (its ``offsets[-1]``): batch-wide
+    node indices, absent child slots at ``n_nodes``.  ``members`` is
+    the forest index of every group row, groups in order, for reading
+    per-node values the forest was built with.  ``sources[g]`` lists,
+    ascending, the groups that hold group *g*'s children.
+    """
+
+    groups: List[Tuple[OperatorType, np.ndarray, np.ndarray, np.ndarray]]
+    n_nodes: int
+    members: np.ndarray
+    sources: List[List[int]]
+
+
+class TrainingForest:
+    """Training plans walked, encoded and keyed once per fit.
+
+    Built from one :func:`walk_plans` forest of every training plan and
+    its encoded matrix.  Each operator's rows are cut once, with that
+    operator's kept columns, into one feature block.  A mini-batch
+    (:meth:`batch`) is then a gather of its plans' node keys, one
+    stable argsort, and one feature gather per group, where
+    :func:`merge_prepared` would merge per-plan groups in Python.
+    *plan_order[k]* is the training index of the walk's plan *k*.
+    """
+
+    def __init__(
+        self,
+        walk: PlanWalk,
+        matrix: np.ndarray,
+        masks: Optional[Mapping[OperatorType, np.ndarray]],
+        plan_order: Sequence[int],
+    ):
+        self.keys, self.children = forest_keys(walk)
+        roots = np.array(walk.roots, dtype=np.int64)
+        self.starts = np.empty(len(roots), dtype=np.int64)
+        self.sizes = np.empty(len(roots), dtype=np.int64)
+        self.starts[plan_order] = roots
+        self.sizes[plan_order] = np.diff(roots, append=len(walk.nodes))
+        codes = self.keys % _N_OPS
+        self.row_in_op = np.empty(len(walk.nodes), dtype=np.int64)
+        self.feats: List[Optional[np.ndarray]] = [None] * _N_OPS
+        for code in np.unique(codes).tolist():
+            rows = np.flatnonzero(codes == code)
+            keep = masks.get(_OPS[code]) if masks else None
+            self.feats[code] = (
+                matrix[rows] if keep is None else matrix[rows[:, None], np.asarray(keep)]
+            )
+            self.row_in_op[rows] = np.arange(len(rows))
+
+    def batch(self, plans: np.ndarray) -> ForestBatch:
+        """The training plans *plans* (indices, in batch order) grouped
+        as :func:`merge_prepared` groups their prepared plans."""
+        sizes = self.sizes[plans]
+        n_nodes = int(sizes.sum())
+        # Forest index minus batch index, constant over a plan's nodes.
+        shift = np.repeat(self.starts[plans] - (np.cumsum(sizes) - sizes), sizes)
+        keys = self.keys[np.arange(n_nodes) + shift]
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        members = order + shift[order]
+        children = self.children[members]
+        children = np.where(children >= 0, children - shift[order, None], n_nodes)
+        bounds = _bucket_bounds(sorted_keys)
+        groups = []
+        for lo, hi in bounds:
+            code = int(sorted_keys[lo]) % _N_OPS
+            feats = self.feats[code][self.row_in_op[members[lo:hi]]]
+            groups.append((_OPS[code], feats, order[lo:hi], children[lo:hi]))
+        # The group DAG: which groups each group's children sit in.
+        n_groups = len(bounds)
+        group_ids = np.repeat(
+            np.arange(n_groups), [hi - lo for lo, hi in bounds]
+        )
+        group_of = np.full(n_nodes + 1, n_groups, dtype=np.int64)
+        group_of[order] = group_ids
+        pairs = np.unique(group_ids[:, None] * (n_groups + 1) + group_of[children])
+        sources: List[List[int]] = [[] for _ in range(n_groups)]
+        for pair in pairs.tolist():
+            group, source = divmod(pair, n_groups + 1)
+            if source < n_groups:
+                sources[group].append(source)
+        return ForestBatch(groups, n_nodes, members, sources)
 
 
 def forward_groups(

@@ -10,13 +10,15 @@ so every unit runs once per group, children's groups before parents'
 (:mod:`repro.models.prepared`).  A flush of fresh plans is grouped as
 one forest: walked once, encoded per environment, grouped with one
 reverse pass and one sort, with no per-plan step.  A plan featurized on
-its own (``prepare_one``, the feature cache's value, each training
-plan) is a forest of one, a
-:class:`~repro.models.prepared.PreparedPlan`; cached flushes and
-training mini-batches merge those.  Training builds the merged groups
-as an autodiff graph: per group, one differentiable gather of the
-children's data vectors from earlier groups' outputs, one unit
-forward, and one slice of the group's predictions.
+its own (``prepare_one``, the feature cache's value) is a forest of
+one, a :class:`~repro.models.prepared.PreparedPlan`; cached flushes
+merge those.  Training walks, encodes and keys its plans once per fit
+as one :class:`~repro.models.prepared.TrainingForest` and cuts every
+mini-batch from it.  It trains on hand-derived gradients: per batch a
+forward pass per group that keeps the activations, then a reverse pass
+over the groups that writes each unit's gradients into one flat buffer
+per unit, for one in-place Adam step per unit.  The fitted bits are
+those of the autodiff graph over the same groups.
 
 Supervision follows QPPNet: every node's latency output is trained
 against the measured cumulative subtree time (EXPLAIN ANALYZE-style
@@ -39,8 +41,9 @@ from ..engine.executor import LabeledPlan
 from ..engine.operators import OperatorType, PlanNode
 from ..errors import TrainingError
 from ..featurization.encoding import OperatorEncoder, apply_mask
-from ..nn import Adam, Tensor, clip_grad_norm, concat, gather_rows, mlp
+from ..nn import Adam, clip_grad_norm, mlp
 from ..nn.layers import Sequential
+from ..nn.optim import FlatParameter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,10 +58,12 @@ from .base import (
 )
 from .prepared import (
     MAX_CHILDREN,
+    ForestBatch,
+    PlanWalk,
     PreparedPlan,
+    TrainingForest,
     forest_forward,
     fused_forward,
-    merge_prepared,
     prepared_from_matrix,
     prepared_from_rows,
     walk_plan,
@@ -291,47 +296,32 @@ class QPPNet(CostEstimator):
         targets[0] = to_log(record.latency_ms)
         return targets
 
-    def _forward_prepared(
-        self, prepared: Sequence[PreparedPlan], targets: Sequence[np.ndarray]
-    ) -> Tuple[Tensor, np.ndarray]:
-        """Differentiable forward over the merged ``(height, operator)``
-        groups of a mini-batch (:func:`~repro.models.prepared.merge_prepared`).
-
-        Each group reads its children's data vectors from earlier
-        groups' outputs with one :func:`~repro.nn.tensor.gather_rows`
-        and runs its unit once.  Returns every node's prediction, group
-        by group, and the matching log targets.
-        """
-        groups, offsets = merge_prepared(prepared)
-        # Which group, and which row of it, computed each batch-wide
-        # node; the final entry stands for absent child slots.
-        group_of = np.full(int(offsets[-1]) + 1, -1, dtype=np.int64)
-        row_of = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
-        outputs: List[Tensor] = []
-        predictions: List[Tensor] = []
-        for op, feats, nodes, children in groups:
-            child_data = gather_rows(
-                outputs, group_of[children], row_of[children], 1, self.data_size
-            )
-            unit_out = self.units[op](concat([Tensor(feats), child_data], axis=1))
-            group_of[nodes] = len(outputs)
-            row_of[nodes] = np.arange(len(nodes))
-            outputs.append(unit_out)
-            predictions.append(unit_out[:, 0])
-        order = np.concatenate([nodes for _, _, nodes, _ in groups])
-        return concat(predictions, axis=0), np.concatenate(targets)[order]
-
     def fit(
         self,
         train: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> TrainStats:
+        """Train every unit on hand-derived gradients.
+
+        The training plans are walked, encoded and keyed once
+        (:class:`~repro.models.prepared.TrainingForest`) and each
+        mini-batch is cut from that forest.  Each unit trains as one
+        :class:`~repro.nn.optim.FlatParameter` with its gradient in one
+        flat buffer (:class:`_FlatUnit`); :meth:`_step_gradients` fills
+        the buffers, then the clip and the Adam step run over the flat
+        parameters.  A unit absent from a batch has no gradient and is
+        not updated.  The weights, losses and their bits are those of
+        the autodiff graph over the same groups.
+        """
         if not train:
             raise TrainingError("empty training set")
         start = time.perf_counter()
-        prepared = self._prepare_many(train, snapshot_set)
-        node_targets = [self._node_targets(r) for r in train]
-        optimizer = Adam(self.parameters(), lr=self.lr)
+        walk, matrix, order = self._forest_matrix(train, snapshot_set)
+        forest = TrainingForest(walk, matrix, self.masks, order)
+        targets = np.concatenate([self._node_targets(train[i]) for i in order])
+        units = {op: _FlatUnit(unit) for op, unit in self.units.items()}
+        params = [unit.param for unit in units.values()]
+        optimizer = Adam(params, lr=self.lr)
         rng = rng_for("qppnet-fit", self.seed)
         history: List[float] = []
         indices = np.arange(len(train))
@@ -340,17 +330,11 @@ class QPPNet(CostEstimator):
             epoch_loss = 0.0
             batches = 0
             for lo in range(0, len(indices), self.batch_size):
-                batch = indices[lo:lo + self.batch_size]
-                preds, targets = self._forward_prepared(
-                    [prepared[i] for i in batch], [node_targets[i] for i in batch]
-                )
-                diff = preds - Tensor(targets)
-                loss = (diff * diff).mean()
-                optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(self.parameters(), 5.0)
+                batch = forest.batch(indices[lo:lo + self.batch_size])
+                loss = self._step_gradients(batch, targets[batch.members], units)
+                clip_grad_norm(params, 5.0)
                 optimizer.step()
-                epoch_loss += loss.item()
+                epoch_loss += loss
                 batches += 1
             history.append(epoch_loss / max(batches, 1))
         return TrainStats(
@@ -360,6 +344,58 @@ class QPPNet(CostEstimator):
             n_parameters=self.num_parameters(),
             loss_history=history,
         )
+
+    def _step_gradients(
+        self,
+        batch: ForestBatch,
+        targets: np.ndarray,
+        units: Mapping[OperatorType, "_FlatUnit"],
+    ) -> float:
+        """One mini-batch's mean squared error; leaves each unit's
+        gradient in its flat buffer (``param.grad``, None when the
+        unit is absent from the batch).
+
+        The forward runs group by group into one output buffer and
+        keeps each group's activations.  The backward writes a
+        group's unit-output gradient into one buffer, row per node:
+        column 0 from the loss, the data columns from the parent's
+        input gradient, by plain assignment since every node has one
+        parent.  It visits the groups in :func:`_backward_order`, so a
+        unit shared by several groups sums their contributions in the
+        autodiff graph's order, bit for bit.
+        """
+        groups, n_nodes = batch.groups, batch.n_nodes
+        width = 1 + self.data_size
+        out = np.zeros((n_nodes + 1, width))
+        saved = []
+        for op, feats, nodes, children in groups:
+            child_data = out[children.reshape(-1), 1:].reshape(
+                len(nodes), _MAX_CHILDREN * self.data_size
+            )
+            x = np.concatenate([feats, child_data], axis=1)
+            unit_out, inputs, masks = units[op].forward(x)
+            out[nodes] = unit_out
+            saved.append((inputs, masks))
+        order = np.concatenate([nodes for _, _, nodes, _ in groups])
+        diff = out[order, 0] - targets
+        loss = float((diff * diff).mean())
+        # d(mean(diff**2))/d(diff), as the graph computes it: the
+        # mean's 1/N times diff, once per factor of the product.
+        half = (1.0 / len(diff)) * diff
+        grad_out = np.zeros((n_nodes + 1, width))
+        grad_out[order, 0] = half + half
+        for unit in units.values():
+            unit.param.grad = None
+        for g in _backward_order(batch.sources):
+            op, feats, nodes, children = groups[g]
+            inputs, masks = saved[g]
+            grad_x = units[op].backward(
+                grad_out[nodes], inputs, masks, bool(batch.sources[g])
+            )
+            if grad_x is not None:
+                child_grad = grad_x[:, feats.shape[1]:].reshape(-1, self.data_size)
+                grad_out[children.reshape(-1), 1:] = child_grad
+        return loss
 
     def predict_many(
         self,
@@ -390,7 +426,11 @@ class QPPNet(CostEstimator):
         walk-order based and safe to replay onto any plan object with
         the same fingerprint (see :class:`~repro.models.prepared.PreparedPlan`).
         """
-        return self._prepare_many([record], snapshot_set)[0]
+        walk = walk_plan(record.plan)
+        matrix = self._masked_matrix(
+            walk.nodes, snapshot_mapping_for(record, snapshot_set)
+        )
+        return prepared_from_matrix(record.plan, matrix, self.masks, walk)
 
     def _environments(
         self,
@@ -405,47 +445,17 @@ class QPPNet(CostEstimator):
             by_mapping.setdefault(id(mapping), (mapping, []))[1].append(i)
         return list(by_mapping.values())
 
-    def _prepare_many(
+    def _forest_matrix(
         self,
         records: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"],
-    ) -> List[PreparedPlan]:
-        """:meth:`prepare_one` of every record, in order.
+    ) -> Tuple[PlanWalk, np.ndarray, List[int]]:
+        """*records*' plans walked as one forest and encoded.
 
-        Each plan is walked once (:func:`~repro.models.prepared.walk_plan`)
-        and grouped as a forest of one; the walk feeds both the encoder
-        and the grouping.  Plans that share a snapshot mapping (one
-        environment) are encoded as one matrix, then cut into per-plan
-        row ranges: rows depend only on their own node, so each plan
-        gets the bits a lone encode gives.
-        """
-        walks = [walk_plan(record.plan) for record in records]
-        prepared: Dict[int, PreparedPlan] = {}
-        for mapping, indices in self._environments(records, snapshot_set):
-            matrix = self._masked_matrix(
-                [node for i in indices for node in walks[i].nodes], mapping
-            )
-            lo = 0
-            for i in indices:
-                hi = lo + len(walks[i].nodes)
-                prepared[i] = prepared_from_matrix(
-                    records[i].plan, matrix[lo:hi], self.masks, walks[i]
-                )
-                lo = hi
-        return [prepared[i] for i in range(len(records))]
-
-    def _forest_roots(
-        self,
-        records: Sequence[LabeledPlan],
-        snapshot_set: Optional["SnapshotSet"],
-    ) -> np.ndarray:
-        """Root log-latency of every record, its plans grouped as one
-        forest (:func:`~repro.models.prepared.forest_forward`).
-
-        The plans are walked once, environment by environment, so each
+        The plans are walked environment by environment, so each
         environment's nodes are one contiguous run of the forest and
-        encode as one matrix; the forest's roots are then put back in
-        input order.  No per-plan :class:`PreparedPlan` is built.
+        encode as one matrix.  Returns ``(walk, matrix, order)``: the
+        walk's plan *k* is ``records[order[k]]``.
         """
         environments = self._environments(records, snapshot_set)
         order = [i for _, indices in environments for i in indices]
@@ -458,6 +468,19 @@ class QPPNet(CostEstimator):
             matrices.append(self._masked_matrix(walk.nodes[rows], mapping))
             first += len(indices)
         matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
+        return walk, matrix, order
+
+    def _forest_roots(
+        self,
+        records: Sequence[LabeledPlan],
+        snapshot_set: Optional["SnapshotSet"],
+    ) -> np.ndarray:
+        """Root log-latency of every record, its plans grouped as one
+        forest (:func:`~repro.models.prepared.forest_forward`) and the
+        roots put back in input order.  No per-plan
+        :class:`PreparedPlan` is built.
+        """
+        walk, matrix, order = self._forest_matrix(records, snapshot_set)
         roots = np.empty(len(records))
         roots[order] = forest_forward(
             walk, matrix, self.masks, self.units, self.data_size
@@ -573,3 +596,106 @@ class QPPNet(CostEstimator):
         out.setdefault(node.op, []).append(unit_input)
         result = self.units[node.op].forward_numpy(unit_input.reshape(1, -1))
         return result[0, 1:]
+
+
+class _FlatUnit:
+    """One unit's trainable state during :meth:`QPPNet.fit`.
+
+    ``param`` is the unit's :class:`~repro.nn.optim.FlatParameter`
+    (its layers' arrays are views of it); ``grad`` is one flat
+    gradient buffer, cut into per-layer views the same way.  The unit
+    is ``Linear`` layers with a ReLU between each pair, as
+    :func:`~repro.nn.layers.mlp` builds it.
+    """
+
+    def __init__(self, unit: Sequential):
+        linears = unit.modules[::2]
+        self.param = FlatParameter(
+            [p for layer in linears for p in (layer.weight, layer.bias)]
+        )
+        self.weights = [layer.weight.data for layer in linears]
+        self.biases = [layer.bias.data for layer in linears]
+        self.grad = np.empty_like(self.param.data)
+        parts = self.param.split(self.grad)
+        self.grad_weights = parts[0::2]
+        self.grad_biases = parts[1::2]
+
+    def forward(
+        self, x: np.ndarray
+    ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+        """The unit's output on *x*, each layer's input and each ReLU's
+        mask, with the autodiff layers' arithmetic (the bias add and
+        the ReLU run in place, which rounds the same)."""
+        inputs = [x]
+        masks = []
+        h = x
+        for weight, bias in zip(self.weights[:-1], self.biases[:-1], strict=True):
+            h = h @ weight
+            h += bias
+            mask = h > 0
+            h *= mask
+            inputs.append(h)
+            masks.append(mask)
+        out = h @ self.weights[-1]
+        out += self.biases[-1]
+        return out, inputs, masks
+
+    def backward(
+        self,
+        grad: np.ndarray,
+        inputs: List[np.ndarray],
+        masks: List[np.ndarray],
+        want_input: bool,
+    ) -> Optional[np.ndarray]:
+        """Add one group's weight and bias gradients to the flat buffer
+        (the first group of a batch writes them) and return the
+        gradient at the unit's input when *want_input*.  The input
+        gradient is the full ``grad @ W0.T``, as the graph computes it,
+        for the caller to slice."""
+        first = self.param.grad is None
+        for layer in range(len(self.weights) - 1, -1, -1):
+            x = inputs[layer]
+            # One row: each entry is one exact product either way, and
+            # the outer product is far cheaper than a k=1 matmul.
+            grad_weight = x.T * grad if len(grad) == 1 else x.T @ grad
+            grad_bias = np.add.reduce(grad, axis=0)
+            if first:
+                self.grad_weights[layer][...] = grad_weight
+                self.grad_biases[layer][...] = grad_bias
+            else:
+                self.grad_weights[layer] += grad_weight
+                self.grad_biases[layer] += grad_bias
+            if layer:
+                grad = grad @ self.weights[layer].T
+                grad *= masks[layer - 1]
+        self.param.grad = self.grad
+        return grad @ self.weights[0].T if want_input else None
+
+
+def _backward_order(sources: Sequence[Sequence[int]]) -> List[int]:
+    """The order in which the autodiff graph of a batch back-propagates
+    through its groups.
+
+    :meth:`~repro.nn.tensor.Tensor.backward` runs nodes in reverse
+    post-order of a depth-first search from the loss.  Over a batch's
+    groups that search starts from the predictions' concat, which
+    reaches the groups last to first, and leaves a group through its
+    child-data gather, which reaches the *sources* groups last to
+    first.  Each group's nodes form a chain, so the groups' reverse
+    post-order is the order every layer's parameters sum their
+    gradients in.
+    """
+    seen = [False] * len(sources)
+    post: List[int] = []
+
+    def visit(group: int) -> None:
+        seen[group] = True
+        for source in reversed(sources[group]):
+            if not seen[source]:
+                visit(source)
+        post.append(group)
+
+    for group in range(len(sources) - 1, -1, -1):
+        if not seen[group]:
+            visit(group)
+    return post[::-1]

@@ -1,14 +1,17 @@
 """Minimal numpy neural-network substrate (autodiff, layers, optim).
 
-Replaces the paper's PyTorch dependency; see DESIGN.md for why a
-dynamic-graph autodiff is required by QPPNet's per-plan structure.
+Replaces the paper's PyTorch dependency.  The dynamic-graph autodiff
+:class:`Tensor` trains MSCN and computes gradient importance; QPPNet
+trains on hand-derived gradients over :class:`FlatParameter` units
+(:mod:`repro.models.qppnet`), with the autodiff graph as its test
+oracle.
 """
 
 from .batched import BLOCK_ROWS, blocked_matmul
 from .tensor import Tensor, affine, as_tensor, concat, gather_rows, stack
 from .layers import Linear, Module, ReLU, Sequential, Sigmoid, Tanh, mlp
 from .loss import log_mse, mae, mse, numpy_q_error, q_error_loss
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .optim import SGD, Adam, FlatParameter, Optimizer, clip_grad_norm
 
 __all__ = [
     "BLOCK_ROWS",
@@ -33,6 +36,7 @@ __all__ = [
     "numpy_q_error",
     "SGD",
     "Adam",
+    "FlatParameter",
     "Optimizer",
     "clip_grad_norm",
 ]

@@ -56,8 +56,45 @@ class SGD(Optimizer):
             p.data = p.data - self.lr * grad
 
 
+class FlatParameter(Tensor):
+    """Several parameters held as one flat vector.
+
+    On construction each parameter's ``data`` becomes a view of this
+    tensor's ``data``, so an in-place optimizer step on the flat vector
+    updates every part.  ``bounds`` holds each part's ``(lo, hi)``
+    slice and ``shapes`` its shape, in the given order.  Elementwise
+    updates give a part the bits it would get on its own, and
+    :func:`clip_grad_norm` sums squares part by part, so a flat
+    parameter trains exactly as its parts would.
+    """
+
+    __slots__ = ("bounds", "shapes")
+
+    def __init__(self, parameters: Sequence[Tensor]):
+        super().__init__(
+            np.concatenate([p.data.reshape(-1) for p in parameters]),
+            requires_grad=True,
+        )
+        ends = np.cumsum([p.data.size for p in parameters]).tolist()
+        self.bounds = list(zip([0, *ends[:-1]], ends))
+        self.shapes = [p.data.shape for p in parameters]
+        for p, view in zip(parameters, self.split(self.data), strict=True):
+            p.data = view
+
+    def split(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Views of *flat* (shaped like ``data``), one per part."""
+        return [
+            flat[lo:hi].reshape(shape)
+            for (lo, hi), shape in zip(self.bounds, self.shapes, strict=True)
+        ]
+
+
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) — the optimizer used to train QPPNet/MSCN."""
+    """Adam (Kingma & Ba) — the optimizer used to train QPPNet/MSCN.
+
+    Updates ``data`` (and the moment estimates) in place, so views of
+    a :class:`FlatParameter` stay live across steps.
+    """
 
     def __init__(
         self,
@@ -78,6 +115,8 @@ class Adam(Optimizer):
     def step(self) -> None:
         self._t += 1
         b1, b2 = self.beta1, self.beta2
+        m_scale = 1 - b1**self._t
+        v_scale = 1 - b2**self._t
         for index, p in enumerate(self.parameters):
             if p.grad is None:
                 continue
@@ -86,12 +125,26 @@ class Adam(Optimizer):
                 grad = grad + self.weight_decay * p.data
             m = self._m[index]
             v = self._v[index]
-            m = (1 - b1) * grad if m is None else b1 * m + (1 - b1) * grad
-            v = (1 - b2) * grad**2 if v is None else b2 * v + (1 - b2) * grad**2
-            self._m[index], self._v[index] = m, v
-            m_hat = m / (1 - b1**self._t)
-            v_hat = v / (1 - b2**self._t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if m is None:
+                m = self._m[index] = (1 - b1) * grad
+                v = self._v[index] = (1 - b2) * grad**2
+            else:
+                m *= b1
+                m += (1 - b1) * grad
+                v *= b2
+                v += (1 - b2) * grad**2
+            step = self.lr * (m / m_scale)
+            step /= np.sqrt(v / v_scale) + self.eps
+            p.data -= step
+
+
+def _square_sums(p: Tensor) -> List[float]:
+    """Sum of squared gradient per parameter (per part of a
+    :class:`FlatParameter`)."""
+    squares = p.grad**2
+    if isinstance(p, FlatParameter):
+        return [float(squares[lo:hi].sum()) for lo, hi in p.bounds]
+    return [float(squares.sum())]
 
 
 def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
@@ -99,7 +152,8 @@ def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
     total = 0.0
     for p in parameters:
         if p.grad is not None:
-            total += float((p.grad**2).sum())
+            for part in _square_sums(p):
+                total += part
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm

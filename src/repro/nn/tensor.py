@@ -1,11 +1,13 @@
 """A small reverse-mode automatic differentiation engine on numpy.
 
 The paper's models (QPPNet, MSCN) are built from dense layers and ReLU
-activations; QPPNet additionally needs a *dynamic* graph because every
-query plan induces a different composition of per-operator neural
-units.  This module provides exactly that: a :class:`Tensor` wrapping a
+activations.  This module provides a :class:`Tensor` wrapping a
 ``numpy.ndarray`` that records the operations applied to it and can
-back-propagate gradients through an arbitrary DAG.
+back-propagate gradients through an arbitrary DAG.  MSCN trains on it
+and gradient importance differentiates through it.  QPPNet, whose
+every query plan induces a different composition of per-operator
+units, trains on hand-derived gradients (:mod:`repro.models.qppnet`);
+the graph of its merged groups stays as that trainer's test oracle.
 
 Only the operations the repro needs are implemented, but each supports
 full numpy broadcasting with correct gradient reduction.

@@ -7,6 +7,7 @@ import pytest
 
 from repro.eval.experiments import (
     ABLATION_VARIANTS,
+    MODEL_NAMES,
     figure1,
     figure5,
     figure6,
@@ -63,8 +64,8 @@ class TestTable4AndFigure5:
     def test_rows_and_ordering(self, context):
         rows = table4(context, benchmarks=("sysbench",), scales=(60, 120))
         models = {row.model for row in rows}
-        assert models == {"PGSQL", "QCFE(mscn)", "QCFE(qpp)", "MSCN", "QPPNet"}
-        assert len(rows) == 10
+        assert models == set(MODEL_NAMES)
+        assert len(rows) == 12
         by_key = {(r.model, r.scale): r for r in rows}
         # PGSQL is orders of magnitude off; learned models are not.
         assert by_key[("PGSQL", 120)].mean_q_error > 100

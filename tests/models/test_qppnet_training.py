@@ -1,11 +1,21 @@
-"""QPPNet training on fused (height, operator) groups vs the per-node path.
+"""QPPNet training against two autodiff oracles.
 
-The oracle below is the per-node training forward QPPNet used before
+The first oracle is the per-node training forward QPPNet used before
 it trained on merged prepared plans: a tensor slice per child slot, a
 zero tensor per absent slot, one concat per node, one stack per group
-and one prediction slice per node.  The fused path must reproduce its
-predictions and targets bit for bit, its gradients up to summation
-order, and its loss history.
+and one prediction slice per node.  The second is the autodiff trainer
+QPPNet used before its gradients were hand-derived: the merged
+``(height, operator)`` groups of each mini-batch
+(:func:`~repro.models.prepared.merge_prepared`) built as a
+:class:`~repro.nn.tensor.Tensor` graph, ``Tensor.backward``, then the
+clip and an ``Adam`` step over every unit array.
+
+The merged autodiff forward must reproduce the per-node predictions
+and targets bit for bit and its gradients up to summation order.  The
+hand-derived ``QPPNet.fit`` must reproduce the autodiff trainer's
+fitted weights and loss history bit for bit, and every mini-batch it
+cuts from its training forest must be the merge of the batch's
+prepared plans.
 """
 
 from __future__ import annotations
@@ -19,11 +29,14 @@ import pytest
 from repro.engine.executor import LabeledPlan
 from repro.engine.operators import OperatorType, PlanNode
 from repro.featurization.encoding import OperatorEncoder, apply_mask
-from repro.models.base import snapshot_mapping_for
-from repro.models.prepared import MAX_CHILDREN, merge_prepared
+from repro.models.base import TrainStats, snapshot_mapping_for
+from repro.models.prepared import MAX_CHILDREN, TrainingForest, merge_prepared
 from repro.models.qppnet import QPPNet, to_log
-from repro.nn import Adam, Tensor, clip_grad_norm, concat, stack
+from repro.nn import Adam, Tensor, clip_grad_norm, concat, gather_rows, stack
 from repro.rng import rng_for
+from repro.workload.collect import collect_labeled_plans
+
+from .test_forest_equivalence import Snapshots
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +162,77 @@ def oracle_operator_dataset(
 
 
 # ----------------------------------------------------------------------
+# oracle: the autodiff trainer over merged groups
+# ----------------------------------------------------------------------
+def autograd_forward(
+    model: QPPNet, prepared: Sequence, targets: Sequence[np.ndarray]
+) -> Tuple[Tensor, np.ndarray]:
+    """Differentiable forward over the merged ``(height, operator)``
+    groups of a mini-batch: each group reads its children's data
+    vectors from earlier groups' outputs with one ``gather_rows`` and
+    runs its unit once.  Returns every node's prediction, group by
+    group, and the matching log targets."""
+    groups, offsets = merge_prepared(prepared)
+    group_of = np.full(int(offsets[-1]) + 1, -1, dtype=np.int64)
+    row_of = np.zeros(int(offsets[-1]) + 1, dtype=np.int64)
+    outputs: List[Tensor] = []
+    predictions: List[Tensor] = []
+    for op, feats, nodes, children in groups:
+        child_data = gather_rows(
+            outputs, group_of[children], row_of[children], 1, model.data_size
+        )
+        unit_out = model.units[op](concat([Tensor(feats), child_data], axis=1))
+        group_of[nodes] = len(outputs)
+        row_of[nodes] = np.arange(len(nodes))
+        outputs.append(unit_out)
+        predictions.append(unit_out[:, 0])
+    order = np.concatenate([nodes for _, _, nodes, _ in groups])
+    return concat(predictions, axis=0), np.concatenate(targets)[order]
+
+
+def autograd_fit(
+    model: QPPNet, train: Sequence[LabeledPlan], snapshot_set=None, norms=None
+) -> TrainStats:
+    """The autodiff training loop; appends each step's gradient norm
+    (before clipping) to *norms* when given."""
+    prepared = [model.prepare_one(r, snapshot_set) for r in train]
+    node_targets = [model._node_targets(r) for r in train]
+    optimizer = Adam(model.parameters(), lr=model.lr)
+    rng = rng_for("qppnet-fit", model.seed)
+    history: List[float] = []
+    indices = np.arange(len(train))
+    for _ in range(model.epochs):
+        rng.shuffle(indices)
+        epoch_loss, batches = 0.0, 0
+        for lo in range(0, len(indices), model.batch_size):
+            batch = indices[lo:lo + model.batch_size]
+            preds, targets = autograd_forward(
+                model, [prepared[i] for i in batch], [node_targets[i] for i in batch]
+            )
+            diff = preds - Tensor(targets)
+            loss = (diff * diff).mean()
+            optimizer.zero_grad()
+            loss.backward()
+            norm = clip_grad_norm(model.parameters(), 5.0)
+            if norms is not None:
+                norms.append(norm)
+            optimizer.step()
+            epoch_loss += loss.item()
+            batches += 1
+        history.append(epoch_loss / max(batches, 1))
+    return TrainStats(epochs=model.epochs, loss_history=history)
+
+
+def with_autograd_fit(model: QPPNet, norms=None) -> QPPNet:
+    """*model*, its ``fit`` (and so ``warm_retrain``) replaced by the
+    autodiff trainer."""
+    model.fit = lambda train, snapshot_set=None: autograd_fit(  # type: ignore[method-assign]
+        model, train, snapshot_set, norms
+    )
+    return model
+
+
+# ----------------------------------------------------------------------
 # fixtures
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -197,8 +281,8 @@ def _both_paths(model: QPPNet, records):
     """Fused ``(predictions, targets, batch-wide node index of each
     entry)`` and the oracle's output for the same batch."""
     prepared = [model.prepare_one(r) for r in records]
-    preds, targets = model._forward_prepared(
-        prepared, [model._node_targets(r) for r in records]
+    preds, targets = autograd_forward(
+        model, prepared, [model._node_targets(r) for r in records]
     )
     groups, _ = merge_prepared(prepared)
     order = np.concatenate([nodes for _, _, nodes, _ in groups])
@@ -299,3 +383,140 @@ class TestOperatorDataset:
         assert set(got) == set(expected)
         for op, matrix in expected.items():
             assert np.array_equal(got[op], matrix), op
+
+
+def assert_same_fit(model: QPPNet, oracle: QPPNet, stats, expected) -> None:
+    """Every unit array and the loss history, bit for bit."""
+    for op in OperatorType:
+        got = model.units[op].parameters()
+        want = oracle.units[op].parameters()
+        assert len(got) == len(want)
+        for have, wanted in zip(got, want, strict=True):
+            assert have.data.shape == wanted.data.shape, op
+            np.testing.assert_array_equal(
+                have.data.view(np.uint64), wanted.data.view(np.uint64), err_msg=str(op)
+            )
+    np.testing.assert_array_equal(
+        np.array(stats.loss_history).view(np.uint64),
+        np.array(expected.loss_history).view(np.uint64),
+    )
+
+
+@pytest.fixture(scope="module", params=["tpch", "sysbench", "joblight"])
+def corpus(request, tpch, sysbench, joblight, environments, plans, sysbench_labeled):
+    """One benchmark's encoder, a few dozen of its plans (environments
+    interleaved) and a snapshot mapping per environment.  TPC-H's set
+    holds the single-node plan and the tallest collected plan."""
+    if request.param == "tpch":
+        bench, records = tpch, plans["train"][:46] + [plans["single"], plans["tallest"]]
+    else:
+        bench, labeled = {
+            "sysbench": (sysbench, sysbench_labeled),
+            "joblight": (
+                joblight,
+                collect_labeled_plans(joblight, environments, 120, seed=1),
+            ),
+        }[request.param]
+        order = np.random.default_rng(8).permutation(len(labeled))[:48]
+        records = [labeled[i] for i in order]
+    assert len({r.env_name for r in records[:8]}) > 1
+    return (
+        OperatorEncoder(bench.catalog),
+        records,
+        Snapshots([env.name for env in environments]),
+    )
+
+
+def _recalled_masks(model: QPPNet) -> Dict[OperatorType, np.ndarray]:
+    """Every masked operator's mask with a few dropped dims re-included."""
+    recalled = {}
+    for op, keep in model.masks.items():
+        keep = keep.copy()
+        keep[np.flatnonzero(~keep)[:5]] = True
+        recalled[op] = keep
+    return recalled
+
+
+def _pair(make):
+    """The model under test and its autodiff-trained twin."""
+    norms: List[float] = []
+    return make(), with_autograd_fit(make(), norms), norms
+
+
+class TestHandDerivedFit:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_weights_and_losses_bitwise_equal(self, corpus, masked):
+        encoder, records, snapshots = corpus
+
+        def make() -> QPPNet:
+            return _masked_model(encoder) if masked else QPPNet(encoder, epochs=2)
+
+        model, oracle, norms = _pair(make)
+        stats = model.fit(records, snapshots)
+        expected = oracle.fit(records, snapshots)
+        assert len(stats.loss_history) == 2
+        assert_same_fit(model, oracle, stats, expected)
+        # The first step clips.
+        assert norms[0] > 5.0
+
+    def test_single_node_and_tallest_plan_share_a_batch(self, encoder, plans):
+        records = [plans["single"], plans["tallest"]] + plans["train"][:6]
+
+        def make() -> QPPNet:
+            return QPPNet(encoder, epochs=2, batch_size=len(records))
+
+        model, oracle, _ = _pair(make)
+        assert_same_fit(model, oracle, model.fit(records), oracle.fit(records))
+
+    def test_warm_retrain_with_recalled_masks(self, corpus):
+        encoder, records, snapshots = corpus
+        model, oracle, _ = _pair(lambda: _masked_model(encoder))
+        model.fit(records, snapshots)
+        oracle.fit(records, snapshots)
+        recalled = _recalled_masks(model)
+        stats = model.warm_retrain(records, recalled, snapshots, epochs=2)
+        expected = oracle.warm_retrain(records, recalled, snapshots, epochs=2)
+        assert model.masks.keys() == recalled.keys()
+        assert_same_fit(model, oracle, stats, expected)
+
+    def test_predictions_bitwise_equal_after_fit(self, corpus):
+        encoder, records, snapshots = corpus
+        model, oracle, _ = _pair(lambda: QPPNet(encoder, epochs=1))
+        model.fit(records, snapshots)
+        oracle.fit(records, snapshots)
+        np.testing.assert_array_equal(
+            model.predict_many(records, snapshots).view(np.uint64),
+            oracle.predict_many(records, snapshots).view(np.uint64),
+        )
+
+
+class TestForestCut:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_batches_equal_merged_prepared_plans(self, corpus, masked):
+        encoder, records, snapshots = corpus
+        model = _masked_model(encoder) if masked else QPPNet(encoder)
+        prepared = [model.prepare_one(r, snapshots) for r in records]
+        walk, matrix, order = model._forest_matrix(records, snapshots)
+        forest = TrainingForest(walk, matrix, model.masks, order)
+        rng = np.random.default_rng(4)
+        batches = [np.arange(len(records)), np.array([len(records) - 1])]
+        batches += [rng.permutation(len(records))[:size] for size in (1, 2, 7, 32)]
+        for batch in batches:
+            cut = forest.batch(batch)
+            groups, offsets = merge_prepared([prepared[i] for i in batch])
+            assert cut.n_nodes == int(offsets[-1])
+            assert len(cut.groups) == len(groups)
+            for (op, feats, nodes, children), want in zip(cut.groups, groups, strict=True):
+                assert op is want[0]
+                assert feats.shape == want[1].shape
+                np.testing.assert_array_equal(
+                    feats.view(np.uint64), want[1].view(np.uint64)
+                )
+                np.testing.assert_array_equal(nodes, want[2])
+                np.testing.assert_array_equal(children, want[3])
+            group_of = np.full(cut.n_nodes + 1, -1)
+            for g, (_, _, nodes, _) in enumerate(groups):
+                group_of[nodes] = g
+            for g, (_, _, _, children) in enumerate(groups):
+                expected = sorted(set(group_of[children].ravel().tolist()) - {-1})
+                assert cut.sources[g] == expected

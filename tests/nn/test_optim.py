@@ -7,7 +7,7 @@ import pytest
 
 from repro.nn.layers import Linear, mlp
 from repro.nn.loss import mse
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import SGD, Adam, FlatParameter, clip_grad_norm
 from repro.nn.tensor import Tensor
 
 
@@ -99,3 +99,69 @@ class TestClipGradNorm:
         t.grad = np.array([0.1, 0.1])
         clip_grad_norm([t], max_norm=5.0)
         np.testing.assert_array_equal(t.grad, [0.1, 0.1])
+
+
+def _unit_arrays(seed: int):
+    """A small MLP's six parameter arrays and a gradient for each."""
+    model = mlp(5, (4, 3), 2, seed_key=("flat", seed))
+    rng = np.random.default_rng(seed)
+    return model, [rng.normal(size=p.data.shape) * 4.0 for p in model.parameters()]
+
+
+class TestFlatParameter:
+    def test_parts_become_views_of_one_vector(self):
+        model, _ = _unit_arrays(0)
+        before = [p.data.copy() for p in model.parameters()]
+        flat = FlatParameter(model.parameters())
+        assert flat.data.shape == (sum(a.size for a in before),)
+        for p, want, (lo, hi) in zip(model.parameters(), before, flat.bounds, strict=True):
+            np.testing.assert_array_equal(p.data, want)
+            assert np.shares_memory(p.data, flat.data)
+            np.testing.assert_array_equal(flat.data[lo:hi], want.reshape(-1))
+        flat.data[0] = 123.0
+        assert model.parameters()[0].data.flat[0] == 123.0
+
+    @pytest.mark.parametrize("max_norm", [5.0, 1e6])
+    def test_adam_and_clip_match_per_array_bits(self, max_norm):
+        """Three steps of clip + Adam on two units, one of them absent
+        from the second step: the flat parameters end with the bits of
+        the per-array run, and the clip norms agree bit for bit."""
+        per_array = [_unit_arrays(seed) for seed in (1, 2)]
+        flat_units = [_unit_arrays(seed) for seed in (1, 2)]
+        arrays = [p for model, _ in per_array for p in model.parameters()]
+        flats = [FlatParameter(model.parameters()) for model, _ in flat_units]
+        per_array_opt = Adam(arrays, lr=0.01)
+        flat_opt = Adam(flats, lr=0.01)
+        for step in range(3):
+            present = [True, step != 1]
+            for (model, grads), here in zip(per_array, present, strict=True):
+                for p, g in zip(model.parameters(), grads, strict=True):
+                    p.grad = g * (step + 1) if here else None
+            for flat, (_, grads), here in zip(flats, flat_units, present, strict=True):
+                flat.grad = (
+                    np.concatenate([g.reshape(-1) * (step + 1) for g in grads])
+                    if here else None
+                )
+            want = clip_grad_norm(arrays, max_norm)
+            got = clip_grad_norm(flats, max_norm)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+            per_array_opt.step()
+            flat_opt.step()
+        assert want > 5.0 or max_norm > 1e5
+        for (model, _), (flat_model, _) in zip(per_array, flat_units, strict=True):
+            for p, q in zip(model.parameters(), flat_model.parameters(), strict=True):
+                np.testing.assert_array_equal(
+                    q.data.view(np.uint64), p.data.view(np.uint64)
+                )
+
+    def test_unit_without_grad_is_not_updated(self):
+        model, grads = _unit_arrays(3)
+        flat = FlatParameter(model.parameters())
+        before = flat.data.copy()
+        optimizer = Adam([flat], lr=0.1)
+        optimizer.step()
+        np.testing.assert_array_equal(flat.data, before)
+        flat.grad = np.concatenate([g.reshape(-1) for g in grads])
+        optimizer.step()
+        assert not np.array_equal(flat.data, before)
+        np.testing.assert_array_equal(model.parameters()[1].data, flat.split(flat.data)[1])
