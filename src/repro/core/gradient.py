@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.layers import Sequential
-from ..nn.tensor import Tensor
+from ..nn.train import FlatNet, forward_trace
 from .reduction import keep_mask_from_scores
 
 
@@ -27,16 +27,18 @@ def gradient_importance(
     """I_gradient(k) = E_x |dy/dx_k| over the dataset.
 
     ``output_weights`` selects the model outputs to differentiate (for
-    QPPNet units, a one-hot on the cost output).
+    QPPNet units, a one-hot on the cost output).  The derivative is
+    the training backward's input gradient (:class:`~repro.nn.train.FlatNet`,
+    which makes *model*'s arrays views of one flat parameter), seeded
+    with the output weights on every row.
     """
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    x = Tensor(data, requires_grad=True)
-    out = model(x)
+    trace = forward_trace(model, data)
+    seed = np.ones(trace[-1].shape)
     if output_weights is not None:
-        out = out * Tensor(np.asarray(output_weights).reshape(1, -1))
-    out.sum().backward()
-    assert x.grad is not None
-    return np.abs(x.grad).mean(axis=0)
+        seed *= np.asarray(output_weights, dtype=np.float64).reshape(1, -1)
+    grad = FlatNet(model).backward(trace, seed, want_input=True)
+    return np.abs(grad).mean(axis=0)
 
 
 def gradient_reduction(

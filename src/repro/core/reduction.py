@@ -29,31 +29,21 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import FeatureError
-from ..nn.layers import Linear, ReLU, Sequential, Sigmoid, Tanh
+from ..nn.layers import Linear, Sequential
+from ..nn.train import forward_trace
 from ..rng import rng_for
 
 _EPS = 1e-9
 
 
 def _forward_trace(model: Sequential, x: np.ndarray) -> List[np.ndarray]:
-    """Inputs seen by each layer during a forward pass (plus output)."""
-    activations = [x]
-    current = x
-    for layer in model:
-        if isinstance(layer, Linear):
-            current = current @ layer.weight.data + layer.bias.data
-        elif isinstance(layer, ReLU):
-            current = np.maximum(current, 0.0)
-        elif isinstance(layer, Sigmoid):
-            current = 1.0 / (1.0 + np.exp(-np.clip(current, -60, 60)))
-        elif isinstance(layer, Tanh):
-            current = np.tanh(current)
-        else:
-            raise FeatureError(
-                f"difference propagation does not support layer {layer!r}"
-            )
-        activations.append(current)
-    return activations
+    """Inputs seen by each layer during a forward pass (plus output):
+    the training forward (:func:`~repro.nn.train.forward_trace`), with
+    a layer it cannot run reported as a :class:`FeatureError`."""
+    try:
+        return forward_trace(model, x)
+    except TypeError as exc:
+        raise FeatureError(f"difference propagation: {exc}") from exc
 
 
 def _secant(pre_x: np.ndarray, pre_r: np.ndarray, post_x: np.ndarray,
@@ -104,21 +94,14 @@ def _multipliers(
         multiplier = np.repeat(weights, n, axis=0)
     for index in range(len(model.modules) - 1, -1, -1):
         layer = model.modules[index]
-        pre_x, post_x = trace_x[index], trace_x[index + 1]
-        pre_r, post_r = trace_r[index], trace_r[index + 1]
         if isinstance(layer, Linear):
             multiplier = multiplier @ layer.weight.data.T
-        elif isinstance(layer, ReLU):
-            derivative = (pre_x > 0).astype(np.float64)
-            multiplier = multiplier * _secant(pre_x, pre_r, post_x, post_r, derivative)
-        elif isinstance(layer, Sigmoid):
-            derivative = post_x * (1.0 - post_x)
-            multiplier = multiplier * _secant(pre_x, pre_r, post_x, post_r, derivative)
-        elif isinstance(layer, Tanh):
-            derivative = 1.0 - post_x**2
-            multiplier = multiplier * _secant(pre_x, pre_r, post_x, post_r, derivative)
-        else:  # pragma: no cover - guarded in _forward_trace
-            raise FeatureError(f"unsupported layer {layer!r}")
+            continue
+        # A ReLU: the trace admits no other layer.
+        pre_x, post_x = trace_x[index], trace_x[index + 1]
+        pre_r, post_r = trace_r[index], trace_r[index + 1]
+        derivative = (pre_x > 0).astype(np.float64)
+        multiplier = multiplier * _secant(pre_x, pre_r, post_x, post_r, derivative)
     return multiplier
 
 

@@ -10,6 +10,10 @@ the feature-snapshot block.
 
 QCFE's feature reduction applies to that global operator-feature block
 via a single keep-mask.
+
+Training runs :mod:`repro.nn.train`'s forward and backward, with the
+mean pool and the concatenation written out here; serving runs the
+fixed-block forward instead.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from ..engine.executor import LabeledPlan
 from ..errors import TrainingError
 from ..featurization.encoding import apply_mask
 from ..featurization.mscn_features import MSCNEncoder, MSCNSample, MSCNTemplate
-from ..nn import Adam, Tensor, clip_grad_norm, concat, mlp, stack
+from ..nn import Adam, FlatNet, Sequential, clip_grad_norm, forward_trace, mlp, mse_grad
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -225,31 +229,56 @@ class MSCN(CostEstimator):
             )
         return sample
 
-    def _pool(self, net, rows_list: List[np.ndarray]) -> Tensor:
-        """Forward a ragged batch of sets and mean-pool per query."""
-        sizes = [rows.shape[0] for rows in rows_list]
-        nonempty = [rows for rows in rows_list if rows.shape[0] > 0]
-        hidden: Optional[Tensor] = None
-        if nonempty:
-            stacked = Tensor(np.concatenate(nonempty, axis=0))
-            hidden = net(stacked).relu()
-        pooled: List[Tensor] = []
-        offset = 0
-        for size in sizes:
-            if size == 0 or hidden is None:
-                pooled.append(Tensor(np.zeros(self.hidden)))
-            else:
-                pooled.append(hidden[offset:offset + size, :].mean(axis=0))
-                offset += size
-        return stack(pooled, axis=0)
+    def _pool(
+        self, net: Sequential, sets: Sequence[np.ndarray]
+    ) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
+        """Every set's rows through *net* and a ReLU in one training
+        forward, mean-pooled per query: the pooled block and the trace
+        (None when every set is empty)."""
+        nonempty = [rows for rows in sets if rows.shape[0] > 0]
+        if not nonempty:
+            return np.zeros((len(sets), self.hidden)), None
+        trace = forward_trace(net, np.concatenate(nonempty, axis=0))
+        out = trace[-1]
+        return self._mean_pool(out * (out > 0), sets), trace
 
-    def _forward(self, samples: Sequence[MSCNSample]) -> Tensor:
-        tables = self._pool(self.table_net, [s.tables for s in samples])
-        joins = self._pool(self.join_net, [s.joins for s in samples])
-        preds = self._pool(self.pred_net, [s.predicates for s in samples])
-        global_vec = Tensor(np.stack([s.plan_global for s in samples]))
-        features = concat([tables, joins, preds, global_vec], axis=1)
-        return self.out_net(features)
+    def _mean_pool(self, hidden: np.ndarray, sets: Sequence[np.ndarray]) -> np.ndarray:
+        """A slice mean per set over *hidden* (the sets' rows stacked);
+        zeros for an empty set."""
+        pooled = np.zeros((len(sets), self.hidden))
+        offset = 0
+        for index, rows in enumerate(sets):
+            size = rows.shape[0]
+            if size:
+                pooled[index] = hidden[offset:offset + size].mean(axis=0)
+                offset += size
+        return pooled
+
+    @staticmethod
+    def _unpool(
+        unit: FlatNet,
+        trace: List[np.ndarray],
+        sets: Sequence[np.ndarray],
+        grad_pooled: np.ndarray,
+    ) -> None:
+        """Back-propagate the pooled gradient through the mean pool (a
+        scatter into zeros, as the graph's), the ReLU and the net."""
+        out = trace[-1]
+        grad = np.zeros_like(out)
+        offset = 0
+        for index, rows in enumerate(sets):
+            size = rows.shape[0]
+            if size:
+                grad[offset:offset + size] += grad_pooled[index] / size
+                offset += size
+        grad *= out > 0
+        unit.backward(trace, grad)
+
+    @staticmethod
+    def _set_lists(samples: Sequence[MSCNSample]) -> List[List[np.ndarray]]:
+        """The table, join and predicate sets of *samples*."""
+        fields = ("tables", "joins", "predicates")
+        return [[getattr(s, field) for s in samples] for field in fields]
 
     # ------------------------------------------------------------------
     def fit(
@@ -257,12 +286,18 @@ class MSCN(CostEstimator):
         train: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> TrainStats:
+        """Train the four networks, each one
+        :class:`~repro.nn.train.FlatNet`, on hand-derived gradients.  A
+        set network whose sets are all empty in a batch is not updated.
+        """
         if not train:
             raise TrainingError("empty training set")
         start = time.perf_counter()
         samples = [self._encode(r, snapshot_set) for r in train]
         targets = np.array([to_log(r.latency_ms) for r in train])
-        optimizer = Adam(self.parameters(), lr=self.lr)
+        units = [FlatNet(getattr(self, name)) for name in self._NET_NAMES]
+        params = [unit.param for unit in units]
+        optimizer = Adam(params, lr=self.lr)
         rng = rng_for("mscn-fit", self.seed)
         indices = np.arange(len(train))
         history: List[float] = []
@@ -271,14 +306,12 @@ class MSCN(CostEstimator):
             epoch_loss, batches = 0.0, 0
             for lo in range(0, len(indices), self.batch_size):
                 batch = indices[lo:lo + self.batch_size]
-                out = self._forward([samples[i] for i in batch])
-                diff = out.reshape(-1) - Tensor(targets[batch])
-                loss = (diff * diff).mean()
                 optimizer.zero_grad()
-                loss.backward()
-                clip_grad_norm(self.parameters(), 5.0)
+                epoch_loss += self._step_gradients(
+                    [samples[i] for i in batch], targets[batch], units
+                )
+                clip_grad_norm(params, 5.0)
                 optimizer.step()
-                epoch_loss += loss.item()
                 batches += 1
             history.append(epoch_loss / max(batches, 1))
         return TrainStats(
@@ -288,6 +321,38 @@ class MSCN(CostEstimator):
             n_parameters=self.num_parameters(),
             loss_history=history,
         )
+
+    def _step_gradients(
+        self,
+        samples: Sequence[MSCNSample],
+        targets: np.ndarray,
+        units: Sequence[FlatNet],
+    ) -> float:
+        """One mini-batch's mean squared error; leaves the gradients of
+        *units* (in :attr:`_NET_NAMES` order, zeroed) in their buffers.
+        ``out_net``'s full input gradient is split by columns into the
+        pooled blocks' gradients."""
+        *set_units, out_unit = units
+        sets = self._set_lists(samples)
+        pooled, traces = zip(
+            *(
+                self._pool(unit.net, rows)
+                for unit, rows in zip(set_units, sets, strict=True)
+            ),
+            strict=True,
+        )
+        global_vec = np.stack([s.plan_global for s in samples])
+        trace = forward_trace(
+            self.out_net, np.concatenate([*pooled, global_vec], axis=1)
+        )
+        loss, grad = mse_grad(trace[-1].reshape(-1), targets)
+        grad_in = out_unit.backward(trace, grad.reshape(-1, 1), want_input=True)
+        h = self.hidden
+        columns = zip(set_units, traces, sets, strict=True)
+        for k, (unit, set_trace, rows) in enumerate(columns):
+            if set_trace is not None:
+                self._unpool(unit, set_trace, rows, grad_in[:, k * h:(k + 1) * h])
+        return loss
 
     def predict_many(
         self,
@@ -360,38 +425,24 @@ class MSCN(CostEstimator):
         out = np.zeros(len(labeled))
         for lo in range(0, len(labeled), PREDICT_CHUNK_PLANS):
             chunk = samples[lo:lo + PREDICT_CHUNK_PLANS]
-            values = self._forward_numpy(chunk).reshape(-1)
+            values = self._forward_batched(chunk).reshape(-1)
             out[lo:lo + len(chunk)] = from_log(values)
         return out
 
-    def _pool_numpy(self, net, rows_list: List[np.ndarray]) -> np.ndarray:
-        """Inference-only mirror of :meth:`_pool` on raw arrays.
-
-        Uses the fixed-block GEMM and a per-sample slice mean — both
-        row/slice-local — so a sample's pooled vector is independent of
-        the other samples fused into the call."""
-        sizes = [rows.shape[0] for rows in rows_list]
-        nonempty = [rows for rows in rows_list if rows.shape[0] > 0]
-        hidden: Optional[np.ndarray] = None
-        if nonempty:
-            hidden = net.forward_batched(np.concatenate(nonempty, axis=0))
-            hidden = hidden * (hidden > 0)
-        pooled = np.zeros((len(sizes), self.hidden))
-        offset = 0
-        for index, size in enumerate(sizes):
-            if size == 0 or hidden is None:
-                continue
-            pooled[index] = hidden[offset:offset + size].mean(axis=0)
-            offset += size
-        return pooled
-
-    def _forward_numpy(self, samples: Sequence[MSCNSample]) -> np.ndarray:
-        """No-autodiff forward for prediction: the serving hot path."""
-        tables = self._pool_numpy(self.table_net, [s.tables for s in samples])
-        joins = self._pool_numpy(self.join_net, [s.joins for s in samples])
-        preds = self._pool_numpy(self.pred_net, [s.predicates for s in samples])
+    def _forward_batched(self, samples: Sequence[MSCNSample]) -> np.ndarray:
+        """The serving forward: ``forward_batched`` and slice means, both
+        row-local, so a sample's prediction ignores its neighbours."""
+        pooled = []
+        nets = (self.table_net, self.join_net, self.pred_net)
+        for net, sets in zip(nets, self._set_lists(samples), strict=True):
+            nonempty = [rows for rows in sets if rows.shape[0] > 0]
+            hidden = np.zeros((0, self.hidden))
+            if nonempty:
+                hidden = net.forward_batched(np.concatenate(nonempty, axis=0))
+                hidden = hidden * (hidden > 0)
+            pooled.append(self._mean_pool(hidden, sets))
         global_vec = np.stack([s.plan_global for s in samples])
-        features = np.concatenate([tables, joins, preds, global_vec], axis=1)
+        features = np.concatenate([*pooled, global_vec], axis=1)
         return self.out_net.forward_batched(features)
 
     # ------------------------------------------------------------------
@@ -407,9 +458,11 @@ class MSCN(CostEstimator):
         if self.global_mask is not None:
             raise TrainingError("collect the reduction dataset before masking")
         samples = [self._encode(r, snapshot_set) for r in labeled]
-        tables = self._pool(self.table_net, [s.tables for s in samples]).numpy()
-        joins = self._pool(self.join_net, [s.joins for s in samples]).numpy()
-        preds = self._pool(self.pred_net, [s.predicates for s in samples]).numpy()
+        nets = (self.table_net, self.join_net, self.pred_net)
+        pooled = [
+            self._pool(net, sets)[0]
+            for net, sets in zip(nets, self._set_lists(samples), strict=True)
+        ]
         global_rows = np.stack([s.plan_global for s in samples])
-        matrix = np.concatenate([tables, joins, preds, global_rows], axis=1)
+        matrix = np.concatenate([*pooled, global_rows], axis=1)
         return matrix, slice(3 * self.hidden, matrix.shape[1])

@@ -14,11 +14,13 @@ its own (``prepare_one``, the feature cache's value) is a forest of
 one, a :class:`~repro.models.prepared.PreparedPlan`; cached flushes
 merge those.  Training walks, encodes and keys its plans once per fit
 as one :class:`~repro.models.prepared.TrainingForest` and cuts every
-mini-batch from it.  It trains on hand-derived gradients: per batch a
-forward pass per group that keeps the activations, then a reverse pass
-over the groups that writes each unit's gradients into one flat buffer
-per unit, for one in-place Adam step per unit.  The fitted bits are
-those of the autodiff graph over the same groups.
+mini-batch from it.  It trains on hand-derived gradients
+(:mod:`repro.nn.train`): per batch the training forward once per group,
+keeping each layer's input, then a reverse pass over the groups that
+writes each unit's gradients into its flat buffer, for one in-place
+Adam step per unit.  The fitted bits are those of the autodiff graph
+over the same groups.  Feature reduction's operator sets are one
+forest pass of the serving forward.
 
 Supervision follows QPPNet: every node's latency output is trained
 against the measured cumulative subtree time (EXPLAIN ANALYZE-style
@@ -40,10 +42,9 @@ import numpy as np
 from ..engine.executor import LabeledPlan
 from ..engine.operators import OperatorType, PlanNode
 from ..errors import TrainingError
-from ..featurization.encoding import OperatorEncoder, apply_mask
-from ..nn import Adam, clip_grad_norm, mlp
+from ..featurization.encoding import OperatorEncoder
+from ..nn import Adam, FlatNet, clip_grad_norm, forward_trace, mlp, mse_grad
 from ..nn.layers import Sequential
-from ..nn.optim import FlatParameter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,8 +63,11 @@ from .prepared import (
     PlanWalk,
     PreparedPlan,
     TrainingForest,
+    cut_groups,
     forest_forward,
+    forward_groups,
     fused_forward,
+    group_forest,
     prepared_from_matrix,
     prepared_from_rows,
     walk_plan,
@@ -306,12 +310,12 @@ class QPPNet(CostEstimator):
         The training plans are walked, encoded and keyed once
         (:class:`~repro.models.prepared.TrainingForest`) and each
         mini-batch is cut from that forest.  Each unit trains as one
-        :class:`~repro.nn.optim.FlatParameter` with its gradient in one
-        flat buffer (:class:`_FlatUnit`); :meth:`_step_gradients` fills
-        the buffers, then the clip and the Adam step run over the flat
-        parameters.  A unit absent from a batch has no gradient and is
-        not updated.  The weights, losses and their bits are those of
-        the autodiff graph over the same groups.
+        :class:`~repro.nn.train.FlatNet` (one flat parameter, one flat
+        gradient buffer); :meth:`_step_gradients` fills the buffers,
+        then the clip and the Adam step run over the flat parameters.
+        A unit absent from a batch has no gradient and is not updated.
+        The weights, losses and their bits are those of the autodiff
+        graph over the same groups.
         """
         if not train:
             raise TrainingError("empty training set")
@@ -319,7 +323,7 @@ class QPPNet(CostEstimator):
         walk, matrix, order = self._forest_matrix(train, snapshot_set)
         forest = TrainingForest(walk, matrix, self.masks, order)
         targets = np.concatenate([self._node_targets(train[i]) for i in order])
-        units = {op: _FlatUnit(unit) for op, unit in self.units.items()}
+        units = {op: FlatNet(unit) for op, unit in self.units.items()}
         params = [unit.param for unit in units.values()]
         optimizer = Adam(params, lr=self.lr)
         rng = rng_for("qppnet-fit", self.seed)
@@ -331,6 +335,7 @@ class QPPNet(CostEstimator):
             batches = 0
             for lo in range(0, len(indices), self.batch_size):
                 batch = forest.batch(indices[lo:lo + self.batch_size])
+                optimizer.zero_grad()
                 loss = self._step_gradients(batch, targets[batch.members], units)
                 clip_grad_norm(params, 5.0)
                 optimizer.step()
@@ -349,48 +354,42 @@ class QPPNet(CostEstimator):
         self,
         batch: ForestBatch,
         targets: np.ndarray,
-        units: Mapping[OperatorType, "_FlatUnit"],
+        units: Mapping[OperatorType, FlatNet],
     ) -> float:
         """One mini-batch's mean squared error; leaves each unit's
-        gradient in its flat buffer (``param.grad``, None when the
-        unit is absent from the batch).
+        gradient in its flat buffer (the units' gradients must be
+        zeroed first; an absent unit's stays None).
 
         The forward runs group by group into one output buffer and
-        keeps each group's activations.  The backward writes a
-        group's unit-output gradient into one buffer, row per node:
-        column 0 from the loss, the data columns from the parent's
-        input gradient, by plain assignment since every node has one
-        parent.  It visits the groups in :func:`_backward_order`, so a
-        unit shared by several groups sums their contributions in the
+        keeps each group's trace.  The backward writes a group's
+        unit-output gradient into one buffer, row per node: column 0
+        from the loss, the data columns from the parent's input
+        gradient, by plain assignment since every node has one parent.
+        It visits the groups in :func:`_backward_order`, so a unit
+        shared by several groups sums their contributions in the
         autodiff graph's order, bit for bit.
         """
         groups, n_nodes = batch.groups, batch.n_nodes
         width = 1 + self.data_size
         out = np.zeros((n_nodes + 1, width))
-        saved = []
+        traces = []
         for op, feats, nodes, children in groups:
             child_data = out[children.reshape(-1), 1:].reshape(
                 len(nodes), _MAX_CHILDREN * self.data_size
             )
-            x = np.concatenate([feats, child_data], axis=1)
-            unit_out, inputs, masks = units[op].forward(x)
-            out[nodes] = unit_out
-            saved.append((inputs, masks))
+            trace = forward_trace(
+                units[op].net, np.concatenate([feats, child_data], axis=1)
+            )
+            out[nodes] = trace[-1]
+            traces.append(trace)
         order = np.concatenate([nodes for _, _, nodes, _ in groups])
-        diff = out[order, 0] - targets
-        loss = float((diff * diff).mean())
-        # d(mean(diff**2))/d(diff), as the graph computes it: the
-        # mean's 1/N times diff, once per factor of the product.
-        half = (1.0 / len(diff)) * diff
+        loss, grad = mse_grad(out[order, 0], targets)
         grad_out = np.zeros((n_nodes + 1, width))
-        grad_out[order, 0] = half + half
-        for unit in units.values():
-            unit.param.grad = None
+        grad_out[order, 0] = grad
         for g in _backward_order(batch.sources):
             op, feats, nodes, children = groups[g]
-            inputs, masks = saved[g]
             grad_x = units[op].backward(
-                grad_out[nodes], inputs, masks, bool(batch.sources[g])
+                traces[g], grad_out[nodes], bool(batch.sources[g])
             )
             if grad_x is not None:
                 child_grad = grad_x[:, feats.shape[1]:].reshape(-1, self.data_size)
@@ -564,120 +563,86 @@ class QPPNet(CostEstimator):
     ) -> Dict[OperatorType, np.ndarray]:
         """Per-operator matrices of *unit inputs* (features + child data)
         as seen by the trained units — the labelled operator sets D that
-        feature reduction runs on.  Rows are in post-order over each
-        plan, plans in input order."""
-        collected: Dict[OperatorType, List[np.ndarray]] = {}
-        for record in labeled:
-            nodes = list(record.plan.walk())
-            matrix = self._masked_matrix(
-                nodes, snapshot_mapping_for(record, snapshot_set)
+        feature reduction runs on; operators with one row are left out.
+        The plans run as one forest, as serving runs a fresh flush.
+        Rows are in post-order over each plan, plans in input order
+        (FR draws references by row index), operators in order of
+        their first row.
+        """
+        walk, matrix, order = self._forest_matrix(labeled, snapshot_set)
+        forest = group_forest(walk)
+        groups = list(
+            zip(
+                forest.ops,
+                cut_groups(forest, matrix, self.masks),
+                forest.nodes,
+                forest.children,
+                strict=True,
             )
-            rows = {id(node): row for node, row in zip(nodes, matrix, strict=True)}
-            self._collect_unit_inputs(record.plan, rows, collected)
-        return {
-            op: np.stack(rows) for op, rows in collected.items() if len(rows) >= 2
-        }
-
-    def _collect_unit_inputs(
-        self,
-        node: PlanNode,
-        rows: Dict[int, np.ndarray],
-        out: Dict[OperatorType, List[np.ndarray]],
-    ) -> np.ndarray:
-        child_vectors = []
-        for slot in range(_MAX_CHILDREN):
-            if slot < len(node.children):
-                child_out = self._collect_unit_inputs(node.children[slot], rows, out)
-                child_vectors.append(child_out)
-            else:
-                child_vectors.append(np.zeros(self.data_size))
-        features = apply_mask(rows[id(node)], self.masks.get(node.op))
-        unit_input = np.concatenate([features, *child_vectors])
-        out.setdefault(node.op, []).append(unit_input)
-        result = self.units[node.op].forward_numpy(unit_input.reshape(1, -1))
-        return result[0, 1:]
-
-
-class _FlatUnit:
-    """One unit's trainable state during :meth:`QPPNet.fit`.
-
-    ``param`` is the unit's :class:`~repro.nn.optim.FlatParameter`
-    (its layers' arrays are views of it); ``grad`` is one flat
-    gradient buffer, cut into per-layer views the same way.  The unit
-    is ``Linear`` layers with a ReLU between each pair, as
-    :func:`~repro.nn.layers.mlp` builds it.
-    """
-
-    def __init__(self, unit: Sequential):
-        linears = unit.modules[::2]
-        self.param = FlatParameter(
-            [p for layer in linears for p in (layer.weight, layer.bias)]
         )
-        self.weights = [layer.weight.data for layer in linears]
-        self.biases = [layer.bias.data for layer in linears]
-        self.grad = np.empty_like(self.param.data)
-        parts = self.param.split(self.grad)
-        self.grad_weights = parts[0::2]
-        self.grad_biases = parts[1::2]
+        out = forward_groups(groups, forest.n_nodes, self.units, self.data_size)
+        # Forest indices in listing order; each node's row in its
+        # operator's set is its place among that operator's listed nodes.
+        listing = np.argsort(_post_order_rank(walk, order))
+        codes = {op: i for i, op in enumerate(dict.fromkeys(forest.ops))}
+        code = np.empty(forest.n_nodes, dtype=np.int64)
+        for op, nodes in zip(forest.ops, forest.nodes, strict=True):
+            code[nodes] = codes[op]
+        listed = code[listing]
+        row_of = np.empty(forest.n_nodes, dtype=np.int64)
+        datasets: Dict[OperatorType, np.ndarray] = {}
+        # Operators in order of their first listed node.
+        for op in sorted(codes, key=lambda op: int(np.argmax(listed == codes[op]))):
+            members = listing[listed == codes[op]]
+            row_of[members] = np.arange(len(members))
+            width = self._feature_dim(op) + _MAX_CHILDREN * self.data_size
+            datasets[op] = np.empty((len(members), width))
+        for op, feats, nodes, children in groups:
+            rows, width = row_of[nodes], feats.shape[1]
+            datasets[op][rows, :width] = feats
+            datasets[op][rows, width:] = out[children.reshape(-1), 1:].reshape(
+                len(nodes), -1
+            )
+        return {op: rows for op, rows in datasets.items() if len(rows) >= 2}
 
-    def forward(
-        self, x: np.ndarray
-    ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
-        """The unit's output on *x*, each layer's input and each ReLU's
-        mask, with the autodiff layers' arithmetic (the bias add and
-        the ReLU run in place, which rounds the same)."""
-        inputs = [x]
-        masks = []
-        h = x
-        for weight, bias in zip(self.weights[:-1], self.biases[:-1], strict=True):
-            h = h @ weight
-            h += bias
-            mask = h > 0
-            h *= mask
-            inputs.append(h)
-            masks.append(mask)
-        out = h @ self.weights[-1]
-        out += self.biases[-1]
-        return out, inputs, masks
 
-    def backward(
-        self,
-        grad: np.ndarray,
-        inputs: List[np.ndarray],
-        masks: List[np.ndarray],
-        want_input: bool,
-    ) -> Optional[np.ndarray]:
-        """Add one group's weight and bias gradients to the flat buffer
-        (the first group of a batch writes them) and return the
-        gradient at the unit's input when *want_input*.  The input
-        gradient is the full ``grad @ W0.T``, as the graph computes it,
-        for the caller to slice."""
-        first = self.param.grad is None
-        for layer in range(len(self.weights) - 1, -1, -1):
-            x = inputs[layer]
-            # One row: each entry is one exact product either way, and
-            # the outer product is far cheaper than a k=1 matmul.
-            grad_weight = x.T * grad if len(grad) == 1 else x.T @ grad
-            grad_bias = np.add.reduce(grad, axis=0)
-            if first:
-                self.grad_weights[layer][...] = grad_weight
-                self.grad_biases[layer][...] = grad_bias
-            else:
-                self.grad_weights[layer] += grad_weight
-                self.grad_biases[layer] += grad_bias
-            if layer:
-                grad = grad @ self.weights[layer].T
-                grad *= masks[layer - 1]
-        self.param.grad = self.grad
-        return grad @ self.weights[0].T if want_input else None
+def _post_order_rank(walk: PlanWalk, order: Sequence[int]) -> np.ndarray:
+    """Each forest node's position when the plans are listed in input
+    order (walk plan *k* is input plan ``order[k]``), each in
+    post-order: its pre-order index minus its depth plus its subtree
+    size minus one."""
+    n_nodes = len(walk.nodes)
+    parents = walk.parents
+    depth = [0] * n_nodes
+    for i in range(n_nodes):
+        if parents[i] >= 0:
+            depth[i] = depth[parents[i]] + 1
+    size = [1] * n_nodes
+    for i in range(n_nodes - 1, -1, -1):
+        if parents[i] >= 0:
+            size[parents[i]] += size[i]
+    roots = np.array(walk.roots, dtype=np.int64)
+    plan_sizes = np.diff(roots, append=n_nodes)
+    input_sizes = np.empty_like(plan_sizes)
+    input_sizes[order] = plan_sizes
+    # Each walk plan's start in input order minus its start in the walk.
+    shift = (np.cumsum(input_sizes) - input_sizes)[order] - roots
+    return (
+        np.arange(n_nodes)
+        + np.repeat(shift, plan_sizes)
+        - np.array(depth)
+        + np.array(size)
+        - 1
+    )
 
 
 def _backward_order(sources: Sequence[Sequence[int]]) -> List[int]:
     """The order in which the autodiff graph of a batch back-propagates
     through its groups.
 
-    :meth:`~repro.nn.tensor.Tensor.backward` runs nodes in reverse
-    post-order of a depth-first search from the loss.  Over a batch's
+    A reverse-mode graph (the test suite's oracle,
+    ``tests/nn/tensor.py``) runs nodes in reverse post-order of a
+    depth-first search from the loss.  Over a batch's
     groups that search starts from the predictions' concat, which
     reaches the groups last to first, and leaves a group through its
     child-data gather, which reaches the *sources* groups last to

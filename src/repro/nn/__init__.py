@@ -1,42 +1,37 @@
-"""Minimal numpy neural-network substrate (autodiff, layers, optim).
+"""Minimal numpy neural-network substrate (layers, training, optim).
 
-Replaces the paper's PyTorch dependency.  The dynamic-graph autodiff
-:class:`Tensor` trains MSCN and computes gradient importance; QPPNet
-trains on hand-derived gradients over :class:`FlatParameter` units
-(:mod:`repro.models.qppnet`), with the autodiff graph as its test
-oracle.
+Replaces the paper's PyTorch dependency, without an autodiff graph.
+Layers (:mod:`~repro.nn.layers`) hold plain
+:class:`~repro.nn.optim.Parameter` arrays and serve through the
+fixed-block forward (:mod:`~repro.nn.batched`).  Training runs one
+forward that keeps each layer's input and one hand-derived backward
+into a flat gradient buffer (:mod:`~repro.nn.train`), shared by
+QPPNet, MSCN and gradient importance, from the squared-error gradient
+of :func:`~repro.nn.loss.mse_grad`, and steps
+:class:`~repro.nn.optim.Adam` over flat parameters.
 """
 
 from .batched import BLOCK_ROWS, blocked_matmul
-from .tensor import Tensor, affine, as_tensor, concat, gather_rows, stack
-from .layers import Linear, Module, ReLU, Sequential, Sigmoid, Tanh, mlp
-from .loss import log_mse, mae, mse, numpy_q_error, q_error_loss
-from .optim import SGD, Adam, FlatParameter, Optimizer, clip_grad_norm
+from .layers import Linear, Module, ReLU, Sequential, mlp
+from .loss import mse_grad, numpy_q_error
+from .optim import Adam, FlatParameter, Optimizer, Parameter, clip_grad_norm
+from .train import FlatNet, forward_trace
 
 __all__ = [
     "BLOCK_ROWS",
     "blocked_matmul",
-    "Tensor",
-    "affine",
-    "as_tensor",
-    "concat",
-    "gather_rows",
-    "stack",
     "Linear",
     "Module",
     "ReLU",
     "Sequential",
-    "Sigmoid",
-    "Tanh",
     "mlp",
-    "mse",
-    "mae",
-    "log_mse",
-    "q_error_loss",
+    "mse_grad",
     "numpy_q_error",
-    "SGD",
     "Adam",
     "FlatParameter",
     "Optimizer",
+    "Parameter",
     "clip_grad_norm",
+    "FlatNet",
+    "forward_trace",
 ]

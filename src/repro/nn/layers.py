@@ -1,9 +1,12 @@
-"""Neural-network layers built on the autodiff Tensor.
+"""Dense layers, ReLU and sequential composition on plain numpy.
 
-The layer set intentionally mirrors what QPPNet and MSCN need: dense
-layers, ReLU/Sigmoid activations and sequential composition.  Layers
-expose ``parameters()`` for the optimizers and a functional
-``__call__``.
+The layer set is what QPPNet and MSCN need: dense layers, ReLU
+activations and sequential composition.  A layer holds its weights as
+:class:`~repro.nn.optim.Parameter` objects (``parameters()`` for the
+optimizer and checkpoints) and has one forward of its own, the
+fixed-block serving forward (:meth:`Module.forward_batched`).
+Training runs a ``Sequential`` through :mod:`repro.nn.train` instead,
+whose forward keeps what the hand-derived backward needs.
 """
 
 from __future__ import annotations
@@ -14,41 +17,25 @@ import numpy as np
 
 from . import init as _init
 from .batched import block_gemm, pad_rows
-from .tensor import Tensor, affine
+from .optim import Parameter
 
 
 class Module:
     """Base class: anything with parameters and a forward pass."""
 
-    def parameters(self) -> List[Tensor]:
-        """Return all trainable tensors (default: none)."""
+    def parameters(self) -> List[Parameter]:
+        """Return all trainable parameters (default: none)."""
         return []
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.forward(x)
-
-    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward on raw arrays.
-
-        Bit-identical to :meth:`forward` but skips building the
-        autodiff graph — the serving hot path uses this; training
-        never should.
-        """
-        raise NotImplementedError
 
     def forward_batched(self, x: np.ndarray) -> np.ndarray:
         """Batch-size-invariant inference forward.
 
-        Like :meth:`forward_numpy`, but additionally guarantees that
-        row ``i`` of the output depends only on row ``i`` of the input
-        — so fusing many requests into one call cannot perturb any
-        single request's result (see :mod:`repro.nn.batched`).  Pads
-        *x* to whole blocks once, runs :meth:`forward_block` on the
-        padded block and slices the real rows once; layers customise
-        :meth:`forward_block`, never this.
+        Guarantees that row ``i`` of the output depends only on row
+        ``i`` of the input — so fusing many requests into one call
+        cannot perturb any single request's result (see
+        :mod:`repro.nn.batched`).  Pads *x* to whole blocks once, runs
+        :meth:`forward_block` on the padded block and slices the real
+        rows once; layers customise :meth:`forward_block`, never this.
         """
         rows = x.shape[0]
         return self.forward_block(pad_rows(x), rows)[:rows]
@@ -59,18 +46,17 @@ class Module:
         *block* holds whole :data:`~repro.nn.batched.BLOCK_ROWS`-row
         blocks whose first *rows* rows are real and the rest zero
         padding; returns the layer's output in the same layout and may
-        overwrite *block*.  The default suits elementwise layers: it
-        applies :meth:`forward_numpy` to the real rows in place, so the
-        padding stays zero.  Layers that change the width must override.
+        overwrite *block*.  Padding rows must stay zero.
         """
-        block[:rows] = self.forward_numpy(block[:rows])
-        return block
+        raise NotImplementedError
 
     def zero_grad(self) -> None:
+        """Drop every parameter's gradient."""
         for p in self.parameters():
             p.zero_grad()
 
     def num_parameters(self) -> int:
+        """Number of trainable scalars."""
         return int(sum(p.size for p in self.parameters()))
 
     def state_dict(self) -> List[np.ndarray]:
@@ -78,6 +64,7 @@ class Module:
         return [p.data.copy() for p in self.parameters()]
 
     def load_state_dict(self, state: Sequence[np.ndarray]) -> None:
+        """Install copies of *state*'s arrays (shapes checked)."""
         params = self.parameters()
         if len(state) != len(params):
             raise ValueError(
@@ -97,21 +84,14 @@ class Linear(Module):
             raise ValueError("Linear features must be positive")
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Tensor(
-            _init.kaiming_uniform(in_features, out_features, seed_key), requires_grad=True
+        self.weight = Parameter(
+            _init.kaiming_uniform(in_features, out_features, seed_key)
         )
-        self.bias = Tensor(
-            _init.bias_uniform(in_features, out_features, seed_key), requires_grad=True
-        )
+        self.bias = Parameter(_init.bias_uniform(in_features, out_features, seed_key))
 
-    def parameters(self) -> List[Tensor]:
+    def parameters(self) -> List[Parameter]:
+        """The weight and the bias."""
         return [self.weight, self.bias]
-
-    def forward(self, x: Tensor) -> Tensor:
-        return affine(x, self.weight, self.bias)
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.data + self.bias.data
 
     def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
         """The fixed-block GEMM on an already padded block; the bias
@@ -125,48 +105,16 @@ class Linear(Module):
 
 
 class ReLU(Module):
-    """Rectified linear activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        return x * (x > 0)
+    """Rectified linear activation, ``x * (x > 0)``."""
 
     def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
-        """:meth:`forward_numpy` on the real rows, written in place."""
+        """The activation on the real rows, written in place."""
         real = block[:rows]
         np.multiply(real, real > 0, out=real)
         return block
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Sigmoid(Module):
-    """Logistic activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"
-
-
-class Tanh(Module):
-    """Hyperbolic-tangent activation."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def __repr__(self) -> str:
-        return "Tanh()"
 
 
 class Sequential(Module):
@@ -176,21 +124,12 @@ class Sequential(Module):
     def __init__(self, *modules: Module):
         self.modules: List[Module] = list(modules)
 
-    def parameters(self) -> List[Tensor]:
-        params: List[Tensor] = []
+    def parameters(self) -> List[Parameter]:
+        """Every module's parameters, in module order."""
+        params: List[Parameter] = []
         for module in self.modules:
             params.extend(module.parameters())
         return params
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        for module in self.modules:
-            x = module.forward_numpy(x)
-        return x
 
     def forward_block(self, block: np.ndarray, rows: int) -> np.ndarray:
         """Chain each layer's :meth:`forward_block` on the one padded
@@ -215,22 +154,17 @@ def mlp(
     hidden: Iterable[int],
     out_features: int,
     seed_key: object = 0,
-    activation: str = "relu",
 ) -> Sequential:
-    """Build a standard MLP: Linear/act pairs ending in a bare Linear.
+    """Build a standard MLP: Linear/ReLU pairs ending in a bare Linear.
 
-    ``activation`` may be ``"relu"``, ``"sigmoid"`` or ``"tanh"``; the
-    paper's example models use ReLU (which is what makes plain gradient
-    importance fail, Section IV-B).
+    The paper's example models use ReLU, which is what makes plain
+    gradient importance fail (Section IV-B).
     """
-    acts = {"relu": ReLU, "sigmoid": Sigmoid, "tanh": Tanh}
-    if activation not in acts:
-        raise ValueError(f"unknown activation {activation!r}")
     layers: List[Module] = []
     last = in_features
     for index, width in enumerate(hidden):
         layers.append(Linear(last, width, seed_key=(seed_key, index)))
-        layers.append(acts[activation]())
+        layers.append(ReLU())
         last = width
     layers.append(Linear(last, out_features, seed_key=(seed_key, "out")))
     return Sequential(*layers)

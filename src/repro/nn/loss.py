@@ -1,55 +1,30 @@
-"""Loss functions for cost-model training.
+"""The training loss and the q-error metric.
 
-Learned cost estimators are conventionally trained on log-transformed
-latencies with a squared error (QPPNet, MSCN and the end-to-end
-estimator all do this); we also provide the mean-q-error surrogate used
-by several follow-up works.
+Both estimators train on the mean squared error of log latencies
+(:func:`mse_grad`, which also returns the gradient the backward of
+:mod:`repro.nn.train` starts from); models are judged by the q-error
+(:func:`numpy_q_error`, paper Eq. 2).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Tuple
 
-from .tensor import Tensor, as_tensor
+import numpy as np
 
 _EPS = 1e-9
 
 
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error."""
-    diff = pred - as_tensor(target)
-    return (diff * diff).mean()
+def mse_grad(pred: np.ndarray, target: np.ndarray) -> Tuple[float, np.ndarray]:
+    """``mean((pred - target) ** 2)`` and its gradient at *pred*.
 
-
-def mae(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    return (pred - as_tensor(target)).abs().mean()
-
-
-def log_mse(pred: Tensor, target: Tensor) -> Tensor:
-    """MSE between ``log(pred)`` and ``log(target)``.
-
-    Both operands are clamped to a small positive floor first, so the
-    loss is defined even when the model briefly predicts a negative
-    cost early in training.
+    The gradient is computed as a graph differentiates ``diff * diff``
+    under a mean: the mean's ``1 / n`` times ``diff``, once per factor
+    of the product, the two added.
     """
-    p = pred.clip_min(_EPS).log()
-    t = as_tensor(target).clip_min(_EPS).log()
-    diff = p - t
-    return (diff * diff).mean()
-
-
-def q_error_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Smooth surrogate of the mean q-error.
-
-    ``max(p/t, t/p)`` is non-differentiable at p == t; the standard
-    smooth surrogate ``p/t + t/p`` (minimised at the same point) is used
-    instead, with clamping for stability.
-    """
-    p = pred.clip_min(_EPS)
-    t = as_tensor(target).clip_min(_EPS)
-    ratio = p / t + t / p
-    return ratio.mean()
+    diff = pred - target
+    half = (1.0 / len(diff)) * diff
+    return float((diff * diff).mean()), half + half
 
 
 def numpy_q_error(pred: np.ndarray, actual: np.ndarray, eps: float = _EPS) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers for the nn substrate."""
+"""Parameters and the Adam optimizer of the nn substrate."""
 
 from __future__ import annotations
 
@@ -6,75 +6,44 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
 
+class Parameter:
+    """A trainable array: ``data`` and its gradient ``grad`` (None
+    until a backward pass writes one).  There is no graph; gradients
+    come from :class:`repro.nn.train.FlatNet`."""
 
-class Optimizer:
-    """Base optimizer over an explicit parameter list."""
+    __slots__ = ("data", "grad")
 
-    def __init__(self, parameters: Sequence[Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.parameters: List[Tensor] = list(parameters)
-        self.lr = float(lr)
+    def __init__(self, data: np.ndarray):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: Optional[np.ndarray] = None
+
+    @property
+    def size(self) -> int:
+        """Number of entries of ``data``."""
+        return self.data.size
 
     def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+        """Drop the gradient, so the next backward writes a fresh one."""
+        self.grad = None
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Tensor],
-        lr: float = 1e-2,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for index, p in enumerate(self.parameters):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel = self._velocity[index]
-                vel = grad if vel is None else self.momentum * vel + grad
-                self._velocity[index] = vel
-                grad = vel
-            p.data = p.data - self.lr * grad
-
-
-class FlatParameter(Tensor):
+class FlatParameter(Parameter):
     """Several parameters held as one flat vector.
 
     On construction each parameter's ``data`` becomes a view of this
-    tensor's ``data``, so an in-place optimizer step on the flat vector
-    updates every part.  ``bounds`` holds each part's ``(lo, hi)``
-    slice and ``shapes`` its shape, in the given order.  Elementwise
-    updates give a part the bits it would get on its own, and
-    :func:`clip_grad_norm` sums squares part by part, so a flat
+    parameter's ``data``, so an in-place optimizer step on the flat
+    vector updates every part.  ``bounds`` holds each part's ``(lo,
+    hi)`` slice and ``shapes`` its shape, in the given order.
+    Elementwise updates give a part the bits it would get on its own,
+    and :func:`clip_grad_norm` sums squares part by part, so a flat
     parameter trains exactly as its parts would.
     """
 
     __slots__ = ("bounds", "shapes")
 
-    def __init__(self, parameters: Sequence[Tensor]):
-        super().__init__(
-            np.concatenate([p.data.reshape(-1) for p in parameters]),
-            requires_grad=True,
-        )
+    def __init__(self, parameters: Sequence[Parameter]):
+        super().__init__(np.concatenate([p.data.reshape(-1) for p in parameters]))
         ends = np.cumsum([p.data.size for p in parameters]).tolist()
         self.bounds = list(zip([0, *ends[:-1]], ends))
         self.shapes = [p.data.shape for p in parameters]
@@ -89,6 +58,25 @@ class FlatParameter(Tensor):
         ]
 
 
+class Optimizer:
+    """Base optimizer over an explicit parameter list."""
+
+    def __init__(self, parameters: Sequence[Parameter], lr: float):
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.parameters: List[Parameter] = list(parameters)
+        self.lr = float(lr)
+
+    def zero_grad(self) -> None:
+        """Drop every parameter's gradient."""
+        for p in self.parameters:
+            p.zero_grad()
+
+    def step(self) -> None:  # pragma: no cover - abstract
+        """Update every parameter that has a gradient."""
+        raise NotImplementedError
+
+
 class Adam(Optimizer):
     """Adam (Kingma & Ba) — the optimizer used to train QPPNet/MSCN.
 
@@ -98,7 +86,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        parameters: Sequence[Tensor],
+        parameters: Sequence[Parameter],
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
@@ -113,6 +101,7 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self) -> None:
+        """One Adam update of every parameter that has a gradient."""
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         m_scale = 1 - b1**self._t
@@ -138,7 +127,7 @@ class Adam(Optimizer):
             p.data -= step
 
 
-def _square_sums(p: Tensor) -> List[float]:
+def _square_sums(p: Parameter) -> List[float]:
     """Sum of squared gradient per parameter (per part of a
     :class:`FlatParameter`)."""
     squares = p.grad**2
@@ -147,7 +136,7 @@ def _square_sums(p: Tensor) -> List[float]:
     return [float(squares.sum())]
 
 
-def clip_grad_norm(parameters: Sequence[Tensor], max_norm: float) -> float:
+def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm <= max_norm."""
     total = 0.0
     for p in parameters:

@@ -16,7 +16,7 @@ from repro.core.reduction import (
     reduce_features,
 )
 from repro.errors import FeatureError
-from repro.nn.layers import Linear, ReLU, Sequential, Tanh
+from repro.nn.layers import Linear, ReLU, Sequential
 
 
 def linear_model(weights: np.ndarray) -> Sequential:
@@ -124,7 +124,7 @@ class TestSharedForwardTrace:
     def test_scores_equal_per_reference_multipliers(self, weighted):
         model = Sequential(
             Linear(6, 16, seed_key=9), ReLU(), Linear(16, 16, seed_key=10),
-            Tanh(), Linear(16, 3, seed_key=11),
+            ReLU(), Linear(16, 3, seed_key=11),
         )
         rng = np.random.default_rng(4)
         data = rng.normal(size=(40, 6))

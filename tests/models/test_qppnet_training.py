@@ -7,7 +7,7 @@ and one prediction slice per node.  The second is the autodiff trainer
 QPPNet used before its gradients were hand-derived: the merged
 ``(height, operator)`` groups of each mini-batch
 (:func:`~repro.models.prepared.merge_prepared`) built as a
-:class:`~repro.nn.tensor.Tensor` graph, ``Tensor.backward``, then the
+:class:`~tests.nn.tensor.Tensor` graph, ``Tensor.backward``, then the
 clip and an ``Adam`` step over every unit array.
 
 The merged autodiff forward must reproduce the per-node predictions
@@ -32,10 +32,11 @@ from repro.featurization.encoding import OperatorEncoder, apply_mask
 from repro.models.base import TrainStats, snapshot_mapping_for
 from repro.models.prepared import MAX_CHILDREN, TrainingForest, merge_prepared
 from repro.models.qppnet import QPPNet, to_log
-from repro.nn import Adam, Tensor, clip_grad_norm, concat, gather_rows, stack
+from repro.nn import Adam, clip_grad_norm
 from repro.rng import rng_for
 from repro.workload.collect import collect_labeled_plans
 
+from ..nn.tensor import Tensor, concat, gather_rows, graph_forward, stack
 from .test_forest_equivalence import Snapshots
 
 
@@ -100,7 +101,7 @@ def oracle_forward(
                         parts.append(Tensor(np.zeros(model.data_size)))
                 child_blocks.append(concat(parts, axis=0))
             children = stack(child_blocks, axis=0)
-            unit_out = model.units[op](concat([feats, children], axis=1))
+            unit_out = graph_forward(model.units[op], concat([feats, children], axis=1))
             for row, (node, plan_index) in enumerate(members):
                 outputs[id(node)] = (unit_out, row)
                 predictions.append(unit_out[row, 0:1])
@@ -139,10 +140,20 @@ def oracle_fit_history(model: QPPNet, train: Sequence[LabeledPlan]) -> List[floa
     return history
 
 
+def serving_row(unit, x: np.ndarray) -> np.ndarray:
+    """The unit's batch-invariant serving forward on *x*."""
+    return unit.forward_batched(x)
+
+
+def graph_row(unit, x: np.ndarray) -> np.ndarray:
+    """The unit's autodiff forward on *x*."""
+    return graph_forward(unit, Tensor(x)).numpy()
+
+
 def oracle_operator_dataset(
-    model: QPPNet, labeled: Sequence[LabeledPlan]
+    model: QPPNet, labeled: Sequence[LabeledPlan], run=serving_row
 ) -> Dict[OperatorType, np.ndarray]:
-    """Per-node encode plus a one-row autodiff forward per node."""
+    """Per-node encode plus a one-row unit forward per node (*run*)."""
     collected: Dict[OperatorType, List[np.ndarray]] = {}
 
     def collect(node: PlanNode, feats: Dict[int, np.ndarray]) -> np.ndarray:
@@ -154,7 +165,7 @@ def oracle_operator_dataset(
                 child_vectors.append(np.zeros(model.data_size))
         unit_input = np.concatenate([feats[id(node)], *child_vectors])
         collected.setdefault(node.op, []).append(unit_input)
-        return model.units[node.op](Tensor(unit_input.reshape(1, -1))).numpy()[0, 1:]
+        return run(model.units[node.op], unit_input.reshape(1, -1))[0, 1:]
 
     for record in labeled:
         collect(record.plan, oracle_encode(model, record))
@@ -181,7 +192,9 @@ def autograd_forward(
         child_data = gather_rows(
             outputs, group_of[children], row_of[children], 1, model.data_size
         )
-        unit_out = model.units[op](concat([Tensor(feats), child_data], axis=1))
+        unit_out = graph_forward(
+            model.units[op], concat([Tensor(feats), child_data], axis=1)
+        )
         group_of[nodes] = len(outputs)
         row_of[nodes] = np.arange(len(nodes))
         outputs.append(unit_out)
@@ -380,9 +393,24 @@ class TestOperatorDataset:
             expected = oracle_operator_dataset(model, records)
         finally:
             model.zero_mask = None
-        assert set(got) == set(expected)
+        assert list(got) == list(expected)
         for op, matrix in expected.items():
             assert np.array_equal(got[op], matrix), op
+
+    def test_only_child_data_moves_from_the_graph_forward(self, model, plans):
+        """The one-row graph forward and the grouped serving forward
+        round differently: the child-data columns move in the last
+        bits, the feature columns not at all."""
+        records = plans["train"][:48] + [plans["tallest"]]
+        got = model.operator_dataset(records)
+        expected = oracle_operator_dataset(model, records, run=graph_row)
+        assert list(got) == list(expected)
+        for op, matrix in expected.items():
+            width = matrix.shape[1] - MAX_CHILDREN * model.data_size
+            assert np.array_equal(got[op][:, :width], matrix[:, :width]), op
+            np.testing.assert_allclose(
+                got[op][:, width:], matrix[:, width:], rtol=1e-10, atol=1e-12
+            )
 
 
 def assert_same_fit(model: QPPNet, oracle: QPPNet, stats, expected) -> None:

@@ -1,16 +1,17 @@
-"""A small reverse-mode automatic differentiation engine on numpy.
+"""A small reverse-mode automatic differentiation engine: the test oracle.
 
-The paper's models (QPPNet, MSCN) are built from dense layers and ReLU
-activations.  This module provides a :class:`Tensor` wrapping a
-``numpy.ndarray`` that records the operations applied to it and can
-back-propagate gradients through an arbitrary DAG.  MSCN trains on it
-and gradient importance differentiates through it.  QPPNet, whose
-every query plan induces a different composition of per-operator
-units, trains on hand-derived gradients (:mod:`repro.models.qppnet`);
-the graph of its merged groups stays as that trainer's test oracle.
+The package trains and differentiates on hand-derived gradients
+(:mod:`repro.nn.train`).  This module provides what those gradients
+are checked against: a :class:`Tensor` wrapping a ``numpy.ndarray``
+that records the operations applied to it and back-propagates
+gradients through an arbitrary DAG, and :func:`graph_forward`, which
+runs a package ``Sequential`` on it with the layers' parameters as
+graph leaves.  The QPPNet and MSCN trainers and gradient importance
+that the package used before its gradients were hand-derived are
+rebuilt on it in the tests, and their bits are the reference.
 
-Only the operations the repro needs are implemented, but each supports
-full numpy broadcasting with correct gradient reduction.
+Only the operations the oracles need are implemented, but each
+supports full numpy broadcasting with correct gradient reduction.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.nn.layers import Linear, ReLU, Sequential
+from repro.nn.optim import Parameter
 
 Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
@@ -471,3 +475,40 @@ def gather_rows(
 def as_tensor(value: ArrayLike) -> Tensor:
     """Coerce *value* to a (non-differentiable) Tensor."""
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def mse(pred: Tensor, target: ArrayLike) -> Tensor:
+    """Mean squared error."""
+    diff = pred - as_tensor(target)
+    return (diff * diff).mean()
+
+
+class _ParameterLeaf(Tensor):
+    """A :class:`~repro.nn.optim.Parameter` as a graph leaf: its data,
+    and its gradient accumulated into the parameter's ``grad``."""
+
+    __slots__ = ("param",)
+
+    def __init__(self, param: Parameter):
+        super().__init__(param.data, requires_grad=True)
+        self.param = param
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.param.grad is None:
+            self.param.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.param.grad = self.param.grad + grad
+
+
+def graph_forward(net: Sequential, x: Tensor) -> Tensor:
+    """*net* applied to *x* as graph nodes: one affine node per
+    ``Linear`` (its weight and bias as leaves whose gradients land in
+    the parameters' ``grad``) and one relu node per ``ReLU``."""
+    for layer in net.modules:
+        if isinstance(layer, Linear):
+            x = affine(x, _ParameterLeaf(layer.weight), _ParameterLeaf(layer.bias))
+        elif isinstance(layer, ReLU):
+            x = x.relu()
+        else:
+            raise TypeError(f"no graph forward for layer {layer!r}")
+    return x

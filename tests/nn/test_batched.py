@@ -8,6 +8,11 @@ chain it replaced, kept here as the oracle (every ``Linear`` padding
 its own input, adding the bias to every row of the block and slicing).
 Bits are compared as ``view(np.int64)``, so even a sign-of-zero
 difference fails.
+
+The nets are parametrized by their activation: the package's ReLU,
+and sigmoid and tanh as row-local layers defined here, which stand in
+for any layer that keeps :meth:`~repro.nn.layers.Module.forward_block`'s
+contract (real rows only, padding left zero).
 """
 
 from __future__ import annotations
@@ -16,12 +21,40 @@ import numpy as np
 import pytest
 
 from repro.nn.batched import BLOCK_ROWS, block_gemm, blocked_matmul, pad_rows
-from repro.nn.layers import Linear, Sequential, mlp
+from repro.nn.layers import Linear, Module, ReLU, Sequential
 
 #: Empty, one row, and either side of the first two block edges
 #: (BLOCK_ROWS is 32).
 ROW_COUNTS = [0, 1, 31, 32, 33, 64, 65]
-ACTIVATIONS = ["relu", "sigmoid", "tanh"]
+
+#: Each activation as a plain function of a row block.
+FUNCTIONS = {
+    "relu": lambda x: x * (x > 0),
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0))),
+    "tanh": np.tanh,
+}
+ACTIVATIONS = list(FUNCTIONS)
+
+
+class _Rowwise(Module):
+    """A row-local layer from outside the package: its function on the
+    block's real rows, in place."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def forward_block(self, block, rows):
+        block[:rows] = FUNCTIONS[self.name](block[:rows])
+        return block
+
+
+def _activation(name):
+    return ReLU() if name == "relu" else _Rowwise(name)
+
+
+def _apply(module, x):
+    """A non-``Linear`` layer's function on *x*, unblocked."""
+    return FUNCTIONS["relu" if isinstance(module, ReLU) else module.name](x)
 
 
 def _reference_blocked_matmul(x, weight, bias):
@@ -45,17 +78,26 @@ def _reference_blocked_matmul(x, weight, bias):
 
 def _reference_chain(net, x):
     """Oracle: every ``Linear`` runs the per-layer kernel, every other
-    module its plain numpy forward."""
+    module its plain function."""
     for module in net:
         if isinstance(module, Linear):
             x = _reference_blocked_matmul(x, module.weight.data, module.bias.data)
         else:
-            x = module.forward_numpy(x)
+            x = _apply(module, x)
     return x
 
 
 def _net(activation):
-    return mlp(9, [24, 16], 3, seed_key=("batched", activation), activation=activation)
+    """A 9 -> 24 -> 16 -> 3 MLP with *activation* after each hidden
+    layer."""
+    key = ("batched", activation)
+    return Sequential(
+        Linear(9, 24, seed_key=(key, 0)),
+        _activation(activation),
+        Linear(24, 16, seed_key=(key, 1)),
+        _activation(activation),
+        Linear(16, 3, seed_key=(key, "out")),
+    )
 
 
 def _inputs(rows, seed=0):
@@ -110,7 +152,8 @@ def test_blocked_matmul_equals_the_per_layer_kernel(rows):
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 def test_a_bare_layer_inherits_the_batch_invariant_forward(rows):
     """``Linear`` and the activations define only ``forward_block``; the
-    inherited ``forward_batched`` must still be the per-layer kernel."""
+    inherited ``forward_batched`` must still be the per-layer kernel
+    and the plain function."""
     x = _inputs(rows, seed=6)
     linear = Linear(9, 5, seed_key="bare")
     got = linear.forward_batched(x)
@@ -119,7 +162,7 @@ def test_a_bare_layer_inherits_the_batch_invariant_forward(rows):
     np.testing.assert_array_equal(_bits(got), _bits(want))
     for activation in _net("relu").modules[1::2] + _net("tanh").modules[1::2]:
         np.testing.assert_array_equal(
-            _bits(activation.forward_batched(x)), _bits(activation.forward_numpy(x))
+            _bits(activation.forward_batched(x)), _bits(_apply(activation, x))
         )
 
 

@@ -5,97 +5,72 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, mlp
-from repro.nn.loss import mse
-from repro.nn.optim import SGD, Adam, FlatParameter, clip_grad_norm
-from repro.nn.tensor import Tensor
+from repro.nn.layers import Linear, Sequential, mlp
+from repro.nn.loss import mse_grad
+from repro.nn.optim import Adam, FlatParameter, Parameter, clip_grad_norm
+from repro.nn.train import FlatNet, forward_trace
 
 
-def _fit_line(optimizer_factory, steps=300) -> float:
-    """Fit y = 3x - 1 with a single Linear layer; return final loss."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(64, 1))
-    y = 3.0 * x - 1.0
-    layer = Linear(1, 1, seed_key="fit")
-    optimizer = optimizer_factory(layer.parameters())
+def _train(net: Sequential, x: np.ndarray, y: np.ndarray, lr: float, steps: int):
+    """Full-batch Adam on the squared error; the loss at every step."""
+    unit = FlatNet(net)
+    optimizer = Adam([unit.param], lr=lr)
+    losses = []
     for _ in range(steps):
-        loss = mse(layer(Tensor(x)), Tensor(y))
+        trace = forward_trace(net, x)
+        loss, grad = mse_grad(trace[-1].reshape(-1), y.reshape(-1))
         optimizer.zero_grad()
-        loss.backward()
+        unit.backward(trace, grad.reshape(trace[-1].shape))
         optimizer.step()
-    return float(mse(layer(Tensor(x)), Tensor(y)).item())
-
-
-class TestSGD:
-    def test_converges_on_linear_problem(self):
-        assert _fit_line(lambda p: SGD(p, lr=0.1)) < 1e-4
-
-    def test_momentum_converges(self):
-        assert _fit_line(lambda p: SGD(p, lr=0.05, momentum=0.9)) < 1e-4
-
-    def test_weight_decay_shrinks_weights(self):
-        layer = Linear(2, 2, seed_key=0)
-        before = np.abs(layer.weight.data).sum()
-        optimizer = SGD(layer.parameters(), lr=0.1, weight_decay=0.5)
-        for _ in range(50):
-            loss = layer(Tensor(np.zeros((1, 2)))).sum() * 0.0
-            optimizer.zero_grad()
-            loss.backward()
-            # gradient is zero; only decay acts
-            for p in layer.parameters():
-                p.grad = np.zeros_like(p.data)
-            optimizer.step()
-        assert np.abs(layer.weight.data).sum() < before
-
-    def test_rejects_nonpositive_lr(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.0)
-
-    def test_skips_parameters_without_grad(self):
-        t = Tensor(np.ones(2), requires_grad=True)
-        SGD([t], lr=0.1).step()  # no grad -> no change, no crash
-        np.testing.assert_array_equal(t.data, np.ones(2))
+        losses.append(loss)
+    return losses
 
 
 class TestAdam:
     def test_converges_on_linear_problem(self):
-        assert _fit_line(lambda p: Adam(p, lr=0.05)) < 1e-4
+        """Fit y = 3x - 1 with a single Linear layer."""
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(64, 1))
+        net = Sequential(Linear(1, 1, seed_key="fit"))
+        _train(net, x, 3.0 * x - 1.0, lr=0.05, steps=300)
+        final = mse_grad(forward_trace(net, x)[-1].reshape(-1), (3.0 * x - 1.0).reshape(-1))
+        assert final[0] < 1e-4
 
     def test_converges_on_nonlinear_problem(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(128, 2))
         y = np.maximum(x[:, :1], 0.0) + 0.5
-        model = mlp(2, (16,), 1, seed_key="adam")
-        optimizer = Adam(model.parameters(), lr=0.01)
-        first = None
-        for step in range(400):
-            loss = mse(model(Tensor(x)), Tensor(y))
-            if step == 0:
-                first = loss.item()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-        assert loss.item() < 0.25 * first
+        losses = _train(mlp(2, (16,), 1, seed_key="adam"), x, y, lr=0.01, steps=400)
+        assert losses[-1] < 0.25 * losses[0]
 
     def test_bias_correction_first_step_magnitude(self):
-        t = Tensor(np.array([0.0]), requires_grad=True)
+        t = Parameter(np.array([0.0]))
         optimizer = Adam([t], lr=0.1)
         t.grad = np.array([1.0])
         optimizer.step()
         # First Adam step is ~lr regardless of gradient scale.
         assert abs(t.data[0] + 0.1) < 1e-6
 
+    def test_rejects_nonpositive_lr(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.0)
+
+    def test_skips_parameters_without_grad(self):
+        t = Parameter(np.ones(2))
+        Adam([t], lr=0.1).step()  # no grad -> no change, no crash
+        np.testing.assert_array_equal(t.data, np.ones(2))
+
 
 class TestClipGradNorm:
     def test_scales_down_large_gradients(self):
-        t = Tensor(np.zeros(4), requires_grad=True)
+        t = Parameter(np.zeros(4))
         t.grad = np.full(4, 10.0)
         norm = clip_grad_norm([t], max_norm=1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(t.grad) == pytest.approx(1.0)
 
     def test_leaves_small_gradients(self):
-        t = Tensor(np.zeros(2), requires_grad=True)
+        t = Parameter(np.zeros(2))
         t.grad = np.array([0.1, 0.1])
         clip_grad_norm([t], max_norm=5.0)
         np.testing.assert_array_equal(t.grad, [0.1, 0.1])

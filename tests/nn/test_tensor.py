@@ -1,4 +1,5 @@
-"""Autodiff correctness: every op's gradient vs numerical differences."""
+"""The test oracle's autodiff (``tests/nn/tensor.py``): every op's gradient vs
+numerical differences."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn.tensor import Tensor, as_tensor, concat, gather_rows, stack
+from .tensor import Tensor, as_tensor, concat, gather_rows, stack
 
 _EPS = 1e-6
 
