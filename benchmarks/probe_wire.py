@@ -133,7 +133,7 @@ def probe(args: argparse.Namespace) -> List[Dict[str, object]]:
     blobs = list(unique)
     with CostService(snapshot_store=SnapshotStore()) as single:
         single.deploy(bundle)
-        expected = single.estimate_batch([(plan, env, None, None) for plan, env in items])
+        expected = single.estimate_batch([(plan, env, None) for plan, env in items])
     frames = [({"id": i, "kind": "estimate"}, blob) for i, blob in enumerate(unique)]
     sizes = [int(size) for size in args.drains.split(",")]
     drains = {

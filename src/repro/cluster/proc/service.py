@@ -274,16 +274,13 @@ class ProcClusterService(ReplicaTier):
         env,
         bundle: Optional[str] = None,
         tenant: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> float:
         """Estimated latency (ms) of *query* under *env*, served by the
-        tenant's worker process (with failover).  A ``backend`` tag
-        rides the wire and routes inside the worker exactly as one
-        ``CostService`` routes it in-process; an unknown tag crosses back as
-        a typed :class:`~repro.errors.UnknownBackendError` (request-
-        shaped: no health charge, no failover)."""
-        key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {"bundle": name, "backend": backend}
+        tenant's worker process (with failover).  A request error in
+        the worker, such as an unknown bundle, crosses back typed
+        (request-shaped: no health charge, no failover)."""
+        key, name = self._resolve_key(bundle, tenant)
+        payload = {"bundle": name}
         blob = protocol.encode_request([query], env)
 
         def _call(handle: WorkerHandle) -> float:
@@ -299,12 +296,11 @@ class ProcClusterService(ReplicaTier):
         bundle: Optional[str] = None,
         batch_size: int = 64,
         tenant: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> np.ndarray:
         """Batched estimates, routed as one unit to the tenant's
         worker; predictions cross back as raw float64 (bit-exact)."""
-        key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {"bundle": name, "backend": backend, "batch_size": batch_size}
+        key, name = self._resolve_key(bundle, tenant)
+        payload = {"bundle": name, "batch_size": batch_size}
         blob = protocol.encode_request(queries, env)
 
         def _call(handle: WorkerHandle) -> np.ndarray:
@@ -319,7 +315,6 @@ class ProcClusterService(ReplicaTier):
         env,
         bundle: Optional[str] = None,
         tenant: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> Future:
         """Submit *query* to the tenant's worker; returns a Future.
 
@@ -328,8 +323,8 @@ class ProcClusterService(ReplicaTier):
         released — and worker health judged by the failure table — when
         the reply (or the deadline sweeper, or a death) resolves it.
         """
-        key, name = self._resolve_key(bundle, tenant, backend)
-        payload = {"bundle": name, "backend": backend}
+        key, name = self._resolve_key(bundle, tenant)
+        payload = {"bundle": name}
         blob = protocol.encode_request([query], env)
 
         def _submit(handle: WorkerHandle) -> Future:

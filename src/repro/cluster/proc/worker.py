@@ -37,7 +37,7 @@ once per drain.
 
 Every request is answered — with a ``result`` frame, or with a typed
 ``error`` frame naming a ``repro.errors`` class.  In an estimate run,
-an error preparing one request (an unknown backend tag, a bad plan)
+an error preparing one request (an unknown bundle, a bad plan)
 fails only that request; an error in the shared predict fails every
 request of the run, as a micro-batcher flush does.  A framing
 violation from the parent is unrecoverable by definition (the stream
@@ -146,10 +146,7 @@ class WorkerRuntime:
         for header, tail in frames:
             try:
                 query, env = self._single_request(tail, envs)
-                requests.append(
-                    (query, env, _optional(header, "bundle"),
-                     _optional(header, "backend"))
-                )
+                requests.append((query, env, _bundle(header)))
             except ReproError as exc:
                 outcomes.append(exc)
                 continue
@@ -166,9 +163,8 @@ class WorkerRuntime:
         values = self.service.estimate_many(
             queries,
             env,
-            bundle=_optional(header, "bundle"),
+            bundle=_bundle(header),
             batch_size=int(header.get("batch_size", 64)),
-            backend=_optional(header, "backend"),
         )
         fragment, blob = protocol.floats_to_tail(np.asarray(values))
         return {"values": fragment}, blob
@@ -240,10 +236,9 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def _optional(header: Dict[str, object], key: str) -> Optional[str]:
-    """A routing field of *header* (``bundle``/``backend``) as text, or
-    None when absent."""
-    value = header.get(key)
+def _bundle(header: Dict[str, object]) -> Optional[str]:
+    """The ``bundle`` field of *header* as text, or None when absent."""
+    value = header.get("bundle")
     return str(value) if value is not None else None
 
 

@@ -163,27 +163,15 @@ class ReplicaTier:
             return list(self._deployed)
 
     def _resolve_key(
-        self,
-        bundle: Optional[str],
-        tenant: Optional[str],
-        backend: Optional[str] = None,
-    ) -> Tuple[str, Optional[str]]:
+        self, bundle: Optional[str], tenant: Optional[str]
+    ) -> Tuple[str, str]:
         """(routing key, bundle name) for a request.
 
         The routing key defaults to the bundle name — tenants are
         bundles unless the caller says otherwise — and a missing
         bundle name falls back to the sole deployment, mirroring
         ``CostService`` semantics.
-
-        A backend-tagged request with no explicit bundle leaves bundle
-        selection to the replica's
-        :class:`~repro.serving.routing.BackendRouter` (deterministic,
-        so every replica resolves identically) and keys affinity on
-        the tenant, falling back to the backend tag itself — so one
-        backend's traffic stays on one warm replica by default.
         """
-        if backend is not None and bundle is None:
-            return (tenant or f"backend:{backend}"), None
         with self._lock:
             deployed = list(self._deployed)
         if bundle is None:

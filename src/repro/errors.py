@@ -41,12 +41,6 @@ class ServingError(ReproError):
     """The online estimation service was misused or misconfigured."""
 
 
-class UnknownBackendError(ServingError):
-    """A request named a backend no :class:`~repro.backends.BackendProfile`
-    is registered for.  Raised at routing time, before any shard work
-    happens, so it never charges replica health or triggers failover."""
-
-
 class ObservabilityError(ReproError):
     """An observability component (metrics, tracing, events) was
     misused: bad quantile, unknown event type, malformed series."""

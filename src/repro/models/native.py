@@ -1,11 +1,8 @@
-"""Per-backend calibrated native-cost fallback estimator.
+"""Calibrated native-cost estimator: a linear map of optimizer cost.
 
-The generalization of the PGSQL baseline to a fleet of engine
-families: latency ≈ ``slope`` × native optimizer cost + ``intercept``,
-one estimator per backend.  The slope/intercept linear correction
-follows brad's ``AthenaNativeCostModel``; FasCo ("Less is More")
-motivates keeping this near-free model deployed as the fallback for
-backends with no learned bundle — it answers in one vector op and
+The PGSQL baseline with an intercept: latency ≈ ``slope`` × optimizer
+cost + ``intercept``.  The slope/intercept linear correction follows
+brad's ``AthenaNativeCostModel``; it answers in one vector op and
 never needs featurization or snapshots.
 
 Calibration is deliberately paranoid about labels: live feedback can
@@ -51,10 +48,9 @@ def finite_cost_pairs(
 
 
 class NativeCostEstimator(CostEstimator):
-    """Slope/intercept-corrected optimizer cost for one backend.
+    """Slope/intercept-corrected optimizer cost.
 
-    ``predict`` is ``max(slope * est_total_cost + intercept, 0)`` in
-    the backend's native cost units.  :meth:`fit` least-squares-fits
+    ``predict`` is ``max(slope * est_total_cost + intercept, 0)``.  :meth:`fit` least-squares-fits
     the two coefficients over the finite training pairs, falling back
     to a median-ratio slope (intercept 0) when the costs are constant
     — the same robust estimate the single-scale PGSQL baseline uses.
@@ -64,12 +60,10 @@ class NativeCostEstimator(CostEstimator):
 
     def __init__(
         self,
-        backend: str = "postgres",
         slope: float = 1.0,
         intercept: float = 0.0,
         calibrated: bool = True,
     ):
-        self.backend = backend
         self.slope = float(slope)
         self.intercept = float(intercept)
         self.calibrated = calibrated
@@ -119,10 +113,10 @@ class NativeCostEstimator(CostEstimator):
     # checkpoint serialization (repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """The whole model: backend tag plus the two coefficients."""
+        """The whole model: the two coefficients and the calibration
+        flag."""
         return {
             "kind": "native_cost",
-            "backend": self.backend,
             "slope": float(self.slope),
             "intercept": float(self.intercept),
             "calibrated": self.calibrated,
@@ -132,7 +126,6 @@ class NativeCostEstimator(CostEstimator):
     def from_state(cls, state) -> "NativeCostEstimator":
         """Rebuild from :meth:`state_dict` output."""
         return cls(
-            backend=str(state.get("backend", "postgres")),
             slope=float(state.get("slope", 1.0)),
             intercept=float(state.get("intercept", 0.0)),
             calibrated=bool(state.get("calibrated", True)),

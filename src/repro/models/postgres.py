@@ -8,10 +8,9 @@ for this baseline while its Pearson correlation stays modest but
 positive.  A calibrated variant (single multiplicative scale fitted on
 the training split) is included for ablations.
 
-Structurally this is the intercept-free special case of the
-per-backend :class:`~repro.models.native.NativeCostEstimator` — the
-subclassing makes the routing layer's "is this a native fallback?"
-check cover both.
+Structurally this is the intercept-free special case of
+:class:`~repro.models.native.NativeCostEstimator`, whose prediction
+it inherits.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ class PostgresCostEstimator(NativeCostEstimator):
     name = "postgres"
 
     def __init__(self, calibrated: bool = False):
-        super().__init__(
-            backend="postgres", slope=1.0, intercept=0.0, calibrated=calibrated
-        )
+        super().__init__(slope=1.0, intercept=0.0, calibrated=calibrated)
 
     def fit(
         self,

@@ -11,7 +11,7 @@ of :func:`~repro.nn.loss.mse_grad`, and steps
 :class:`~repro.nn.optim.Adam` over flat parameters.
 """
 
-from .batched import BLOCK_ROWS, blocked_matmul
+from .batched import BLOCK_ROWS
 from .layers import Linear, Module, ReLU, Sequential, mlp
 from .loss import mse_grad, numpy_q_error
 from .optim import Adam, FlatParameter, Optimizer, Parameter, clip_grad_norm
@@ -19,7 +19,6 @@ from .train import FlatNet, forward_trace
 
 __all__ = [
     "BLOCK_ROWS",
-    "blocked_matmul",
     "Linear",
     "Module",
     "ReLU",

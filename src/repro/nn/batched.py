@@ -65,17 +65,3 @@ def block_gemm(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
         )
     return out
 
-
-def blocked_matmul(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """``x @ weight + bias`` with batch-size-independent rounding.
-
-    Pad → :func:`block_gemm` → slice, so row ``i`` of the result is a
-    pure function of ``x[i]`` — see the module docstring.  Used by
-    every inference entry point that must stay bit-identical between
-    the scalar and fused-batch serving paths.
-    """
-    out = block_gemm(pad_rows(x), weight)[:x.shape[0]]
-    out += bias
-    return out

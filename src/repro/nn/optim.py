@@ -77,25 +77,21 @@ class Optimizer:
         raise NotImplementedError
 
 
+#: Adam's moment decay rates and denominator guard, at the paper's
+#: defaults (Kingma & Ba); no caller sets others.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) — the optimizer used to train QPPNet/MSCN.
+    """Adam (Kingma & Ba) — the optimizer used to train QPPNet/MSCN,
+    with :data:`BETA1`, :data:`BETA2` and :data:`EPS`.
 
     Updates ``data`` (and the moment estimates) in place, so views of
     a :class:`FlatParameter` stay live across steps.
     """
 
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, parameters: Sequence[Parameter], lr: float = 1e-3):
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self._m: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._v: List[Optional[np.ndarray]] = [None] * len(self.parameters)
         self._t = 0
@@ -103,15 +99,13 @@ class Adam(Optimizer):
     def step(self) -> None:
         """One Adam update of every parameter that has a gradient."""
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         m_scale = 1 - b1**self._t
         v_scale = 1 - b2**self._t
         for index, p in enumerate(self.parameters):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m = self._m[index]
             v = self._v[index]
             if m is None:
@@ -123,7 +117,7 @@ class Adam(Optimizer):
                 v *= b2
                 v += (1 - b2) * grad**2
             step = self.lr * (m / m_scale)
-            step /= np.sqrt(v / v_scale) + self.eps
+            step /= np.sqrt(v / v_scale) + EPS
             p.data -= step
 
 

@@ -53,9 +53,11 @@ from .codec import BlobStore, decode_state, encode_state
 
 #: File magic: identifies (and versions the framing of) the container.
 MAGIC = b"QCFE-CKPT\x00"
-#: Manifest schema this build writes.  v2 added the per-bundle
-#: ``backend`` field (multi-backend routing); v1 checkpoints restore
-#: with every bundle defaulting to the default backend.
+#: Manifest schema this build writes.  v1 and v2 share one layout
+#: except for a per-bundle field that v2 writers once added and this
+#: build no longer writes; the reader ignores it
+#: (:func:`~repro.persist.service_state.bundle_from_state`), and an
+#: older build reads this build's files as it reads v1 files.
 SCHEMA_VERSION = 2
 #: Manifest schemas this build reads.
 SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2})

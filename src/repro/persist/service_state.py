@@ -38,7 +38,6 @@ import numpy as np
 from ..core.snapshot import SnapshotSet
 from ..engine.operators import OperatorType
 from ..errors import CheckpointError, ReproError
-from ..backends import DEFAULT_BACKEND
 from ..models.mscn import MSCN
 from ..models.native import NativeCostEstimator
 from ..models.postgres import PostgresCostEstimator
@@ -153,7 +152,6 @@ def bundle_to_state(bundle: EstimatorBundle) -> Dict[str, object]:
     return {
         "name": bundle.name,
         "version": bundle.version,
-        "backend": bundle.backend,
         "benchmark": bundle.benchmark.name if bundle.benchmark else None,
         "estimator": estimator_to_state(bundle.estimator),
         "snapshot_set": (
@@ -226,10 +224,11 @@ def bundle_from_state(
                 else np.asarray(global_mask, dtype=bool)
             ),
             metadata=_metadata_from_state(dict(state.get("metadata", {}))),
+            # A schema-v2 state may also carry a ``backend`` tag (its
+            # native_cost estimator state too), written by builds that
+            # routed requests per engine family.  It is ignored,
+            # whatever its value: the bundle restores as a plain one.
             version=int(state.get("version", 0)),
-            # Absent in schema-v1 (pre-backend) checkpoints: those
-            # bundles were all postgres-family by construction.
-            backend=str(state.get("backend") or DEFAULT_BACKEND),
         )
     except CheckpointError:
         raise

@@ -29,7 +29,6 @@ from .adaptation import (
 from .batcher import BatcherStats, MicroBatcher
 from .feature_cache import CacheStats, FeatureCache
 from .registry import EstimatorBundle, EstimatorRegistry
-from .routing import BackendRouter
 from .service import CostService, ServiceStats
 from .snapshot_store import (
     SnapshotStore,
@@ -49,7 +48,6 @@ __all__ = [
     "MicroBatcher",
     "CacheStats",
     "FeatureCache",
-    "BackendRouter",
     "EstimatorBundle",
     "EstimatorRegistry",
     "CostService",

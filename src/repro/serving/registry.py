@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..backends import DEFAULT_BACKEND
 from ..engine.executor import LabeledPlan
 from ..engine.operators import OperatorType
 from ..errors import ServingError
@@ -43,12 +42,6 @@ class EstimatorBundle:
     metadata: Dict[str, object] = field(default_factory=dict)
     #: Assigned by the registry; bumped on every (re)deploy of the name.
     version: int = 0
-    #: The :mod:`repro.backends` profile this bundle estimates for.
-    #: Participates in feature-cache and template-cache keys (identical
-    #: plans under different backends never share an entry) and
-    #: round-trips through the persist codec; pre-backend checkpoints
-    #: restore as the default.
-    backend: str = DEFAULT_BACKEND
 
     @property
     def env_names(self) -> List[str]:
@@ -239,16 +232,6 @@ class EstimatorRegistry:
         """Every deployed bundle name, sorted."""
         with self._lock:
             return sorted(self._bundles)
-
-    def bundles_for_backend(self, backend: str) -> List[EstimatorBundle]:
-        """Deployed bundles serving *backend*, name-sorted (the order
-        the router's deterministic preference scan relies on)."""
-        with self._lock:
-            return [
-                self._bundles[name]
-                for name in sorted(self._bundles)
-                if self._bundles[name].backend == backend
-            ]
 
     def version_of(self, name: str) -> int:
         """Deployment count for *name* (0 when never deployed)."""

@@ -26,9 +26,9 @@ predict — against deployed :class:`EstimatorBundle`\\ s, with:
   recording deploys, adaptation promotions/rollbacks, drift trips and
   checkpoint writes/restores.
 
-Every entry point is :meth:`CostService._admit` per request (route →
-parse → plan → featurize) then one fused :meth:`CostService._run_batch`
-predict, so the same plan under the same bundle version always produces
+Every entry point is :meth:`CostService._admit` per request (bundle
+lookup → parse → plan → featurize) then one fused
+:meth:`CostService._run_batch` predict, so the same plan under the same bundle version always produces
 the same number, whichever entry point served it.
 """
 
@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backends import get_backend
 from ..engine.environment import DatabaseEnvironment
 from ..engine.executor import LabeledPlan
 from ..engine.operators import PlanNode
@@ -59,7 +58,6 @@ from .adaptation import AdaptationConfig, AdaptationManager
 from .batcher import MicroBatcher
 from .feature_cache import FeatureCache
 from .registry import EstimatorBundle, EstimatorRegistry
-from .routing import BackendRouter
 from .snapshot_store import SnapshotStore, template_snapshot_fitter
 
 #: What estimate() accepts: SQL text, a parsed query, or a built plan
@@ -99,8 +97,8 @@ class ServiceStats:
     - ``requests`` counts **admitted** requests, in ``_admit``: each
       ``estimate()``, each query of ``estimate_many()``, each
       ``estimate_async()`` submission, each ``estimate_batch()``
-      request.  One that fails route, parse or plan is raised (or
-      returned, by ``estimate_batch``) and not counted.
+      request.  One that fails its bundle lookup, parse or plan is
+      raised (or returned, by ``estimate_batch``) and not counted.
     - ``batched_requests`` counts requests served by a fused predict,
       in ``_run_batch``.  A sync ``estimate()`` is a batch of one, so
       it equals ``requests`` once every admitted request is predicted.
@@ -217,10 +215,6 @@ class CostService:
         self.adaptation: Optional[AdaptationManager] = (
             AdaptationManager(self, adaptation) if adaptation is not None else None
         )
-        #: Per-request backend routing (see :mod:`repro.serving.routing`):
-        #: requests tagged with a backend resolve through here instead of
-        #: the plain name lookup.
-        self.router = BackendRouter(self)
         self._register_collectors()
 
     def _register_collectors(self) -> None:
@@ -271,7 +265,6 @@ class CostService:
             if self.adaptation is None
             else self.adaptation.stats.snapshot(),
         )
-        register("backends", self.router.counters_or_none)
         register("events", self.events.counters)
         register(
             "tracer",
@@ -298,21 +291,6 @@ class CostService:
         if self.adaptation is not None:
             self.adaptation.watch(deployed)
         return deployed
-
-    def _route(
-        self, name: Optional[str], backend: Optional[str]
-    ) -> EstimatorBundle:
-        """Resolve the serving bundle for a (name, backend tag) pair.
-
-        An untagged request (``backend is None``) is the legacy path —
-        a plain registry lookup, byte for byte.  Tagged requests go
-        through the :class:`~repro.serving.routing.BackendRouter`:
-        typed :class:`~repro.errors.UnknownBackendError` for unknown
-        tags, learned-bundle preference, native-cost fallback.
-        """
-        if backend is None:
-            return self.registry.get(name)
-        return self.router.resolve(name, backend)
 
     # ------------------------------------------------------------------
     # environment handling
@@ -437,7 +415,6 @@ class CostService:
                 record.plan,
                 bundle.name,
                 bundle.version,
-                bundle.backend,
                 env.name,
             )
             template = self.template_cache.get_or_compute(
@@ -458,7 +435,6 @@ class CostService:
                 record.encoded if type(record) is _EncodedRecord else record.plan,
                 bundle.name,
                 bundle.version,
-                bundle.backend,
                 env.name,
             )
             prepared = self.cache.get_or_compute(key, _compute)
@@ -471,14 +447,13 @@ class CostService:
         query: QueryLike,
         env: DatabaseEnvironment,
         bundle: Optional[str],
-        backend: Optional[str],
     ) -> Tuple[EstimatorBundle, LabeledPlan, object]:
-        """The per-request front half of every entry point: route →
-        ensure environment → resolve plan → prepare, then count the
+        """The per-request front half of every entry point: look up the
+        bundle → ensure environment → resolve plan → prepare, then count the
         request and stream it to adaptation.  Returns the serving
         bundle, the request's record and its prepared features — the
         item :meth:`_run_batch` predicts."""
-        deployed = self._ensure_environment(self._route(bundle, backend), env)
+        deployed = self._ensure_environment(self.registry.get(bundle), env)
         plan, sql_text = self._resolve_plan(query, deployed, env)
         if isinstance(plan, EncodedPlan):
             record = _EncodedRecord(plan, env.name)
@@ -524,13 +499,8 @@ class CostService:
         query: QueryLike,
         env: DatabaseEnvironment,
         bundle: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> float:
         """Estimated latency (ms) of *query* under *env*, synchronously.
-
-        ``backend`` tags the request with the engine family it is for;
-        tagged requests route through :attr:`router` (see
-        :meth:`_route`) instead of the plain ``bundle`` name lookup.
 
         The request is a fused batch of one (:meth:`estimate_batch`),
         and its error, if any, is re-raised.  With a tracer attached it
@@ -538,12 +508,8 @@ class CostService:
         ``featurize``/``predict`` children.
         """
         with open_span(self.tracer, "request") as span:
-            span.annotate(
-                bundle=bundle or "<default>",
-                env=env.name,
-                backend=backend or "<untagged>",
-            )
-            (outcome,) = self.estimate_batch([(query, env, bundle, backend)])
+            span.annotate(bundle=bundle or "<default>", env=env.name)
+            (outcome,) = self.estimate_batch([(query, env, bundle)])
             if isinstance(outcome, ReproError):
                 raise outcome
             return outcome
@@ -554,7 +520,6 @@ class CostService:
         env: DatabaseEnvironment,
         bundle: Optional[str] = None,
         batch_size: int = 64,
-        backend: Optional[str] = None,
     ) -> np.ndarray:
         """Batched estimates: admit every query (through the caches;
         the first error raises), then predict in chunks of *batch_size*
@@ -572,9 +537,8 @@ class CostService:
                 env=env.name,
                 n_queries=len(queries),
                 batch_size=batch_size,
-                backend=backend or "<untagged>",
             )
-            items = [self._admit(query, env, bundle, backend) for query in queries]
+            items = [self._admit(query, env, bundle) for query in queries]
             out = np.zeros(len(items))
             for lo in range(0, len(items), batch_size):
                 out[lo : lo + batch_size] = self._run_batch(
@@ -587,7 +551,6 @@ class CostService:
         query: QueryLike,
         env: DatabaseEnvironment,
         bundle: Optional[str] = None,
-        backend: Optional[str] = None,
     ):
         """Queue *query* on the bundle's micro-batcher; returns a Future
         resolving to the estimate.  Concurrent callers are coalesced
@@ -601,14 +564,9 @@ class CostService:
         (always retained).
         """
         span = open_span(self.tracer, "request")
-        span.annotate(
-            bundle=bundle or "<default>",
-            env=env.name,
-            path="async",
-            backend=backend or "<untagged>",
-        )
+        span.annotate(bundle=bundle or "<default>", env=env.name, path="async")
         try:
-            deployed, record, prepared = self._admit(query, env, bundle, backend)
+            deployed, record, prepared = self._admit(query, env, bundle)
             # The bundle rides along: prepared features are only valid
             # for the bundle version that encoded them, so a hot-swap
             # must not re-route in-flight requests onto new
@@ -636,11 +594,9 @@ class CostService:
 
     def estimate_batch(
         self,
-        requests: Sequence[
-            Tuple[QueryLike, DatabaseEnvironment, Optional[str], Optional[str]]
-        ],
+        requests: Sequence[Tuple[QueryLike, DatabaseEnvironment, Optional[str]]],
     ) -> List[Union[float, ReproError]]:
-        """Serve independent ``(query, env, bundle, backend)`` requests
+        """Serve independent ``(query, env, bundle)`` requests
         through one fused predict, with no batching window.
 
         Each request is admitted exactly as every other entry point
@@ -655,9 +611,9 @@ class CostService:
         outcomes: List[Union[float, ReproError]] = []
         items: List[Tuple[EstimatorBundle, LabeledPlan, object]] = []
         slots: List[int] = []
-        for query, env, bundle, backend in requests:
+        for query, env, bundle in requests:
             try:
-                items.append(self._admit(query, env, bundle, backend))
+                items.append(self._admit(query, env, bundle))
             except ReproError as exc:
                 outcomes.append(exc)
                 continue
@@ -732,7 +688,6 @@ class CostService:
         env: DatabaseEnvironment,
         actual_ms: Optional[float] = None,
         bundle: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> None:
         """Report what a query actually took once the database ran it.
 
@@ -740,20 +695,12 @@ class CostService:
         and wake the refit worker.  *query* is ideally a fully labelled
         :class:`LabeledPlan` (per-node actuals included, as an EXPLAIN
         ANALYZE would supply); with SQL/plan + ``actual_ms``, per-node
-        actuals are apportioned by optimizer cost fractions.  A
-        ``backend`` tag routes the feedback to the backend's serving
-        bundle exactly as :meth:`estimate` would (an unknown tag raises
-        even when adaptation is off — the same typed error in process and
-        on a process-tier worker).
-        Otherwise a no-op when adaptation is disabled.
+        actuals are apportioned by optimizer cost fractions.  A no-op
+        when adaptation is disabled.
         """
-        if backend is not None:
-            # Validate the tag up front so misrouted feedback is a
-            # typed caller error regardless of adaptation config.
-            get_backend(backend)
         if self.adaptation is None:
             return
-        deployed = self._ensure_environment(self._route(bundle, backend), env)
+        deployed = self._ensure_environment(self.registry.get(bundle), env)
         if isinstance(query, LabeledPlan):
             record = query
             if record.env_name != env.name:

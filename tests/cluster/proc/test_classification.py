@@ -1,18 +1,12 @@
-"""Failure classification on the process tier: request errors, a
-full worker and an unknown backend charge no health and never fail
-over."""
+"""Failure classification on the process tier: request errors and a
+full worker charge no health and never fail over."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster.proc import ProcClusterService
-from repro.errors import (
-    ParseError,
-    ServingError,
-    ShardOverloadError,
-    UnknownBackendError,
-)
+from repro.errors import ParseError, ServingError, ShardOverloadError
 
 from .conftest import fast_config
 
@@ -46,23 +40,6 @@ def test_request_errors_charge_no_health(tier, cluster_envs):
             tier.estimate("SELEC oops FORM nowhere", env)
     with pytest.raises(ParseError):
         tier.estimate_async("SELEC nope", env).result(timeout=30.0)
-    assert_untouched(tier, before)
-
-
-def test_unknown_backend_is_typed_and_charges_no_health(
-    tier, cluster_bundle, cluster_envs
-):
-    """An unknown backend tag is a caller bug surfaced by the serving
-    replica's router: typed error back to the caller, zero replica
-    health damage, zero failover — same discipline as an unknown
-    bundle name."""
-    _, labeled = cluster_bundle
-    before = tier.stats.snapshot()["reroutes"]
-    for _ in range(6):  # 2x the failure threshold
-        with pytest.raises(UnknownBackendError):
-            tier.estimate(
-                labeled[0].query_sql, cluster_envs[0], backend="oracle"
-            )
     assert_untouched(tier, before)
 
 

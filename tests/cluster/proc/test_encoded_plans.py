@@ -62,8 +62,8 @@ def sensitive_plan(cluster_bundle, cluster_envs):
         plan = record.plan
         if not all(getattr(plan, field) for field in EST_FLOATS):
             continue
-        requests = [(plan, env, None, None)] + [
-            (twin(plan, field), env, None, None) for field in EST_FLOATS
+        requests = [(plan, env, None)] + [
+            (twin(plan, field), env, None) for field in EST_FLOATS
         ]
         # One cold service per request: no answer can come from a cache.
         base, *twins = (fresh_estimates(bundle, [r])[0] for r in requests)
@@ -129,7 +129,7 @@ def test_warm_service_serves_a_float_twin_its_own_estimate(
     env = cluster_envs[0]
     plan = sensitive_plan
     other = twin(plan, field)
-    [expected] = fresh_estimates(bundle, [(other, env, None, None)])
+    [expected] = fresh_estimates(bundle, [(other, env, None)])
     with CostService(snapshot_store=SnapshotStore()) as warm:
         warm.deploy(bundle)
         warm.estimate(plan, env)
@@ -144,7 +144,7 @@ def test_warm_worker_serves_a_float_twin_its_own_estimate(
     env = cluster_envs[0]
     plan = sensitive_plan
     other = twin(plan, field)
-    [expected] = fresh_estimates(bundle, [(other, env, None, None)])
+    [expected] = fresh_estimates(bundle, [(other, env, None)])
     runtime.serve_estimates(frames_of([protocol.encode_request([plan], env)]))
     [outcome] = runtime.serve_estimates(
         frames_of([protocol.encode_request([other], env)])
@@ -237,8 +237,8 @@ def test_a_self_containing_value_is_a_typed_error_in_process_and_on_the_wire(
         with pytest.raises(ReproError):
             single.estimate(plan, env)
         # In a batch the refused request fails alone.
-        good = (labeled[0].plan, env, None, None)
-        refused, served = single.estimate_batch([(plan, env, None, None), good])
+        good = (labeled[0].plan, env, None)
+        refused, served = single.estimate_batch([(plan, env, None), good])
         assert isinstance(refused, PlanError)
         assert [served] == fresh_estimates(bundle, [good])
     with pytest.raises(ProtocolError):
@@ -254,7 +254,7 @@ def test_the_process_tier_serves_an_encoded_plan_like_its_tree(
     bundle, labeled = cluster_bundle
     env = cluster_envs[1]
     plans = [record.plan for record in labeled[:5]]
-    expected = fresh_estimates(bundle, [(p, env, None, None) for p in plans])
+    expected = fresh_estimates(bundle, [(p, env, None) for p in plans])
     decodes = []
     encoded = [
         EncodedPlan(*encode_plan(p), on_decode=lambda: decodes.append(1))
@@ -313,7 +313,7 @@ def test_a_repeated_plan_decodes_once_in_and_across_drains(
     assert runtime.plans_decoded == 1
     again = runtime.serve_estimates(frames_of([blob, blob], start=3))
     assert runtime.plans_decoded == 1  # the repeat decoded zero plans
-    [expected] = fresh_estimates(bundle, [(plan, env, None, None)])
+    [expected] = fresh_estimates(bundle, [(plan, env, None)])
     assert first == [expected] * 3 and again == [expected] * 2
     counters, _ = runtime.handle({"id": 9, "kind": "counters"}, b"")
     assert counters["value"]["plans_decoded"] == 1
@@ -324,11 +324,11 @@ def test_a_drain_of_distinct_plans_decodes_each_once(
 ):
     bundle, labeled = cluster_bundle
     requests = [
-        (record.plan, cluster_envs[i % 2], None, None)
+        (record.plan, cluster_envs[i % 2], None)
         for i, record in enumerate(labeled[:12])
     ]
     assert len({plan_fingerprint(p) for p, *_ in requests}) == 12
-    blobs = [protocol.encode_request([p], e) for p, e, _, _ in requests]
+    blobs = [protocol.encode_request([p], e) for p, e, _ in requests]
     outcomes = runtime.serve_estimates(frames_of(blobs))
     assert runtime.plans_decoded == 12
     assert outcomes == fresh_estimates(bundle, requests)
@@ -348,7 +348,7 @@ def test_the_service_takes_encoded_plans_on_every_entry_point(
         EncodedPlan(*encode_plan(p), on_decode=lambda: decodes.append(1))
         for p in plans
     ]
-    expected = fresh_estimates(bundle, [(p, env, None, None) for p in plans])
+    expected = fresh_estimates(bundle, [(p, env, None) for p in plans])
     with CostService(snapshot_store=SnapshotStore()) as single:
         single.deploy(bundle)
         assert [single.estimate(e, env) for e in encoded] == expected
@@ -356,7 +356,7 @@ def test_the_service_takes_encoded_plans_on_every_entry_point(
         futures = [single.estimate_async(e, env) for e in encoded]
         assert [f.result(timeout=30) for f in futures] == expected
         assert single.estimate_batch(
-            [(e, env, None, None) for e in encoded]
+            [(e, env, None) for e in encoded]
         ) == expected
     assert len(decodes) == len(plans)
 
@@ -434,7 +434,7 @@ def test_a_cached_plans_section_with_a_bad_frame_fails_alone(
     for blob in bad:
         blobs += [blob, good]
     outcomes = runtime.serve_estimates(frames_of(blobs))
-    [expected] = fresh_estimates(bundle, [(plan, env, None, None)])
+    [expected] = fresh_estimates(bundle, [(plan, env, None)])
     assert outcomes[0::2] == [expected] * (len(bad) + 1)
     assert all(isinstance(o, ProtocolError) for o in outcomes[1::2])
     assert runtime.plans_decoded == 1

@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import DEFAULT_BACKEND
 from repro.cluster.proc import ProcClusterService
 from repro.engine.environment import random_environments
-from repro.errors import UnknownBackendError
+from repro.errors import ServingError
 from repro.serving import CostService, SnapshotStore
 
 from .conftest import fast_config
@@ -58,29 +57,6 @@ def test_plan_shipped_queries_bit_identical(
         ) == single.estimate(record.plan, env, bundle=bundle.name)
 
 
-def test_backend_tagged_estimates_bit_identical_to_an_inprocess_service(
-    cluster_bundle, cluster_envs
-):
-    """Tagged for the learned default backend and for a backend served
-    by an auto-deployed native fallback, a worker and an in-process
-    service route to the same bundle and answer with the same 64 bits.
-    Fresh services: the fallback's deploy would leak into the shared
-    fixtures."""
-    bundle, labeled = cluster_bundle
-    queries = [record.query_sql for record in labeled[:8]]
-    env = cluster_envs[0]
-    with ProcClusterService(worker_count=1, config=fast_config()) as proc, CostService(
-        snapshot_store=SnapshotStore()
-    ) as single:
-        for service in (proc, single):
-            service.deploy(bundle, name="fleet-learned")
-        for backend in (DEFAULT_BACKEND, "aurora"):
-            np.testing.assert_array_equal(
-                proc.estimate_many(queries, env, backend=backend),
-                single.estimate_many(queries, env, backend=backend),
-            )
-
-
 def test_async_path_bit_identical_to_sync(
     proc_service, cluster_bundle, cluster_envs
 ):
@@ -96,7 +72,7 @@ def test_coalesced_burst_is_bit_identical_and_isolates_bad_requests(
 ):
     """A burst of async estimates reaches one worker as coalesced
     writes and is served by fused batches: every value still equals an
-    in-process ``estimate_many``, the 3 unknown-backend requests mixed
+    in-process ``estimate_many``, the 3 unknown-bundle requests mixed
     in fail alone (typed), a ``counters`` frame in the middle is
     answered, and the worker's counters reconcile."""
     bundle, labeled = cluster_bundle
@@ -118,14 +94,14 @@ def test_coalesced_burst_is_bit_identical_and_isolates_bad_requests(
         for i, (plan, env) in enumerate(items):
             if i in (10, 60, 100):
                 bad.append(
-                    tier.estimate_async(plan, env, backend="no-such-engine")
+                    tier.estimate_async(plan, env, bundle="no-such-bundle")
                 )
             if i == 64:
                 probe = handle.submit("counters", {})
             good.append(tier.estimate_async(plan, env))
         values = np.array([future.result(timeout=60.0) for future in good])
         for future in bad:
-            with pytest.raises(UnknownBackendError):
+            with pytest.raises(ServingError, match="no-such-bundle"):
                 future.result(timeout=60.0)
         assert probe.result(timeout=60.0)[0]["value"]["pid"] == handle.pid
         after = handle.rpc("counters", {})[0]["value"]

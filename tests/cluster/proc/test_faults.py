@@ -397,8 +397,8 @@ def test_a_failed_deploy_leaves_the_bundle_unlisted_and_unshipped(
         handle = tier.worker("worker-0")
         request = protocol.encode_request([sql], env)
         with pytest.raises(ReproError, match="no bundle named 'b'"):
-            handle.rpc("estimate", {"bundle": "b", "backend": None}, request)
-        reply, _ = handle.rpc("estimate", {"bundle": "c", "backend": None}, request)
+            handle.rpc("estimate", {"bundle": "b"}, request)
+        reply, _ = handle.rpc("estimate", {"bundle": "c"}, request)
         assert reply["value"] == tier.estimate(sql, env, bundle="a")
 
 
@@ -542,7 +542,7 @@ def test_concurrent_deploys_publish_the_newest_snapshot_last(
             assert handle.rpc("counters", {})[0]["value"]["generation"] == 3
             for name in names:
                 reply, _ = handle.rpc(
-                    "estimate", {"bundle": name, "backend": None}, request
+                    "estimate", {"bundle": name}, request
                 )
                 assert reply["value"] > 0, (worker_id, name)
 

@@ -74,7 +74,7 @@ def test_frame_header_bytes_are_compact_json():
     """A frame's header region is exactly ``json.dumps`` with compact
     separators, whatever the header holds."""
     for header in (
-        {"id": 1, "kind": "estimate", "bundle": "b", "backend": None},
+        {"id": 1, "kind": "estimate", "bundle": "b"},
         {"id": 2, "kind": "sync", "payload": [1.5, float("nan"), "\u00e9\U0001f600"]},
         {"id": 3, "kind": "counters", "nested": {"a": [True, None]}},
     ):
@@ -703,7 +703,7 @@ def test_worker_decodes_plans_one_bit_apart_to_their_own_estimates(
     with CostService(snapshot_store=SnapshotStore()) as single:
         single.deploy(bundle)
         expected = single.estimate_batch(
-            [(p, env, None, None) for p in sequence]
+            [(p, env, None) for p in sequence]
         )
     assert outcomes == expected
 
@@ -872,7 +872,7 @@ def test_damaged_sync_tails_get_typed_replies_and_keep_the_old_state(
         "unknown schema": (_with_manifest(image, unknown_schema), CheckpointError),
     }
     request = protocol.encode_request([labeled[0].plan], cluster_envs[0])
-    routing = {"bundle": bundle.name, "backend": None}
+    routing = {"bundle": bundle.name}
     handle = WorkerHandle("fuzz-sync", fast_config())
     handle.spawn()
     try:
@@ -914,7 +914,7 @@ def test_a_worker_acknowledges_but_skips_an_older_generation(
         assert header["bundles"] == [bundle.name, "tenant-b"]
         request = protocol.encode_request([labeled[0].plan], cluster_envs[0])
         reply, _ = handle.rpc(
-            "estimate", {"bundle": "tenant-b", "backend": None}, request
+            "estimate", {"bundle": "tenant-b"}, request
         )
         assert np.isfinite(reply["value"])
     finally:

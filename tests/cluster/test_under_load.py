@@ -3,23 +3,16 @@
 A worker SIGKILLed while threads send traffic must cost no request:
 failover re-routes its tenants and serves them the same bits, and the
 revived worker serves them again.  A hot tenant stays on its own
-worker, so none of its load lands on the quiet tenants' workers.  A
-mixed fleet routes each backend's tenant to the right bundle,
-auto-deploys the second backend's native fallback once, on the worker
-its traffic reaches, and keeps each backend's q-error and cache hit
-rate.  Worker-side counts are read through the ``counters`` frame.
+worker, so none of its load lands on the quiet tenants' workers.
+Worker-side counts are read through the ``counters`` frame.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-from repro.backends import DEFAULT_BACKEND, get_backend
 from repro.cluster.proc import ProcClusterService
 from repro.errors import WorkerDiedError
-from repro.nn.loss import numpy_q_error
 
 from ..conftest import hammer
 from .proc.conftest import fast_config, poll
@@ -145,70 +138,3 @@ def test_hot_tenant_stays_on_its_own_shard_under_load(cluster_bundle, cluster_en
     assert routed[hot_worker] == 4 * 40
     assert sum(routed.values()) == 4 * 44
     assert served == routed
-
-
-def test_mixed_fleet_routes_both_backends_with_bounded_q_error(
-    cluster_bundle, cluster_envs
-):
-    bundle, labeled = cluster_bundle
-    second = "aurora"
-    profile = get_backend(second)
-    items = {
-        DEFAULT_BACKEND: _items(labeled, cluster_envs),
-        # The second fleet's optimizer reports the same queries in its
-        # own cost units and cardinality habits.
-        second: [(profile.native_plan(plan), env) for plan, env in _items(labeled, cluster_envs)],
-    }
-    actual = np.array([record.latency_ms for record in labeled])
-    with make_tier() as tier:
-        tier.deploy(bundle, name="fleet-learned")
-        # One pass per backend: the second one auto-deploys its
-        # fallback on the worker it reaches, and every item's features
-        # are cached before the probes below.
-        for backend, pairs in items.items():
-            for plan, env in pairs:
-                tier.estimate(plan, env, backend=backend)
-
-        def work(index):
-            for step in range(30):
-                backend = DEFAULT_BACKEND if (index + step) % 3 else second
-                plan, env = items[backend][(index * 5 + step) % len(labeled)]
-                assert np.isfinite(tier.estimate(plan, env, backend=backend))
-
-        errors = hammer(work)
-        quality = {}
-        for backend, pairs in items.items():
-            hits_before = _cache_hits(tier)
-            predicted = np.array(
-                [tier.estimate(plan, env, backend=backend) for plan, env in pairs]
-            )
-            hits = _cache_hits(tier) - hits_before
-            q = numpy_q_error(predicted, actual)
-            quality[backend] = (np.median(q), np.quantile(q, 0.95), hits / len(pairs))
-        totals = {"routed": {}, "learned": {}, "native_fallback": {}, "auto_deployed": 0,
-                  "unknown_backend_errors": 0, "mismatch_errors": 0}
-        for sections in _worker_sections(tier).values():
-            section = sections.get("backends") or {}
-            for kind in ("routed", "learned", "native_fallback"):
-                for backend, count in (section.get(kind) or {}).items():
-                    totals[kind][backend] = totals[kind].get(backend, 0) + count
-            for key in ("auto_deployed", "unknown_backend_errors", "mismatch_errors"):
-                totals[key] += section.get(key, 0)
-    assert errors == []
-    assert totals["routed"].get(DEFAULT_BACKEND, 0) > 0 and totals["routed"].get(second, 0) > 0
-    assert totals["learned"].get(DEFAULT_BACKEND, 0) > 0
-    assert totals["native_fallback"].get(second, 0) > 0
-    # Deployed lazily, only on the one worker the tag routes to.
-    assert totals["auto_deployed"] == 1
-    assert totals["unknown_backend_errors"] == totals["mismatch_errors"] == 0
-    default_p50, default_p95, default_hits = quality[DEFAULT_BACKEND]
-    second_p50, second_p95, second_hits = quality[second]
-    assert default_p50 <= 1.83 and default_p95 <= 4.10
-    assert second_p50 <= 186.0 and second_p95 <= 1437.0
-    assert default_hits >= 0.95 and second_hits >= 0.95
-
-
-def _cache_hits(tier):
-    return sum(
-        sections["feature_cache"]["hits"] for sections in _worker_sections(tier).values()
-    )

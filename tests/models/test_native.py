@@ -1,4 +1,4 @@
-"""NativeCostEstimator: per-backend slope/intercept calibration.
+"""NativeCostEstimator: slope/intercept calibration.
 
 Covers the calibration math, the poisoned-label guards (the regression
 the PGSQL baseline shared: non-finite latencies reaching ``np.median``),
@@ -45,7 +45,7 @@ class TestNativeCostEstimator:
             _with_latency(r, 3.0 * r.plan.est_total_cost + 7.0)
             for r in tpch_labeled[:20]
         ]
-        model = NativeCostEstimator(backend="aurora")
+        model = NativeCostEstimator()
         model.fit(synthetic)
         assert model.slope == pytest.approx(3.0)
         assert model.intercept == pytest.approx(7.0)
@@ -62,13 +62,13 @@ class TestNativeCostEstimator:
             )
             for r in tpch_labeled[:6]
         ]
-        model = NativeCostEstimator(backend="aurora")
+        model = NativeCostEstimator()
         model.fit(constant)
         assert model.slope == pytest.approx(2.5)
         assert model.intercept == 0.0
 
     def test_all_poisoned_labels_keep_current_coefficients(self, tpch_labeled):
-        model = NativeCostEstimator(backend="aurora", slope=4.0, intercept=2.0)
+        model = NativeCostEstimator(slope=4.0, intercept=2.0)
         poisoned = [
             _with_latency(r, float("nan")) for r in tpch_labeled[:8]
         ]
@@ -77,18 +77,16 @@ class TestNativeCostEstimator:
         assert stats.n_parameters == 2
 
     def test_uncalibrated_fit_is_identity(self, tpch_labeled):
-        model = NativeCostEstimator(backend="aurora", calibrated=False)
+        model = NativeCostEstimator(calibrated=False)
         model.fit(tpch_labeled)
         assert (model.slope, model.intercept) == (1.0, 0.0)
 
     def test_predictions_clamped_nonnegative(self, tpch_labeled):
-        model = NativeCostEstimator(
-            backend="aurora", slope=0.0, intercept=-5.0
-        )
+        model = NativeCostEstimator(slope=0.0, intercept=-5.0)
         assert np.all(model.predict_many(tpch_labeled[:4]) == 0.0)
 
     def test_empty_predict_is_empty_float64(self):
-        out = NativeCostEstimator(backend="aurora").predict_many([])
+        out = NativeCostEstimator().predict_many([])
         assert out.shape == (0,)
         assert out.dtype == np.float64
 
@@ -121,6 +119,6 @@ class TestPostgresPoisonedCalibration:
         assert model.slope == before
 
     def test_is_a_native_cost_estimator(self):
-        """The routing layer's "is this a native fallback?" check
-        covers the PGSQL baseline through this subclassing."""
+        """The PGSQL baseline is the intercept-free native-cost model
+        and shares its prediction."""
         assert isinstance(PostgresCostEstimator(), NativeCostEstimator)

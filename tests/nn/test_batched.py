@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.batched import BLOCK_ROWS, block_gemm, blocked_matmul, pad_rows
+from repro.nn.batched import BLOCK_ROWS, block_gemm, pad_rows
 from repro.nn.layers import Linear, Module, ReLU, Sequential
 
 #: Empty, one row, and either side of the first two block edges
@@ -138,15 +138,6 @@ def test_empty_input_is_an_empty_float64_array(activation):
     out = _net(activation).forward_batched(np.zeros((0, 9)))
     assert out.shape == (0, 3)
     assert out.dtype == np.float64
-
-
-@pytest.mark.parametrize("rows", ROW_COUNTS)
-def test_blocked_matmul_equals_the_per_layer_kernel(rows):
-    rng = np.random.default_rng(rows)
-    x, w, b = rng.normal(size=(rows, 9)), rng.normal(size=(9, 5)), rng.normal(size=5)
-    got = blocked_matmul(x, w, b)
-    assert got.shape == (rows, 5) and got.dtype == np.float64
-    np.testing.assert_array_equal(_bits(got), _bits(_reference_blocked_matmul(x, w, b)))
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)

@@ -80,8 +80,8 @@ def test_estimate_batch_nests_predict_under_the_caller_span(
     service, tracer = traced
     _, labeled = trained_bundle
     requests = [
-        (labeled[0].query_sql, serving_envs[0], None, None),
-        (labeled[1].query_sql, serving_envs[1], None, None),
+        (labeled[0].query_sql, serving_envs[0], None),
+        (labeled[1].query_sql, serving_envs[1], None),
     ]
     with tracer.start_span("caller") as caller:
         outcomes = service.estimate_batch(requests)

@@ -9,10 +9,11 @@ disks.  (Within-process restores are bit-identical by the round-trip
 battery; across machines the golden comparison allows BLAS last-ulp
 drift, hence the tight ``rtol`` instead of exact equality.)
 
-``golden-v1.qcp`` stays committed as the *legacy* artifact: schema v1
-predates the per-bundle ``backend`` field, and the backward-compat
-tests below pin that v1 checkpoints keep restoring, with every bundle
-defaulting to the default (postgres) backend.
+``golden-v1.qcp`` stays committed as the *legacy* artifact, and the
+backward-compat test below pins that v1 checkpoints keep restoring.
+``golden-v2.qcp`` was written when v2 bundles still carried a
+``backend`` tag; the reader ignores it, so both restore as plain
+bundles.
 """
 
 from __future__ import annotations
@@ -110,16 +111,9 @@ def test_golden_predictions_match_recorded_values(golden_service):
     np.testing.assert_allclose(got_pg, expected["postgres"], rtol=1e-6)
 
 
-def test_golden_bundles_carry_their_backend(golden_service):
-    """Schema-v2 checkpoints round-trip the per-bundle backend tag."""
-    for name in golden_service.registry.names():
-        assert golden_service.registry.get(name).backend == "postgres"
-
-
-def test_legacy_v1_golden_restores_with_default_backend():
-    """The backward-compat contract: a schema-v1 (pre-backend)
-    checkpoint restores into the backend-aware registry, every bundle
-    defaulting to the default backend, predictions unchanged."""
+def test_legacy_v1_golden_restores_with_its_predictions():
+    """The backward-compat contract: a schema-v1 checkpoint restores
+    every bundle, predictions unchanged."""
     assert LEGACY.is_file(), "legacy v1 golden checkpoint went missing"
     manifest = read_manifest(LEGACY)
     assert manifest["schema_version"] == 1
@@ -129,15 +123,10 @@ def test_legacy_v1_golden_restores_with_default_backend():
         service.load_state(state)
         expected = json.loads(LEGACY_EXPECTED.read_text())
         assert service.registry.names() == expected["bundles"]
-        for name in expected["bundles"]:
-            assert service.registry.get(name).backend == "postgres"
-        # ... and the defaulted backend is routable: a postgres-tagged
-        # request resolves onto the restored learned bundle.
         plans, envs = _workload()
-        tagged = service.estimate_many(
-            plans, envs[0], bundle="golden-qppnet", backend="postgres"
-        )
-        np.testing.assert_allclose(tagged, expected["qppnet"], rtol=1e-6)
+        for name, key in (("golden-qppnet", "qppnet"), ("golden-pg", "postgres")):
+            got = service.estimate_many(plans, envs[0], bundle=name)
+            np.testing.assert_allclose(got, expected[key], rtol=1e-6)
     finally:
         service.close()
 

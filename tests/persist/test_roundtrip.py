@@ -8,12 +8,9 @@ object; predictions and lookups must match the live object *exactly*
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.backends import DEFAULT_BACKEND
 from repro.core.snapshot import FeatureSnapshot, SnapshotSet
 from repro.engine.environment import random_environments
 from repro.errors import CheckpointError
@@ -202,36 +199,40 @@ def test_bundle_with_unknown_benchmark_is_a_clean_error(tmp_path, qppnet_setup):
 
 def test_native_estimator_restores_bit_identical(tmp_path, qppnet_setup):
     labeled = qppnet_setup["labeled"]
-    model = NativeCostEstimator(backend="aurora", slope=1.0, intercept=0.0)
+    model = NativeCostEstimator(slope=1.0, intercept=0.0)
     model.fit(labeled)
     state = _through_disk(model.state_dict(), tmp_path)
     restored = estimator_from_state(state, None)
     assert isinstance(restored, NativeCostEstimator)
-    assert (restored.backend, restored.slope, restored.intercept) == (
-        model.backend, model.slope, model.intercept,
+    assert (restored.slope, restored.intercept) == (
+        model.slope, model.intercept,
     )
     assert np.array_equal(
         model.predict_many(labeled), restored.predict_many(labeled)
     )
+    # A state written with an engine-family tag restores the same model.
+    tagged = estimator_from_state(dict(state, backend="aurora"), None)
+    assert (tagged.slope, tagged.intercept) == (model.slope, model.intercept)
 
 
-def test_bundle_backend_round_trips(tmp_path, qppnet_setup):
-    bundle = replace(qppnet_setup["bundle"], backend="aurora")
-    state = _through_disk(bundle_to_state(bundle), tmp_path)
-    restored = bundle_from_state(state)
-    assert restored.backend == "aurora"
-
-
-def test_pre_backend_bundle_state_defaults_to_default_backend(
+def test_tagged_v2_bundle_state_restores_as_a_plain_bundle(
     tmp_path, qppnet_setup
 ):
-    """Schema-v1 bundle states carry no backend field; they restore as
-    the default backend (those deployments were all postgres-family)."""
+    """Schema-v2 writers once added a per-bundle ``backend`` tag.  A
+    state carrying one, whatever its value, restores as the plain
+    bundle: the same predictions, bit for bit, and no tag written
+    back."""
+    labeled = qppnet_setup["labeled"]
     state = bundle_to_state(qppnet_setup["bundle"])
-    removed = state.pop("backend")
-    assert removed == DEFAULT_BACKEND
-    restored = bundle_from_state(_through_disk(state, tmp_path))
-    assert restored.backend == DEFAULT_BACKEND
+    assert "backend" not in state
+    plain = bundle_from_state(_through_disk(state, tmp_path))
+    tagged = bundle_from_state(
+        _through_disk(dict(state, backend="aurora"), tmp_path)
+    )
+    assert np.array_equal(
+        tagged.predict_many(labeled), plain.predict_many(labeled)
+    )
+    assert bundle_to_state(tagged).keys() == state.keys()
 
 
 def test_registry_restore_preserves_versions(qppnet_setup):

@@ -193,9 +193,9 @@ def test_request_counters_are_conserved_across_entry_points(
     assert all(future.result(timeout=30) > 0 for future in futures)
     outcomes = service.estimate_batch(
         [
-            (sqls[1], env, None, None),
-            ("THIS IS NOT SQL !!", env, None, None),
-            (labeled[2].plan, other_env, None, None),
+            (sqls[1], env, None),
+            ("THIS IS NOT SQL !!", env, None),
+            (labeled[2].plan, other_env, None),
         ]
     )  # 1 SQL + 1 plan admitted, 1 predict
     assert isinstance(outcomes[1], ReproError)

@@ -23,7 +23,6 @@ GATED_TREES = [
     str(REPO / "src" / "repro" / "cluster"),
     str(REPO / "src" / "repro" / "persist"),
     str(REPO / "src" / "repro" / "obs"),
-    str(REPO / "src" / "repro" / "backends"),
     str(REPO / "src" / "repro" / "nn"),
     str(REPO / "tools" / "analyze"),
 ]

@@ -59,7 +59,6 @@ RULE_SCOPES: Dict[str, Optional[Tuple[str, ...]]] = {
         "src/repro/persist/",
         "src/repro/sql/",
         "src/repro/obs/",
-        "src/repro/backends/",
     ),
     "hot-path": None,
     "clock-discipline": None,

@@ -47,10 +47,10 @@ HOT_FUNCTIONS = re.compile(
     r"|predict_prepared_batch|prepare_template|prepare_from_template"
     r"|fused_forward|merge_prepared|forward_batched|forward_block"
     r"|_forest_roots|forest_forward|forward_groups|group_forest|cut_groups"
-    r"|blocked_matmul|block_gemm|pad_rows"
+    r"|block_gemm|pad_rows"
     r"|_resolve_plan|_run_batch|_flush|_take_batch|submit|get_or_compute"
     r"|open_span"
-    r"|_route|resolve|_resolve_key"
+    r"|_resolve_key"
     r"|rpc|_with_failover|_replica|_classify|_settle"
     r"|encode_frame|decode_frame|recv_frame|has_frame|send_frames"
     r"|encode_request|env_section|split_request|decode_request|decode_env"
