@@ -35,9 +35,9 @@ the optimizer estimates as float64, the bytes
 :func:`~repro.featurization.fingerprint.plan_fingerprint` hashes.  The
 runtime-only floats (true rows, actual times) ride in the separate
 runtime block, so they never reach the key.  A request's header then
-carries only its routing field (``bundle``).  The parent
-builds the blob once per request (:func:`encode_request`), before
-routing, so a failover resends the same bytes.  The worker splits it
+carries only its routing field (``bundle``).  The parent builds the
+blob once per request (:func:`encode_request`), before routing, so a
+failover resends the same bytes.  The worker splits it
 (:func:`split_request`) into the env section and one
 :class:`~repro.engine.plan_codec.EncodedPlan` per plan, which its
 service keys by the bytes and decodes only on a feature-cache miss;

@@ -50,10 +50,11 @@ def finite_cost_pairs(
 class NativeCostEstimator(CostEstimator):
     """Slope/intercept-corrected optimizer cost.
 
-    ``predict`` is ``max(slope * est_total_cost + intercept, 0)``.  :meth:`fit` least-squares-fits
-    the two coefficients over the finite training pairs, falling back
-    to a median-ratio slope (intercept 0) when the costs are constant
-    — the same robust estimate the single-scale PGSQL baseline uses.
+    ``predict`` is ``max(slope * est_total_cost + intercept, 0)``.
+    :meth:`fit` least-squares-fits the two coefficients over the
+    finite training pairs, falling back to a median-ratio slope
+    (intercept 0) when the costs are constant — the same robust
+    estimate the single-scale PGSQL baseline uses.
     """
 
     name = "native_cost"

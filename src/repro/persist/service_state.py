@@ -224,11 +224,11 @@ def bundle_from_state(
                 else np.asarray(global_mask, dtype=bool)
             ),
             metadata=_metadata_from_state(dict(state.get("metadata", {}))),
+            version=int(state.get("version", 0)),
             # A schema-v2 state may also carry a ``backend`` tag (its
             # native_cost estimator state too), written by builds that
             # routed requests per engine family.  It is ignored,
             # whatever its value: the bundle restores as a plain one.
-            version=int(state.get("version", 0)),
         )
     except CheckpointError:
         raise

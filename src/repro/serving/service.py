@@ -28,8 +28,9 @@ predict — against deployed :class:`EstimatorBundle`\\ s, with:
 
 Every entry point is :meth:`CostService._admit` per request (bundle
 lookup → parse → plan → featurize) then one fused
-:meth:`CostService._run_batch` predict, so the same plan under the same bundle version always produces
-the same number, whichever entry point served it.
+:meth:`CostService._run_batch` predict, so the same plan under the
+same bundle version always produces the same number, whichever entry
+point served it.
 """
 
 from __future__ import annotations
@@ -449,8 +450,8 @@ class CostService:
         bundle: Optional[str],
     ) -> Tuple[EstimatorBundle, LabeledPlan, object]:
         """The per-request front half of every entry point: look up the
-        bundle → ensure environment → resolve plan → prepare, then count the
-        request and stream it to adaptation.  Returns the serving
+        bundle → ensure environment → resolve plan → prepare, then count
+        the request and stream it to adaptation.  Returns the serving
         bundle, the request's record and its prepared features — the
         item :meth:`_run_batch` predicts."""
         deployed = self._ensure_environment(self.registry.get(bundle), env)

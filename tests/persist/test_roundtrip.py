@@ -204,9 +204,7 @@ def test_native_estimator_restores_bit_identical(tmp_path, qppnet_setup):
     state = _through_disk(model.state_dict(), tmp_path)
     restored = estimator_from_state(state, None)
     assert isinstance(restored, NativeCostEstimator)
-    assert (restored.slope, restored.intercept) == (
-        model.slope, model.intercept,
-    )
+    assert (restored.slope, restored.intercept) == (model.slope, model.intercept)
     assert np.array_equal(
         model.predict_many(labeled), restored.predict_many(labeled)
     )
@@ -230,7 +228,8 @@ def test_tagged_v2_bundle_state_restores_as_a_plain_bundle(
         _through_disk(dict(state, backend="aurora"), tmp_path)
     )
     assert np.array_equal(
-        tagged.predict_many(labeled), plain.predict_many(labeled)
+        tagged.predict_many(labeled).view(np.uint64),
+        plain.predict_many(labeled).view(np.uint64),
     )
     assert bundle_to_state(tagged).keys() == state.keys()
 
