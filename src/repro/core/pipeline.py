@@ -19,6 +19,7 @@ cheaper than the base model's).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,6 +91,43 @@ class QCFEResult:
     masks: Dict[OperatorType, np.ndarray] = field(default_factory=dict)
     global_mask: Optional[np.ndarray] = None
     reduction_ratio: float = 0.0
+
+
+class ZeroedInputs:
+    """A fitted, unmasked QPPNet or MSCN that predicts as if the input
+    dims a keep-mask drops were zero: greedy reduction's scorer.
+
+    It holds one deep copy of the model and, per keep-mask, zeroes the
+    copy's first-layer weight rows of the dropped dims — QPPNet's
+    operator-encoding rows in every unit, MSCN's global-block rows in
+    ``out_net``.  A zero row contributes what a zeroed input would, so
+    the predictions carry the same bits without a masked encode path
+    in the model.
+    """
+
+    def __init__(self, model: CostEstimator):
+        if model.keep_masks() is not None:
+            raise TrainingError("score greedy candidates before masking")
+        self.model = model = copy.deepcopy(model)
+        if isinstance(model, QPPNet):
+            nets, offset, dim = list(model.units.values()), 0, model.encoder.dim
+        else:
+            nets, offset = [model.out_net], 3 * model.hidden
+            dim = model.encoder.global_dim
+        #: Width of the reducible input block.
+        self.dim = dim
+        self._rows = slice(offset, offset + dim)
+        self._layers = [net.modules[0] for net in nets]
+        self._fitted = [layer.weight.data[self._rows].copy() for layer in self._layers]
+
+    def zeroed(self, keep: np.ndarray) -> CostEstimator:
+        """The copy, its first-layer rows of the dims *keep* drops set to
+        zero and the others to the fitted weights."""
+        dropped = self._rows.start + np.flatnonzero(~np.asarray(keep, dtype=bool))
+        for layer, fitted in zip(self._layers, self._fitted, strict=True):
+            layer.weight.data[self._rows] = fitted
+            layer.weight.data[dropped] = 0.0
+        return self.model
 
 
 class QCFE:
@@ -256,30 +294,23 @@ class QCFE:
     def _reduce_greedy(
         self, model: CostEstimator, train: Sequence[LabeledPlan]
     ) -> Tuple[np.ndarray, float]:
-        """Algorithm 2 on the trained model, via zeroing masks."""
+        """Algorithm 2 on the trained model, scoring every candidate
+        keep-mask on one :class:`ZeroedInputs` copy of it."""
         cfg = self.config
         sample = list(train)[: cfg.greedy_sample]
         actual = np.array([r.latency_ms for r in sample])
-        dim = (
-            self.operator_encoder.dim
-            if isinstance(model, QPPNet)
-            else model.encoder.global_dim  # type: ignore[union-attr]
-        )
+        scorer = ZeroedInputs(model)
 
         def evaluate(mask: np.ndarray) -> float:
-            model.zero_mask = mask.astype(np.float64)  # type: ignore[union-attr]
-            try:
-                predictions = model.predict_many(
-                    sample, snapshot_set=self.snapshot_set
-                )
-            finally:
-                model.zero_mask = None  # type: ignore[union-attr]
+            predictions = scorer.zeroed(mask).predict_many(
+                sample, snapshot_set=self.snapshot_set
+            )
             return float(numpy_q_error(predictions, actual).mean())
 
         keep, _ = greedy_reduction(
-            evaluate, dim, max_rounds=cfg.greedy_max_rounds
+            evaluate, scorer.dim, max_rounds=cfg.greedy_max_rounds
         )
-        return keep, 1.0 - float(keep.sum()) / dim
+        return keep, 1.0 - float(keep.sum()) / scorer.dim
 
     # ------------------------------------------------------------------
     # end-to-end fit
@@ -358,8 +389,8 @@ class QCFE:
         :class:`repro.serving.EstimatorBundle` for the serving layer.
 
         The bundle carries everything an online ``estimate()`` needs:
-        the (reduced, retrained) estimator, the snapshot set it was
-        trained with, the installed keep-masks and the benchmark whose
+        the (reduced, retrained) estimator, which holds its keep-masks,
+        the snapshot set it was trained with and the benchmark whose
         catalog parses/plans incoming SQL.
         """
         # Local import: serving sits above core in the layer stack.
@@ -372,8 +403,6 @@ class QCFE:
             estimator=self.estimator,
             benchmark=self.benchmark,
             snapshot_set=self.snapshot_set,
-            masks=dict(result.masks) if result is not None else {},
-            global_mask=result.global_mask if result is not None else None,
             metadata={
                 "model": cfg.model,
                 "snapshot_source": cfg.snapshot_source,

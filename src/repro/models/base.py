@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..engine.executor import LabeledPlan
+from ..engine.operators import OperatorType
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,6 +48,7 @@ class CostEstimator:
         train: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> TrainStats:  # pragma: no cover - abstract
+        """Train on *train*'s labelled plans; returns the fit's stats."""
         raise NotImplementedError
 
     def predict_many(
@@ -54,12 +56,25 @@ class CostEstimator:
         labeled: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:  # pragma: no cover - abstract
+        """Predicted latency in ms of every record of *labeled*."""
         raise NotImplementedError
 
     def predict(
         self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"] = None
     ) -> float:
+        """Predicted latency in ms of one record."""
         return float(self.predict_many([record], snapshot_set=snapshot_set)[0])
+
+    def keep_masks(self) -> Optional[Dict[OperatorType, np.ndarray]]:
+        """The feature-reduction keep-masks, one boolean vector over the
+        operator encoding per operator, or None when nothing was pruned.
+
+        The estimator is the only holder of its reduction state: the
+        serving layer's recall watcher reads it here, and
+        :meth:`warm_retrain` takes the same mapping back widened.  The
+        default (no reduction) is None.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # serving hooks (repro.serving)
@@ -139,7 +154,7 @@ class CostEstimator:
     def warm_retrain(
         self,
         train: Sequence[LabeledPlan],
-        masks=None,
+        masks: Optional[Mapping[OperatorType, np.ndarray]] = None,
         snapshot_set: Optional["SnapshotSet"] = None,
         epochs: Optional[int] = None,
     ) -> TrainStats:
@@ -149,10 +164,10 @@ class CostEstimator:
         :mod:`repro.serving.adaptation`): when workload drift recalls
         pruned dimensions, the refit should *extend* the deployed model
         rather than retrain it from scratch.  ``masks`` are recalled
-        keep-masks (implementation-specific shape); recall only *adds*
-        dimensions, whose new weights start at zero — function
-        preserving — so a short ``epochs`` budget suffices.  The
-        default ignores ``masks`` and simply refits.
+        keep-masks in the per-operator shape :meth:`keep_masks`
+        returns; recall only *adds* dimensions, whose new weights start
+        at zero — function preserving — so a short ``epochs`` budget
+        suffices.  The default ignores ``masks`` and simply refits.
         """
         previous = getattr(self, "epochs", None)
         if epochs is not None and previous is not None:

@@ -19,11 +19,12 @@ fixed-block forward instead.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.executor import LabeledPlan
+from ..engine.operators import OperatorType
 from ..errors import TrainingError
 from ..featurization.encoding import apply_mask
 from ..featurization.mscn_features import MSCNEncoder, MSCNSample, MSCNTemplate
@@ -65,9 +66,6 @@ class MSCN(CostEstimator):
         self.batch_size = batch_size
         self.seed = seed
         self.global_mask = global_mask
-        #: Soft mask for the greedy reducer: zeroes global dims at
-        #: encode time without rebuilding the network.
-        self.zero_mask: Optional[np.ndarray] = None
         self._build()
 
     def _build(self) -> None:
@@ -107,6 +105,7 @@ class MSCN(CostEstimator):
         set_width = 3 * self.hidden
 
         def full_keep(keep_global: Optional[np.ndarray]) -> np.ndarray:
+            """*keep_global* behind an all-kept set-output prefix."""
             global_keep = (
                 np.asarray(keep_global, dtype=bool)
                 if keep_global is not None
@@ -124,14 +123,24 @@ class MSCN(CostEstimator):
             fold_mean,
         )
 
+    def keep_masks(self) -> Optional[Dict[OperatorType, np.ndarray]]:
+        """The global keep-mask under every operator (None when
+        unreduced): the global block is the mean of the per-node
+        operator rows, so one mask covers every operator's dims."""
+        if self.global_mask is None:
+            return None
+        mask = np.asarray(self.global_mask, dtype=bool)
+        return {op: mask for op in OperatorType}
+
     def warm_retrain(
         self,
         train: Sequence[LabeledPlan],
-        masks: Optional[np.ndarray] = None,
+        masks: Optional[Mapping[OperatorType, np.ndarray]] = None,
         snapshot_set: Optional["SnapshotSet"] = None,
         epochs: Optional[int] = None,
     ) -> TrainStats:
-        """Install a recalled global ``masks`` vector and refit briefly.
+        """Install the union of the recalled per-operator ``masks`` as
+        the global mask and refit briefly.
 
         Recall only re-includes dimensions, so the warm start is
         function-preserving (new first-layer rows start at zero); the
@@ -139,20 +148,23 @@ class MSCN(CostEstimator):
         """
         if masks is not None:
             full_width = 3 * self.hidden + self.encoder.global_dim
-            self.set_global_mask(
-                np.asarray(masks, dtype=bool), fold_mean=np.zeros(full_width)
+            union = np.logical_or.reduce(
+                np.stack([np.asarray(m, dtype=bool) for m in masks.values()])
             )
+            self.set_global_mask(union, fold_mean=np.zeros(full_width))
         return super().warm_retrain(
             train, snapshot_set=snapshot_set, epochs=epochs
         )
 
     def parameters(self):
+        """The four networks' parameters, in :attr:`_NET_NAMES` order."""
         params = []
         for net in (self.table_net, self.join_net, self.pred_net, self.out_net):
             params.extend(net.parameters())
         return params
 
     def num_parameters(self) -> int:
+        """Number of trainable scalars over the four networks."""
         return int(sum(p.size for p in self.parameters()))
 
     # ------------------------------------------------------------------
@@ -212,22 +224,18 @@ class MSCN(CostEstimator):
         self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"]
     ) -> MSCNSample:
         mapping = snapshot_mapping_for(record, snapshot_set)
-        sample = self.encoder.encode(record.plan, mapping)
-        if self.zero_mask is not None:
-            sample = MSCNSample(
-                tables=sample.tables,
-                joins=sample.joins,
-                predicates=sample.predicates,
-                plan_global=sample.plan_global * self.zero_mask,
-            )
-        if self.global_mask is not None:
-            sample = MSCNSample(
-                tables=sample.tables,
-                joins=sample.joins,
-                predicates=sample.predicates,
-                plan_global=apply_mask(sample.plan_global, self.global_mask),
-            )
-        return sample
+        return self._apply_global_mask(self.encoder.encode(record.plan, mapping))
+
+    def _apply_global_mask(self, sample: MSCNSample) -> MSCNSample:
+        """*sample* with the global keep-mask applied to its plan vector."""
+        if self.global_mask is None:
+            return sample
+        return MSCNSample(
+            tables=sample.tables,
+            joins=sample.joins,
+            predicates=sample.predicates,
+            plan_global=apply_mask(sample.plan_global, self.global_mask),
+        )
 
     def _pool(
         self, net: Sequential, sets: Sequence[np.ndarray]
@@ -359,6 +367,7 @@ class MSCN(CostEstimator):
         labeled: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:
+        """Predicted latencies in ms: the fused path over a fresh flush."""
         return self.predict_prepared_batch(labeled, snapshot_set=snapshot_set)
 
     # ------------------------------------------------------------------
@@ -391,17 +400,7 @@ class MSCN(CostEstimator):
         (the pooled global vector is recomputed with the scalar path's
         exact full-matrix mean)."""
         sample = self.encoder.encode_from_skeleton(template, record.plan)
-        plan_global = sample.plan_global
-        if self.zero_mask is not None:
-            plan_global = plan_global * self.zero_mask
-        if self.global_mask is not None:
-            plan_global = apply_mask(plan_global, self.global_mask)
-        return MSCNSample(
-            tables=sample.tables,
-            joins=sample.joins,
-            predicates=sample.predicates,
-            plan_global=plan_global,
-        )
+        return self._apply_global_mask(sample)
 
     def predict_prepared_batch(
         self,

@@ -102,6 +102,8 @@ class NativeCostEstimator(CostEstimator):
         labeled: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:
+        """Each plan's optimizer cost mapped linearly to ms (``slope *
+        cost + intercept``, floored at zero)."""
         if not labeled:
             return np.zeros(0, dtype=np.float64)
         costs = np.array(

@@ -40,7 +40,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine.executor import LabeledPlan
-from ..engine.operators import OperatorType, PlanNode
+from ..engine.operators import OperatorType
 from ..errors import TrainingError
 from ..featurization.encoding import OperatorEncoder
 from ..nn import Adam, FlatNet, clip_grad_norm, forward_trace, mlp, mse_grad
@@ -82,10 +82,13 @@ LATENCY_FLOOR_MS = 1e-4
 
 
 def to_log(ms: float) -> float:
+    """A latency in ms as a training target: its natural log, floored
+    at :data:`LATENCY_FLOOR_MS`."""
     return float(np.log(max(ms, LATENCY_FLOOR_MS)))
 
 
 def from_log(value: np.ndarray) -> np.ndarray:
+    """Predicted log-latencies back in ms (clipped, floored)."""
     return np.maximum(np.exp(np.clip(value, -60.0, 60.0)), LATENCY_FLOOR_MS)
 
 
@@ -113,9 +116,6 @@ class QPPNet(CostEstimator):
         self.batch_size = batch_size
         self.seed = seed
         self.masks: Dict[OperatorType, np.ndarray] = dict(masks or {})
-        #: Soft mask used by the greedy reducer: dims where it is False
-        #: are zeroed at encode time (no rebuild/retrain required).
-        self.zero_mask: Optional[np.ndarray] = None
         self.units: Dict[OperatorType, Sequential] = {}
         self._build_units()
 
@@ -216,13 +216,19 @@ class QPPNet(CostEstimator):
             train, snapshot_set=snapshot_set, epochs=epochs
         )
 
+    def keep_masks(self) -> Optional[Dict[OperatorType, np.ndarray]]:
+        """The installed per-operator keep-masks (None when unreduced)."""
+        return dict(self.masks) or None
+
     def parameters(self):
+        """Every unit's parameters, in :class:`OperatorType` order."""
         params = []
         for unit in self.units.values():
             params.extend(unit.parameters())
         return params
 
     def num_parameters(self) -> int:
+        """Number of trainable scalars over every unit."""
         return int(sum(p.size for p in self.parameters()))
 
     # ------------------------------------------------------------------
@@ -401,21 +407,12 @@ class QPPNet(CostEstimator):
         labeled: Sequence[LabeledPlan],
         snapshot_set: Optional["SnapshotSet"] = None,
     ) -> np.ndarray:
+        """Predicted latencies in ms: the fused path over a fresh flush."""
         return self.predict_prepared_batch(labeled, snapshot_set=snapshot_set)
 
     # ------------------------------------------------------------------
     # serving hooks
     # ------------------------------------------------------------------
-    def _masked_matrix(
-        self, nodes: Sequence[PlanNode], mapping: Optional[Dict]
-    ) -> np.ndarray:
-        """*nodes* encoded as one matrix with the soft zero-mask applied
-        (per-operator keep-masks are applied at grouping time)."""
-        matrix = self.encoder.encode_nodes(nodes, mapping)
-        if self.zero_mask is not None:
-            matrix = matrix * self.zero_mask
-        return matrix
-
     def prepare_one(
         self, record: LabeledPlan, snapshot_set: Optional["SnapshotSet"] = None
     ) -> PreparedPlan:
@@ -426,7 +423,7 @@ class QPPNet(CostEstimator):
         the same fingerprint (see :class:`~repro.models.prepared.PreparedPlan`).
         """
         walk = walk_plan(record.plan)
-        matrix = self._masked_matrix(
+        matrix = self.encoder.encode_nodes(
             walk.nodes, snapshot_mapping_for(record, snapshot_set)
         )
         return prepared_from_matrix(record.plan, matrix, self.masks, walk)
@@ -464,7 +461,7 @@ class QPPNet(CostEstimator):
         first = 0
         for mapping, indices in environments:
             rows = slice(bounds[first], bounds[first + len(indices)])
-            matrices.append(self._masked_matrix(walk.nodes[rows], mapping))
+            matrices.append(self.encoder.encode_nodes(walk.nodes[rows], mapping))
             first += len(indices)
         matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
         return walk, matrix, order
@@ -511,8 +508,6 @@ class QPPNet(CostEstimator):
         one-hot assembly cost."""
         walk = walk_plan(record.plan)
         matrix = self.encoder.encode_nodes(walk.nodes, skeleton=template.copy())
-        if self.zero_mask is not None:
-            matrix = matrix * self.zero_mask
         return prepared_from_matrix(record.plan, matrix, self.masks, walk)
 
     def predict_prepared_batch(
@@ -654,6 +649,7 @@ def _backward_order(sources: Sequence[Sequence[int]]) -> List[int]:
     post: List[int] = []
 
     def visit(group: int) -> None:
+        """Depth-first from *group*, appending it after its sources."""
         seen[group] = True
         for source in reversed(sources[group]):
             if not seen[source]:

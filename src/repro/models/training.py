@@ -47,6 +47,7 @@ class EvaluationReport:
     n_test: int
 
     def row(self) -> Dict[str, float]:
+        """The paper's Table IV columns: pearson, mean q-error, time."""
         return {
             "pearson": self.pearson,
             "mean": self.mean_q_error,

@@ -3,9 +3,9 @@
 This module knows how to turn the live serving stack into one state
 tree (and back):
 
-- :class:`~repro.serving.EstimatorBundle` — estimator weights + config
-  (via the models' ``state_dict``/``from_state``), the snapshot set,
-  keep-masks and metadata.  The benchmark rides along *by name* and is
+- :class:`~repro.serving.EstimatorBundle` — estimator weights, config
+  and keep-masks (via the models' ``state_dict``/``from_state``), the
+  snapshot set and metadata.  The benchmark rides along *by name* and is
   rebuilt through :func:`repro.workload.collect.get_benchmark`, which
   is deterministic — catalogs, statistics and encoders come out
   identical, so restored predictions are bit-identical.
@@ -157,15 +157,6 @@ def bundle_to_state(bundle: EstimatorBundle) -> Dict[str, object]:
         "snapshot_set": (
             bundle.snapshot_set.state_dict() if bundle.snapshot_set else None
         ),
-        "masks": {
-            op.value: np.asarray(mask, dtype=bool)
-            for op, mask in bundle.masks.items()
-        },
-        "global_mask": (
-            None
-            if bundle.global_mask is None
-            else np.asarray(bundle.global_mask, dtype=bool)
-        ),
         "metadata": _metadata_to_state(bundle.metadata),
     }
 
@@ -198,17 +189,12 @@ def bundle_from_state(
             if snapshot_state is None
             else SnapshotSet.from_state(snapshot_state)
         )
-        masks = {
-            OperatorType(op): np.asarray(mask, dtype=bool)
-            for op, mask in dict(state.get("masks", {})).items()
-        }
     except CheckpointError:
         raise
     except ReproError as exc:
         raise CheckpointError(f"invalid bundle state: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid bundle state: {exc}") from exc
-    global_mask = state.get("global_mask")
     try:
         return EstimatorBundle(
             name=str(state.get("name", "")),
@@ -217,18 +203,15 @@ def bundle_from_state(
             ),
             benchmark=benchmark,
             snapshot_set=snapshot_set,
-            masks=masks,
-            global_mask=(
-                None
-                if global_mask is None
-                else np.asarray(global_mask, dtype=bool)
-            ),
             metadata=_metadata_from_state(dict(state.get("metadata", {}))),
             version=int(state.get("version", 0)),
             # A schema-v2 state may also carry a ``backend`` tag (its
             # native_cost estimator state too), written by builds that
-            # routed requests per engine family.  It is ignored,
-            # whatever its value: the bundle restores as a plain one.
+            # routed requests per engine family, and bundle-level
+            # ``masks``/``global_mask`` copies of the estimator's
+            # keep-masks, written by builds whose bundles held them.
+            # All three are ignored, whatever their value: the
+            # estimator state carries the masks it serves with.
         )
     except CheckpointError:
         raise
@@ -290,7 +273,6 @@ def service_state(service: "CostService") -> Dict[str, object]:
         for watcher in service.adaptation.watchers():
             watchers[watcher.name] = {
                 "recall": watcher.recall.state_dict(),
-                "global_mode": watcher.global_mode,
                 "drift_pending": watcher.drift_pending,
                 "miss_rate_pending": watcher.miss_rate_pending,
                 "window": [
@@ -363,6 +345,8 @@ def restore_service(service: "CostService", state: Mapping[str, object]) -> None
     adaptation_state = state.get("adaptation")
     watcher_states: Dict[str, Dict[str, object]] = {}
     if adaptation_state is not None:
+        # Older builds also wrote a per-watcher mask-shape flag;
+        # nothing reads it.
         for name, entry in dict(dict(adaptation_state).get("watchers", {})).items():
             entry = dict(entry)
             watcher_states[str(name)] = {

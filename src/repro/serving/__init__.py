@@ -3,7 +3,7 @@
 Turns trained QCFE estimators into a serving subsystem:
 
 - :class:`EstimatorBundle` / :class:`EstimatorRegistry` — deployable
-  (estimator, snapshot set, masks, benchmark) units with versioned
+  (estimator, snapshot set, benchmark) units with versioned
   hot-swap on retrain;
 - :class:`SnapshotStore` — knob-fingerprint-keyed cache of fitted
   feature snapshots, with optional approximate reuse for nearby knob

@@ -43,7 +43,6 @@ import numpy as np
 
 from ..core.recall import FeatureRecall
 from ..engine.executor import LabeledPlan
-from ..engine.operators import OperatorType
 from ..nn.loss import numpy_q_error
 from ..obs.lockwatch import make_condition, make_lock
 from .registry import EstimatorBundle
@@ -168,10 +167,10 @@ class AdaptationStats:
 class BundleWatcher:
     """Per-bundle drift state: recall detector + traffic windows.
 
-    ``global_mode`` marks bundles reduced by a single global mask
-    (MSCN): the recall runs the same mask for every operator, and the
-    refit unions the per-operator recalled masks back into one global
-    keep-vector.
+    The recall runs the estimator's per-operator keep-masks
+    (:meth:`~repro.models.base.CostEstimator.keep_masks`), whichever
+    model family pruned them; its recalled masks go back to the
+    estimator's ``warm_retrain`` in the same shape.
     """
 
     def __init__(
@@ -179,12 +178,10 @@ class BundleWatcher:
         name: str,
         recall: FeatureRecall,
         config: AdaptationConfig,
-        global_mode: bool = False,
     ):
         self.name = name
         self.recall = recall
         self.config = config
-        self.global_mode = global_mode
         self._lock = make_lock("serving.adaptation_watcher")
         #: Records awaiting (off-hot-path) encoding + observation.
         self._pending: Deque[LabeledPlan] = deque(maxlen=config.observe_buffer)
@@ -264,13 +261,12 @@ class AdaptationManager:
     ) -> Optional[BundleWatcher]:
         """Attach a recall watcher to *bundle* (idempotent per name).
 
-        Works for both reduction shapes: per-operator keep-masks
-        (QPPNet) and a single global mask (MSCN — watched by running
-        the global mask under every operator and unioning the recalled
-        dimensions back at refit time).  Requires an estimator whose
-        encoder exposes the unified operator layout; bundles with no
-        masks at all (nothing was pruned, so nothing can be recalled)
-        are skipped with ``None``.
+        The recall watches the estimator's per-operator
+        :meth:`~repro.models.base.CostEstimator.keep_masks` (MSCN
+        reports its global mask under every operator).  Requires an
+        estimator whose encoder exposes the unified operator layout;
+        an estimator with no keep-masks (nothing was pruned, so
+        nothing can be recalled) is skipped with ``None``.
 
         ``baselines`` (per-operator reduction-time mean feature rows,
         see :func:`repro.core.recall.collect_baselines`) may also ride
@@ -284,7 +280,7 @@ class AdaptationManager:
         encoder = operator_encoder_of(bundle)
         if encoder is None:
             return None
-        masks = self._recall_masks_for(bundle)
+        masks = bundle.estimator.keep_masks()
         if masks is None:
             return None
         if baselines is None:
@@ -298,25 +294,9 @@ class AdaptationManager:
             recall = FeatureRecall(
                 masks, encoder.feature_names, baselines=baselines
             )
-            watcher = BundleWatcher(
-                bundle.name,
-                recall,
-                self.config,
-                global_mode=not bundle.masks,
-            )
+            watcher = BundleWatcher(bundle.name, recall, self.config)
             self._watchers[bundle.name] = watcher
             return watcher
-
-    @staticmethod
-    def _recall_masks_for(bundle: EstimatorBundle):
-        """The per-operator mask mapping the recall should run, or None
-        when the bundle was not reduced (nothing to recall)."""
-        if bundle.masks:
-            return bundle.masks
-        if bundle.global_mask is not None:
-            mask = np.asarray(bundle.global_mask, dtype=bool)
-            return {op: mask for op in OperatorType}
-        return None
 
     @staticmethod
     def _watcher_matches(
@@ -473,9 +453,11 @@ class AdaptationManager:
         The drift/miss-rate triggers are consumed only once the refit
         has produced a scored candidate: a refit that dies mid-way
         (recall skips already-flagged dims, so the flags would never
-        re-fire) keeps them set and is retried after the cooldown.
+        re-fire) keeps them set and is retried after the cooldown, and
+        so does a candidate superseded by a redeploy.
         """
         drift = watcher.drift_pending
+        miss_rate = watcher.miss_rate_pending
         watcher.last_refit_monotonic = time.monotonic()
         self.stats.add("refits")
         start = time.perf_counter()
@@ -483,15 +465,6 @@ class AdaptationManager:
         live = self._live_bundle(watcher.name)
         records = watcher.window_records()
         recalled = watcher.recall.recall_masks() if drift else None
-        global_recalled: Optional[np.ndarray] = None
-        retrain_masks: object = recalled
-        if recalled is not None and watcher.global_mode:
-            # Global-mask (MSCN) bundles: union the per-operator recall
-            # decisions back into the single global keep-vector.
-            global_recalled = np.logical_or.reduce(
-                np.stack([np.asarray(m, bool) for m in recalled.values()])
-            )
-            retrain_masks = global_recalled
         # The newest records are held out for shadow scoring so the
         # promote gate always compares both models on data the
         # candidate did NOT train on (never more than half the window,
@@ -506,7 +479,7 @@ class AdaptationManager:
         candidate_estimator = copy.deepcopy(live.estimator)
         candidate_estimator.warm_retrain(
             train,
-            masks=retrain_masks,
+            masks=recalled,
             snapshot_set=live.snapshot_set,
             epochs=self.config.refit_epochs,
         )
@@ -525,45 +498,44 @@ class AdaptationManager:
         watcher.drift_pending = False
         watcher.miss_rate_pending = False
         threshold = float(live_q.mean()) * (1.0 + self.config.promote_tolerance)
+        reason = "q_error"
         if float(candidate_q.mean()) <= threshold:
             # Atomic promote onto whatever is current: a snapshot-set
-            # extension may have hot-swapped a wider set mid-refit, and
-            # update() serializes with it so neither write reverts the
-            # other.  The version bump retires stale feature-cache
+            # extension may have hot-swapped a wider set mid-refit (it
+            # keeps the estimator object), and update() serializes with
+            # it so neither write reverts the other.  A redeploy that
+            # landed mid-refit replaced the estimator the candidate was
+            # trained from, so the candidate is stale and the redeploy
+            # stays.  The version bump retires stale feature-cache
             # entries lazily.
             def _promote(current: EstimatorBundle) -> EstimatorBundle:
-                if global_recalled is not None:
-                    return replace(
-                        current,
-                        estimator=candidate_estimator,
-                        global_mask=global_recalled,
-                    )
-                return replace(
-                    current,
-                    estimator=candidate_estimator,
-                    masks=(
-                        dict(recalled)
-                        if recalled is not None
-                        else current.masks
-                    ),
-                )
+                if current.estimator is not live.estimator:
+                    return current
+                return replace(current, estimator=candidate_estimator)
 
-            self.service.registry.update(watcher.name, _promote)
-            self.stats.add("promotions")
-            self.service.events.emit(
-                "promotion",
-                bundle=watcher.name,
-                live_q=float(live_q.mean()),
-                candidate_q=float(candidate_q.mean()),
-            )
-        else:
-            self.stats.add("rollbacks")
-            self.service.events.emit(
-                "rollback",
-                bundle=watcher.name,
-                live_q=float(live_q.mean()),
-                candidate_q=float(candidate_q.mean()),
-            )
+            current = self.service.registry.update(watcher.name, _promote)
+            if current.estimator is candidate_estimator:
+                self.stats.add("promotions")
+                self.service.events.emit(
+                    "promotion",
+                    bundle=watcher.name,
+                    live_q=float(live_q.mean()),
+                    candidate_q=float(candidate_q.mean()),
+                )
+                return
+            # Never scored against the redeployed estimator: re-arm the
+            # triggers so the next pass refits from it.
+            watcher.drift_pending = drift
+            watcher.miss_rate_pending = miss_rate
+            reason = "superseded"
+        self.stats.add("rollbacks")
+        self.service.events.emit(
+            "rollback",
+            bundle=watcher.name,
+            reason=reason,
+            live_q=float(live_q.mean()),
+            candidate_q=float(candidate_q.mean()),
+        )
 
     def _live_bundle(self, name: str) -> EstimatorBundle:
         return self.service.registry.get(name)

@@ -1,9 +1,10 @@
 """Deployable estimator bundles and the hot-swap registry.
 
 A bundle is the unit of deployment: one trained
-:class:`~repro.models.base.CostEstimator` with the
-:class:`~repro.core.snapshot.SnapshotSet` and keep-masks it was trained
-with, plus the benchmark whose catalog parses and plans incoming SQL.
+:class:`~repro.models.base.CostEstimator` (which holds its own
+feature-reduction keep-masks) with the
+:class:`~repro.core.snapshot.SnapshotSet` it was trained with, plus the
+benchmark whose catalog parses and plans incoming SQL.
 The registry names bundles per (benchmark, model) and supports atomic
 hot-swap on retrain: readers always see a complete bundle, and the
 version counter lets downstream caches (feature cache keys include the
@@ -18,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..engine.executor import LabeledPlan
-from ..engine.operators import OperatorType
 from ..errors import ServingError
 from ..models.base import CostEstimator
 from ..obs.lockwatch import make_lock
@@ -37,8 +37,6 @@ class EstimatorBundle:
     estimator: CostEstimator
     benchmark: Optional["Benchmark"] = None
     snapshot_set: Optional["SnapshotSet"] = None
-    masks: Dict[OperatorType, np.ndarray] = field(default_factory=dict)
-    global_mask: Optional[np.ndarray] = None
     metadata: Dict[str, object] = field(default_factory=dict)
     #: Assigned by the registry; bumped on every (re)deploy of the name.
     version: int = 0

@@ -281,9 +281,9 @@ class CostService:
         """Register (or hot-swap) a bundle; returns it versioned.
 
         With adaptation enabled, a recall watcher is attached when the
-        bundle carries keep-masks — per-operator (QPPNet) or global
-        (MSCN) — and a compatible operator encoder; an unreduced bundle
-        has no pruned dimensions to recall and is served unwatched.
+        bundle's estimator holds keep-masks and a compatible operator
+        encoder; an unreduced estimator has no pruned dimensions to
+        recall and is served unwatched.
         """
         deployed = self.registry.register(bundle, name=name)
         self.events.emit(

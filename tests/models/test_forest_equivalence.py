@@ -13,7 +13,7 @@ predict each plan on its own:
 Every comparison is exact, through ``view(np.uint64)``, over every
 collected TPC-H, sysbench and job-light plan, with environments
 interleaved in the input order, under no mask, hard keep-masks and the
-soft ``zero_mask``.
+greedy reducer's scoring copy (first-layer rows of dropped dims zero).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
+from repro.core.pipeline import ZeroedInputs
 from repro.engine.executor import LabeledPlan
 from repro.engine.operators import OperatorType, PlanNode
 from repro.featurization.encoding import OperatorEncoder
@@ -58,8 +59,6 @@ def recursive_route(model: QPPNet, records, snapshots) -> np.ndarray:
         matrix = model.encoder.encode_plan(
             record.plan, snapshots.normalized(record.env_name)
         )
-        if model.zero_mask is not None:
-            matrix = matrix * model.zero_mask
         rows = {id(node): row for node, row in zip(nodes, matrix, strict=True)}
 
         def run(node: PlanNode) -> np.ndarray:
@@ -121,8 +120,8 @@ def corpus(
 
 
 def masked(model: QPPNet, kind: str) -> QPPNet:
-    """A copy of *model* with no mask, hard keep-masks or a soft
-    zero-mask."""
+    """A copy of *model* with no mask, hard keep-masks or, for
+    ``soft``, the greedy reducer's copy scoring one candidate mask."""
     model = copy.deepcopy(model)
     rng = np.random.default_rng(17)
     if kind == "hard":
@@ -133,9 +132,9 @@ def masked(model: QPPNet, kind: str) -> QPPNet:
             masks[op] = keep
         model.set_masks(masks)
     elif kind == "soft":
-        mask = (rng.random(model.encoder.dim) < 0.6).astype(np.float64)
-        mask[0] = 1.0
-        model.zero_mask = mask
+        keep = rng.random(model.encoder.dim) < 0.6
+        keep[0] = True
+        model = ZeroedInputs(model).zeroed(keep)
     return model
 
 

@@ -22,6 +22,7 @@ from typing import List, Sequence
 import numpy as np
 import pytest
 
+from repro.engine.operators import OperatorType
 from repro.featurization.mscn_features import MSCNEncoder, MSCNSample
 from repro.models.base import TrainStats
 from repro.models.mscn import MSCN
@@ -228,10 +229,15 @@ class TestHandDerivedFit:
         model, oracle, _ = _pair(lambda: _make(encoder, True))
         model.fit(records, snapshots)
         oracle.fit(records, snapshots)
+        # Recall widens each operator's copy of the global mask on its
+        # own; the refit installs their union.
+        masks = {op: _global_keep(encoder) for op in OperatorType}
+        masks[OperatorType.SEQ_SCAN][7:10] = True
+        masks[OperatorType.HASH_JOIN][10:12] = True
         recalled = _global_keep(encoder)
         recalled[7:12] = True
-        stats = model.warm_retrain(records, recalled, snapshots, epochs=2)
-        expected = oracle.warm_retrain(records, recalled, snapshots, epochs=2)
+        stats = model.warm_retrain(records, masks, snapshots, epochs=2)
+        expected = oracle.warm_retrain(records, masks, snapshots, epochs=2)
         np.testing.assert_array_equal(model.global_mask, recalled)
         assert_same_fit(model, oracle, stats, expected)
 

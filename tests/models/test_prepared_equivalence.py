@@ -16,7 +16,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.pipeline import ZeroedInputs
 from repro.engine.operators import OperatorType
+from repro.errors import TrainingError
 from repro.featurization.encoding import OperatorEncoder
 from repro.featurization.fingerprint import (
     plan_fingerprint,
@@ -24,6 +26,7 @@ from repro.featurization.fingerprint import (
 )
 from repro.featurization.mscn_features import MSCNEncoder
 from repro.models.mscn import MSCN
+from repro.models.prepared import prepared_from_matrix, walk_plan
 from repro.models.qppnet import QPPNet
 
 
@@ -166,32 +169,62 @@ def test_template_memo_hit_with_perturbed_literals(fitted):
         )
 
 
-def test_soft_zero_mask_preserves_bit_identity(fitted):
-    """The greedy reducer's soft mask is applied per request on every
-    path — scalar, batch and template — so identity must survive it."""
+def _zeroed_input_oracle(model, records, keep):
+    """Predictions of the fitted *model* with the reducible input dims
+    *keep* drops multiplied by zero at encode time, then the fused
+    forward: the greedy reducer's former in-model soft mask, rebuilt
+    here from the public encoders."""
+    zero = np.asarray(keep, dtype=np.float64)
+    prepared = []
+    for record in records:
+        if isinstance(model, QPPNet):
+            walk = walk_plan(record.plan)
+            matrix = model.encoder.encode_nodes(walk.nodes, None) * zero
+            prepared.append(
+                prepared_from_matrix(record.plan, matrix, model.masks, walk)
+            )
+        else:
+            sample = model.prepare_one(record)
+            prepared.append(
+                dataclasses.replace(sample, plan_global=sample.plan_global * zero)
+            )
+    return model.predict_prepared_batch(records, prepared)
+
+
+def test_greedy_scorer_matches_zeroed_inputs_bitwise(fitted):
+    """Greedy reduction scores a candidate keep-mask on a copy whose
+    first-layer weight rows for the dropped dims are zero; its
+    predictions carry the bits of zeroing those inputs, for every
+    candidate, and the fitted model is left untouched."""
     model, records = fitted
-    dim = (
-        model.encoder.dim
-        if isinstance(model, QPPNet)
-        else model.encoder.global_dim
-    )
+    before = model.predict_many(records)
+    scorer = ZeroedInputs(model)
     rng = np.random.default_rng(3)
-    mask = (rng.random(dim) < 0.6).astype(np.float64)
-    mask[0] = 1.0
-    assert model.zero_mask is None
-    model.zero_mask = mask
-    try:
-        batch = model.predict_prepared_batch(records)
-        np.testing.assert_array_equal(batch, _scalar(model, records))
-        via_template = [
-            model.prepare_from_template(r, model.prepare_template(r))
-            for r in records
-        ]
+    candidates = [np.ones(scorer.dim, dtype=bool)]
+    for density in (0.9, 0.6, 0.2):
+        keep = rng.random(scorer.dim) < density
+        keep[0] = True
+        candidates.append(keep)
+    for keep in candidates:
+        got = scorer.zeroed(keep).predict_many(records)
+        expected = _zeroed_input_oracle(model, records, keep)
         np.testing.assert_array_equal(
-            model.predict_prepared_batch(records, via_template), batch
+            got.view(np.uint64), expected.view(np.uint64)
         )
-    finally:
-        model.zero_mask = None
+    np.testing.assert_array_equal(model.predict_many(records), before)
+    assert not np.array_equal(got, before)
+
+
+def test_greedy_scorer_refuses_a_masked_model(fitted):
+    """Greedy scoring runs on the base model, before any keep-mask."""
+    model, _ = fitted
+    masked = copy.deepcopy(model)
+    if isinstance(masked, QPPNet):
+        masked.set_masks({OperatorType.SEQ_SCAN: np.ones(masked.encoder.dim, bool)})
+    else:
+        masked.set_global_mask(np.ones(masked.encoder.global_dim, bool))
+    with pytest.raises(TrainingError):
+        ZeroedInputs(masked)
 
 
 def test_qppnet_hard_masks_preserve_bit_identity(tpch, tpch_split):

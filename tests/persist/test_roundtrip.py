@@ -234,6 +234,35 @@ def test_tagged_v2_bundle_state_restores_as_a_plain_bundle(
     assert bundle_to_state(tagged).keys() == state.keys()
 
 
+@pytest.mark.parametrize("setup", ["qppnet_setup", "mscn_setup"])
+def test_bundle_level_mask_copies_are_ignored(tmp_path, request, setup):
+    """Builds whose bundles held a copy of the keep-masks wrote it as
+    bundle-level ``masks``/``global_mask`` keys.  A state whose copies
+    disagree with the estimator's masks restores and serves with the
+    estimator's, bit for bit; the writer emits neither key."""
+    bundle = request.getfixturevalue(setup)["bundle"]
+    labeled = request.getfixturevalue(setup)["labeled"]
+    state = bundle_to_state(bundle)
+    assert "masks" not in state and "global_mask" not in state
+    estimator_masks = bundle.estimator.keep_masks()
+    assert estimator_masks is not None
+    disagreeing = dict(
+        state,
+        masks={op.value: ~mask for op, mask in estimator_masks.items()},
+        global_mask=np.zeros_like(next(iter(estimator_masks.values()))),
+    )
+    restored = bundle_from_state(_through_disk(disagreeing, tmp_path))
+    restored_masks = restored.estimator.keep_masks()
+    assert restored_masks.keys() == estimator_masks.keys()
+    for op, mask in estimator_masks.items():
+        assert np.array_equal(restored_masks[op], mask), op
+    assert np.array_equal(
+        restored.predict_many(labeled).view(np.uint64),
+        bundle.predict_many(labeled).view(np.uint64),
+    )
+    assert bundle_to_state(restored).keys() == state.keys()
+
+
 def test_registry_restore_preserves_versions(qppnet_setup):
     source = EstimatorRegistry()
     deployed = source.register(qppnet_setup["bundle"], name="m")

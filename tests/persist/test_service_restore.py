@@ -119,6 +119,45 @@ def test_adaptation_window_and_drift_state_survive(tmp_path, loaded_service):
         restored.close()
 
 
+def test_state_holds_no_mask_copies_and_legacy_keys_restore(mscn_setup):
+    """The estimator is the only holder of the keep-masks: a written
+    state carries no bundle-level ``masks``/``global_mask`` and no
+    watcher ``global_mode``, and a state that still has all three
+    (with the bundle copies disagreeing) restores with the estimator's
+    masks and the same predictions."""
+    bundle, labeled = mscn_setup["bundle"], mscn_setup["labeled"]
+    envs = mscn_setup["envs"]
+    plans = [record.plan for record in labeled]
+    service = _fresh_service()
+    restored = _fresh_service()
+    try:
+        service.deploy(bundle)
+        reference = service.estimate_many(plans, envs[0], batch_size=16)
+        state = service.state_dict()
+        (bundle_state,) = state["registry"]["bundles"]
+        assert "masks" not in bundle_state
+        assert "global_mask" not in bundle_state
+        (watcher_state,) = state["adaptation"]["watchers"].values()
+        assert "global_mode" not in watcher_state
+
+        mask = bundle.estimator.global_mask
+        bundle_state["masks"] = {"Seq Scan": ~mask}
+        bundle_state["global_mask"] = np.ones_like(mask)
+        watcher_state["global_mode"] = False
+        restored.load_state(state)
+        live = restored.registry.get(bundle.name)
+        assert np.array_equal(live.estimator.global_mask, mask)
+        watcher = restored.adaptation.watcher(bundle.name)
+        for op_mask in watcher.recall.masks.values():
+            assert np.array_equal(op_mask, mask)
+        assert np.array_equal(
+            restored.estimate_many(plans, envs[0], batch_size=16), reference
+        )
+    finally:
+        service.close()
+        restored.close()
+
+
 def test_restore_into_leaner_service_degrades_gracefully(
     tmp_path, loaded_service, qppnet_setup
 ):

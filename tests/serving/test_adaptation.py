@@ -149,9 +149,14 @@ class TestDriftLoop:
 
             promoted = service.registry.get(name)
             assert promoted.version == version_before + 1
-            # The promoted masks re-include the recalled dimensions.
-            kept_before = sum(int(m.sum()) for m in stale.masks.values())
-            kept_after = sum(int(m.sum()) for m in promoted.masks.values())
+            # The promoted estimator's masks re-include the recalled
+            # dimensions; the stale one's are untouched.
+            kept_before = sum(
+                int(m.sum()) for m in stale.estimator.keep_masks().values()
+            )
+            kept_after = sum(
+                int(m.sum()) for m in promoted.estimator.keep_masks().values()
+            )
             assert kept_after > kept_before
             # And the promoted bundle beats the stale one on the
             # drifted workload (that is what shadow scoring verified).
@@ -351,7 +356,7 @@ def test_feedback_does_not_mutate_caller_plan(point_trained, adapt_envs):
 def test_redeploy_with_new_masks_refreshes_watcher(point_trained):
     """An offline retrain deployed under the same name must not inherit
     drift state accumulated against the old reduction masks."""
-    import numpy as np
+    import copy
 
     pipeline, baselines, _ = point_trained
     with make_service(pipeline, baselines) as service:
@@ -359,14 +364,18 @@ def test_redeploy_with_new_masks_refreshes_watcher(point_trained):
         # Identical redeploy: the watcher (and its flags) is kept.
         service.deploy(pipeline.export_bundle())
         assert service.adaptation.watcher("sysbench:qppnet") is first
-        # Redeploy with widened masks (an offline retrain): refreshed.
+        # Redeploy an estimator with widened masks (an offline
+        # retrain): refreshed.
+        widened = copy.deepcopy(pipeline.estimator)
+        widened.set_masks(
+            {op: np.ones_like(mask) for op, mask in widened.masks.items()}
+        )
         bundle = pipeline.export_bundle()
-        bundle.masks = {
-            op: np.ones_like(mask) for op, mask in bundle.masks.items()
-        }
+        bundle.estimator = widened
         service.deploy(bundle)
         second = service.adaptation.watcher("sysbench:qppnet")
         assert second is not first
+        assert all(mask.all() for mask in second.recall.masks.values())
 
 
 def test_worker_survives_bad_feedback(point_trained, adapt_envs):
@@ -407,34 +416,46 @@ def test_worker_survives_bad_feedback(point_trained, adapt_envs):
         assert service.adaptation.stats.rows_observed > 0
 
 
+@pytest.fixture(scope="module")
+def mscn_trained(sysbench, adapt_envs):
+    """QCFE(mscn) reduced on a point-select-only workload."""
+    point_only = interleave(
+        labeled_shapes(sysbench, adapt_envs, {"point_select"}, 80, seed=1)
+    )
+    pipeline = QCFE(
+        sysbench,
+        adapt_envs,
+        QCFEConfig(
+            model="mscn", epochs=3, template_scale=4, reduction="diff"
+        ),
+    )
+    pipeline.fit(point_only)
+    assert pipeline.result.global_mask is not None
+    return pipeline
+
+
 class TestGlobalMaskBundles:
-    def test_mscn_bundle_is_watched_and_adapts(self, sysbench, adapt_envs):
-        """Global-mask (MSCN) bundles run the loop too: the single
-        keep-vector is watched under every operator and the recalled
-        dimensions union back into a promoted global mask."""
-        point_only = interleave(
-            labeled_shapes(sysbench, adapt_envs, {"point_select"}, 80, seed=1)
-        )
-        pipeline = QCFE(
-            sysbench,
-            adapt_envs,
-            QCFEConfig(
-                model="mscn", epochs=3, template_scale=4, reduction="diff"
-            ),
-        )
-        pipeline.fit(point_only)
-        assert pipeline.result.global_mask is not None
+    def test_mscn_bundle_is_watched_and_adapts(self, mscn_trained, adapt_envs):
+        """Global-mask (MSCN) bundles run the loop too: the estimator
+        reports its single keep-vector under every operator, and the
+        recalled dimensions union back into a promoted global mask."""
+        pipeline = mscn_trained
         with make_service(pipeline, baselines=None) as service:
             name = "sysbench:mscn"
             watcher = service.adaptation.watcher(name)
             assert watcher is not None
-            assert watcher.global_mode
             stale = service.registry.get(name)
-            assert not (~np.asarray(stale.global_mask, bool)).sum() == 0
+            assert not stale.estimator.global_mask.all()
+            for op, mask in watcher.recall.masks.items():
+                np.testing.assert_array_equal(
+                    mask, stale.estimator.global_mask, err_msg=str(op)
+                )
 
             env_by_name = {env.name: env for env in adapt_envs}
             drifted = interleave(
-                labeled_shapes(sysbench, adapt_envs, RANGE_SHAPES, 60, seed=9)
+                labeled_shapes(
+                    pipeline.benchmark, adapt_envs, RANGE_SHAPES, 60, seed=9
+                )
             )
             for record in drifted:
                 service.record_feedback(record, env_by_name[record.env_name])
@@ -447,9 +468,103 @@ class TestGlobalMaskBundles:
             if stats.promotions:
                 promoted = service.registry.get(name)
                 assert promoted.version > stale.version
-                kept_before = int(np.asarray(stale.global_mask, bool).sum())
-                kept_after = int(np.asarray(promoted.global_mask, bool).sum())
+                kept_before = int(stale.estimator.global_mask.sum())
+                kept_after = int(promoted.estimator.global_mask.sum())
                 assert kept_after > kept_before
+
+    def test_forced_mscn_promotion_installs_the_recall_union(
+        self, mscn_trained, adapt_envs
+    ):
+        """With any candidate promotable, the promoted estimator's global
+        mask is the union of the per-operator masks the recall held
+        when the refit began, strictly wider than the stale mask."""
+        pipeline = mscn_trained
+        with make_service(
+            pipeline, baselines=None, promote_tolerance=1e9
+        ) as service:
+            name = "sysbench:mscn"
+            manager = service.adaptation
+            watcher = manager.watcher(name)
+            stale_mask = service.registry.get(name).estimator.global_mask.copy()
+            env_by_name = {env.name: env for env in adapt_envs}
+            drifted = interleave(
+                labeled_shapes(
+                    pipeline.benchmark, adapt_envs, RANGE_SHAPES, 60, seed=9
+                )
+            )
+            for record in drifted:
+                service.record_feedback(record, env_by_name[record.env_name])
+            manager._observe_drained(watcher)
+            assert watcher.drift_pending
+            union = np.logical_or.reduce(
+                list(watcher.recall.recall_masks().values())
+            )
+            manager.run_pending()
+
+            assert manager.stats.refits == 1
+            assert manager.stats.promotions == 1
+            promoted = service.registry.get(name).estimator.global_mask
+            np.testing.assert_array_equal(promoted, union)
+            assert np.all(promoted[stale_mask])
+            assert promoted.sum() > stale_mask.sum()
+            # The live estimator was never mutated: the refit trained a
+            # copy.
+            np.testing.assert_array_equal(
+                pipeline.estimator.global_mask, stale_mask
+            )
+
+
+def test_redeploy_mid_refit_is_not_reverted(
+    point_trained, drifted_records, adapt_envs, monkeypatch
+):
+    """A deploy that lands while the refit trains supersedes the
+    candidate: the redeployed estimator keeps serving, and the
+    discarded candidate counts as a rollback."""
+    import copy
+
+    from repro.models.qppnet import QPPNet
+
+    pipeline, baselines, _ = point_trained
+    with make_service(
+        pipeline, baselines, promote_tolerance=1e9
+    ) as service:
+        name = "sysbench:qppnet"
+        env_by_name = {env.name: env for env in adapt_envs}
+        for record in drifted_records:
+            service.record_feedback(record, env_by_name[record.env_name])
+
+        redeployed = []
+        warm_retrain = QPPNet.warm_retrain
+
+        def redeploy_then_retrain(self, *args, **kwargs):
+            bundle = pipeline.export_bundle()
+            bundle.estimator = copy.deepcopy(pipeline.estimator)
+            redeployed.append(service.deploy(bundle))
+            return warm_retrain(self, *args, **kwargs)
+
+        monkeypatch.setattr(QPPNet, "warm_retrain", redeploy_then_retrain)
+        service.adaptation.run_pending()
+
+        stats = service.adaptation.stats
+        assert stats.refits == 1
+        assert stats.promotions == 0
+        assert stats.rollbacks == 1
+        current = service.registry.get(name)
+        assert current.version == 2 == redeployed[0].version
+        assert current.estimator is redeployed[0].estimator
+        (rollback,) = service.events.events("rollback")
+        assert rollback.data["reason"] == "superseded"
+
+        # The trigger survived: the next pass refits from the
+        # redeployed estimator and promotes onto it.
+        watcher = service.adaptation.watcher(name)
+        assert watcher.drift_pending
+        monkeypatch.undo()
+        service.adaptation.run_pending()
+        assert stats.promotions == 1
+        promoted = service.registry.get(name)
+        assert promoted.version == 3
+        assert promoted.estimator is not redeployed[0].estimator
 
 
 def test_failed_refit_keeps_drift_trigger(

@@ -23,6 +23,7 @@ GATED_TREES = [
     str(REPO / "src" / "repro" / "cluster"),
     str(REPO / "src" / "repro" / "persist"),
     str(REPO / "src" / "repro" / "obs"),
+    str(REPO / "src" / "repro" / "models"),
     str(REPO / "src" / "repro" / "nn"),
     str(REPO / "tools" / "analyze"),
 ]

@@ -113,6 +113,8 @@ def main(argv: List[str]) -> int:
         "src/repro/cluster",
         "src/repro/persist",
         "src/repro/obs",
+        "src/repro/models",
+        "src/repro/nn",
         "tools/analyze",
     ]
     problems = check_trees(roots)
