@@ -18,6 +18,7 @@ from repro.core.templates import generate_simplified_queries
 from repro.engine.executor import ExecutionSimulator
 from repro.eval.harness import default_epochs
 from repro.eval.metrics import summarize_q_errors
+from repro.models.qppnet import QPPNet
 from repro.models.training import train_test_split
 from repro.eval.reporting import format_table
 
@@ -30,27 +31,24 @@ def test_ablation_warm_start(benchmark, context, save_result):
     epochs = default_epochs()
 
     def run() -> dict:
-        results = {}
-        for label, warm in (("warm-start", True), ("cold-retrain", False)):
-            pipeline = QCFE(
-                bench, envs,
-                QCFEConfig(model="qppnet", snapshot_source="template",
-                           reduction="diff", epochs=epochs),
-            )
-            if not warm:
-                # Disable the fold by masking with no fold means.
-                original = pipeline.estimator.set_masks
-
-                def cold_set_masks(masks, fold_means=None, _orig=original):
-                    _orig(masks, fold_means=None)
-
-                pipeline.estimator.set_masks = cold_set_masks  # type: ignore[method-assign]
-            pipeline.fit(train)
-            predictions = pipeline.predict_many(test)
-            results[label] = summarize_q_errors(
-                predictions, [r.latency_ms for r in test]
+        config = QCFEConfig(model="qppnet", snapshot_source="template",
+                            reduction="diff", epochs=epochs)
+        warm = QCFE(bench, envs, config)
+        warm.fit(train)
+        # The same keep-masks on freshly initialised units, trained cold.
+        cold = QPPNet(
+            warm.operator_encoder, hidden=config.hidden, lr=config.lr,
+            epochs=config.epochs, batch_size=config.batch_size,
+            seed=config.seed, masks=warm.estimator.keep_masks(),
+        )
+        cold.fit(train, snapshot_set=warm.snapshot_set)
+        actual = [r.latency_ms for r in test]
+        return {
+            label: summarize_q_errors(
+                model.predict_many(test, snapshot_set=warm.snapshot_set), actual
             ).mean
-        return results
+            for label, model in (("warm-start", warm.estimator), ("cold-retrain", cold))
+        }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [(label, f"{value:.3f}") for label, value in results.items()]

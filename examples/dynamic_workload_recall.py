@@ -66,7 +66,9 @@ def main() -> None:
     # NEW value, like est_rows jumping from 1 to 100).
     baselines = collect_baselines(pipeline.operator_encoder, train)
     recall = FeatureRecall(
-        result.masks, pipeline.operator_encoder.feature_names, baselines=baselines
+        pipeline.estimator.keep_masks(),
+        pipeline.operator_encoder.feature_names,
+        baselines=baselines,
     )
 
     print("\nPhase 2: workload drifts to range queries ...")
@@ -83,17 +85,15 @@ def main() -> None:
         print(f"    {name}")
 
     print("\nPhase 3: re-install recalled masks and warm-retrain ...")
-    updated = recall.recall_masks()
-    # Recall only ADDS dimensions (new rows start at zero), so the fold
-    # means are never consulted; zero vectors of full unit-input width
-    # keep the bookkeeping explicit.
-    full_width = pipeline.operator_encoder.dim + 2 * model.data_size
-    model.set_masks(
-        updated, fold_means={op: np.zeros(full_width) for op in updated}
-    )
+    # Recall only ADDS dimensions, whose new first-layer rows start at
+    # zero, so the warm-started model begins at the reduced one.
     mixed = point_only[: len(point_only) // 2] + range_labeled
-    model.epochs = 6
-    model.fit(mixed, snapshot_set=pipeline.snapshot_set)
+    model.warm_retrain(
+        mixed,
+        masks=recall.recall_masks(),
+        snapshot_set=pipeline.snapshot_set,
+        epochs=6,
+    )
     predictions = model.predict_many(range_labeled, snapshot_set=pipeline.snapshot_set)
     actual = np.array([r.latency_ms for r in range_labeled])
     from repro.nn import numpy_q_error

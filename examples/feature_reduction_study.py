@@ -52,7 +52,8 @@ def main() -> None:
         print(f"=== {reduction}: pruned {result.reduction_ratio:.0%} of dims, "
               f"mean q-error {report.mean_q_error:.3f}, "
               f"reduction took {result.reduction_seconds:.1f}s ===")
-        for op, mask in sorted(result.masks.items(), key=lambda kv: kv[0].value)[:4]:
+        masks = pipeline.estimator.keep_masks()
+        for op, mask in sorted(masks.items(), key=lambda kv: kv[0].value)[:4]:
             print(f"  {op.value:12s} keeps {describe_mask(pipeline, mask)}")
         print()
 

@@ -21,10 +21,9 @@ from .reduction import (
     difference_importance,
     difference_multipliers,
     keep_mask_from_scores,
-    reduce_features,
 )
 from .greedy import greedy_reduction
-from .gradient import gradient_importance, gradient_reduction
+from .gradient import gradient_importance
 from .granularity import (
     FineGrainedSnapshot,
     fit_fine_grained,
@@ -55,10 +54,8 @@ __all__ = [
     "difference_importance",
     "difference_multipliers",
     "keep_mask_from_scores",
-    "reduce_features",
     "greedy_reduction",
     "gradient_importance",
-    "gradient_reduction",
     "FineGrainedSnapshot",
     "fit_fine_grained",
     "residual_improvement",

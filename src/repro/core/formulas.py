@@ -28,9 +28,11 @@ class LogicalFormula:
     design_row: Callable[[Tuple[float, ...]], np.ndarray]
 
     def design_matrix(self, inputs: Sequence[Tuple[float, ...]]) -> np.ndarray:
+        """One design row per operator-input tuple, stacked."""
         return np.stack([self.design_row(x) for x in inputs])
 
     def predict(self, coefficients: np.ndarray, inputs: Tuple[float, ...]) -> float:
+        """The formula's estimate for *inputs* under fitted *coefficients*."""
         row = self.design_row(inputs)
         return float(row @ coefficients[: len(row)])
 

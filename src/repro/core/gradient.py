@@ -10,13 +10,12 @@ prunes aggressively but partly *wrongly* — reproduced in Figure 6/7.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..nn.layers import Sequential
 from ..nn.train import FlatNet, forward_trace
-from .reduction import keep_mask_from_scores
 
 
 def gradient_importance(
@@ -39,17 +38,3 @@ def gradient_importance(
         seed *= np.asarray(output_weights, dtype=np.float64).reshape(1, -1)
     grad = FlatNet(model).backward(trace, seed, want_input=True)
     return np.abs(grad).mean(axis=0)
-
-
-def gradient_reduction(
-    model: Sequential,
-    data: np.ndarray,
-    always_keep: Optional[Sequence[int]] = None,
-    output_weights: Optional[np.ndarray] = None,
-    tolerance_ratio: float = 1e-3,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scores + keep mask, GD flavour (same filter rule as FR)."""
-    scores = gradient_importance(model, data, output_weights=output_weights)
-    return scores, keep_mask_from_scores(
-        scores, always_keep=always_keep, tolerance_ratio=tolerance_ratio
-    )

@@ -48,11 +48,13 @@ class FineGrainedSnapshot:
         return coeffs
 
     def predict_node_ms(self, node: PlanNode, catalog: Optional[Catalog] = None) -> float:
+        """The node's time in ms from its finest available coefficients."""
         coeffs = self.coefficients_for(node)
         return FORMULAS[node.op].predict(coeffs, operator_inputs(node, catalog))
 
     @property
     def fine_key_count(self) -> int:
+        """Number of operator-table keys with their own coefficients."""
         return len(self.fine_coefficients)
 
 

@@ -8,27 +8,27 @@ base learned estimator:
    simplified templates (FST);
 2. **Train** the base estimator (QPPNet or MSCN) with the snapshot
    block appended to its operator features;
-3. **Feature reduction** — score input dimensions on the trained model
-   (difference propagation by default; greedy / gradient baselines for
-   the ablation), install the keep-masks and retrain the smaller model.
+3. **Feature reduction** — score the input dimensions of each network
+   the trained estimator names in its reduction sets (difference
+   propagation by default; greedy / gradient baselines for the
+   ablation), install the keep-masks and retrain the smaller model.
 
 The retrained reduced model is what QCFE(qpp)/QCFE(mscn) report in
-Table IV; its training time is the "time" column (reduction makes it
-cheaper than the base model's).
+Table IV.  Table IV's "time" column is the whole :meth:`QCFE.fit`:
+snapshots, both trainings and the reduction.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.environment import DatabaseEnvironment
 from ..engine.executor import ExecutionSimulator, LabeledPlan
-from ..engine.operators import OperatorType
 from ..errors import TrainingError
 from ..featurization.encoding import OperatorEncoder
 from ..featurization.mscn_features import MSCNEncoder
@@ -88,8 +88,8 @@ class QCFEResult:
     #: Time spent computing importance scores only (Table VI's runtime
     #: column; grows linearly with the reference count).
     scoring_seconds: float = 0.0
-    masks: Dict[OperatorType, np.ndarray] = field(default_factory=dict)
-    global_mask: Optional[np.ndarray] = None
+    #: Share of the reducible input dims the keep-masks drop; the masks
+    #: themselves are ``QCFE.estimator.keep_masks()``.
     reduction_ratio: float = 0.0
 
 
@@ -146,7 +146,6 @@ class QCFE:
         self.snapshot_set: Optional[SnapshotSet] = None
         self.estimator: CostEstimator = self._build_estimator()
         self.result: Optional[QCFEResult] = None
-        self._last_scoring_seconds = 0.0
 
     # ------------------------------------------------------------------
     def _build_estimator(self) -> CostEstimator:
@@ -231,77 +230,16 @@ class QCFE:
             scores, always_keep=always_keep, tolerance_ratio=cfg.fr_tolerance
         )
 
-    def _reduce_qppnet(
-        self, model: QPPNet, train: Sequence[LabeledPlan]
-    ) -> Tuple[Dict[OperatorType, np.ndarray], float, Dict[OperatorType, np.ndarray]]:
-        cfg = self.config
-        datasets = model.operator_dataset(train, snapshot_set=self.snapshot_set)
-        fold_means = {op: data.mean(axis=0) for op, data in datasets.items()}
-        masks: Dict[OperatorType, np.ndarray] = {}
-        encoder_dim = self.operator_encoder.dim
-        cost_weight = np.zeros(1 + model.data_size)
-        cost_weight[0] = 1.0
-        self._last_scoring_seconds = 0.0
-        for op, data in datasets.items():
-            unit = model.units[op]
-            score_start = time.perf_counter()
-            if cfg.reduction == "diff":
-                scores = difference_importance(
-                    unit,
-                    data,
-                    n_references=cfg.n_references,
-                    output_weights=cost_weight,
-                    seed=(cfg.seed, op.value),
-                )
-            elif cfg.reduction == "gradient":
-                scores = gradient_importance(unit, data, output_weights=cost_weight)
-            else:
-                raise TrainingError(f"unknown reduction {cfg.reduction!r}")
-            self._last_scoring_seconds += time.perf_counter() - score_start
-            masks[op] = self._keep_mask(scores[:encoder_dim])
-        kept = sum(int(m.sum()) for m in masks.values())
-        total = encoder_dim * max(len(masks), 1)
-        ratio = 1.0 - kept / total if total else 0.0
-        return masks, ratio, fold_means
-
-    def _reduce_mscn(
-        self, model: MSCN, train: Sequence[LabeledPlan]
-    ) -> Tuple[np.ndarray, float, np.ndarray]:
-        cfg = self.config
-        matrix, global_slice = model.final_input_dataset(
-            train, snapshot_set=self.snapshot_set
-        )
-        fold_mean = matrix.mean(axis=0)
-        protected = list(range(global_slice.start))
-        score_start = time.perf_counter()
-        if cfg.reduction == "diff":
-            scores = difference_importance(
-                model.out_net,
-                matrix,
-                n_references=cfg.n_references,
-                seed=cfg.seed,
-            )
-        elif cfg.reduction == "gradient":
-            scores = gradient_importance(model.out_net, matrix)
-        else:
-            raise TrainingError(f"unknown reduction {cfg.reduction!r}")
-        self._last_scoring_seconds = time.perf_counter() - score_start
-        keep_full = self._keep_mask(scores, always_keep=protected)
-        keep_global = keep_full[global_slice]
-        ratio = 1.0 - float(keep_global.sum()) / max(len(keep_global), 1)
-        return keep_global, ratio, fold_mean
-
-    def _reduce_greedy(
-        self, model: CostEstimator, train: Sequence[LabeledPlan]
-    ) -> Tuple[np.ndarray, float]:
-        """Algorithm 2 on the trained model, scoring every candidate
+    def _greedy_keep(self, train: Sequence[LabeledPlan]) -> np.ndarray:
+        """Algorithm 2 on the trained estimator, scoring every candidate
         keep-mask on one :class:`ZeroedInputs` copy of it."""
         cfg = self.config
         sample = list(train)[: cfg.greedy_sample]
         actual = np.array([r.latency_ms for r in sample])
-        scorer = ZeroedInputs(model)
+        scorer = ZeroedInputs(self.estimator)
 
         def evaluate(mask: np.ndarray) -> float:
+            """Mean q-error on the sample with the dims *mask* drops zeroed."""
             predictions = scorer.zeroed(mask).predict_many(
                 sample, snapshot_set=self.snapshot_set
             )
@@ -310,78 +248,81 @@ class QCFE:
         keep, _ = greedy_reduction(
             evaluate, scorer.dim, max_rounds=cfg.greedy_max_rounds
         )
-        return keep, 1.0 - float(keep.sum()) / scorer.dim
+        return keep
 
     # ------------------------------------------------------------------
     # end-to-end fit
     # ------------------------------------------------------------------
     def fit(self, train: Sequence[LabeledPlan]) -> QCFEResult:
-        cfg = self.config
-        self.snapshot_set, snapshot_seconds = self.fit_snapshot()
-        base_stats = self.estimator.fit(train, snapshot_set=self.snapshot_set)
+        """Fit snapshots, train a freshly built estimator on *train*,
+        then reduce its features and retrain it (paper Figure 2a).
 
-        masks: Dict[OperatorType, np.ndarray] = {}
-        global_mask: Optional[np.ndarray] = None
-        ratio = 0.0
-        reduction_seconds = 0.0
-        final_stats = base_stats
+        Each fit builds its own estimator, so a bundle exported from an
+        earlier fit keeps serving what it was exported with.
+        """
+        cfg = self.config
+        if cfg.reduction not in (None, "diff", "gradient", "greedy"):
+            raise TrainingError(f"unknown reduction {cfg.reduction!r}")
+        self.snapshot_set, snapshot_seconds = self.fit_snapshot()
+        self.estimator = self._build_estimator()
+        base_stats = self.estimator.fit(train, snapshot_set=self.snapshot_set)
+        if cfg.reduction is None:
+            self.result = QCFEResult(base_stats, snapshot_seconds=snapshot_seconds)
+            return self.result
+
+        start = time.perf_counter()
+        scoring_seconds = 0.0
+        sets = self.estimator.reduction_sets(train, snapshot_set=self.snapshot_set)
+        if cfg.reduction == "greedy":
+            keep = self._greedy_keep(train)
+            masks = {s.key: keep.copy() for s in sets}
+        else:
+            masks = {}
+            for s in sets:
+                score_start = time.perf_counter()
+                if cfg.reduction == "diff":
+                    scores = difference_importance(
+                        s.net,
+                        s.data,
+                        n_references=cfg.n_references,
+                        output_weights=s.output_weights,
+                        seed=s.seed,
+                    )
+                else:
+                    scores = gradient_importance(
+                        s.net, s.data, output_weights=s.output_weights
+                    )
+                scoring_seconds += time.perf_counter() - score_start
+                keep = self._keep_mask(
+                    scores[: s.block.stop], always_keep=range(s.block.start)
+                )
+                masks[s.key] = keep[s.block]
+        kept = sum(int(mask.sum()) for mask in masks.values())
+        total = sum(s.block.stop - s.block.start for s in sets)
         # Warm-starting the reduced model (fold dropped dims into the
         # first-layer bias) is function-preserving ONLY when the
         # dropped dimensions are constant over the data — which is what
         # FR's exact-zero rule and greedy's q-error search select.  GD
         # also drops genuinely varying dimensions (its failure mode),
         # for which no sound warm start exists, so it retrains cold.
-        warm = cfg.reduction in ("diff", "greedy")
-        if cfg.reduction is not None:
-            start = time.perf_counter()
-            self._last_scoring_seconds = 0.0
-            if isinstance(self.estimator, QPPNet):
-                if cfg.reduction == "greedy":
-                    keep, ratio = self._reduce_greedy(self.estimator, train)
-                    datasets = self.estimator.operator_dataset(
-                        train, snapshot_set=self.snapshot_set
-                    )
-                    masks = {op: keep.copy() for op in datasets}
-                    fold_means = {
-                        op: data.mean(axis=0) for op, data in datasets.items()
-                    }
-                else:
-                    masks, ratio, fold_means = self._reduce_qppnet(
-                        self.estimator, train
-                    )
-                reduction_seconds = time.perf_counter() - start
-                self.estimator.set_masks(
-                    masks, fold_means=fold_means if warm else None
-                )
-            else:
-                mscn = self.estimator
-                if cfg.reduction == "greedy":
-                    global_mask, ratio = self._reduce_greedy(mscn, train)
-                    matrix, _ = mscn.final_input_dataset(  # type: ignore[union-attr]
-                        train, snapshot_set=self.snapshot_set
-                    )
-                    fold_mean = matrix.mean(axis=0)
-                else:
-                    global_mask, ratio, fold_mean = self._reduce_mscn(mscn, train)  # type: ignore[arg-type]
-                reduction_seconds = time.perf_counter() - start
-                mscn.set_global_mask(  # type: ignore[union-attr]
-                    global_mask, fold_mean=fold_mean if warm else None
-                )
-            final_stats = self.estimator.fit(train, snapshot_set=self.snapshot_set)
+        fold_means = None
+        if cfg.reduction != "gradient":
+            fold_means = {s.key: s.data.mean(axis=0) for s in sets}
+        reduction_seconds = time.perf_counter() - start
+        self.estimator.install_masks(masks, fold_means=fold_means)
 
         self.result = QCFEResult(
-            train_stats=final_stats,
-            base_train_stats=base_stats if cfg.reduction is not None else None,
+            train_stats=self.estimator.fit(train, snapshot_set=self.snapshot_set),
+            base_train_stats=base_stats,
             snapshot_seconds=snapshot_seconds,
             reduction_seconds=reduction_seconds,
-            scoring_seconds=self._last_scoring_seconds,
-            masks=masks,
-            global_mask=global_mask,
-            reduction_ratio=ratio,
+            scoring_seconds=scoring_seconds,
+            reduction_ratio=1.0 - kept / total if total else 0.0,
         )
         return self.result
 
     def predict_many(self, labeled: Sequence[LabeledPlan]) -> np.ndarray:
+        """Predicted latencies in ms of the fitted estimator."""
         return self.estimator.predict_many(labeled, snapshot_set=self.snapshot_set)
 
     def export_bundle(self, name: Optional[str] = None):
@@ -413,6 +354,8 @@ class QCFE:
         )
 
     def evaluate(self, test: Sequence[LabeledPlan]) -> EvaluationReport:
+        """Accuracy of the fitted estimator on *test*; the time is the
+        last training's (the retrain, after a reduction)."""
         train_seconds = (
             self.result.train_stats.train_seconds if self.result is not None else 0.0
         )

@@ -52,6 +52,7 @@ class _DimensionStats:
     m2: Optional[np.ndarray] = None
 
     def update(self, rows: np.ndarray) -> None:
+        """Fold *rows* into the running mean and variance (Welford)."""
         rows = np.atleast_2d(rows)
         if self.mean is None:
             self.mean = np.zeros(rows.shape[1])
@@ -63,11 +64,13 @@ class _DimensionStats:
             self.m2 = self.m2 + delta * (row - self.mean)
 
     def std(self) -> np.ndarray:
+        """Per-dimension sample standard deviation (zeros below 2 rows)."""
         if self.mean is None or self.count < 2:
             return np.zeros(0 if self.mean is None else len(self.mean))
         return np.sqrt(self.m2 / (self.count - 1))
 
     def state_dict(self) -> Dict[str, object]:
+        """JSON-safe count, mean and sum of squared deviations."""
         return {
             "count": self.count,
             "mean": None if self.mean is None else self.mean.tolist(),
@@ -76,6 +79,7 @@ class _DimensionStats:
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "_DimensionStats":
+        """Rebuild from :meth:`state_dict` output."""
         mean = state.get("mean")
         m2 = state.get("m2")
         return cls(
@@ -159,6 +163,7 @@ class FeatureRecall:
 
     # ------------------------------------------------------------------
     def flagged_dimensions(self, op: OperatorType) -> List[int]:
+        """Pruned dims of *op* flagged for recall so far, ascending."""
         return sorted(self._flagged.get(op, ()))
 
     def recall_masks(self) -> Dict[OperatorType, np.ndarray]:
@@ -173,6 +178,7 @@ class FeatureRecall:
 
     @property
     def total_flagged(self) -> int:
+        """Number of flagged dims over every operator."""
         return sum(len(dims) for dims in self._flagged.values())
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ positive otherwise, even across dead ReLUs and one-hot flips.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -155,22 +155,3 @@ def keep_mask_from_scores(
     if not keep.any():
         keep[:] = True  # never reduce to an empty feature set
     return keep
-
-
-def reduce_features(
-    model: Sequential,
-    data: np.ndarray,
-    n_references: int = 16,
-    always_keep: Optional[Sequence[int]] = None,
-    output_weights: Optional[np.ndarray] = None,
-    seed: object = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Convenience: scores + keep mask in one call (Algorithm 3)."""
-    scores = difference_importance(
-        model,
-        data,
-        n_references=n_references,
-        output_weights=output_weights,
-        seed=seed,
-    )
-    return scores, keep_mask_from_scores(scores, always_keep=always_keep)

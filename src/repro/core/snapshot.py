@@ -118,6 +118,7 @@ class SnapshotSet:
 
     @property
     def env_names(self) -> List[str]:
+        """Names of the environments with a snapshot, sorted."""
         return sorted(self._by_env)
 
     @property
@@ -126,6 +127,7 @@ class SnapshotSet:
         return sum(snap.collection_ms for snap in self._by_env.values())
 
     def raw(self, env_name: str) -> FeatureSnapshot:
+        """The unnormalized snapshot of *env_name*."""
         try:
             return self._by_env[env_name]
         except KeyError:

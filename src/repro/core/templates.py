@@ -52,6 +52,7 @@ class TemplateInfo:
     joins: Set[Tuple[str, str, str, str]] = field(default_factory=set)
 
     def total_entries(self) -> int:
+        """Scans, sorts, aggregates and joins found, together."""
         return (
             len(self.scans) + len(self.sorts) + len(self.aggregates) + len(self.joins)
         )
@@ -75,6 +76,7 @@ def parse_template_info(
     info = TemplateInfo()
 
     def known(table: str, column: str) -> bool:
+        """Whether the catalog has *table* with *column*."""
         return catalog.has_table(table) and catalog.table(table).has_column(column)
 
     for _, text in template_texts:
@@ -114,6 +116,7 @@ class SimplifiedTemplate:
     join: Optional[Tuple[str, str, str, str]] = None
 
     def describe(self) -> str:
+        """``kind:table.column``, or ``kind:lt.lc=rt.rc`` for a join."""
         if self.join is not None:
             lt, lc, rt, rc = self.join
             return f"{self.kind}:{lt}.{lc}={rt}.{rc}"

@@ -271,11 +271,11 @@ def figure7(
             seed=seed,
         )
         pipeline = QCFE(bench, envs, config)
-        result = pipeline.fit(train)
+        pipeline.fit(train)
         entry = ReductionCounts(
             method=method, total_features=pipeline.operator_encoder.dim
         )
-        for op, mask in result.masks.items():
+        for op, mask in (pipeline.estimator.keep_masks() or {}).items():
             entry.kept[op.value] = int(np.asarray(mask).sum())
         counts.append(entry)
     return counts

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: working buffers.  Chunk boundaries never show in the output bits,
 #: since the fused path is batch-size-invariant.
 PREDICT_CHUNK_PLANS = 512
+
+
+class ReductionSet(NamedTuple):
+    """One trained network whose input columns feature reduction scores.
+
+    ``data`` holds the network's input rows over the training set.
+    Only the columns in ``block`` are reducible; the columns before it
+    are scored but always kept.  ``output_weights`` picks the outputs
+    the scores measure (None: all of them), and ``seed`` draws
+    difference propagation's references.  The keep vector over
+    ``block`` goes back to :meth:`CostEstimator.install_masks` under
+    ``key``.
+    """
+
+    key: Hashable
+    net: object
+    data: np.ndarray
+    block: slice
+    output_weights: Optional[np.ndarray]
+    seed: object
 
 
 @dataclass
@@ -39,6 +59,12 @@ class CostEstimator:
     append the per-environment feature-snapshot coefficients to their
     operator encodings (QCFE(qpp), QCFE(mscn)); when None they reduce
     to the base estimators the paper compares against.
+
+    Feature reduction needs three more methods: :meth:`reduction_sets`
+    names the trained networks whose inputs it scores,
+    :meth:`install_masks` installs the keep vectors it chose, and
+    :meth:`keep_masks` reports what is installed.  Estimators without
+    reducible inputs keep the defaults.
     """
 
     name: str = "estimator"
@@ -75,6 +101,33 @@ class CostEstimator:
         default (no reduction) is None.
         """
         return None
+
+    def reduction_sets(
+        self,
+        train: Sequence[LabeledPlan],
+        snapshot_set: Optional["SnapshotSet"] = None,
+    ) -> List[ReductionSet]:
+        """The trained, unmasked networks feature reduction runs on, with
+        their input rows over *train*.  The default has none."""
+        return []
+
+    def install_masks(
+        self,
+        masks: Mapping[Hashable, np.ndarray],
+        fold_means: Optional[Mapping[Hashable, np.ndarray]] = None,
+    ) -> None:
+        """Install keep vectors over the reducible blocks, keyed as
+        :meth:`reduction_sets` keys them, and rebuild the masked nets.
+
+        Without ``fold_means`` the rebuilt nets start from fresh
+        weights.  With them (each key's mean input row over the
+        training set), each rebuilt net is warm-started: kept
+        first-layer rows are copied, each dropped dimension's
+        contribution, which is constant over the data, folds into the
+        bias, and newly kept rows start at zero.  The default has no
+        reducible block and refuses.
+        """
+        raise NotImplementedError(f"{self.name} has no reducible inputs")
 
     # ------------------------------------------------------------------
     # serving hooks (repro.serving)
@@ -165,9 +218,11 @@ class CostEstimator:
         pruned dimensions, the refit should *extend* the deployed model
         rather than retrain it from scratch.  ``masks`` are recalled
         keep-masks in the per-operator shape :meth:`keep_masks`
-        returns; recall only *adds* dimensions, whose new weights start
-        at zero — function preserving — so a short ``epochs`` budget
-        suffices.  The default ignores ``masks`` and simply refits.
+        returns; the reduced models install them through
+        :meth:`install_masks`.  Recall only *adds* dimensions, whose new
+        weights start at zero — function preserving — so a short
+        ``epochs`` budget suffices.  The default ignores ``masks`` and
+        simply refits.
         """
         previous = getattr(self, "epochs", None)
         if epochs is not None and previous is not None:
@@ -191,28 +246,37 @@ def snapshot_mapping_for(
 def warm_start_remap(
     old: "object",
     new: "object",
-    old_keep: np.ndarray,
-    new_keep: np.ndarray,
+    old_mask: Optional[np.ndarray],
+    new_mask: Optional[np.ndarray],
+    block: slice,
     fold_mean: np.ndarray,
 ) -> None:
     """Re-mask an MLP's input space function-preservingly, in place.
 
     ``old``/``new`` are Sequential MLPs whose first module is a linear
-    layer (weight shape: input rows x hidden); ``old_keep``/``new_keep``
-    are boolean keep-vectors over the *full* input space describing
-    which rows each network's first layer actually has.  Rows kept in
-    both are copied; rows dropped from the old net fold their
-    contribution — ``fold_mean[dim] * weight_row``, sound when the
-    dimension is constant over the data — into the bias; newly added
-    rows start at zero (also function-preserving).  Deeper layers are
-    copied verbatim.
+    layer (weight shape: input rows x hidden).  ``old_mask``/``new_mask``
+    are the keep vectors over the reducible ``block`` of the full
+    input (None: all kept) that each network's first layer was built
+    with; the columns outside the block are always kept, and
+    ``fold_mean`` spans the full input.  Rows kept in both are copied;
+    rows dropped from the old net fold their contribution —
+    ``fold_mean[dim] * weight_row``, sound when the dimension is
+    constant over the data — into the bias; newly added rows start at
+    zero (also function-preserving).  Deeper layers are copied
+    verbatim.
 
-    Shared by QPPNet (per-operator units, child-data suffix always
-    kept) and MSCN (final MLP, set-output prefix always kept): the
+    Shared by QPPNet (per-operator units) and MSCN (the final MLP): the
     subtle index arithmetic lives once, here.
     """
-    old_rows = np.nonzero(np.asarray(old_keep, dtype=bool))[0]
-    new_rows = np.nonzero(np.asarray(new_keep, dtype=bool))[0]
+
+    def rows(mask: Optional[np.ndarray]) -> np.ndarray:
+        """Full-input indices of the first layer's rows under *mask*."""
+        keep = np.ones(len(fold_mean), dtype=bool)
+        if mask is not None:
+            keep[block] = mask
+        return np.nonzero(keep)[0]
+
+    old_rows, new_rows = rows(old_mask), rows(new_mask)
     old_pos = {int(d): i for i, d in enumerate(old_rows)}
     new_set = set(int(d) for d in new_rows)
     old_first = old.modules[0]

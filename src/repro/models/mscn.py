@@ -19,7 +19,7 @@ fixed-block forward instead.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from ..rng import rng_for
 from .base import (
     PREDICT_CHUNK_PLANS,
     CostEstimator,
+    ReductionSet,
     TrainStats,
     snapshot_mapping_for,
     warm_start_remap,
@@ -80,48 +81,34 @@ class MSCN(CostEstimator):
         self.pred_net = mlp(self.encoder.predicate_dim, (h,), h, ("mscn-p", self.seed))
         self.out_net = mlp(3 * h + global_dim, (h, h), 1, ("mscn-o", self.seed))
 
-    def set_global_mask(
-        self, mask: np.ndarray, fold_mean: Optional[np.ndarray] = None
+    def install_masks(
+        self,
+        masks: Mapping[Hashable, np.ndarray],
+        fold_means: Optional[Mapping[Hashable, np.ndarray]] = None,
     ) -> None:
-        """Install a feature-reduction mask over the global block.
+        """Install the union of *masks* as the keep-mask over the global
+        block and rebuild ``out_net`` (see
+        :meth:`CostEstimator.install_masks`).
 
-        With ``fold_mean`` (mean final-MLP input over the training set)
-        the new ``out_net`` is warm-started: kept rows of its first
-        layer are copied and the dropped — constant — dimensions'
-        contributions fold into the bias, so retraining starts from the
-        trained base function.  The set networks are untouched.
+        Every key names the same ``out_net`` input, so any one of
+        ``fold_means`` (the mean input row over the training set) serves
+        the warm start; without them all four nets are rebuilt fresh.
+        The set networks are otherwise untouched.
         """
+        mask = np.logical_or.reduce(
+            np.stack([np.asarray(m, dtype=bool) for m in masks.values()])
+        )
+        fold_mean = next(iter(fold_means.values())) if fold_means else None
         old_out = self.out_net if fold_mean is not None else None
         old_nets = (self.table_net, self.join_net, self.pred_net)
         old_mask = self.global_mask
-        self.global_mask = np.asarray(mask)
+        self.global_mask = mask
         self._build()
         if old_out is None:
             return
         self.table_net, self.join_net, self.pred_net = old_nets
-        # Handle re-masking an already-masked net (recall widens the
-        # mask): indexed in the *full* (set outputs + global block)
-        # input space, with the set-output prefix always kept.
-        set_width = 3 * self.hidden
-
-        def full_keep(keep_global: Optional[np.ndarray]) -> np.ndarray:
-            """*keep_global* behind an all-kept set-output prefix."""
-            global_keep = (
-                np.asarray(keep_global, dtype=bool)
-                if keep_global is not None
-                else np.ones(self.encoder.global_dim, dtype=bool)
-            )
-            return np.concatenate(
-                [np.ones(set_width, dtype=bool), global_keep]
-            )
-
-        warm_start_remap(
-            old_out,
-            self.out_net,
-            full_keep(old_mask),
-            full_keep(self.global_mask),
-            fold_mean,
-        )
+        global_block = slice(3 * self.hidden, None)
+        warm_start_remap(old_out, self.out_net, old_mask, mask, global_block, fold_mean)
 
     def keep_masks(self) -> Optional[Dict[OperatorType, np.ndarray]]:
         """The global keep-mask under every operator (None when
@@ -140,7 +127,7 @@ class MSCN(CostEstimator):
         epochs: Optional[int] = None,
     ) -> TrainStats:
         """Install the union of the recalled per-operator ``masks`` as
-        the global mask and refit briefly.
+        the global mask (:meth:`install_masks`) and refit briefly.
 
         Recall only re-includes dimensions, so the warm start is
         function-preserving (new first-layer rows start at zero); the
@@ -148,10 +135,9 @@ class MSCN(CostEstimator):
         """
         if masks is not None:
             full_width = 3 * self.hidden + self.encoder.global_dim
-            union = np.logical_or.reduce(
-                np.stack([np.asarray(m, dtype=bool) for m in masks.values()])
+            self.install_masks(
+                masks, fold_means={op: np.zeros(full_width) for op in masks}
             )
-            self.set_global_mask(union, fold_mean=np.zeros(full_width))
         return super().warm_retrain(
             train, snapshot_set=snapshot_set, epochs=epochs
         )
@@ -465,3 +451,13 @@ class MSCN(CostEstimator):
         global_rows = np.stack([s.plan_global for s in samples])
         matrix = np.concatenate([*pooled, global_rows], axis=1)
         return matrix, slice(3 * self.hidden, matrix.shape[1])
+
+    def reduction_sets(
+        self,
+        train: Sequence[LabeledPlan],
+        snapshot_set: Optional["SnapshotSet"] = None,
+    ) -> List[ReductionSet]:
+        """One set: ``out_net`` on :meth:`final_input_dataset`, with the
+        global block reducible and the pooled-set columns always kept."""
+        matrix, block = self.final_input_dataset(train, snapshot_set)
+        return [ReductionSet("out_net", self.out_net, matrix, block, None, self.seed)]

@@ -53,6 +53,7 @@ from ..rng import rng_for
 from .base import (
     PREDICT_CHUNK_PLANS,
     CostEstimator,
+    ReductionSet,
     TrainStats,
     snapshot_mapping_for,
     warm_start_remap,
@@ -135,62 +136,33 @@ class QPPNet(CostEstimator):
                 seed_key=("qppnet", self.seed, op.value),
             )
 
-    def set_masks(
+    def install_masks(
         self,
         masks: Mapping[OperatorType, np.ndarray],
         fold_means: Optional[Mapping[OperatorType, np.ndarray]] = None,
     ) -> None:
-        """Install feature-reduction masks and rebuild the units.
+        """Install per-operator keep vectors over the operator encoding
+        and rebuild the units (see :meth:`CostEstimator.install_masks`).
 
-        With ``fold_means`` (per-operator mean unit-input vectors over
-        the training operator sets), the new units are *warm-started*
-        from the trained ones: kept input rows are copied and each
-        dropped dimension's contribution — constant over the data, or
-        it would not have been dropped — is folded into the first
-        layer's bias, so the reduced model starts at the base model's
-        function and retraining only refines it.
+        ``fold_means`` are per-operator mean unit-input vectors over
+        the training operator sets; a unit is warm-started when its
+        operator has one, so the reduced model starts at the base
+        model's function and retraining only refines it.
         """
         old_units = self.units if fold_means is not None else {}
         old_masks = dict(self.masks)
         self.masks = dict(masks)
         self._build_units()
         for op, unit in self.units.items():
-            if op not in old_units or fold_means is None or op not in fold_means:
-                continue
-            self._warm_start_unit(
-                op, old_units[op], unit, fold_means[op], old_masks.get(op)
-            )
-
-    def _full_keep(self, mask: Optional[np.ndarray]) -> np.ndarray:
-        """Unit-input keep vector (encoder dims + child-data dims)."""
-        encoder_keep = (
-            mask.astype(bool)
-            if mask is not None
-            else np.ones(self.encoder.dim, dtype=bool)
-        )
-        child_keep = np.ones(_MAX_CHILDREN * self.data_size, dtype=bool)
-        return np.concatenate([encoder_keep, child_keep])
-
-    def _warm_start_unit(
-        self,
-        op: OperatorType,
-        old: Sequential,
-        new: Sequential,
-        mean_input: np.ndarray,
-        old_mask: Optional[np.ndarray],
-    ) -> None:
-        """Copy/fold first-layer rows so the new unit starts at the old
-        unit's function.  Handles re-masking an already-masked unit:
-        kept-in-both rows are copied, dropped rows fold into the bias
-        (sound when constant), and newly added rows start at zero
-        (also function-preserving)."""
-        warm_start_remap(
-            old,
-            new,
-            self._full_keep(old_mask),
-            self._full_keep(self.masks.get(op)),
-            mean_input,
-        )
+            if op in old_units and op in fold_means:
+                warm_start_remap(
+                    old_units[op],
+                    unit,
+                    old_masks.get(op),
+                    self.masks.get(op),
+                    slice(0, self.encoder.dim),
+                    fold_means[op],
+                )
 
     def warm_retrain(
         self,
@@ -208,9 +180,8 @@ class QPPNet(CostEstimator):
         """
         if masks is not None:
             full_width = self.encoder.dim + _MAX_CHILDREN * self.data_size
-            self.set_masks(
-                masks,
-                fold_means={op: np.zeros(full_width) for op in masks},
+            self.install_masks(
+                masks, fold_means={op: np.zeros(full_width) for op in masks}
             )
         return super().warm_retrain(
             train, snapshot_set=snapshot_set, epochs=epochs
@@ -599,6 +570,24 @@ class QPPNet(CostEstimator):
                 len(nodes), -1
             )
         return {op: rows for op, rows in datasets.items() if len(rows) >= 2}
+
+    def reduction_sets(
+        self,
+        train: Sequence[LabeledPlan],
+        snapshot_set: Optional["SnapshotSet"] = None,
+    ) -> List[ReductionSet]:
+        """One set per operator of :meth:`operator_dataset`: its unit,
+        scored on the cost output, with the operator encoding reducible
+        and the child-data columns outside the block."""
+        if self.masks:
+            raise TrainingError("collect the reduction sets before masking")
+        cost = np.zeros(1 + self.data_size)
+        cost[0] = 1.0
+        block = slice(0, self.encoder.dim)
+        return [
+            ReductionSet(op, self.units[op], data, block, cost, (self.seed, op.value))
+            for op, data in self.operator_dataset(train, snapshot_set).items()
+        ]
 
 
 def _post_order_rank(walk: PlanWalk, order: Sequence[int]) -> np.ndarray:

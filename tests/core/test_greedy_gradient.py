@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gradient import gradient_importance, gradient_reduction
+from repro.core.gradient import gradient_importance
 from repro.core.greedy import greedy_reduction
 from repro.nn.layers import Linear, ReLU, Sequential
 
@@ -87,13 +87,6 @@ class TestGradient:
         data = np.ones((4, 2))
         first_only = gradient_importance(model, data, output_weights=np.array([1.0, 0.0]))
         np.testing.assert_allclose(first_only, [1.0, 0.0])
-
-    def test_reduction_returns_mask(self):
-        model = Sequential(Linear(4, 8, seed_key=2), ReLU(), Linear(8, 1, seed_key=3))
-        data = np.random.default_rng(1).normal(size=(20, 4))
-        scores, keep = gradient_reduction(model, data)
-        assert scores.shape == (4,)
-        assert keep.dtype == bool
 
     def test_dead_relu_blindspot(self):
         """All-dead ReLU yields zero gradient for every input dim —

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.pipeline import QCFE, QCFEConfig
 from repro.engine.environment import random_environments
+from repro.engine.operators import OperatorType
 from repro.errors import TrainingError
 from repro.models.mscn import MSCN
 from repro.models.qppnet import QPPNet
@@ -77,7 +78,7 @@ class TestFitEvaluate:
         train, test = tpch_split
         pipeline = make_pipeline(tpch, environments, reduction=reduction)
         result = pipeline.fit(train)
-        assert result.masks
+        assert pipeline.estimator.keep_masks()
         assert 0.0 < result.reduction_ratio < 1.0
         assert result.base_train_stats is not None
         predictions = pipeline.predict_many(test)
@@ -87,7 +88,7 @@ class TestFitEvaluate:
         train, test = tpch_split
         pipeline = make_pipeline(tpch, environments, model="mscn", reduction="diff")
         result = pipeline.fit(train)
-        assert result.global_mask is not None
+        assert pipeline.estimator.global_mask is not None
         assert 0.0 <= result.reduction_ratio < 1.0
         assert np.all(pipeline.predict_many(test) > 0)
 
@@ -111,12 +112,54 @@ class TestFitEvaluate:
         """The env signal must survive reduction for QCFE to work."""
         train, _ = tpch_split
         pipeline = make_pipeline(tpch, environments, reduction="diff", epochs=4)
-        result = pipeline.fit(train)
+        pipeline.fit(train)
         snapshot_slice = pipeline.operator_encoder.block_slice("snapshot")
         kept_snapshot = sum(
-            int(mask[snapshot_slice].sum()) for mask in result.masks.values()
+            int(mask[snapshot_slice].sum())
+            for mask in pipeline.estimator.keep_masks().values()
         )
         assert kept_snapshot > 0
+
+
+class TestRefit:
+    @pytest.mark.parametrize("model", ["qppnet", "mscn"])
+    def test_second_fit_of_a_reduced_pipeline_equals_a_fresh_fit(
+        self, sysbench, environments, sysbench_labeled, model
+    ):
+        train, test = sysbench_labeled[:40], sysbench_labeled[40:80]
+        refit = make_pipeline(
+            sysbench, environments, model=model, reduction="diff", epochs=2
+        )
+        refit.fit(train[::-1])
+        second = refit.fit(train)
+        fresh = make_pipeline(
+            sysbench, environments, model=model, reduction="diff", epochs=2
+        )
+        first = fresh.fit(train)
+        assert second.reduction_ratio == first.reduction_ratio
+        masks, fresh_masks = refit.estimator.keep_masks(), fresh.estimator.keep_masks()
+        assert masks.keys() == fresh_masks.keys()
+        for op, mask in masks.items():
+            assert np.array_equal(mask, fresh_masks[op]), op
+        assert np.array_equal(
+            refit.predict_many(test).view(np.uint64),
+            fresh.predict_many(test).view(np.uint64),
+        )
+
+    def test_refit_leaves_an_exported_bundle_alone(
+        self, sysbench, environments, sysbench_labeled
+    ):
+        train, test = sysbench_labeled[:40], sysbench_labeled[40:80]
+        pipeline = make_pipeline(sysbench, environments, epochs=2)
+        pipeline.fit(train)
+        bundle = pipeline.export_bundle()
+        before = bundle.estimator.predict_many(
+            test, snapshot_set=bundle.snapshot_set
+        )
+        pipeline.fit(train[::-1])
+        after = bundle.estimator.predict_many(test, snapshot_set=bundle.snapshot_set)
+        assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+        assert pipeline.estimator is not bundle.estimator
 
 
 #: Difference-propagation masks (kept encoder dims per operator) of
@@ -139,6 +182,82 @@ _TRAIN_WORKLOAD_MASKS = {
 }
 
 
+#: Dropped encoder dims per operator (MSCN: of its one global mask,
+#: which ``keep_masks`` repeats under every operator) and the reduction
+#: ratio of the other model x method cells, on this module's fixture
+#: sizes (greedy: one round over 24 sampled plans).
+_FIXTURE_DROPS = {
+    ("qppnet", "gradient"): ({
+        "Seq Scan": [0, 2, 4, 5, 6, 7, 9, 12, 14, 20, 21, 22, 23, 28, 30, 32,
+                     33, 36, 38, 40, 41, 43, 44, 45, 50, 55, 58, 60, 62, 64,
+                     66, 67, 68, 69, 73, 77, 81, 83, 84, 87],
+        "Hash Join": [3, 8, 9, 15, 22, 23, 24, 25, 27, 30, 33, 34, 35, 40, 42,
+                      43, 45, 46, 48, 49, 54, 56, 59, 60, 62, 63, 64, 66, 67,
+                      68, 74, 77, 78, 79, 80, 81, 82, 84, 85, 86],
+        "Aggregate": [0, 1, 2, 3, 7, 9, 10, 11, 12, 14, 16, 19, 20, 24, 28, 33,
+                      34, 38, 39, 42, 44, 50, 51, 52, 55, 57, 58, 60, 61, 65,
+                      69, 70, 72, 76, 78, 81, 82, 83, 84, 87],
+        "Sort": [0, 5, 6, 8, 9, 11, 13, 14, 16, 17, 24, 25, 27, 28, 31, 33, 37,
+                 40, 41, 42, 44, 48, 51, 52, 53, 55, 56, 57, 58, 61, 63, 67,
+                 68, 69, 75, 78, 79, 81, 82, 83],
+        "Limit": [0, 2, 3, 4, 5, 6, 9, 12, 15, 16, 18, 21, 24, 27, 29, 30, 34,
+                  39, 41, 43, 44, 46, 47, 50, 53, 56, 57, 59, 60, 62, 63, 65,
+                  67, 69, 72, 73, 74, 76, 78, 84],
+        "Merge Join": [0, 1, 5, 11, 19, 20, 21, 22, 24, 26, 28, 30, 31, 36, 39,
+                       40, 43, 44, 45, 48, 50, 53, 54, 56, 58, 61, 63, 65, 66,
+                       68, 69, 71, 74, 76, 78, 80, 81, 82, 84, 87],
+        "Nested Loop": [0, 3, 6, 8, 11, 13, 14, 17, 18, 23, 24, 25, 29, 30, 33,
+                        36, 38, 40, 46, 49, 52, 53, 54, 57, 58, 63, 65, 66, 67,
+                        68, 70, 71, 72, 74, 78, 79, 80, 81, 84, 85],
+    }, 0.4545454545454546),
+    ("qppnet", "greedy"): ({
+        "Seq Scan": [8],
+        "Hash Join": [8],
+        "Aggregate": [8],
+        "Sort": [8],
+        "Limit": [8],
+        "Merge Join": [8],
+        "Nested Loop": [8],
+    }, 0.011363636363636354),
+    ("mscn", "diff"): (
+        [1, 7, 18, 25, 27, 29, 45, 52, 55, 56, 63, 64, 65, 66, 67, 68, 69, 70,
+         71, 72, 73],
+        0.23863636363636365,
+    ),
+    ("mscn", "gradient"): (
+        [0, 1, 2, 5, 7, 13, 17, 19, 22, 23, 24, 27, 28, 35, 38, 39, 40, 44, 47,
+         48, 51, 52, 55, 56, 57, 61, 62, 63, 65, 68, 71, 73, 74, 75, 78, 80,
+         82, 84],
+        0.43181818181818177,
+    ),
+    ("mscn", "greedy"): (
+        [82],
+        0.011363636363636354,
+    ),
+}
+
+
+@pytest.mark.parametrize("model, reduction", sorted(_FIXTURE_DROPS))
+def test_fixture_masks_and_ratio_pinned(
+    tpch, environments, tpch_split, model, reduction
+):
+    train, _ = tpch_split
+    pipeline = make_pipeline(
+        tpch, environments, model=model, reduction=reduction,
+        greedy_max_rounds=1, greedy_sample=24,
+    )
+    result = pipeline.fit(train)
+    drops, ratio = _FIXTURE_DROPS[model, reduction]
+    masks = pipeline.estimator.keep_masks()
+    if model == "mscn":
+        assert set(masks) == set(OperatorType)
+        drops = {op.value: drops for op in OperatorType}
+    assert {
+        op.value: np.flatnonzero(~mask).tolist() for op, mask in masks.items()
+    } == drops
+    assert result.reduction_ratio == ratio
+
+
 class TestTrainWorkloadReduction:
     def test_masks_and_ratio_pinned(self, tpch):
         """The tpch-train inputs of benchmarks/e2e (8 environments,
@@ -150,7 +269,7 @@ class TestTrainWorkloadReduction:
         result = pipeline.fit(train)
         kept = {
             op.value: np.flatnonzero(mask).tolist()
-            for op, mask in result.masks.items()
+            for op, mask in pipeline.estimator.keep_masks().items()
         }
         assert kept == _TRAIN_WORKLOAD_MASKS
         assert round(result.reduction_ratio, 4) == 0.7581

@@ -13,7 +13,6 @@ from repro.core.reduction import (
     difference_importance,
     difference_multipliers,
     keep_mask_from_scores,
-    reduce_features,
 )
 from repro.errors import FeatureError
 from repro.nn.layers import Linear, ReLU, Sequential
@@ -158,14 +157,6 @@ class TestKeepMask:
     def test_never_empty(self):
         keep = keep_mask_from_scores(np.zeros(4))
         assert keep.all()
-
-    def test_reduce_features_wrapper(self):
-        model = Sequential(Linear(3, 4, seed_key=7), ReLU(), Linear(4, 1, seed_key=8))
-        data = np.random.default_rng(3).normal(size=(15, 3))
-        data[:, 2] = 0.0
-        scores, keep = reduce_features(model, data, n_references=5)
-        assert scores.shape == (3,)
-        assert not keep[2]
 
 
 class TestErrors:

@@ -130,7 +130,7 @@ def masked(model: QPPNet, kind: str) -> QPPNet:
             keep = rng.random(model.encoder.dim) < 0.6
             keep[0] = True
             masks[op] = keep
-        model.set_masks(masks)
+        model.install_masks(masks)
     elif kind == "soft":
         keep = rng.random(model.encoder.dim) < 0.6
         keep[0] = True

@@ -53,7 +53,7 @@ class TestGlobalMask:
         model = MSCN(encoder, epochs=1)
         keep = np.zeros(encoder.global_dim, dtype=bool)
         keep[:7] = True
-        model.set_global_mask(keep)
+        model.install_masks({"out_net": keep})
         assert model.out_net.modules[0].in_features == 3 * model.hidden + 7
 
     def test_masked_model_trains(self, encoder, tpch_split):
@@ -61,7 +61,7 @@ class TestGlobalMask:
         model = MSCN(encoder, epochs=3)
         keep = np.ones(encoder.global_dim, dtype=bool)
         keep[10:60] = False
-        model.set_global_mask(keep)
+        model.install_masks({"out_net": keep})
         model.fit(train)
         assert np.all(model.predict_many(test) > 0)
 
@@ -73,13 +73,15 @@ class TestGlobalMask:
         matrix, global_slice = model.final_input_dataset(train)
         global_block = matrix[:, global_slice]
         constant = global_block.std(axis=0) < 1e-12
-        model.set_global_mask(~constant, fold_mean=matrix.mean(axis=0))
+        model.install_masks(
+            {"out_net": ~constant}, fold_means={"out_net": matrix.mean(axis=0)}
+        )
         np.testing.assert_allclose(model.predict_many(test), before, rtol=1e-6)
 
     def test_final_input_dataset_refuses_after_masking(self, encoder, tpch_split):
         train, _ = tpch_split
         model = MSCN(encoder, epochs=1)
-        model.set_global_mask(np.ones(encoder.global_dim, dtype=bool))
+        model.install_masks({"out_net": np.ones(encoder.global_dim, dtype=bool)})
         with pytest.raises(TrainingError):
             model.final_input_dataset(train)
 

@@ -220,9 +220,9 @@ def test_greedy_scorer_refuses_a_masked_model(fitted):
     model, _ = fitted
     masked = copy.deepcopy(model)
     if isinstance(masked, QPPNet):
-        masked.set_masks({OperatorType.SEQ_SCAN: np.ones(masked.encoder.dim, bool)})
+        masked.install_masks({OperatorType.SEQ_SCAN: np.ones(masked.encoder.dim, bool)})
     else:
-        masked.set_global_mask(np.ones(masked.encoder.global_dim, bool))
+        masked.install_masks({"out_net": np.ones(masked.encoder.global_dim, bool)})
     with pytest.raises(TrainingError):
         ZeroedInputs(masked)
 
@@ -239,7 +239,7 @@ def test_qppnet_hard_masks_preserve_bit_identity(tpch, tpch_split):
         keep = rng.random(model.encoder.dim) < 0.6
         keep[0] = True
         masks[op] = keep
-    model.set_masks(masks)
+    model.install_masks(masks)
     records = list(test)
     batch = model.predict_prepared_batch(records)
     np.testing.assert_array_equal(batch, _scalar(model, records))
@@ -259,7 +259,7 @@ def test_mscn_hard_mask_preserves_bit_identity(tpch, tpch_split):
     rng = np.random.default_rng(13)
     keep = rng.random(model.encoder.global_dim) < 0.6
     keep[0] = True
-    model.set_global_mask(keep)
+    model.install_masks({"out_net": keep})
     records = list(test)
     batch = model.predict_prepared_batch(records)
     np.testing.assert_array_equal(batch, _scalar(model, records))

@@ -81,11 +81,11 @@ class TestTraining:
 
 
 class TestMasks:
-    def test_set_masks_rebuilds_units(self, encoder):
+    def test_install_masks_rebuilds_units(self, encoder):
         model = QPPNet(encoder, epochs=1)
         keep = np.zeros(encoder.dim, dtype=bool)
         keep[:10] = True
-        model.set_masks({OperatorType.SEQ_SCAN: keep})
+        model.install_masks({OperatorType.SEQ_SCAN: keep})
         unit = model.units[OperatorType.SEQ_SCAN]
         assert unit.modules[0].in_features == 10 + 2 * model.data_size
         # Unmasked ops keep the full width.
@@ -98,7 +98,7 @@ class TestMasks:
         model = QPPNet(encoder, epochs=3)
         keep = np.ones(encoder.dim, dtype=bool)
         keep[5:40] = False
-        model.set_masks({op: keep.copy() for op in OperatorType})
+        model.install_masks({op: keep.copy() for op in OperatorType})
         model.fit(train)
         assert np.all(model.predict_many(test) > 0)
 
@@ -117,7 +117,7 @@ class TestMasks:
             constant = features.std(axis=0) < 1e-12
             masks[op] = ~constant
             fold_means[op] = data.mean(axis=0)
-        model.set_masks(masks, fold_means=fold_means)
+        model.install_masks(masks, fold_means=fold_means)
         after = model.predict_many(test)
         np.testing.assert_allclose(after, before, rtol=1e-6)
 
@@ -139,3 +139,16 @@ class TestOperatorDataset:
         # ops with fewer than 2 samples are dropped from the dataset
         assert total <= expected
         assert total >= expected - len(OperatorType)
+
+    def test_reduction_sets_refuse_a_masked_model(self, encoder, tpch_split):
+        """Reduction scores the full encoder width, so a masked model
+        has no reduction sets (MSCN's ``final_input_dataset`` refuses
+        the same case)."""
+        train, _ = tpch_split
+        model = QPPNet(encoder, epochs=1)
+        assert {s.key for s in model.reduction_sets(train)} == set(
+            model.operator_dataset(train)
+        )
+        model.install_masks({OperatorType.SORT: np.ones(encoder.dim, dtype=bool)})
+        with pytest.raises(TrainingError):
+            model.reduction_sets(train)

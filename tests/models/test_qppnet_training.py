@@ -269,7 +269,7 @@ def _masked_model(encoder: OperatorEncoder) -> QPPNet:
     model = QPPNet(encoder, epochs=2)
     keep = np.ones(encoder.dim, dtype=bool)
     keep[7:30] = False
-    model.set_masks({OperatorType.SEQ_SCAN: keep, OperatorType.HASH_JOIN: ~keep})
+    model.install_masks({OperatorType.SEQ_SCAN: keep, OperatorType.HASH_JOIN: ~keep})
     return model
 
 

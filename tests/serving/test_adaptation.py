@@ -367,7 +367,7 @@ def test_redeploy_with_new_masks_refreshes_watcher(point_trained):
         # Redeploy an estimator with widened masks (an offline
         # retrain): refreshed.
         widened = copy.deepcopy(pipeline.estimator)
-        widened.set_masks(
+        widened.install_masks(
             {op: np.ones_like(mask) for op, mask in widened.masks.items()}
         )
         bundle = pipeline.export_bundle()
@@ -430,7 +430,7 @@ def mscn_trained(sysbench, adapt_envs):
         ),
     )
     pipeline.fit(point_only)
-    assert pipeline.result.global_mask is not None
+    assert pipeline.estimator.global_mask is not None
     return pipeline
 
 

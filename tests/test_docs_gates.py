@@ -25,6 +25,7 @@ GATED_TREES = [
     str(REPO / "src" / "repro" / "obs"),
     str(REPO / "src" / "repro" / "models"),
     str(REPO / "src" / "repro" / "nn"),
+    str(REPO / "src" / "repro" / "core"),
     str(REPO / "tools" / "analyze"),
 ]
 

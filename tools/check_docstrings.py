@@ -115,6 +115,7 @@ def main(argv: List[str]) -> int:
         "src/repro/obs",
         "src/repro/models",
         "src/repro/nn",
+        "src/repro/core",
         "tools/analyze",
     ]
     problems = check_trees(roots)
